@@ -38,6 +38,14 @@ pub enum FastaError {
         /// Record identifier.
         id: String,
     },
+    /// Alignment text held no records at all (an alignment needs a row).
+    EmptyAlignment,
+    /// A gapped record held only gap characters (an alignment row needs
+    /// at least one residue).
+    AllGapRow {
+        /// Record identifier.
+        id: String,
+    },
 }
 
 impl std::fmt::Display for FastaError {
@@ -53,6 +61,8 @@ impl std::fmt::Display for FastaError {
             FastaError::RaggedAlignment { expected, got, id } => {
                 write!(f, "record {id} has {got} columns, expected {expected} (ragged alignment)")
             }
+            FastaError::EmptyAlignment => write!(f, "no records (an alignment needs a row)"),
+            FastaError::AllGapRow { id } => write!(f, "record {id} is entirely gaps"),
         }
     }
 }
@@ -97,6 +107,9 @@ pub fn parse_alignment(text: &str) -> Result<Msa, FastaError> {
         if row.is_empty() {
             return Err(FastaError::EmptyRecord { id });
         }
+        if row.iter().all(|&c| c == GAP_CODE) {
+            return Err(FastaError::AllGapRow { id });
+        }
         match width {
             None => width = Some(row.len()),
             Some(w) if w != row.len() => {
@@ -106,6 +119,9 @@ pub fn parse_alignment(text: &str) -> Result<Msa, FastaError> {
         }
         ids.push(id);
         rows.push(row);
+    }
+    if rows.is_empty() {
+        return Err(FastaError::EmptyAlignment);
     }
     Ok(Msa::from_rows(ids, rows))
 }
@@ -402,6 +418,19 @@ mod tests {
             parse_alignment(text),
             Err(FastaError::RaggedAlignment { expected: 5, got: 4, .. })
         ));
+    }
+
+    #[test]
+    fn empty_alignment_is_a_typed_error() {
+        assert_eq!(parse_alignment(""), Err(FastaError::EmptyAlignment));
+        assert_eq!(parse_alignment("\n  \n"), Err(FastaError::EmptyAlignment));
+    }
+
+    #[test]
+    fn all_gap_row_is_a_typed_error() {
+        let err = parse_alignment(">a\n---\n>b\nMKV\n").unwrap_err();
+        assert_eq!(err, FastaError::AllGapRow { id: "a".into() });
+        assert!(err.to_string().contains("entirely gaps"));
     }
 
     #[test]

@@ -194,8 +194,7 @@ pub struct ReadsArgs {
     pub nodes: Option<usize>,
     /// Engine selection.
     pub engine: EngineChoice,
-    /// Execution backend; defaults to `rayon`, the only backend that
-    /// supports the hierarchical cap.
+    /// Execution backend; defaults to `rayon`.
     pub backend: Backend,
     /// Disable the ancestor fine-tuning step.
     pub no_fine_tune: bool,
@@ -403,7 +402,6 @@ usage: sad <command> [options]
                    [--engine muscle-fast|muscle|clustalw]
                    [--band auto|full|<width>]
                    [--kernel scalar|striped|auto] [--progress] [--trim]
-                   (an explicit --max-bucket needs the rayon backend)
   trim <aligned.fa> [--out FILE] [--max-dropped N] [--branch-bound]
   generate [--n N] [--len L] [--relatedness R] [--seed S] [--reference PATH]
   scaling  [--n N] [--procs 1,4,8,16]
@@ -425,6 +423,22 @@ fn take_value<'a, I: Iterator<Item = &'a str>>(
     it: &mut I,
 ) -> Result<&'a str, ParseError> {
     it.next().ok_or_else(|| ParseError(format!("{flag} needs a value")))
+}
+
+/// `--threads` and `--nodes` each name one backend's width; reject them
+/// anywhere else instead of silently ignoring them.
+fn check_width_flags(
+    backend: Backend,
+    threads: Option<usize>,
+    nodes: Option<usize>,
+) -> Result<(), ParseError> {
+    if threads.is_some() && backend != Backend::Rayon {
+        return Err(ParseError("--threads only applies to --backend rayon".into()));
+    }
+    if nodes.is_some() && backend != Backend::Distributed {
+        return Err(ParseError("--nodes only applies to --backend distributed".into()));
+    }
+    Ok(())
 }
 
 fn parse_num<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, ParseError> {
@@ -520,12 +534,7 @@ pub fn parse<'a>(argv: impl IntoIterator<Item = &'a str>) -> Result<Args, ParseE
             if a.kmer == Some(0) {
                 return Err(ParseError("--kmer must be at least 1".into()));
             }
-            if a.threads.is_some() && a.backend != Backend::Rayon {
-                return Err(ParseError("--threads only applies to --backend rayon".into()));
-            }
-            if a.nodes.is_some() && a.backend != Backend::Distributed {
-                return Err(ParseError("--nodes only applies to --backend distributed".into()));
-            }
+            check_width_flags(a.backend, a.threads, a.nodes)?;
             if !a.vertical && (a.max_block.is_some() || a.seam_window.is_some()) {
                 return Err(ParseError("--max-block/--seam-window require --vertical".into()));
             }
@@ -616,12 +625,7 @@ pub fn parse<'a>(argv: impl IntoIterator<Item = &'a str>) -> Result<Args, ParseE
             if b.kmer == Some(0) {
                 return Err(ParseError("--kmer must be at least 1".into()));
             }
-            if b.threads.is_some() && b.backend != Backend::Rayon {
-                return Err(ParseError("--threads only applies to --backend rayon".into()));
-            }
-            if b.nodes.is_some() && b.backend != Backend::Distributed {
-                return Err(ParseError("--nodes only applies to --backend distributed".into()));
-            }
+            check_width_flags(b.backend, b.threads, b.nodes)?;
             Ok(Args { command: Command::Batch(b) })
         }
         "reads" => {
@@ -650,11 +654,9 @@ pub fn parse<'a>(argv: impl IntoIterator<Item = &'a str>) -> Result<Args, ParseE
                 progress: false,
                 trim: false,
             };
-            let mut cap_set = false;
             while let Some(tok) = it.next() {
                 match tok {
                     "--max-bucket" => {
-                        cap_set = true;
                         r.max_bucket = match take_value("--max-bucket", &mut it)? {
                             "none" => None,
                             v => Some(parse_num("--max-bucket", v)?),
@@ -754,26 +756,7 @@ pub fn parse<'a>(argv: impl IntoIterator<Item = &'a str>) -> Result<Args, ParseE
                     ));
                 }
             }
-            if r.threads.is_some() && r.backend != Backend::Rayon {
-                return Err(ParseError("--threads only applies to --backend rayon".into()));
-            }
-            if r.nodes.is_some() && r.backend != Backend::Distributed {
-                return Err(ParseError("--nodes only applies to --backend distributed".into()));
-            }
-            // The hierarchical cap only runs on the rayon backend. An
-            // explicit cap elsewhere is a contradiction worth a parse
-            // error (mirroring --vertical); the mere *default* is not —
-            // drop it so `--backend distributed` works out of the box.
-            if r.backend == Backend::Distributed && r.max_bucket.is_some() {
-                if cap_set {
-                    return Err(ParseError(
-                        "--max-bucket is not supported on the distributed backend \
-                         (use --backend rayon or --max-bucket none)"
-                            .into(),
-                    ));
-                }
-                r.max_bucket = None;
-            }
+            check_width_flags(r.backend, r.threads, r.nodes)?;
             Ok(Args { command: Command::Reads(r) })
         }
         "trim" => {
@@ -941,12 +924,7 @@ pub fn parse<'a>(argv: impl IntoIterator<Item = &'a str>) -> Result<Args, ParseE
             if s.kmer == Some(0) {
                 return Err(ParseError("--kmer must be at least 1".into()));
             }
-            if s.threads.is_some() && s.backend != Backend::Rayon {
-                return Err(ParseError("--threads only applies to --backend rayon".into()));
-            }
-            if s.nodes.is_some() && s.backend != Backend::Distributed {
-                return Err(ParseError("--nodes only applies to --backend distributed".into()));
-            }
+            check_width_flags(s.backend, s.threads, s.nodes)?;
             Ok(Args { command: Command::Serve(s) })
         }
         "submit" => {
@@ -1474,37 +1452,16 @@ mod tests {
     }
 
     #[test]
-    fn reads_default_cap_yields_to_distributed_but_explicit_cap_errors() {
-        // The default cap silently steps aside: distributed runs work out
-        // of the box, no `--max-bucket none` incantation required.
-        match parse(["reads", "--backend", "distributed"]).unwrap().command {
-            Command::Reads(r) => {
-                assert_eq!(r.backend, Backend::Distributed);
-                assert_eq!(r.max_bucket, None, "default cap dropped for distributed");
+    fn reads_cap_parses_the_same_on_every_backend() {
+        for backend in ["rayon", "distributed"] {
+            match parse(["reads", "--backend", backend]).unwrap().command {
+                Command::Reads(r) => assert_eq!(r.max_bucket, Some(512), "{backend}"),
+                _ => panic!("wrong command"),
             }
-            _ => panic!("wrong command"),
-        }
-        // An explicit cap on distributed is a contradiction: parse error,
-        // like --vertical on distributed.
-        let err = parse(["reads", "--max-bucket", "64", "--backend", "distributed"]).unwrap_err();
-        assert!(err.0.contains("not supported on the distributed backend"), "{}", err.0);
-        // Flag order must not matter.
-        assert!(parse(["reads", "--backend", "distributed", "--max-bucket", "64"]).is_err());
-        // An explicit `none` on distributed is fine — it asks for exactly
-        // what the backend does anyway.
-        match parse(["reads", "--backend", "distributed", "--max-bucket", "none"]).unwrap().command
-        {
-            Command::Reads(r) => assert_eq!(r.max_bucket, None),
-            _ => panic!("wrong command"),
-        }
-        // Rayon keeps the default and explicit caps untouched.
-        match parse(["reads"]).unwrap().command {
-            Command::Reads(r) => assert_eq!(r.max_bucket, Some(512)),
-            _ => panic!("wrong command"),
-        }
-        match parse(["reads", "--max-bucket", "64"]).unwrap().command {
-            Command::Reads(r) => assert_eq!(r.max_bucket, Some(64)),
-            _ => panic!("wrong command"),
+            match parse(["reads", "--max-bucket", "64", "--backend", backend]).unwrap().command {
+                Command::Reads(r) => assert_eq!(r.max_bucket, Some(64), "{backend}"),
+                _ => panic!("wrong command"),
+            }
         }
     }
 

@@ -67,14 +67,7 @@ pub fn align(a: AlignArgs, out: Out) -> Result<(), String> {
     // Fail loudly (typed) rather than silently degrading short sequences;
     // `--kmer` lowers k below the shortest sequence when inputs are short.
     cfg.validate_for(&seqs).map_err(|e| e.to_string())?;
-    let backend = match a.backend {
-        Backend::Sequential => SadBackend::Sequential,
-        Backend::Rayon => SadBackend::Rayon { threads: a.parallelism() },
-        Backend::Distributed => {
-            SadBackend::Distributed(VirtualCluster::new(a.parallelism(), CostModel::beowulf_2008()))
-        }
-    };
-    let mut aligner = Aligner::new(cfg).backend(backend);
+    let mut aligner = Aligner::new(cfg).backend(sad_backend(a.backend, a.parallelism()));
     if a.progress {
         // Live phase display on stderr; stdout stays parseable FASTA.
         aligner =
@@ -83,6 +76,18 @@ pub fn align(a: AlignArgs, out: Out) -> Result<(), String> {
     let report = aligner.run(&seqs).map_err(|e| e.to_string())?;
     write_report_comments(&report, seqs.len(), out);
     write!(out, "{}", fasta::write_alignment(&report.msa)).map_err(|e| e.to_string())
+}
+
+/// The library backend a `--backend` choice names, `width` ranks wide
+/// (the sequential baseline has no width).
+fn sad_backend(backend: Backend, width: usize) -> SadBackend {
+    match backend {
+        Backend::Sequential => SadBackend::Sequential,
+        Backend::Rayon => SadBackend::Rayon { threads: width },
+        Backend::Distributed => {
+            SadBackend::Distributed(VirtualCluster::new(width, CostModel::beowulf_2008()))
+        }
+    }
 }
 
 /// The unified run summary, written as FASTA `;` comment lines so the
@@ -106,7 +111,7 @@ fn write_report_comments(report: &RunReport, n_seqs: usize, out: Out) {
 
 /// `sad reads` — the Pyro-Align-style large-N read mode: align a file of
 /// short reads (streamed) or a simulated read set, with buckets over
-/// `--max-bucket` recursively decomposed on the rayon backend. Prints a
+/// `--max-bucket` recursively decomposed. Prints a
 /// run summary (bucket census, decomposition depth, phase table, and —
 /// for simulated input — the mean pair-Q against the known truth) and
 /// optionally writes the gapped FASTA to `--out`.
@@ -139,8 +144,7 @@ pub fn reads(r: ReadsArgs, out: Out) -> Result<(), String> {
     };
     let n = seqs.len();
 
-    // 2. Configure. The cap flows into the pipeline; argument parsing
-    //    already cleared it for backends that don't support it.
+    // 2. Configure.
     let mut cfg = SadConfig::default()
         .with_engine(r.engine)
         .with_fine_tune(!r.no_fine_tune)
@@ -158,18 +162,8 @@ pub fn reads(r: ReadsArgs, out: Out) -> Result<(), String> {
     // 3. Width: with a cap, widen the first pass to ~cap-sized blocks so
     //    the O(w²) local rank never sees a giant block it would only
     //    decompose later anyway.
-    let width = match (r.backend, r.max_bucket) {
-        (Backend::Rayon, Some(cap)) => r.parallelism().max(n.div_ceil(cap)),
-        _ => r.parallelism(),
-    };
-    let backend = match r.backend {
-        Backend::Sequential => SadBackend::Sequential,
-        Backend::Rayon => SadBackend::Rayon { threads: width },
-        Backend::Distributed => {
-            SadBackend::Distributed(VirtualCluster::new(width, CostModel::beowulf_2008()))
-        }
-    };
-    let mut aligner = Aligner::new(cfg).backend(backend);
+    let width = r.max_bucket.map_or(r.parallelism(), |cap| r.parallelism().max(n.div_ceil(cap)));
+    let mut aligner = Aligner::new(cfg).backend(sad_backend(r.backend, width));
     if r.progress {
         aligner =
             aligner.observer(std::sync::Arc::new(crate::progress::ProgressObserver::stderr()));
@@ -191,9 +185,9 @@ pub fn reads(r: ReadsArgs, out: Out) -> Result<(), String> {
     writeln!(out, "backend           {} ({} ranks)", report.backend_name(), report.ranks).ok();
     let largest = report.bucket_sizes.iter().max().copied().unwrap_or(0);
     writeln!(out, "buckets           {} (largest {largest})", report.bucket_sizes.len()).ok();
-    // The cap only acts on rayon (sequential has no buckets to split and
-    // distributed rejects it outright), so only rayon reports it.
-    if let (Backend::Rayon, Some(cap)) = (r.backend, r.max_bucket) {
+    // Sequential has no buckets to split and ignores the cap, so only the
+    // decomposed backends report on it.
+    if let Some(cap) = r.max_bucket.filter(|_| r.backend != Backend::Sequential) {
         writeln!(
             out,
             "bucket cap        {cap} ({})",
@@ -373,14 +367,7 @@ pub fn batch(b: BatchArgs, out: Out) -> Result<(), String> {
     if b.trim {
         cfg = cfg.with_trim(TrimConfig::default());
     }
-    let backend = match b.backend {
-        Backend::Sequential => SadBackend::Sequential,
-        Backend::Rayon => SadBackend::Rayon { threads: b.parallelism() },
-        Backend::Distributed => {
-            SadBackend::Distributed(VirtualCluster::new(b.parallelism(), CostModel::beowulf_2008()))
-        }
-    };
-    let mut aligner = Aligner::new(cfg).backend(backend);
+    let mut aligner = Aligner::new(cfg).backend(sad_backend(b.backend, b.parallelism()));
     if b.progress {
         aligner =
             aligner.observer(std::sync::Arc::new(crate::progress::ProgressObserver::stderr()));
@@ -1054,27 +1041,20 @@ mod tests {
 
     #[test]
     fn reads_distributed_works_without_an_explicit_cap() {
-        // The default cap steps aside at parse time, so the virtual
-        // cluster aligns a read set out of the box — no `--max-bucket
-        // none` incantation to discover.
-        let out = run_str(&[
-            "reads",
-            "--reads",
-            "40",
-            "--read-len",
-            "50",
-            "--source-len",
-            "150",
-            "--backend",
-            "distributed",
-            "--kmer",
-            "3",
-        ]);
+        // The virtual cluster runs the same capped pipeline as rayon: the
+        // default cap and an explicit one are both honoured and reported.
+        let base =
+            ["reads", "--reads", "40", "--read-len", "50", "--source-len", "150", "--kmer", "3"];
+        let out = run_str(&[&base[..], &["--backend", "distributed"]].concat());
         assert!(out.contains("backend           distributed"), "{out}");
-        // An explicit cap on distributed never reaches the pipeline: it
-        // is rejected while parsing, like --vertical.
-        let err = parse(["reads", "--backend", "distributed", "--max-bucket", "512"]).unwrap_err();
-        assert!(err.0.contains("not supported on the distributed backend"), "{}", err.0);
+        assert!(out.contains("bucket cap        512 (respected)"), "{out}");
+        let out =
+            run_str(&[&base[..], &["--backend", "distributed", "--max-bucket", "8"]].concat());
+        assert!(out.contains("bucket cap        8 (respected)"), "{out}");
+        assert!(out.contains("7-sub-partition"), "{out}");
+        // Sequential has no buckets, so it has nothing to say about a cap.
+        let out = run_str(&[&base[..], &["--backend", "sequential"]].concat());
+        assert!(!out.contains("bucket cap"), "{out}");
     }
 
     #[test]
@@ -1119,13 +1099,20 @@ mod tests {
         assert!(crate::run(args, &mut buf).unwrap_err().contains("cannot read"));
         let dir = tmpdir().join("trim-bad");
         std::fs::create_dir_all(&dir).unwrap();
-        let ragged = dir.join("ragged.fa");
-        std::fs::write(&ragged, ">a\nMK-VL\n>b\nMKIL\n").unwrap();
-        let args = parse(["trim", ragged.to_str().unwrap()]).unwrap();
-        let mut buf = Vec::new();
-        let err = crate::run(args, &mut buf).unwrap_err();
-        assert!(err.contains("bad alignment"), "{err}");
-        assert!(err.contains("ragged"), "{err}");
+        // Each is a named error (exit 1 from the binary), never a panic.
+        for (name, text, needle) in [
+            ("ragged.fa", ">a\nMK-VL\n>b\nMKIL\n", "ragged"),
+            ("empty.fa", "", "no records"),
+            ("allgap.fa", ">a\n---\n>b\nMKV\n", "record a is entirely gaps"),
+        ] {
+            let path = dir.join(name);
+            std::fs::write(&path, text).unwrap();
+            let args = parse(["trim", path.to_str().unwrap()]).unwrap();
+            let mut buf = Vec::new();
+            let err = crate::run(args, &mut buf).unwrap_err();
+            assert!(err.contains(&format!("bad alignment in {}", path.display())), "{err}");
+            assert!(err.contains(needle), "{err}");
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! * `sad reads` — the Pyro-Align-style large-N read mode: align a file
 //!   of short reads (streamed record by record, never slurped) or a
 //!   simulated read set, recursively decomposing buckets past
-//!   `--max-bucket` on the rayon backend; prints the bucket census,
+//!   `--max-bucket`; prints the bucket census,
 //!   decomposition depth and phase table, gates simulated runs on mean
 //!   pair-Q with `--min-q`, and writes the alignment via `--out`;
 //! * `sad trim <aligned.fa>` — MaxAlign-style alignment-area

@@ -61,12 +61,14 @@ pub enum Backend {
     /// speedup baseline).
     #[default]
     Sequential,
-    /// Shared-memory pipeline on the rayon pool.
+    /// The Sample-Align-D pipeline with every rank in shared memory.
     Rayon {
-        /// Logical buckets (the `p` of the decomposition).
+        /// Logical ranks (the `p` of the decomposition): the input is
+        /// bucketed exactly as on a `p`-rank cluster. OS threads in
+        /// flight are `min(threads, available cores)`.
         threads: usize,
     },
-    /// Message-passing pipeline on a virtual cluster.
+    /// The same pipeline, one thread per rank of a virtual cluster.
     Distributed(VirtualCluster),
 }
 
@@ -229,13 +231,7 @@ impl Aligner {
                 *threads
             }
             Backend::Distributed(cluster) => {
-                // The SPMD protocol has no recursive redistribution
-                // collective; reject the cap instead of silently ignoring
-                // it (see SadConfig::max_bucket).
-                if self.cfg.max_bucket.is_some() {
-                    return Err(SadError::MaxBucketUnsupported { backend: "distributed" });
-                }
-                // Likewise no block-scheduling collective for vertical
+                // No block-scheduling collective for vertical
                 // decomposition yet (see SadConfig::vertical).
                 if self.cfg.vertical.is_some() {
                     return Err(SadError::VerticalUnsupported { backend: "distributed" });
@@ -260,7 +256,7 @@ impl Aligner {
                 crate::sequential::sequential_pipeline(seqs, &self.cfg, &ctx, scratch)
             }
             (Backend::Rayon { threads }, None) => {
-                crate::rayon_impl::rayon_pipeline(seqs, *threads, &self.cfg, &ctx)
+                crate::rayon_impl::shared_memory_pipeline(seqs, *threads, &self.cfg, &ctx)
             }
             (Backend::Distributed(cluster), _) => {
                 crate::distributed::distributed_pipeline(cluster, seqs, &self.cfg, &ctx)
@@ -442,18 +438,50 @@ mod tests {
         assert_eq!(err, Err(SadError::ZeroParallelism));
     }
 
+    /// Rayon and distributed runs of the same input must agree on
+    /// everything but clocks: bytes, buckets, depth, phases, work.
+    fn assert_decomposed_parity(seqs: &[Sequence], p: usize, cfg: &SadConfig) {
+        let what = format!("n={} p={p} cap={:?}", seqs.len(), cfg.max_bucket);
+        let cluster = VirtualCluster::new(p, CostModel::beowulf_2008());
+        let ray =
+            Aligner::new(cfg.clone()).backend(Backend::Rayon { threads: p }).run(seqs).unwrap();
+        let dist =
+            Aligner::new(cfg.clone()).backend(Backend::Distributed(cluster)).run(seqs).unwrap();
+        assert_eq!(
+            bioseq::fasta::write_alignment(&ray.msa),
+            bioseq::fasta::write_alignment(&dist.msa),
+            "{what}"
+        );
+        assert_eq!(ray.bucket_sizes, dist.bucket_sizes, "{what}");
+        assert_eq!(ray.decomposition_depth, dist.decomposition_depth, "{what}");
+        assert_eq!(ray.phase_sequence(), dist.phase_sequence(), "{what}");
+        for (r, d) in ray.phases.iter().zip(&dist.phases) {
+            assert_eq!(r.work, d.work, "{what}: {}", r.name());
+        }
+    }
+
     #[test]
-    fn max_bucket_rejected_on_distributed_only() {
+    fn decomposed_backends_agree_on_tiny_and_capped_inputs() {
+        // N <= p: the regime where the old shared-memory partition took a
+        // shortcut the cluster's PSRS did not.
+        for n in [2, 3, 5] {
+            for p in [4, 8] {
+                assert_decomposed_parity(&family(n, 20 + n as u64), p, &SadConfig::default());
+            }
+        }
+        // Capped runs: sub-partitioning is rank-local, so every backend
+        // with buckets honours the cap the same way.
+        let capped = SadConfig::default().with_max_bucket(Some(8));
+        for p in [2, 3] {
+            assert_decomposed_parity(&family(60, 9), p, &capped);
+        }
         let seqs = family(12, 9);
         let cfg = SadConfig::default().with_max_bucket(Some(4));
         let cluster = VirtualCluster::new(2, CostModel::beowulf_2008());
-        let err = Aligner::new(cfg.clone()).backend(Backend::Distributed(cluster)).run(&seqs);
-        assert_eq!(err, Err(SadError::MaxBucketUnsupported { backend: "distributed" }));
-        // Rayon honours the cap; sequential has no buckets and ignores it.
-        let ray = Aligner::new(cfg.clone()).backend(Backend::Rayon { threads: 2 }).run(&seqs);
-        assert!(ray.unwrap().bucket_sizes.iter().all(|&b| b <= 4));
-        let seq = Aligner::new(cfg).run(&seqs).unwrap();
-        assert_eq!(seq.bucket_sizes, vec![12]);
+        let dist = Aligner::new(cfg.clone()).backend(Backend::Distributed(cluster)).run(&seqs);
+        assert!(dist.unwrap().bucket_sizes.iter().all(|&b| b <= 4));
+        // Sequential has no buckets and ignores the cap.
+        assert_eq!(Aligner::new(cfg).run(&seqs).unwrap().bucket_sizes, vec![12]);
     }
 
     #[test]

@@ -202,8 +202,9 @@ fn default_workers() -> usize {
 }
 
 /// Run `n` indexed tasks on a self-scheduling worker pool — the shared
-/// scheduling substrate of [`run_batch`] and of the vertical block
-/// dispatch ([`crate::decomp`]). Idle workers steal the next unclaimed
+/// scheduling substrate of [`run_batch`], of the vertical block
+/// dispatch ([`crate::decomp`]) and of the shared-memory executor's
+/// per-rank steps. Idle workers steal the next unclaimed
 /// index, each worker owns one long-lived [`DpArena`] of DP scratch, and
 /// results come back in index order. `workers == 1` runs inline on the
 /// caller's thread (no pool, deterministic event order).

@@ -44,14 +44,12 @@ pub struct SadConfig {
     /// kernel otherwise; `Scalar`/`Striped` force one variant.
     pub dp_kernel: DpKernel,
     /// Hierarchical bucketing cap (the Pyro-Align large-N read mode):
-    /// when set, any post-redistribution bucket larger than this is
-    /// recursively re-sampled and re-partitioned
-    /// ([`crate::Phase::SubPartition`]) until every leaf bucket fits, so
-    /// no single engine run — and no single rank — ever centralises an
+    /// when set, every rank recursively re-samples and re-partitions its
+    /// own post-redistribution bucket ([`crate::Phase::SubPartition`])
+    /// until each leaf fits, so no single engine run ever centralises an
     /// oversized bucket. `None` (the default) keeps the flat paper
-    /// pipeline. Supported on the rayon backend; the sequential backend
-    /// has no buckets and ignores it; the distributed backend rejects it
-    /// with [`SadError::MaxBucketUnsupported`].
+    /// pipeline. Honoured identically by the rayon and distributed
+    /// backends; the sequential backend has no buckets and ignores it.
     pub max_bucket: Option<usize>,
     /// Vertical (length-wise) domain decomposition: when set, the run
     /// scans for conserved anchors ([`crate::Phase::AnchorScan`]), slices

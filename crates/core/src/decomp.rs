@@ -217,7 +217,7 @@ pub(crate) fn vertical_pipeline(
         let mut report = match backend {
             Backend::Sequential => crate::sequential::sequential_pipeline(seqs, cfg, ctx, scratch)?,
             Backend::Rayon { threads } => {
-                crate::rayon_impl::rayon_pipeline(seqs, *threads, cfg, ctx)?
+                crate::rayon_impl::shared_memory_pipeline(seqs, *threads, cfg, ctx)?
             }
             Backend::Distributed(_) => {
                 unreachable!("Aligner::run rejects vertical mode on the distributed backend")

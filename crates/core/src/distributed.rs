@@ -1,11 +1,12 @@
-//! The distributed Sample-Align-D pipeline over the virtual cluster.
+//! The message-passing substrate: one [`Comm`] per rank of a virtual
+//! cluster.
 //!
-//! Phase names follow the numbered steps of the algorithm listing in
-//! Section 2 of the paper, so the per-phase timing table lines up with the
-//! cost analysis of Section 3. Every rank brackets its phases on the shared
-//! [`PipelineCtx`], which stamps each phase's real wall-clock footprint
-//! (first rank in → last rank out) next to the virtual per-rank timings the
-//! traces carry.
+//! Every rank thread of a [`VirtualCluster`] runs the one pipeline body
+//! ([`sample_align_d`]) through a [`ClusterRank`], which owns that rank:
+//! collectives are real messages priced by the cost model, charged work
+//! advances the rank's virtual clock, and each phase is bracketed on the
+//! rank's trace and on the shared [`PipelineCtx`], which stamps the
+//! phase's real wall-clock footprint (first rank in → last rank out).
 //!
 //! Cancellation is cooperative *and collective*: an SPMD program cannot
 //! have one rank bail while its peers block on a collective, so at every
@@ -13,334 +14,141 @@
 //! broadcasts the verdict — all ranks stop at the same boundary, keeping
 //! the virtual clocks deterministic.
 
-use crate::ancestor::{anchor_to_ancestor, glue_anchored, glue_block_diagonal};
 use crate::config::SadConfig;
 use crate::error::SadError;
-use crate::messages::{AnchoredBlockMsg, MaybeSeq, MsaBlockMsg, RankedSeq};
 use crate::pipeline::{Phase, PipelineCtx};
 use crate::report::{BackendExtras, RunReport};
-use align::consensus::consensus_sequence;
-use bioseq::kmer::{self, KmerProfile};
-use bioseq::{Msa, Sequence, Work};
-use std::time::Instant;
-use vcluster::{Node, VirtualCluster};
+use crate::spmd::{sample_align_d, Comm, Outcome};
+use bioseq::{Sequence, Work};
+use std::ops::Range;
+use vcluster::{Node, VirtualCluster, WireSize};
 
-/// A batch of sequences for the sample all-gather.
-use crate::messages::SeqBatch;
-
-/// The message-passing pipeline. `seqs` plays the role of the pre-staged
-/// input files (the paper stages shards on each node's disk before timing
-/// starts, so the initial slice is free here too). Input validation
-/// happens in [`crate::Aligner::run`].
+/// Run the pipeline body on every rank of `cluster` and assemble the
+/// ranks' outcomes into one report, with the per-phase virtual maxima
+/// from the rank traces next to the recorder's wall-clock seconds.
 pub(crate) fn distributed_pipeline(
     cluster: &VirtualCluster,
     seqs: &[Sequence],
     cfg: &SadConfig,
     ctx: &PipelineCtx,
 ) -> Result<RunReport, SadError> {
-    debug_assert!(!seqs.is_empty(), "Aligner::run rejects empty input");
     debug_assert_eq!(
         seqs.iter().map(|s| s.id.as_str()).collect::<std::collections::HashSet<_>>().len(),
         seqs.len(),
         "sequence ids must be unique"
     );
-    let run = cluster.run(|node| sad_node(node, seqs, cfg, ctx));
-    if let Some(phase) = run.results.iter().find_map(|o| o.cancelled) {
-        // Every rank stopped at the same boundary, so no phase is still
-        // open; drop whatever completed before the cut.
-        let _ = ctx.drain();
-        return Err(SadError::Cancelled { phase });
-    }
-    let mut msa: Option<Msa> = None;
-    let mut bucket_sizes = Vec::with_capacity(run.results.len());
+    let run = cluster.run(|node| sample_align_d(&mut ClusterRank::new(node, ctx), ctx, seqs, cfg));
+    let mut whole = Outcome { msa: None, bucket_sizes: Vec::new(), depth: 0 };
     for outcome in run.results {
-        if let Some(m) = outcome.msa {
-            msa = Some(m);
+        match outcome {
+            Ok(rank) => {
+                whole.msa = whole.msa.or(rank.msa);
+                whole.bucket_sizes.extend(rank.bucket_sizes);
+                whole.depth = whole.depth.max(rank.depth);
+            }
+            Err(cancelled) => {
+                // Every rank stopped at the same boundary, so no phase is
+                // still open; drop whatever completed before the cut.
+                let _ = ctx.drain();
+                return Err(cancelled);
+            }
         }
-        bucket_sizes.push(outcome.bucket);
     }
-    // Wall-clock timing and work come from the shared recorder; the
-    // virtual per-phase maxima from the rank traces.
-    let (mut phases, work) = ctx.drain();
-    for (name, max, _mean) in vcluster::trace::phase_summary(&run.traces) {
-        if let Some(stat) = phases.iter_mut().find(|s| s.name() == name) {
+    let virtual_phases = vcluster::trace::phase_summary(&run.traces);
+    let extras = BackendExtras::Distributed { makespan: run.makespan, traces: run.traces };
+    let mut report = whole.into_report(cluster.p(), cfg, ctx, extras);
+    for (name, max, _mean) in virtual_phases {
+        if let Some(stat) = report.phases.iter_mut().find(|s| s.name() == name) {
             stat.virtual_seconds = Some(max);
         }
     }
-    Ok(RunReport {
-        msa: msa.expect("root assembled the alignment"),
-        work,
-        phases,
-        bucket_sizes,
-        ranks: cluster.p(),
-        samples_per_rank: cfg.samples_for(cluster.p()),
-        decomposition_depth: 0,
-        kernel: cfg.dp_kernel.label(),
-        vertical: None,
-        trim: None,
-        extras: BackendExtras::Distributed { makespan: run.makespan, traces: run.traces },
-    })
+    Ok(report)
 }
 
-/// Build a k-mer profile, degrading to k=1 for ultra-short sequences.
-fn profile_of(seq: &Sequence, cfg: &SadConfig) -> KmerProfile {
-    KmerProfile::build(seq, cfg.kmer_k, cfg.alphabet)
-        .unwrap_or_else(|| KmerProfile::build(seq, 1, cfg.alphabet).expect("k=1 always works"))
+/// One rank of the virtual cluster as a [`Comm`]: it owns exactly that
+/// rank, so every per-rank `Vec` holds one entry.
+pub(crate) struct ClusterRank<'a> {
+    node: &'a Node,
+    ctx: &'a PipelineCtx,
+    /// Work charged since the open phase started.
+    work: Work,
 }
 
-/// What one rank hands back to the assembler.
-struct NodeOutcome {
-    /// The root's assembled alignment (`None` on non-root ranks).
-    msa: Option<Msa>,
-    /// This rank's post-redistribution bucket size.
-    bucket: usize,
-    /// Set when the run stopped at a phase boundary: the phase that never
-    /// started. All ranks agree on it (the verdict is broadcast).
-    cancelled: Option<Phase>,
-}
-
-impl NodeOutcome {
-    fn cancelled(phase: Phase) -> Self {
-        NodeOutcome { msa: None, bucket: 0, cancelled: Some(phase) }
+impl<'a> ClusterRank<'a> {
+    pub(crate) fn new(node: &'a Node, ctx: &'a PipelineCtx) -> Self {
+        ClusterRank { node, ctx, work: Work::ZERO }
     }
 }
 
-/// The collective phase boundary: the root polls the cancel token and the
-/// deadline, and broadcasts the verdict so every rank stops (or proceeds)
-/// together. The broadcast is a 1-byte deterministic-cost collective, so
-/// virtual clocks stay reproducible.
-fn boundary(node: &Node, ctx: &PipelineCtx) -> bool {
-    let verdict = if node.rank() == 0 { Some(ctx.cancel_requested()) } else { None };
-    node.broadcast(0, verdict)
+/// The single entry of a one-rank executor's per-rank `Vec`.
+fn only<T>(mut per_rank: Vec<T>) -> T {
+    assert_eq!(per_rank.len(), 1, "a cluster rank owns exactly one rank");
+    per_rank.remove(0)
 }
 
-/// One rank's program.
-fn sad_node(node: &Node, all_seqs: &[Sequence], cfg: &SadConfig, ctx: &PipelineCtx) -> NodeOutcome {
-    let p = node.size();
-    let rank = node.rank();
-    let n = all_seqs.len();
-    let chunk = n.div_ceil(p);
-    let lo = (rank * chunk).min(n);
-    let hi = ((rank + 1) * chunk).min(n);
-    let mut local: Vec<Sequence> = all_seqs[lo..hi].to_vec();
-
-    // Steps 1–2: local k-mer rank and local sort.
-    if boundary(node, ctx) {
-        return NodeOutcome::cancelled(Phase::LocalKmerRank);
+impl Comm for ClusterRank<'_> {
+    fn size(&self) -> usize {
+        self.node.size()
     }
-    ctx.rank_enter(Phase::LocalKmerRank);
-    node.phase_start(Phase::LocalKmerRank.name());
-    let mut w = Work::ZERO;
-    let mut profs: Vec<KmerProfile> = local.iter().map(|s| profile_of(s, cfg)).collect();
-    w.seq_bytes += local.iter().map(|s| s.len() as u64).sum::<u64>();
-    let local_ranks: Vec<f64> =
-        profs.iter().map(|pr| kmer::kmer_rank(pr, &profs, cfg.rank_transform, &mut w)).collect();
-    node.compute(w);
-    node.phase_end();
-    ctx.rank_exit(Phase::LocalKmerRank, w);
 
-    if boundary(node, ctx) {
-        return NodeOutcome::cancelled(Phase::LocalSort);
+    fn owned(&self) -> Range<usize> {
+        self.node.rank()..self.node.rank() + 1
     }
-    ctx.rank_enter(Phase::LocalSort);
-    node.phase_start(Phase::LocalSort.name());
-    let mut order: Vec<usize> = (0..local.len()).collect();
-    order.sort_by(|&a, &b| local_ranks[a].total_cmp(&local_ranks[b]));
-    local = order.iter().map(|&i| local[i].clone()).collect();
-    profs = order.iter().map(|&i| profs[i].clone()).collect();
-    let w = psrs::sort_work(local.len());
-    node.compute(w);
-    node.phase_end();
-    ctx.rank_exit(Phase::LocalSort, w);
 
-    // Steps 3–4: regular sampling and sample exchange.
-    if boundary(node, ctx) {
-        return NodeOutcome::cancelled(Phase::SampleExchange);
-    }
-    ctx.rank_enter(Phase::SampleExchange);
-    node.phase_start(Phase::SampleExchange.name());
-    let k = cfg.samples_for(p);
-    let m = local.len();
-    let kk = k.min(m);
-    let samples: Vec<Sequence> =
-        (0..kk).map(|s| local[(((s + 1) * m) / (kk + 1)).min(m - 1)].clone()).collect();
-    let all_samples: Vec<Sequence> =
-        node.all_gather(SeqBatch(samples)).into_iter().flat_map(|b| b.0).collect();
-    node.phase_end();
-    ctx.rank_exit(Phase::SampleExchange, Work::ZERO);
-
-    // Step 5: globalized rank against the pooled sample.
-    if boundary(node, ctx) {
-        return NodeOutcome::cancelled(Phase::GlobalizedRank);
-    }
-    ctx.rank_enter(Phase::GlobalizedRank);
-    node.phase_start(Phase::GlobalizedRank.name());
-    let mut w = Work::ZERO;
-    let sample_profiles: Vec<KmerProfile> =
-        all_samples.iter().map(|s| profile_of(s, cfg)).collect();
-    let granks: Vec<f64> = profs
-        .iter()
-        .map(|pr| kmer::kmer_rank(pr, &sample_profiles, cfg.rank_transform, &mut w))
-        .collect();
-    node.compute(w);
-    node.phase_end();
-    ctx.rank_exit(Phase::GlobalizedRank, w);
-
-    // Steps 6–7: PSRS redistribution on the globalized rank.
-    if boundary(node, ctx) {
-        return NodeOutcome::cancelled(Phase::Redistribute);
-    }
-    ctx.rank_enter(Phase::Redistribute);
-    node.phase_start(Phase::Redistribute.name());
-    let items: Vec<RankedSeq> =
-        local.into_iter().zip(granks).map(|(seq, rank)| RankedSeq { seq, rank }).collect();
-    let out = psrs::psrs(node, items, |r| r.rank);
-    let bucket: Vec<Sequence> = out.items.into_iter().map(|r| r.seq).collect();
-    let bucket_size = bucket.len();
-    node.phase_end();
-    ctx.rank_exit(Phase::Redistribute, out.work);
-
-    // Step 8: sequential MSA on the local bucket.
-    if boundary(node, ctx) {
-        return NodeOutcome::cancelled(Phase::LocalAlign);
-    }
-    ctx.rank_enter(Phase::LocalAlign);
-    node.phase_start(Phase::LocalAlign.name());
-    let engine = cfg.engine.build_with(cfg.band_policy, cfg.dp_kernel);
-    let mut align_w = Work::ZERO;
-    let local_msa: Option<Msa> = if bucket.is_empty() {
-        None
-    } else {
-        let t0 = Instant::now();
-        let (msa, work) = engine.align_with_work(&bucket);
-        node.compute(work);
-        align_w = work;
-        ctx.bucket_aligned(rank, msa.num_rows(), t0.elapsed().as_secs_f64());
-        Some(msa)
-    };
-    node.phase_end();
-    ctx.rank_exit(Phase::LocalAlign, align_w);
-
-    // Degenerate paths: single rank, or fine-tuning disabled.
-    if p == 1 {
-        return NodeOutcome { msa: local_msa, bucket: bucket_size, cancelled: None };
-    }
-    if !cfg.fine_tune {
-        if boundary(node, ctx) {
-            return NodeOutcome::cancelled(Phase::Glue);
+    fn phase<R>(&mut self, phase: Phase, f: impl FnOnce(&mut Self) -> R) -> Result<R, SadError> {
+        // The collective boundary: a 1-byte deterministic-cost broadcast
+        // of the root's verdict, so virtual clocks stay reproducible.
+        let verdict = (self.node.rank() == 0).then(|| self.ctx.cancel_requested());
+        if self.node.broadcast(0, verdict) {
+            return Err(SadError::Cancelled { phase });
         }
-        ctx.rank_enter(Phase::Glue);
-        node.phase_start(Phase::Glue.name());
-        let gathered = node.gather(0, MsaBlockMsg(local_msa));
-        let mut glue_w = Work::ZERO;
-        let result = gathered.map(|blocks| {
-            let present: Vec<Msa> = blocks.into_iter().filter_map(|b| b.0).collect();
-            let glued = if present.len() == 1 {
-                present.into_iter().next().expect("one block")
-            } else {
-                glue_block_diagonal(&present, &mut glue_w)
-            };
-            node.compute(glue_w);
-            glued
-        });
-        node.phase_end();
-        ctx.rank_exit(Phase::Glue, glue_w);
-        return NodeOutcome { msa: result, bucket: bucket_size, cancelled: None };
+        self.ctx.rank_enter(phase);
+        self.node.phase_start(phase.name());
+        let out = f(self);
+        self.node.phase_end();
+        self.ctx.rank_exit(phase, std::mem::replace(&mut self.work, Work::ZERO));
+        Ok(out)
     }
 
-    // Step 9: local ancestor extraction.
-    if boundary(node, ctx) {
-        return NodeOutcome::cancelled(Phase::LocalAncestor);
+    fn charge(&mut self, work: Work) {
+        self.node.compute(work);
+        self.work += work;
     }
-    ctx.rank_enter(Phase::LocalAncestor);
-    node.phase_start(Phase::LocalAncestor.name());
-    let mut w = Work::ZERO;
-    let local_anc: Option<Sequence> =
-        local_msa.as_ref().map(|msa| consensus_sequence(msa, format!("local-anc-{rank}"), &mut w));
-    node.compute(w);
-    node.phase_end();
-    ctx.rank_exit(Phase::LocalAncestor, w);
 
-    // Step 10: global ancestor at the root, broadcast to everyone.
-    if boundary(node, ctx) {
-        return NodeOutcome::cancelled(Phase::GlobalAncestor);
+    fn each<S: Send, T: Send>(
+        &mut self,
+        per_rank: Vec<S>,
+        f: impl Fn(usize, S) -> (T, Work) + Sync,
+    ) -> Vec<T> {
+        let (out, work) = f(self.node.rank(), only(per_rank));
+        self.charge(work);
+        vec![out]
     }
-    ctx.rank_enter(Phase::GlobalAncestor);
-    node.phase_start(Phase::GlobalAncestor.name());
-    let gathered = node.gather(0, MaybeSeq(local_anc));
-    let mut ga_work = Work::ZERO;
-    let ga_msg: MaybeSeq = node.broadcast(
-        0,
-        gathered.map(|list| {
-            let ancestors: Vec<Sequence> = list.into_iter().filter_map(|m| m.0).collect();
-            assert!(!ancestors.is_empty(), "at least one bucket is non-empty");
-            let ga = if ancestors.len() == 1 {
-                ancestors.into_iter().next().expect("one ancestor")
-            } else {
-                let (anc_msa, work) = engine.align_with_work(&ancestors);
-                node.compute(work);
-                ga_work += work;
-                let mut w = Work::ZERO;
-                let ga = consensus_sequence(&anc_msa, "global-ancestor", &mut w);
-                node.compute(w);
-                ga_work += w;
-                ga
-            };
-            MaybeSeq(Some(ga))
-        }),
-    );
-    let ga = ga_msg.0.expect("global ancestor broadcast");
-    node.phase_end();
-    ctx.rank_exit(Phase::GlobalAncestor, ga_work);
 
-    // Step 11: constrained fine-tuning against the global ancestor.
-    if boundary(node, ctx) {
-        return NodeOutcome::cancelled(Phase::FineTune);
+    fn gather<M: WireSize + Send + 'static>(&mut self, mine: Vec<M>) -> Option<Vec<M>> {
+        self.node.gather(0, only(mine))
     }
-    ctx.rank_enter(Phase::FineTune);
-    node.phase_start(Phase::FineTune.name());
-    let mut tune_w = Work::ZERO;
-    let block: Option<AnchoredBlockMsg> = local_msa.as_ref().map(|msa| {
-        let b = anchor_to_ancestor(
-            msa,
-            &ga,
-            &cfg.matrix,
-            cfg.gaps,
-            cfg.band_policy,
-            cfg.dp_kernel,
-            &mut tune_w,
-        );
-        node.compute(tune_w);
-        b
-    });
-    node.phase_end();
-    ctx.rank_exit(Phase::FineTune, tune_w);
 
-    // Step 12: glue at the root.
-    if boundary(node, ctx) {
-        return NodeOutcome::cancelled(Phase::Glue);
+    fn broadcast<M: WireSize + Clone + Send + 'static>(&mut self, value: Option<M>) -> M {
+        self.node.broadcast(0, value)
     }
-    ctx.rank_enter(Phase::Glue);
-    node.phase_start(Phase::Glue.name());
-    let gathered = node.gather(0, block);
-    let mut glue_w = Work::ZERO;
-    let result = gathered.map(|blocks| {
-        let present: Vec<AnchoredBlockMsg> = blocks.into_iter().flatten().collect();
-        let glued = glue_anchored(ga.len(), &present, &mut glue_w);
-        node.compute(glue_w);
-        glued
-    });
-    node.phase_end();
-    ctx.rank_exit(Phase::Glue, glue_w);
-    NodeOutcome { msa: result, bucket: bucket_size, cancelled: None }
+
+    fn all_to_allv<M: WireSize + Send + 'static>(
+        &mut self,
+        blocks: Vec<Vec<Vec<M>>>,
+    ) -> Vec<Vec<Vec<M>>> {
+        vec![self.node.all_to_allv(only(blocks))]
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Aligner, Backend};
+    use crate::{Aligner, Backend, CancelToken, Event};
+    use bioseq::Msa;
     use rosegen::{Family, FamilyConfig};
     use std::collections::HashMap;
+    use std::sync::{Arc, Mutex};
     use vcluster::CostModel;
 
     fn family(n: usize, len: usize, seed: u64) -> Vec<Sequence> {
@@ -483,6 +291,78 @@ mod tests {
         // Regular sampling bound: max ≤ 2·N/p ⇒ imbalance ≤ 2 (+ slack for
         // duplicate ranks in small samples).
         assert!(imb <= 3.0, "imbalance {imb} suspiciously high");
+    }
+
+    /// Run a capped 60-sequence family on 3 ranks, recording every event;
+    /// `on_event` may cancel the run's token.
+    fn capped_run(
+        on_event: impl Fn(&Event, &CancelToken) + Send + Sync + 'static,
+    ) -> (Result<RunReport, SadError>, Vec<Event>) {
+        let events: Arc<Mutex<Vec<Event>>> = Default::default();
+        let sink = Arc::clone(&events);
+        let token = CancelToken::new();
+        let trigger = token.clone();
+        let result = Aligner::new(SadConfig::default().with_max_bucket(Some(8)))
+            .backend(Backend::Distributed(VirtualCluster::new(3, CostModel::beowulf_2008())))
+            .cancel_token(token)
+            .observer(Arc::new(move |e: &Event| {
+                sink.lock().unwrap().push(e.clone());
+                on_event(e, &trigger);
+            }))
+            .run(&family(60, 60, 8));
+        let events = events.lock().unwrap().clone();
+        (result, events)
+    }
+
+    #[test]
+    fn capped_run_splits_buckets_on_the_cluster() {
+        let (report, events) = capped_run(|_, _| {});
+        let report = report.unwrap();
+        assert!(report.bucket_sizes.iter().all(|&b| b <= 8), "{:?}", report.bucket_sizes);
+        assert_eq!(report.bucket_sizes.iter().sum::<usize>(), 60);
+        let deepest = events
+            .iter()
+            .filter_map(|e| match e {
+                Event::BucketSplit { bucket, depth, size, .. } => {
+                    assert!(*bucket < 3 && *size > 8);
+                    Some(*depth)
+                }
+                _ => None,
+            })
+            .max();
+        assert_eq!(deepest, Some(report.decomposition_depth), "splits are announced");
+        assert!(report.phase(Phase::SubPartition).unwrap().virtual_seconds.is_some());
+    }
+
+    #[test]
+    fn cancelled_capped_run_stops_every_rank_at_one_boundary() {
+        // Cancel the moment the first split is announced: ranks are then
+        // anywhere inside or just past step 7, and the broadcast verdict
+        // must still cut all of them at the same later boundary.
+        let (result, events) = capped_run(|e, token| {
+            if matches!(e, Event::BucketSplit { .. }) {
+                token.cancel();
+            }
+        });
+        let Err(SadError::Cancelled { phase }) = result else {
+            panic!("expected a cancelled run, got {result:?}");
+        };
+        assert!(phase > Phase::SubPartition, "cut at {phase}");
+        let of = |want: fn(&Event) -> Option<Phase>| -> Vec<Phase> {
+            events.iter().filter_map(want).collect()
+        };
+        let started = of(|e| match e {
+            Event::PhaseStarted { phase } => Some(*phase),
+            _ => None,
+        });
+        let finished = of(|e| match e {
+            Event::PhaseFinished { phase, .. } => Some(*phase),
+            _ => None,
+        });
+        // No rank entered the cut phase, and every rank left each phase
+        // any rank entered (a straggler would leave it unfinished).
+        assert!(!started.contains(&phase));
+        assert_eq!(started, finished);
     }
 
     #[test]

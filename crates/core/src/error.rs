@@ -55,15 +55,6 @@ pub enum SadError {
     /// `SadConfig::max_bucket` is `Some(0)` — a bucket must hold at least
     /// one sequence, so a zero cap can never be satisfied.
     ZeroMaxBucket,
-    /// `SadConfig::max_bucket` was set on a backend without hierarchical
-    /// bucketing support. The virtual cluster's SPMD protocol has no
-    /// recursive redistribution collective yet, so only the rayon backend
-    /// honours the cap (the sequential backend has no buckets and ignores
-    /// it).
-    MaxBucketUnsupported {
-        /// Stable name of the rejecting backend.
-        backend: &'static str,
-    },
     /// A [`crate::VerticalConfig`] field is out of range — e.g. a zero
     /// `min_anchor_len` (a 0-mer anchor is undefined) or a zero
     /// `max_block_len` (a block must hold at least one column).
@@ -112,9 +103,6 @@ impl std::fmt::Display for SadError {
             SadError::ZeroMaxBucket => {
                 write!(f, "max_bucket must be at least 1 when set explicitly")
             }
-            SadError::MaxBucketUnsupported { backend } => {
-                write!(f, "max_bucket: hierarchical bucketing is not supported on the {backend} backend (use rayon)")
-            }
             SadError::InvalidVertical { what } => {
                 write!(f, "vertical: {what} must be at least 1")
             }
@@ -144,7 +132,6 @@ mod tests {
             (SadError::ClusterSizeMismatch { actual: 4, requested: 8 }, "4 ranks"),
             (SadError::ZeroParallelism, "thread"),
             (SadError::ZeroMaxBucket, "max_bucket"),
-            (SadError::MaxBucketUnsupported { backend: "distributed" }, "distributed backend"),
             (SadError::InvalidVertical { what: "min_anchor_len" }, "min_anchor_len"),
             (SadError::VerticalUnsupported { backend: "distributed" }, "distributed backend"),
             (

@@ -18,14 +18,23 @@
 //!    constrained fine-tuning of Fig. 2) and **glue** the anchored buckets
 //!    into one global alignment at the root.
 //!
-//! One entry point, three interchangeable backends: build an [`Aligner`]
-//! and pick a [`Backend`] —
+//! One body, two substrates. Those steps are written exactly once, as a
+//! program over the four collectives the paper's listing uses (all-gather
+//! of samples, all-to-all redistribution, gather of local ancestors,
+//! broadcast of the global ancestor); a small communication trait with
+//! two implementations decides where the ranks live. Build an
+//! [`Aligner`] and pick a [`Backend`] —
 //!
-//! * [`Backend::Distributed`] — the real message-passing protocol over
-//!   [`vcluster`] (virtual Beowulf; deterministic virtual time);
-//! * [`Backend::Rayon`] — a shared-memory equivalent using rayon;
-//! * [`Backend::Sequential`] — the engine run directly (the speedup
-//!   baseline).
+//! * [`Backend::Distributed`] — every rank thread of a [`vcluster`]
+//!   virtual Beowulf runs the body; collectives are real messages under a
+//!   deterministic virtual clock;
+//! * [`Backend::Rayon`] — one executor owns all `p` ranks in shared
+//!   memory; collectives are moves and per-rank work runs on a worker
+//!   pool. Same buckets, phases, work and bytes as the cluster, by
+//!   construction;
+//! * [`Backend::Sequential`] — the engine run directly on the whole set
+//!   (the speedup baseline; deliberately not `p = 1` of the body, which
+//!   would put an O(N²) ranking phase in front of the baseline).
 //!
 //! Every backend returns the same [`RunReport`]; failures are typed
 //! [`SadError`]s instead of panics. All three backends record their run
@@ -53,14 +62,15 @@ pub mod audit;
 pub mod batch;
 pub mod config;
 pub mod decomp;
-pub mod distributed;
+mod distributed;
 pub mod error;
 pub mod messages;
 pub mod pipeline;
 pub mod rank;
-pub mod rayon_impl;
+mod rayon_impl;
 pub mod report;
 pub mod sequential;
+mod spmd;
 
 pub use align::{BandPolicy, TrimConfig};
 pub use aligner::{Aligner, Backend};

@@ -20,24 +20,14 @@ impl WireSize for RankedSeq {
     }
 }
 
-/// A batch of sequences (sample exchange, ancestor gathering).
+/// A batch of sequences (sample exchange, local ancestors of a rank's
+/// leaves, the broadcast global ancestor).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SeqBatch(pub Vec<Sequence>);
 
 impl WireSize for SeqBatch {
     fn wire_bytes(&self) -> usize {
         8 + self.0.iter().map(Sequence::wire_bytes).sum::<usize>()
-    }
-}
-
-/// An optional single sequence (local/global ancestors; `None` for empty
-/// buckets).
-#[derive(Debug, Clone, PartialEq)]
-pub struct MaybeSeq(pub Option<Sequence>);
-
-impl WireSize for MaybeSeq {
-    fn wire_bytes(&self) -> usize {
-        1 + self.0.as_ref().map_or(0, Sequence::wire_bytes)
     }
 }
 
@@ -65,17 +55,12 @@ impl WireSize for AnchoredBlockMsg {
 
 /// A plain alignment block (no-fine-tune glue path).
 #[derive(Debug, Clone, PartialEq)]
-pub struct MsaBlockMsg(pub Option<Msa>);
+pub struct MsaBlockMsg(pub Msa);
 
 impl WireSize for MsaBlockMsg {
     fn wire_bytes(&self) -> usize {
-        match &self.0 {
-            None => 1,
-            Some(m) => {
-                let ids: usize = m.ids().iter().map(|s| 8 + s.len()).sum();
-                1 + ids + m.num_rows() * m.num_cols()
-            }
-        }
+        let ids: usize = self.0.ids().iter().map(|s| 8 + s.len()).sum();
+        ids + self.0.num_rows() * self.0.num_cols()
     }
 }
 
@@ -103,12 +88,6 @@ mod tests {
     }
 
     #[test]
-    fn maybe_seq_none_is_tiny() {
-        assert_eq!(MaybeSeq(None).wire_bytes(), 1);
-        assert!(MaybeSeq(Some(seq("MKVL"))).wire_bytes() > 10);
-    }
-
-    #[test]
     fn anchored_block_counts_everything() {
         let m = AnchoredBlockMsg {
             ids: vec!["a".into()],
@@ -120,9 +99,7 @@ mod tests {
 
     #[test]
     fn msa_block_bytes() {
-        assert_eq!(MsaBlockMsg(None).wire_bytes(), 1);
         let m = bioseq::fasta::parse_alignment(">a\nMK\n>b\nMK\n").unwrap();
-        let msg = MsaBlockMsg(Some(m));
-        assert_eq!(msg.wire_bytes(), 1 + (8 + 1) * 2 + 4);
+        assert_eq!(MsaBlockMsg(m).wire_bytes(), (8 + 1) * 2 + 4);
     }
 }

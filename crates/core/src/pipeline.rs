@@ -15,8 +15,9 @@
 //! * [`CancelToken`] — a cloneable flag that stops a run at the next
 //!   phase boundary with [`SadError::Cancelled`].
 //!
-//! The recorder has two entry styles. Backends driven from one thread
-//! (sequential, rayon) wrap each phase in `PipelineCtx::phase`. The
+//! The recorder has two entry styles. Runs driven from one coordinating
+//! thread (sequential, shared memory) wrap each phase in
+//! `PipelineCtx::phase`. The
 //! message-passing backend is SPMD — every rank walks the same phase
 //! sequence on its own thread — so each rank brackets its phases with
 //! `PipelineCtx::rank_enter`/`rank_exit`: the phase starts when the first
@@ -229,7 +230,8 @@ pub enum Event {
     /// [`Phase::LocalAlign`]). Decomposed backends emit these from worker
     /// threads, so arrival order between buckets is not deterministic.
     BucketAligned {
-        /// Bucket/rank index.
+        /// Bucket/rank index (leaves of a sub-partitioned bucket report
+        /// the first-pass bucket they came from).
         bucket: usize,
         /// Rows in the bucket's alignment.
         rows: usize,

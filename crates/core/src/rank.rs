@@ -2,6 +2,7 @@
 //! the paper's Fig. 1, Fig. 3 and Table 1.
 
 use crate::config::SadConfig;
+use crate::spmd::{block_range, local_ranks, profiles_of, sorted_order};
 use bioseq::kmer::{self, KmerProfile};
 use bioseq::{Sequence, Work};
 
@@ -20,58 +21,28 @@ pub struct RankExperiment {
     pub work: Work,
 }
 
-/// Build k-mer profiles, substituting a minimal profile for sequences
-/// shorter than `k` (they rank as outliers, which is correct).
-fn profiles(seqs: &[Sequence], cfg: &SadConfig, work: &mut Work) -> Vec<KmerProfile> {
-    seqs.iter()
-        .map(|s| {
-            KmerProfile::build(s, cfg.kmer_k, cfg.alphabet).unwrap_or_else(|| {
-                KmerProfile::build(s, 1, cfg.alphabet).expect("k=1 always works")
-            })
-        })
-        .inspect(|_| work.seq_bytes += 1)
-        .collect()
-}
-
-/// Compute globalized ranks exactly the way the distributed pipeline does
-/// (blocks of `N/p`, local rank, local sort, regular sampling, pooled
-/// sample), alongside the centralized reference ranks.
+/// Compute globalized ranks with the pipeline's own steps 1–4 (blocks of
+/// `N/p`, local rank, local sort, regular sampling, pooled sample),
+/// alongside the centralized reference ranks.
 pub fn rank_experiment(seqs: &[Sequence], p: usize, cfg: &SadConfig) -> RankExperiment {
     assert!(p >= 1 && !seqs.is_empty());
     let mut work = Work::ZERO;
-    let profs = profiles(seqs, cfg, &mut work);
+    let profs = profiles_of(seqs, cfg);
 
     // Centralized: every sequence against all N.
     let centralized = kmer::centralized_ranks(&profs, cfg.rank_transform, &mut work);
 
-    // Globalized: emulate the distributed sampling.
-    let n = seqs.len();
-    let chunk = n.div_ceil(p);
+    // Globalized: each block contributes k regular samples of its
+    // locally sorted order.
     let k = cfg.samples_for(p);
     let mut sample_indices: Vec<usize> = Vec::with_capacity(k * p);
-    for block in 0..p {
-        let lo = (block * chunk).min(n);
-        let hi = ((block + 1) * chunk).min(n);
-        if lo >= hi {
-            continue;
-        }
-        let idx: Vec<usize> = (lo..hi).collect();
-        // Local rank within the block.
-        let block_profiles: Vec<KmerProfile> = idx.iter().map(|&i| profs[i].clone()).collect();
-        let local_ranks: Vec<f64> = block_profiles
-            .iter()
-            .map(|pr| kmer::kmer_rank(pr, &block_profiles, cfg.rank_transform, &mut work))
-            .collect();
-        let mut order: Vec<usize> = (0..idx.len()).collect();
-        order.sort_by(|&a, &b| local_ranks[a].total_cmp(&local_ranks[b]));
-        work.sort_ops += (idx.len() as f64 * (idx.len().max(2) as f64).log2()) as u64;
-        // Regular sampling of k local representatives.
-        let m = idx.len();
-        let kk = k.min(m);
-        for s in 0..kk {
-            let at = ((s + 1) * m) / (kk + 1);
-            sample_indices.push(idx[order[at.min(m - 1)]]);
-        }
+    for rank in 0..p {
+        let block = block_range(seqs.len(), p, rank);
+        let (ranks, rank_work) = local_ranks(&seqs[block.clone()], cfg);
+        let (order, sort_work) = sorted_order(&ranks);
+        work += rank_work + sort_work;
+        sample_indices
+            .extend(psrs::regular_positions(order.len(), k).map(|at| block.start + order[at]));
     }
     let sample_profiles: Vec<KmerProfile> =
         sample_indices.iter().map(|&i| profs[i].clone()).collect();

@@ -1,359 +1,122 @@
-//! Shared-memory Sample-Align-D using rayon.
+//! The shared-memory substrate: one [`Comm`] that owns every rank.
 //!
-//! Same pipeline as [`crate::distributed`], but buckets are aligned by a
-//! rayon thread pool instead of cluster ranks — the backend a downstream
-//! user on one big multicore machine would pick. Results are deterministic
-//! (bucketing is identical; only scheduling differs). Phases are recorded
-//! through the shared [`PipelineCtx`], so the typed phase sequence matches
-//! the message-passing backend event for event.
+//! [`SharedMemory`] runs the one pipeline body ([`sample_align_d`]) on a
+//! single coordinating thread — the backend a downstream user on one big
+//! multicore machine would pick. All `p` logical ranks live in one
+//! address space, so collectives are moves, and each step's per-rank
+//! compute runs as `p` tasks on the self-scheduling worker pool
+//! ([`crate::batch::pool_map`]). Bucketing, phases and work are the
+//! cluster's by construction; only scheduling differs.
 
-use crate::ancestor::{
-    anchor_to_ancestor, anchor_to_ancestor_seeded, glue_anchored, glue_block_diagonal,
-};
 use crate::config::SadConfig;
 use crate::error::SadError;
 use crate::pipeline::{Phase, PipelineCtx};
-use crate::report::{BackendExtras, PhaseStat, RunReport};
-use align::anchor::AnchorSpec;
-use align::consensus::consensus_sequence;
-use bioseq::kmer::{self, KmerProfile};
-use bioseq::{Msa, Sequence, Work};
-use rayon::prelude::*;
-use std::time::Instant;
+use crate::report::{BackendExtras, RunReport};
+use crate::spmd::{sample_align_d, Comm};
+use bioseq::{Sequence, Work};
+use std::ops::Range;
+use std::sync::Mutex;
+use vcluster::WireSize;
 
-fn profile_of(seq: &Sequence, cfg: &SadConfig) -> KmerProfile {
-    KmerProfile::build(seq, cfg.kmer_k, cfg.alphabet)
-        .unwrap_or_else(|| KmerProfile::build(seq, 1, cfg.alphabet).expect("k=1 always works"))
-}
-
-/// The shared-memory pipeline with `p` logical buckets on the rayon pool.
-/// Input validation happens in [`crate::Aligner::run`].
-pub(crate) fn rayon_pipeline(
+/// Run the pipeline body over `p` logical ranks in shared memory.
+pub(crate) fn shared_memory_pipeline(
     seqs: &[Sequence],
     p: usize,
     cfg: &SadConfig,
     ctx: &PipelineCtx,
 ) -> Result<RunReport, SadError> {
-    debug_assert!(!seqs.is_empty(), "Aligner::run rejects empty input");
     debug_assert!(p >= 1, "Aligner::run rejects zero threads");
-    let n = seqs.len();
-    let finish =
-        |msa: Msa, phases: Vec<PhaseStat>, work: Work, bucket_sizes: Vec<usize>, depth: usize| {
-            RunReport {
-                msa,
-                work,
-                phases,
-                bucket_sizes,
-                ranks: p,
-                samples_per_rank: cfg.samples_for(p),
-                decomposition_depth: depth,
-                kernel: cfg.dp_kernel.label(),
-                vertical: None,
-                trim: None,
-                extras: BackendExtras::Rayon { threads: p },
-            }
-        };
-
-    // Step 1: emulate the per-rank ranking: split into p blocks and rank
-    // each block locally, in parallel.
-    let chunk = n.div_ceil(p);
-    let k = cfg.samples_for(p);
-    let block_ranks = ctx.phase(Phase::LocalKmerRank, || {
-        let blocks: Vec<(Vec<usize>, Vec<f64>, Work)> = (0..p)
-            .into_par_iter()
-            .map(|b| {
-                let lo = (b * chunk).min(n);
-                let hi = ((b + 1) * chunk).min(n);
-                let mut w = Work::ZERO;
-                if lo >= hi {
-                    return (Vec::new(), Vec::new(), w);
-                }
-                let idx: Vec<usize> = (lo..hi).collect();
-                let profs: Vec<KmerProfile> =
-                    idx.iter().map(|&i| profile_of(&seqs[i], cfg)).collect();
-                w.seq_bytes += idx.iter().map(|&i| seqs[i].len() as u64).sum::<u64>();
-                let ranks: Vec<f64> = profs
-                    .iter()
-                    .map(|pr| kmer::kmer_rank(pr, &profs, cfg.rank_transform, &mut w))
-                    .collect();
-                (idx, ranks, w)
-            })
-            .collect();
-        let rank_w = blocks.iter().map(|(_, _, w)| *w).sum();
-        (blocks, rank_w)
-    })?;
-
-    // Step 2: sort each block by its local rank (the distributed step 2).
-    // The locally sorted order also decides how rank ties break during
-    // redistribution, so it must match the cluster backend.
-    let sorted_blocks = ctx.phase(Phase::LocalSort, || {
-        let mut sort_w = Work::ZERO;
-        let sorted: Vec<Vec<usize>> = block_ranks
-            .iter()
-            .map(|(idx, ranks, _)| {
-                let mut order: Vec<usize> = (0..idx.len()).collect();
-                order.sort_by(|&a, &b| ranks[a].total_cmp(&ranks[b]));
-                // Same n log n sort accounting as the distributed step 2.
-                sort_w += psrs::sort_work(idx.len());
-                order.into_iter().map(|o| idx[o]).collect()
-            })
-            .collect();
-        (sorted, sort_w)
-    })?;
-
-    // Steps 3–4: pick regular samples per block and pool them (shared
-    // memory: just indices). The global order of entry into redistribution
-    // is blocks in rank order, each block in its locally sorted order —
-    // exactly the distributed protocol.
-    let (entry_order, sample_profiles) = ctx.phase(Phase::SampleExchange, || {
-        let mut entry_order: Vec<usize> = Vec::with_capacity(n);
-        let mut sample_indices: Vec<usize> = Vec::new();
-        for sorted_idx in &sorted_blocks {
-            let m = sorted_idx.len();
-            let kk = k.min(m);
-            sample_indices
-                .extend((0..kk).map(|s| sorted_idx[(((s + 1) * m) / (kk + 1)).min(m - 1)]));
-            entry_order.extend(sorted_idx.iter().copied());
-        }
-        let profs: Vec<KmerProfile> =
-            sample_indices.iter().map(|&i| profile_of(&seqs[i], cfg)).collect();
-        ((entry_order, profs), Work::ZERO)
-    })?;
-
-    // Step 5: globalized ranks, in parallel over the entry order.
-    let keyed = ctx.phase(Phase::GlobalizedRank, || {
-        let ranked: Vec<(usize, f64, Work)> = entry_order
-            .into_par_iter()
-            .map(|i| {
-                let mut w = Work::ZERO;
-                let pr = profile_of(&seqs[i], cfg);
-                let r = kmer::kmer_rank(&pr, &sample_profiles, cfg.rank_transform, &mut w);
-                (i, r, w)
-            })
-            .collect();
-        let mut keyed: Vec<(usize, f64)> = Vec::with_capacity(n);
-        let mut grank_w = Work::ZERO;
-        for (i, r, w) in ranked {
-            keyed.push((i, r));
-            grank_w += w;
-        }
-        (keyed, grank_w)
-    })?;
-
-    // Step 6: sample-partition into p buckets by rank.
-    let buckets_idx = ctx.phase(Phase::Redistribute, || {
-        psrs::shared::sample_partition_by_with_work(keyed, p, |&(_, r)| r)
-    })?;
-
-    // Step 7 (hierarchical mode only): recursively re-sample and
-    // re-partition any bucket over the cap, so no single engine run ever
-    // centralises an oversized bucket. Leaves replace their first-pass
-    // bucket in order, so concatenation still yields the global rank
-    // order.
-    let (buckets_idx, depth) = match cfg.max_bucket {
-        Some(cap) => ctx.phase(Phase::SubPartition, || {
-            let mut splitter = BucketSplitter {
-                cap,
-                ctx,
-                root: 0,
-                out: Vec::with_capacity(buckets_idx.len()),
-                deepest: 0,
-                work: Work::ZERO,
-            };
-            for (b, bucket) in buckets_idx.into_iter().enumerate() {
-                splitter.root = b;
-                splitter.split(bucket, 1);
-            }
-            ((splitter.out, splitter.deepest), splitter.work)
-        })?,
-        None => (buckets_idx, 0),
-    };
-    let bucket_sizes: Vec<usize> = buckets_idx.iter().map(Vec::len).collect();
-    let buckets: Vec<Vec<Sequence>> =
-        buckets_idx.iter().map(|b| b.iter().map(|&(i, _)| seqs[i].clone()).collect()).collect();
-
-    // Step 8: align buckets in parallel.
-    let local_msas = ctx.phase(Phase::LocalAlign, || {
-        let indexed: Vec<(usize, Vec<Sequence>)> = buckets.into_iter().enumerate().collect();
-        let aligned: Vec<Option<(Msa, Work)>> = indexed
-            .into_par_iter()
-            .map(|(b, bucket)| {
-                if bucket.is_empty() {
-                    None
-                } else {
-                    let t0 = Instant::now();
-                    let out = cfg
-                        .engine
-                        .build_with(cfg.band_policy, cfg.dp_kernel)
-                        .align_with_work(&bucket);
-                    ctx.bucket_aligned(b, out.0.num_rows(), t0.elapsed().as_secs_f64());
-                    Some(out)
-                }
-            })
-            .collect();
-        let mut local_msas: Vec<Msa> = Vec::new();
-        let mut align_w = Work::ZERO;
-        for entry in aligned.into_iter().flatten() {
-            local_msas.push(entry.0);
-            align_w += entry.1;
-        }
-        (local_msas, align_w)
-    })?;
-    assert!(!local_msas.is_empty());
-
-    // A lone bucket IS the global alignment (p == 1 without a cap, or a
-    // degenerate partition); with a cap even p == 1 can decompose into
-    // many leaves, so the test is on the bucket count, not on p.
-    if local_msas.len() == 1 {
-        let msa = local_msas.into_iter().next().expect("one bucket");
-        let (phases, work) = ctx.drain();
-        return Ok(finish(msa, phases, work, bucket_sizes, depth));
-    }
-    if !cfg.fine_tune {
-        let msa = ctx.phase(Phase::Glue, || {
-            let mut glue_w = Work::ZERO;
-            let msa = glue_block_diagonal(&local_msas, &mut glue_w);
-            (msa, glue_w)
-        })?;
-        let (phases, work) = ctx.drain();
-        return Ok(finish(msa, phases, work, bucket_sizes, depth));
-    }
-
-    // Step 9: ancestors per bucket.
-    let ancestors = ctx.phase(Phase::LocalAncestor, || {
-        let mut anc_w = Work::ZERO;
-        let ancestors: Vec<Sequence> = local_msas
-            .iter()
-            .enumerate()
-            .map(|(i, msa)| consensus_sequence(msa, format!("local-anc-{i}"), &mut anc_w))
-            .collect();
-        (ancestors, anc_w)
-    })?;
-
-    // Step 10: the global ancestor.
-    let ga = ctx.phase(Phase::GlobalAncestor, || {
-        let mut ga_w = Work::ZERO;
-        let ga = if ancestors.len() == 1 {
-            ancestors.into_iter().next().expect("one ancestor")
-        } else {
-            let (anc_msa, w) =
-                cfg.engine.build_with(cfg.band_policy, cfg.dp_kernel).align_with_work(&ancestors);
-            ga_w += w;
-            consensus_sequence(&anc_msa, "global-ancestor", &mut ga_w)
-        };
-        (ga, ga_w)
-    })?;
-
-    // Step 11: fine-tune each bucket against the global ancestor, in
-    // parallel. On the capped (reads) path the bucket MSAs are gappy
-    // fragment stacks, where the whole-width profile DP wastes most of its
-    // bill on conserved stretches — seed it with the decomp anchor scan
-    // so shared consensus k-mers are pinned and only the gaps in between
-    // are aligned. The uncapped path (and the distributed backend, which
-    // rejects `max_bucket`) keeps the unseeded DP, preserving parity.
-    let seeded = cfg.max_bucket.is_some() && cfg.anchored_merge;
-    let anchored = ctx.phase(Phase::FineTune, || {
-        let blocks: Vec<(crate::messages::AnchoredBlockMsg, Work)> = local_msas
-            .par_iter()
-            .map(|msa| {
-                let mut w = Work::ZERO;
-                let b = if seeded {
-                    anchor_to_ancestor_seeded(
-                        msa,
-                        &ga,
-                        &AnchorSpec::default(),
-                        &cfg.matrix,
-                        cfg.gaps,
-                        cfg.band_policy,
-                        cfg.dp_kernel,
-                        &mut w,
-                    )
-                } else {
-                    anchor_to_ancestor(
-                        msa,
-                        &ga,
-                        &cfg.matrix,
-                        cfg.gaps,
-                        cfg.band_policy,
-                        cfg.dp_kernel,
-                        &mut w,
-                    )
-                };
-                (b, w)
-            })
-            .collect();
-        let mut anchored = Vec::with_capacity(blocks.len());
-        let mut tune_w = Work::ZERO;
-        for (b, w) in blocks {
-            anchored.push(b);
-            tune_w += w;
-        }
-        (anchored, tune_w)
-    })?;
-
-    // Step 12: glue.
-    let msa = ctx.phase(Phase::Glue, || {
-        let mut glue_w = Work::ZERO;
-        let msa = glue_anchored(ga.len(), &anchored, &mut glue_w);
-        (msa, glue_w)
-    })?;
-    let (phases, work) = ctx.drain();
-    Ok(finish(msa, phases, work, bucket_sizes, depth))
+    let outcome = sample_align_d(&mut SharedMemory::new(p, ctx), ctx, seqs, cfg)?;
+    Ok(outcome.into_report(p, cfg, ctx, BackendExtras::Rayon { threads: p }))
 }
 
-/// Recursive bucket decomposition state for [`Phase::SubPartition`]: the
-/// cap, the first-pass bucket being split (`root`), and the accumulated
-/// leaves, deepest split and partition work.
-struct BucketSplitter<'a> {
-    cap: usize,
+/// All `p` ranks of a run as one [`Comm`].
+pub(crate) struct SharedMemory<'a> {
+    p: usize,
+    /// Rank tasks in flight at once: peak memory grows with the ranks
+    /// whose state is live, so never more than the host has cores for.
+    workers: usize,
     ctx: &'a PipelineCtx,
-    /// First-pass (post-redistribution) bucket currently being split.
-    root: usize,
-    /// Finished leaves, in rank order.
-    out: Vec<Vec<(usize, f64)>>,
-    /// Deepest split recorded across all roots.
-    deepest: usize,
+    /// Work charged since the open phase started.
     work: Work,
 }
 
-impl BucketSplitter<'_> {
-    /// Recursively split `bucket` until every leaf holds at most `cap`
-    /// sequences, appending the leaves (in rank order) to `out`.
-    ///
-    /// Each over-cap bucket is re-partitioned by the same
-    /// regular-sampling partition the first pass used, over its own
-    /// members — the hierarchical decomposition of the Pyro-Align
-    /// follow-up. Identical rank keys can defeat sampling (every member
-    /// lands in one sub-bucket); that no-progress case falls back to
-    /// chunking the (already sorted) bucket into contiguous runs of at
-    /// most `cap`, which always terminates.
-    fn split(&mut self, bucket: Vec<(usize, f64)>, depth: usize) {
-        if bucket.len() <= self.cap {
-            self.out.push(bucket);
-            return;
-        }
-        self.deepest = self.deepest.max(depth);
-        let size = bucket.len();
-        let parts = size.div_ceil(self.cap);
-        self.ctx.bucket_split(self.root, depth, size, parts);
-        let (subs, sw) = psrs::shared::sample_partition_by_with_work(bucket, parts, |&(_, r)| r);
-        self.work += sw;
-        if subs.iter().map(Vec::len).max().unwrap_or(0) == size {
-            // No progress: all keys collapsed onto one pivot side. The
-            // bucket comes back sorted, so contiguous chunks of ≤ cap
-            // preserve rank order exactly.
-            let whole: Vec<(usize, f64)> = subs.into_iter().flatten().collect();
-            for chunk in whole.chunks(size.div_ceil(parts)) {
-                debug_assert!(chunk.len() <= self.cap);
-                self.out.push(chunk.to_vec());
+impl<'a> SharedMemory<'a> {
+    pub(crate) fn new(p: usize, ctx: &'a PipelineCtx) -> Self {
+        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+        SharedMemory { p, workers: p.min(cores), ctx, work: Work::ZERO }
+    }
+}
+
+impl Comm for SharedMemory<'_> {
+    fn size(&self) -> usize {
+        self.p
+    }
+
+    fn owned(&self) -> Range<usize> {
+        0..self.p
+    }
+
+    fn phase<R>(&mut self, phase: Phase, f: impl FnOnce(&mut Self) -> R) -> Result<R, SadError> {
+        let ctx = self.ctx;
+        ctx.phase(phase, || {
+            let out = f(self);
+            (out, std::mem::replace(&mut self.work, Work::ZERO))
+        })
+    }
+
+    fn charge(&mut self, work: Work) {
+        self.work += work;
+    }
+
+    fn each<S: Send, T: Send>(
+        &mut self,
+        per_rank: Vec<S>,
+        f: impl Fn(usize, S) -> (T, Work) + Sync,
+    ) -> Vec<T> {
+        let inputs: Vec<Mutex<Option<S>>> =
+            per_rank.into_iter().map(|s| Mutex::new(Some(s))).collect();
+        let rank_task = |rank: usize| {
+            let input = inputs[rank].lock().expect("rank input poisoned").take();
+            f(rank, input.expect("every rank task runs once"))
+        };
+        // One pool task per contiguous run of ranks, the split the rayon
+        // stand-in's fork-join makes. Handing out single ranks in index
+        // order measured 18 % slower on `8-local-align` with four uneven
+        // buckets over two cores (the benchmark's `long_whole`).
+        let run = inputs.len().div_ceil(self.workers);
+        let done = crate::batch::pool_map(inputs.len().div_ceil(run), self.workers, |task, _| {
+            (task * run..inputs.len().min((task + 1) * run)).map(rank_task).collect::<Vec<_>>()
+        });
+        done.into_iter()
+            .flatten()
+            .map(|(out, work)| {
+                self.work += work;
+                out
+            })
+            .collect()
+    }
+
+    fn gather<M: WireSize + Send + 'static>(&mut self, mine: Vec<M>) -> Option<Vec<M>> {
+        Some(mine)
+    }
+
+    fn broadcast<M: WireSize + Clone + Send + 'static>(&mut self, value: Option<M>) -> M {
+        value.expect("the executor that owns every rank owns the root")
+    }
+
+    fn all_to_allv<M: WireSize + Send + 'static>(
+        &mut self,
+        blocks: Vec<Vec<Vec<M>>>,
+    ) -> Vec<Vec<Vec<M>>> {
+        let mut received: Vec<Vec<Vec<M>>> =
+            (0..self.p).map(|_| Vec::with_capacity(self.p)).collect();
+        for from_src in blocks {
+            for (dst, block) in from_src.into_iter().enumerate() {
+                received[dst].push(block);
             }
-            return;
         }
-        for sub in subs {
-            if !sub.is_empty() {
-                self.split(sub, depth + 1);
-            }
-        }
+        received
     }
 }
 
@@ -361,6 +124,7 @@ impl BucketSplitter<'_> {
 mod tests {
     use super::*;
     use crate::{Aligner, Backend};
+    use bioseq::Msa;
     use rosegen::{Family, FamilyConfig};
     use std::collections::HashMap;
     use vcluster::{CostModel, VirtualCluster};

@@ -10,10 +10,11 @@
 //! load balancing, and [`max_partition_bound`] restates it.
 //!
 //! Two implementations share the sampling/pivot code:
-//! * [`cluster::psrs`] — the real distributed protocol over a
-//!   [`vcluster::Node`] (this is what Sample-Align-D calls);
-//! * [`shared::sample_sort_by`] — a rayon shared-memory equivalent used by
-//!   the multithreaded variant of the system.
+//! * [`cluster::psrs`] — the distributed protocol over a raw
+//!   [`vcluster::Node`]: the reference Sample-Align-D's own step 6 (the
+//!   same protocol over its communication trait) is tested against;
+//! * [`shared::sample_sort_by`] — a rayon shared-memory partitioner, which
+//!   Sample-Align-D uses to split one rank's over-cap bucket locally.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,4 +24,6 @@ pub mod sampling;
 pub mod shared;
 
 pub use cluster::{psrs, PsrsOutcome};
-pub use sampling::{max_partition_bound, regular_samples, select_pivots, sort_work};
+pub use sampling::{
+    bucket_of, max_partition_bound, regular_positions, regular_samples, select_pivots, sort_work,
+};

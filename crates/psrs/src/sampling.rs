@@ -15,22 +15,21 @@ pub fn sort_work(n: usize) -> Work {
     }
 }
 
+/// Positions of `k` evenly spaced interior samples in a sorted run of `n`
+/// items (regular sampling): `(i+1)·n/(k+1)` for `i < k`. Yields fewer than
+/// `k` positions when the run is shorter than `k`, none when it is empty.
+/// The one copy of the formula: key sampling below and the pipeline's
+/// sequence sampling (step 3) both draw from it.
+pub fn regular_positions(n: usize, k: usize) -> impl Iterator<Item = usize> {
+    let k = k.min(n);
+    (0..k).map(move |i| (((i + 1) * n) / (k + 1)).min(n - 1))
+}
+
 /// Choose `k` evenly spaced sample keys from a **sorted** slice (regular
 /// sampling). Returns fewer than `k` samples when the slice is shorter
 /// than `k`.
 pub fn regular_samples(sorted_keys: &[f64], k: usize) -> Vec<f64> {
-    let n = sorted_keys.len();
-    if n == 0 || k == 0 {
-        return Vec::new();
-    }
-    let k = k.min(n);
-    // Sample at positions (i+1)·n/(k+1): interior, evenly spaced.
-    (0..k)
-        .map(|i| {
-            let idx = ((i + 1) * n) / (k + 1);
-            sorted_keys[idx.min(n - 1)]
-        })
-        .collect()
+    regular_positions(sorted_keys.len(), k).map(|i| sorted_keys[i]).collect()
 }
 
 /// Select `p − 1` pivots from the gathered sample (unsorted input; sorted

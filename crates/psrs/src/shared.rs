@@ -1,5 +1,6 @@
 //! Shared-memory SampleSort using rayon (the multithreaded counterpart of
-//! the distributed protocol, used by Sample-Align-D's rayon backend).
+//! the distributed protocol; Sample-Align-D's rank-local sub-partition
+//! step uses it).
 
 use crate::sampling::{bucket_of, regular_samples, select_pivots, sort_work};
 use bioseq::Work;
