@@ -11,8 +11,8 @@
 //! pins conserved consensus columns of two alignments as [`ColOp::Both`]
 //! runs and runs the affine-gap DP only on the stretches in between.
 
-use crate::dp::{BandPolicy, DpArena, DpKernel};
-use crate::papro::{align_profiles_with_kernel, ColOp};
+use crate::dp::{DpArena, DpOptions};
+use crate::papro::{align_profiles_with, ColOp};
 use crate::profile::Profile;
 use bioseq::alphabet::GAP_CODE;
 use bioseq::{GapPenalties, Msa, SubstMatrix, Work};
@@ -186,8 +186,7 @@ pub fn anchored_profile_ops(
     spec: &AnchorSpec,
     matrix: &SubstMatrix,
     gaps: GapPenalties,
-    band: BandPolicy,
-    kernel: DpKernel,
+    dp: DpOptions,
     arena: &mut DpArena,
     work: &mut Work,
 ) -> Vec<ColOp> {
@@ -210,7 +209,7 @@ pub fn anchored_profile_ops(
             (true, true) => {
                 let pa = Profile::from_msa(&slice_columns(a, a_lo, a_hi), work);
                 let pb = Profile::from_msa(&slice_columns(b, b_lo, b_hi), work);
-                let aln = align_profiles_with_kernel(&pa, &pb, matrix, gaps, band, kernel, arena);
+                let aln = align_profiles_with(&pa, &pb, matrix, gaps, dp, arena);
                 *work += aln.work;
                 ops.extend(aln.ops);
             }
@@ -310,8 +309,7 @@ mod tests {
             &spec,
             &matrix,
             gaps,
-            BandPolicy::Full,
-            DpKernel::Auto,
+            crate::dp::BandPolicy::Full.into(),
             &mut DpArena::new(),
             &mut work,
         );

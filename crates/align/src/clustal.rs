@@ -2,10 +2,10 @@
 //! pairwise distances → neighbor-joining guide tree → tree-derived sequence
 //! weights → weighted progressive alignment.
 
-use crate::distance::{alignment_distance_matrix_with_kernel, kmer_distance_matrix};
-use crate::dp::{BandPolicy, DpArena, DpKernel};
+use crate::distance::{alignment_distance_matrix_with, kmer_distance_matrix};
+use crate::dp::{DpArena, DpOptions};
 use crate::engine::MsaEngine;
-use crate::progressive::{progressive_align_with_arena, ProgressiveConfig, WeightScheme};
+use crate::progressive::{progressive_align_with, ProgressiveConfig, WeightScheme};
 use bioseq::{CompressedAlphabet, GapPenalties, Msa, Sequence, SubstMatrix, Work};
 use phylo::{neighbor_joining, Tree};
 
@@ -24,11 +24,9 @@ pub struct ClustalLite {
     pub kmer_k: usize,
     /// Compressed alphabet for the fast distance fallback.
     pub alphabet: CompressedAlphabet,
-    /// Band policy for every DP kernel instance (pairwise distances and
-    /// progressive merging).
-    pub band: BandPolicy,
-    /// DP kernel selection (scalar, striped, or adaptive auto).
-    pub kernel: DpKernel,
+    /// Band policy and kernel of every DP instance (pairwise distances
+    /// and progressive merging).
+    pub dp: DpOptions,
 }
 
 impl Default for ClustalLite {
@@ -39,22 +37,15 @@ impl Default for ClustalLite {
             full_pairwise_threshold: 60,
             kmer_k: 3,
             alphabet: CompressedAlphabet::Identity,
-            band: BandPolicy::default(),
-            kernel: DpKernel::default(),
+            dp: DpOptions::default(),
         }
     }
 }
 
 impl ClustalLite {
-    /// Select the DP kernel band policy.
-    pub fn with_band(mut self, band: BandPolicy) -> Self {
-        self.band = band;
-        self
-    }
-
-    /// Select the DP kernel variant.
-    pub fn with_kernel(mut self, kernel: DpKernel) -> Self {
-        self.kernel = kernel;
+    /// Select the DP options (a bare band policy converts).
+    pub fn with_dp(mut self, dp: impl Into<DpOptions>) -> Self {
+        self.dp = dp.into();
         self
     }
 }
@@ -102,16 +93,7 @@ pub fn clustal_tree_weights(tree: &Tree) -> Vec<f64> {
 
 impl MsaEngine for ClustalLite {
     fn name(&self) -> String {
-        let base = if self.band == BandPolicy::default() {
-            "clustal-lite".to_string()
-        } else {
-            format!("clustal-lite+{}", self.band.label())
-        };
-        if self.kernel == DpKernel::default() {
-            base
-        } else {
-            format!("{base}+{}", self.kernel.label())
-        }
+        format!("clustal-lite{}", self.dp.name_suffix())
     }
 
     fn align_with_work(&self, seqs: &[Sequence]) -> (Msa, Work) {
@@ -125,14 +107,7 @@ impl MsaEngine for ClustalLite {
             return (Msa::from_sequence(&seqs[0]), work);
         }
         let dist = if seqs.len() <= self.full_pairwise_threshold {
-            alignment_distance_matrix_with_kernel(
-                seqs,
-                &self.matrix,
-                self.gaps,
-                self.band,
-                self.kernel,
-                &mut work,
-            )
+            alignment_distance_matrix_with(seqs, &self.matrix, self.gaps, self.dp, &mut work)
         } else {
             kmer_distance_matrix(seqs, self.kmer_k, self.alphabet, &mut work)
         };
@@ -143,10 +118,9 @@ impl MsaEngine for ClustalLite {
             matrix: self.matrix.clone(),
             gaps: self.gaps,
             weights: WeightScheme::Fixed(weights),
-            band: self.band,
-            kernel: self.kernel,
+            dp: self.dp,
         };
-        let msa = progressive_align_with_arena(seqs, &tree, &cfg, arena, &mut work);
+        let msa = progressive_align_with(seqs, &tree, &cfg, arena, &mut work);
         (msa, work)
     }
 }

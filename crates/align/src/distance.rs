@@ -2,6 +2,8 @@
 //! stage 1), Kimura-corrected identity distances from an existing alignment
 //! (MUSCLE stage 2), and full pairwise-alignment distances (CLUSTALW).
 
+use crate::dp::{BandPolicy, DpArena, DpOptions};
+use crate::pairwise::alignment_distance_with;
 use bioseq::kmer::KmerProfile;
 use bioseq::msa::row_identity;
 use bioseq::{CompressedAlphabet, GapPenalties, Msa, Sequence, SubstMatrix, Work};
@@ -100,49 +102,30 @@ pub fn alignment_distance_matrix(
     gaps: GapPenalties,
     work: &mut Work,
 ) -> DistMatrix {
-    alignment_distance_matrix_with(seqs, matrix, gaps, crate::dp::BandPolicy::Full, work)
+    alignment_distance_matrix_with(seqs, matrix, gaps, BandPolicy::Full, work)
 }
 
-/// [`alignment_distance_matrix`] under an explicit band policy. Each
-/// worker reuses one [`crate::dp::DpArena`] across its whole row of
-/// pairwise alignments.
+/// [`alignment_distance_matrix`] under explicit [`DpOptions`]. The rows
+/// run in parallel, so instead of borrowing one arena each worker reuses
+/// its own [`DpArena`] across its whole row of pairwise alignments.
 pub fn alignment_distance_matrix_with(
     seqs: &[Sequence],
     matrix: &SubstMatrix,
     gaps: GapPenalties,
-    band: crate::dp::BandPolicy,
+    dp: impl Into<DpOptions>,
     work: &mut Work,
 ) -> DistMatrix {
-    alignment_distance_matrix_with_kernel(
-        seqs,
-        matrix,
-        gaps,
-        band,
-        crate::dp::DpKernel::default(),
-        work,
-    )
-}
-
-/// [`alignment_distance_matrix_with`] under an explicit
-/// [`crate::dp::DpKernel`] selection.
-pub fn alignment_distance_matrix_with_kernel(
-    seqs: &[Sequence],
-    matrix: &SubstMatrix,
-    gaps: GapPenalties,
-    band: crate::dp::BandPolicy,
-    kernel: crate::dp::DpKernel,
-    work: &mut Work,
-) -> DistMatrix {
+    let dp = dp.into();
     let n = seqs.len();
     let rows: Vec<(Vec<f64>, Work)> = (1..n)
         .into_par_iter()
         .map(|i| {
             let mut w = Work::ZERO;
-            let mut arena = crate::dp::DpArena::new();
+            let mut arena = DpArena::new();
             let row: Vec<f64> = (0..i)
                 .map(|j| {
-                    crate::pairwise::alignment_distance_with_kernel(
-                        &seqs[i], &seqs[j], matrix, gaps, band, kernel, &mut arena, &mut w,
+                    alignment_distance_with(
+                        &seqs[i], &seqs[j], matrix, gaps, dp, &mut arena, &mut w,
                     )
                 })
                 .collect();

@@ -4,7 +4,7 @@
 //! aligner over small domains, which makes the affine-gap DP the hot path
 //! of the whole system. This module is the single home of that recurrence:
 //!
-//! * **One kernel, many scorers.** [`gotoh_global`] is generic over a
+//! * **One kernel, many scorers.** [`gotoh_global_with`] is generic over a
 //!   [`ColumnScorer`], so residue-vs-residue alignment (via
 //!   [`SubstScorer`]) and profile-vs-profile alignment (via [`PspScorer`],
 //!   the PSP objective of MUSCLE) share one implementation instead of the
@@ -23,7 +23,7 @@
 //!   difference, and the band is doubled and the instance re-run until
 //!   the traced optimum clears the band edges **and** doubling no longer
 //!   changes the score (edge clearance alone is not evidence of
-//!   optimality — see [`gotoh_global`]). The fallback of the doubling is
+//!   optimality — see [`gotoh_global_with`]). The fallback of the doubling is
 //!   the full fill, so results converge to the full-DP optimum while
 //!   [`bioseq::Work::dp_cells`] records only the cells actually filled.
 //!
@@ -171,6 +171,49 @@ impl DpKernel {
             "auto" => Some(DpKernel::Auto),
             _ => None,
         }
+    }
+}
+
+/// The DP options of one alignment: how the matrix is banded and which
+/// fill runs. Every explicit (`*_with`) form in this crate and in
+/// `sad_core` takes this one value next to a `&mut` [`DpArena`].
+///
+/// Two defaults are in play, and this is the one place they are written
+/// down: the **short forms** (`global_align`, `align_profiles`,
+/// `align_and_merge`, `refine`, `leave_one_out`, …) run the
+/// unconditionally exact **full band** with the auto kernel and a private
+/// arena — `DpOptions::from(BandPolicy::Full)` — while
+/// [`DpOptions::default`] is **auto band, auto kernel**, what the engines
+/// and the pipeline run unless told otherwise.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+pub struct DpOptions {
+    /// Band restriction of the matrix fill.
+    pub band: BandPolicy,
+    /// Matrix-fill implementation.
+    pub kernel: DpKernel,
+}
+
+impl DpOptions {
+    /// Engine-name suffix: empty for the defaults (which keep the
+    /// historical names), otherwise `+<band>` and/or `+<kernel>` so
+    /// reports show the exact DP configuration used.
+    pub fn name_suffix(&self) -> String {
+        let mut suffix = String::new();
+        if self.band != BandPolicy::default() {
+            suffix = format!("+{}", self.band.label());
+        }
+        if self.kernel != DpKernel::default() {
+            suffix.push('+');
+            suffix.push_str(self.kernel.label());
+        }
+        suffix
+    }
+}
+
+/// A bare band policy is that band under the auto kernel.
+impl From<BandPolicy> for DpOptions {
+    fn from(band: BandPolicy) -> Self {
+        DpOptions { band, kernel: DpKernel::default() }
     }
 }
 
@@ -1188,7 +1231,8 @@ impl Traceback {
     }
 }
 
-/// Global (Needleman–Wunsch/Gotoh) alignment under the given band policy.
+/// Global (Needleman–Wunsch/Gotoh) alignment under the given band policy
+/// and kernel choice.
 ///
 /// Terminal gaps are charged like internal ones. Under
 /// [`BandPolicy::Auto`] the kernel re-runs with a doubled band until the
@@ -1197,15 +1241,12 @@ impl Traceback {
 /// transposed blocks — so clearance alone is not trusted), falling back
 /// to a full fill; [`DpResult::cells`] sums the cells of every attempt
 /// (a geometric series bounded by a small constant times one full fill).
-pub fn gotoh_global<S: ColumnScorer>(s: &S, policy: BandPolicy, arena: &mut DpArena) -> DpResult {
-    gotoh_global_with(s, policy, DpKernel::Auto, arena)
-}
-
-/// [`gotoh_global`] with an explicit [`DpKernel`] choice. `Scalar` and
-/// `Striped` force their fill; `Auto` (the [`gotoh_global`] default) runs
-/// striped exactly when the scorer guarantees f32-exact decisions
+///
+/// `Scalar` and `Striped` force their fill; `Auto` runs striped exactly
+/// when the scorer guarantees f32-exact decisions
 /// ([`ColumnScorer::f32_compatible`]), so results never depend on the
-/// heuristic. Banding behaves identically under either kernel.
+/// heuristic. Banding behaves identically under either kernel. This is
+/// the one function that takes the two halves of a [`DpOptions`] apart.
 pub fn gotoh_global_with<S: ColumnScorer>(
     s: &S,
     policy: BandPolicy,
@@ -1467,7 +1508,7 @@ mod tests {
         let s = scorer(&codes, &codes, &matrix, gaps);
         let mut arena = DpArena::new();
         for policy in [BandPolicy::Full, BandPolicy::Auto, BandPolicy::Fixed(2)] {
-            let out = gotoh_global(&s, policy, &mut arena);
+            let out = gotoh_global_with(&s, policy, DpKernel::Auto, &mut arena);
             assert!(out.ops.iter().all(|&op| op == ColOp::Both), "{policy:?}");
             let want: f64 = codes.iter().map(|&c| matrix.score(c, c) as f64).sum();
             assert_eq!(out.score, want, "{policy:?}");
@@ -1484,8 +1525,8 @@ mod tests {
         b.extend_from_slice(&a[..40]);
         let s = scorer(&a, &b, &matrix, gaps);
         let mut arena = DpArena::new();
-        let full = gotoh_global(&s, BandPolicy::Full, &mut arena);
-        let auto = gotoh_global(&s, BandPolicy::Auto, &mut arena);
+        let full = gotoh_global_with(&s, BandPolicy::Full, DpKernel::Auto, &mut arena);
+        let auto = gotoh_global_with(&s, BandPolicy::Auto, DpKernel::Auto, &mut arena);
         assert_eq!(full.score, auto.score);
         assert_eq!(full.full_cells, auto.full_cells);
     }
@@ -1497,8 +1538,8 @@ mod tests {
         let a: Vec<u8> = (0..200).map(|i| (i % 19) as u8).collect();
         let s = scorer(&a, &a, &matrix, gaps);
         let mut arena = DpArena::new();
-        let full = gotoh_global(&s, BandPolicy::Full, &mut arena);
-        let banded = gotoh_global(&s, BandPolicy::Fixed(5), &mut arena);
+        let full = gotoh_global_with(&s, BandPolicy::Full, DpKernel::Auto, &mut arena);
+        let banded = gotoh_global_with(&s, BandPolicy::Fixed(5), DpKernel::Auto, &mut arena);
         assert_eq!(full.cells, full.full_cells);
         assert!(banded.cells < full.cells / 3);
         assert_eq!(banded.score, full.score, "identical inputs stay on the diagonal");
@@ -1515,9 +1556,10 @@ mod tests {
         let mut shared = DpArena::new();
         // Dirty the arena with a larger unrelated instance first.
         let big: Vec<u8> = (0..120).map(|i| (i % 11) as u8).collect();
-        let _ = gotoh_global(&scorer(&big, &big, &matrix, gaps), BandPolicy::Auto, &mut shared);
-        let reused = gotoh_global(&s, BandPolicy::Auto, &mut shared);
-        let fresh = gotoh_global(&s, BandPolicy::Auto, &mut DpArena::new());
+        let dirty = scorer(&big, &big, &matrix, gaps);
+        let _ = gotoh_global_with(&dirty, BandPolicy::Auto, DpKernel::Auto, &mut shared);
+        let reused = gotoh_global_with(&s, BandPolicy::Auto, DpKernel::Auto, &mut shared);
+        let fresh = gotoh_global_with(&s, BandPolicy::Auto, DpKernel::Auto, &mut DpArena::new());
         assert_eq!(reused, fresh);
     }
 
@@ -1576,12 +1618,12 @@ mod tests {
         let gaps = GapPenalties { open: 3, extend: 1 };
         let a = [12u8, 9, 17];
         let empty: [u8; 0] = [];
-        let out =
-            gotoh_global(&scorer(&a, &empty, &matrix, gaps), BandPolicy::Auto, &mut DpArena::new());
+        let s = scorer(&a, &empty, &matrix, gaps);
+        let out = gotoh_global_with(&s, BandPolicy::Auto, DpKernel::Auto, &mut DpArena::new());
         assert_eq!(out.ops, vec![ColOp::FromA; 3]);
         assert_eq!(out.score, -(3.0 + 2.0));
-        let out =
-            gotoh_global(&scorer(&empty, &a, &matrix, gaps), BandPolicy::Full, &mut DpArena::new());
+        let s = scorer(&empty, &a, &matrix, gaps);
+        let out = gotoh_global_with(&s, BandPolicy::Full, DpKernel::Auto, &mut DpArena::new());
         assert_eq!(out.ops, vec![ColOp::FromB; 3]);
     }
 
@@ -1590,8 +1632,8 @@ mod tests {
         let matrix = SubstMatrix::blosum62();
         let gaps = GapPenalties::default();
         let a: Vec<u8> = (0..300).map(|i| (i % 20) as u8).collect();
-        let out =
-            gotoh_global(&scorer(&a, &a, &matrix, gaps), BandPolicy::Auto, &mut DpArena::new());
+        let s = scorer(&a, &a, &matrix, gaps);
+        let out = gotoh_global_with(&s, BandPolicy::Auto, DpKernel::Auto, &mut DpArena::new());
         let w = out.work();
         assert_eq!(w.dp_cells, 3 * out.cells);
         assert_eq!(w.dp_cells_full, 3 * 300 * 300);
@@ -1617,8 +1659,8 @@ mod tests {
         b.extend_from_slice(&s1);
         let s = scorer(&a, &b, &matrix, gaps);
         let mut arena = DpArena::new();
-        let full = gotoh_global(&s, BandPolicy::Full, &mut arena);
-        let auto = gotoh_global(&s, BandPolicy::Auto, &mut arena);
+        let full = gotoh_global_with(&s, BandPolicy::Full, DpKernel::Auto, &mut arena);
+        let auto = gotoh_global_with(&s, BandPolicy::Auto, DpKernel::Auto, &mut arena);
         assert_eq!(auto.score, full.score, "transposed blocks must not fool the band");
     }
 }

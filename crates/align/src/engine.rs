@@ -2,7 +2,9 @@
 //! system", exactly the role MUSCLE plays inside each Sample-Align-D
 //! processor.
 
-use crate::dp::DpArena;
+use crate::clustal::ClustalLite;
+use crate::dp::{DpArena, DpOptions};
+use crate::muscle::MuscleLite;
 use bioseq::{Msa, Sequence, Work};
 use serde::{Deserialize, Serialize};
 
@@ -55,30 +57,15 @@ impl EngineChoice {
     /// Instantiate the engine with default parameters (and the default
     /// adaptive band policy and kernel).
     pub fn build(self) -> Box<dyn MsaEngine> {
-        self.build_with_band(crate::dp::BandPolicy::default())
+        self.build_with(DpOptions::default())
     }
 
-    /// Instantiate the engine with an explicit DP kernel band policy.
-    pub fn build_with_band(self, band: crate::dp::BandPolicy) -> Box<dyn MsaEngine> {
-        self.build_with(band, crate::dp::DpKernel::default())
-    }
-
-    /// Instantiate the engine with explicit band policy and DP kernel.
-    pub fn build_with(
-        self,
-        band: crate::dp::BandPolicy,
-        kernel: crate::dp::DpKernel,
-    ) -> Box<dyn MsaEngine> {
+    /// Instantiate the engine with explicit [`DpOptions`].
+    pub fn build_with(self, dp: DpOptions) -> Box<dyn MsaEngine> {
         match self {
-            EngineChoice::MuscleFast => {
-                Box::new(crate::muscle::MuscleLite::fast().with_band(band).with_kernel(kernel))
-            }
-            EngineChoice::MuscleStandard => {
-                Box::new(crate::muscle::MuscleLite::standard().with_band(band).with_kernel(kernel))
-            }
-            EngineChoice::Clustal => {
-                Box::new(crate::clustal::ClustalLite::default().with_band(band).with_kernel(kernel))
-            }
+            EngineChoice::MuscleFast => Box::new(MuscleLite::fast().with_dp(dp)),
+            EngineChoice::MuscleStandard => Box::new(MuscleLite::standard().with_dp(dp)),
+            EngineChoice::Clustal => Box::new(ClustalLite::default().with_dp(dp)),
         }
     }
 

@@ -5,7 +5,7 @@
 //!
 //! * [`dp`] — **the** Gotoh kernel: one banded, arena-backed affine-gap
 //!   DP, generic over a column scorer, shared by every alignment path in
-//!   the crate (see [`dp::BandPolicy`] and [`dp::DpArena`]);
+//!   the crate (see [`dp::DpOptions`] and [`dp::DpArena`]);
 //! * [`pairwise`] — global alignment with affine gaps (Gotoh), semiglobal
 //!   overlap alignment, and local alignment (Smith–Waterman), with full
 //!   tracebacks;
@@ -53,7 +53,7 @@ pub mod trim;
 
 pub use anchor::{Anchor, AnchorSpec};
 pub use clustal::ClustalLite;
-pub use dp::{BandPolicy, DpArena, DpKernel};
+pub use dp::{BandPolicy, DpArena, DpKernel, DpOptions};
 pub use engine::{EngineChoice, MsaEngine};
 pub use muscle::MuscleLite;
 pub use profile::Profile;

@@ -11,9 +11,9 @@
 //! stage 3 adds `O(N²·L)` per bipartition pass.
 
 use crate::distance::{kimura_from_msa, kmer_distance_matrix};
-use crate::dp::{BandPolicy, DpArena, DpKernel};
+use crate::dp::{DpArena, DpOptions};
 use crate::engine::MsaEngine;
-use crate::progressive::{progressive_align_with_arena, ProgressiveConfig, WeightScheme};
+use crate::progressive::{progressive_align_with, ProgressiveConfig, WeightScheme};
 use crate::refine::refine_with;
 use bioseq::{CompressedAlphabet, GapPenalties, Msa, Sequence, SubstMatrix, Work};
 use phylo::upgma;
@@ -36,10 +36,8 @@ pub struct MuscleLite {
     pub refine_passes: usize,
     /// Use Henikoff position-based weights during progressive merging.
     pub henikoff: bool,
-    /// Band policy for every DP kernel instance the engine runs.
-    pub band: BandPolicy,
-    /// DP kernel selection (scalar, striped, or adaptive auto).
-    pub kernel: DpKernel,
+    /// Band policy and kernel of every DP instance the engine runs.
+    pub dp: DpOptions,
 }
 
 impl MuscleLite {
@@ -53,8 +51,7 @@ impl MuscleLite {
             reestimate: false,
             refine_passes: 0,
             henikoff: false,
-            band: BandPolicy::default(),
-            kernel: DpKernel::default(),
+            dp: DpOptions::default(),
         }
     }
 
@@ -63,15 +60,9 @@ impl MuscleLite {
         MuscleLite { reestimate: true, refine_passes: 2, henikoff: true, ..Self::fast() }
     }
 
-    /// Select the DP kernel band policy.
-    pub fn with_band(mut self, band: BandPolicy) -> Self {
-        self.band = band;
-        self
-    }
-
-    /// Select the DP kernel variant.
-    pub fn with_kernel(mut self, kernel: DpKernel) -> Self {
-        self.kernel = kernel;
+    /// Select the DP options (a bare band policy converts).
+    pub fn with_dp(mut self, dp: impl Into<DpOptions>) -> Self {
+        self.dp = dp.into();
         self
     }
 }
@@ -88,8 +79,7 @@ impl MuscleLite {
             matrix: self.matrix.clone(),
             gaps: self.gaps,
             weights: if self.henikoff { WeightScheme::Henikoff } else { WeightScheme::Uniform },
-            band: self.band,
-            kernel: self.kernel,
+            dp: self.dp,
         }
     }
 }
@@ -100,19 +90,7 @@ impl MsaEngine for MuscleLite {
             (false, 0) => "muscle-lite-fast".to_string(),
             _ => format!("muscle-lite(r{},p{})", u8::from(self.reestimate), self.refine_passes),
         };
-        // The default (adaptive) band and kernel keep the historical
-        // names; any other choice is called out so reports show the exact
-        // DP configuration used.
-        let base = if self.band == BandPolicy::default() {
-            base
-        } else {
-            format!("{base}+{}", self.band.label())
-        };
-        if self.kernel == DpKernel::default() {
-            base
-        } else {
-            format!("{base}+{}", self.kernel.label())
-        }
+        base + &self.dp.name_suffix()
     }
 
     fn align_with_work(&self, seqs: &[Sequence]) -> (Msa, Work) {
@@ -132,14 +110,14 @@ impl MsaEngine for MuscleLite {
         work.tree_ops += (seqs.len() * seqs.len()) as u64;
         let tree1 = upgma(&d1);
         let cfg = self.progressive_cfg();
-        let mut msa = progressive_align_with_arena(seqs, &tree1, &cfg, arena, &mut work);
+        let mut msa = progressive_align_with(seqs, &tree1, &cfg, arena, &mut work);
         let mut tree = tree1;
         // Stage 2: improved tree from the draft alignment.
         if self.reestimate && seqs.len() > 2 {
             let d2 = kimura_from_msa(&msa, &mut work);
             work.tree_ops += (seqs.len() * seqs.len()) as u64;
             let tree2 = upgma(&d2);
-            msa = progressive_align_with_arena(seqs, &tree2, &cfg, arena, &mut work);
+            msa = progressive_align_with(seqs, &tree2, &cfg, arena, &mut work);
             tree = tree2;
         }
         // Stage 3: refinement.
@@ -152,8 +130,7 @@ impl MsaEngine for MuscleLite {
                 &self.matrix,
                 self.gaps,
                 self.refine_passes,
-                self.band,
-                self.kernel,
+                self.dp,
                 arena,
             );
             work += out.work;
@@ -166,6 +143,7 @@ impl MsaEngine for MuscleLite {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dp::{BandPolicy, DpKernel};
 
     fn seqs(texts: &[&str]) -> Vec<Sequence> {
         texts
@@ -247,18 +225,17 @@ mod tests {
         assert_eq!(MuscleLite::fast().name(), "muscle-lite-fast");
         assert_eq!(MuscleLite::standard().name(), "muscle-lite(r1,p2)");
         // Non-default band policies show up in the name.
-        assert_eq!(MuscleLite::fast().with_band(BandPolicy::Full).name(), "muscle-lite-fast+full");
+        assert_eq!(MuscleLite::fast().with_dp(BandPolicy::Full).name(), "muscle-lite-fast+full");
         assert_eq!(
-            MuscleLite::standard().with_band(BandPolicy::Fixed(16)).name(),
+            MuscleLite::standard().with_dp(BandPolicy::Fixed(16)).name(),
             "muscle-lite(r1,p2)+band16"
         );
         // Non-default kernels show up too, after the band suffix.
+        let scalar = DpOptions { kernel: DpKernel::Scalar, ..DpOptions::default() };
+        assert_eq!(MuscleLite::fast().with_dp(scalar).name(), "muscle-lite-fast+scalar");
+        let full_striped = DpOptions { band: BandPolicy::Full, kernel: DpKernel::Striped };
         assert_eq!(
-            MuscleLite::fast().with_kernel(DpKernel::Scalar).name(),
-            "muscle-lite-fast+scalar"
-        );
-        assert_eq!(
-            MuscleLite::fast().with_band(BandPolicy::Full).with_kernel(DpKernel::Striped).name(),
+            MuscleLite::fast().with_dp(full_striped).name(),
             "muscle-lite-fast+full+striped"
         );
     }
@@ -268,7 +245,7 @@ mod tests {
         // Families under the minimum auto band are full fills either way.
         let ss = seqs(&["MKVLAWGKVL", "MKILAWKIL", "MKVLWGKVL", "MKILAWGKIL"]);
         let (auto, wa) = MuscleLite::standard().align_with_work(&ss);
-        let (full, wf) = MuscleLite::standard().with_band(BandPolicy::Full).align_with_work(&ss);
+        let (full, wf) = MuscleLite::standard().with_dp(BandPolicy::Full).align_with_work(&ss);
         assert_eq!(auto, full);
         assert_eq!(wa.dp_cells, wf.dp_cells);
     }

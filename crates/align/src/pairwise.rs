@@ -5,7 +5,7 @@
 //! Every entry point is a thin wrapper over the shared [`crate::dp`]
 //! kernel — this module owns no DP recurrence of its own.
 
-use crate::dp::{self, BandPolicy, ColOp, DpArena, DpKernel, SubstScorer};
+use crate::dp::{self, BandPolicy, ColOp, DpArena, DpOptions, SubstScorer};
 use bioseq::alphabet::GAP_CODE;
 use bioseq::{GapPenalties, Msa, Sequence, SubstMatrix, Work};
 
@@ -79,12 +79,13 @@ pub fn global_align(
     global_align_with(a, b, matrix, gaps, BandPolicy::Full, &mut DpArena::new())
 }
 
-/// Gotoh global alignment under an explicit [`BandPolicy`], reusing the
-/// caller's [`DpArena`] scratch so repeated alignments allocate nothing.
+/// Gotoh global alignment under explicit [`DpOptions`] (a bare
+/// [`BandPolicy`] converts: that band, auto kernel), reusing the caller's
+/// [`DpArena`] scratch so repeated alignments allocate nothing.
 ///
 /// Under [`BandPolicy::Auto`] the band is widened until the score is
 /// stable and the optimum clears the band edges, so the score matches the
-/// full DP (see [`crate::dp::gotoh_global`] for the acceptance rule);
+/// full DP (see [`crate::dp::gotoh_global_with`] for the acceptance rule);
 /// under [`BandPolicy::Fixed`] it may be band-constrained (see
 /// [`banded_global_align`]).
 pub fn global_align_with(
@@ -92,26 +93,13 @@ pub fn global_align_with(
     b: &Sequence,
     matrix: &SubstMatrix,
     gaps: GapPenalties,
-    policy: BandPolicy,
+    dp: impl Into<DpOptions>,
     arena: &mut DpArena,
 ) -> PairAlignment {
-    global_align_with_kernel(a, b, matrix, gaps, policy, DpKernel::Auto, arena)
-}
-
-/// [`global_align_with`] with an explicit [`DpKernel`] choice (the
-/// default `Auto` picks the striped fill whenever it is provably exact).
-pub fn global_align_with_kernel(
-    a: &Sequence,
-    b: &Sequence,
-    matrix: &SubstMatrix,
-    gaps: GapPenalties,
-    policy: BandPolicy,
-    kernel: DpKernel,
-    arena: &mut DpArena,
-) -> PairAlignment {
+    let dp = dp.into();
     let (ac, bc) = (a.codes(), b.codes());
     let scorer = SubstScorer::new(ac, bc, matrix, gaps);
-    let out = dp::gotoh_global_with(&scorer, policy, kernel, arena);
+    let out = dp::gotoh_global_with(&scorer, dp.band, dp.kernel, arena);
     let (row_a, row_b) = rows_from_ops(ac, bc, &out.ops);
     // Integer matrix + integer gaps keep every intermediate exact in f64
     // (and in f32 lanes whenever Auto selects the striped kernel).
@@ -228,33 +216,18 @@ pub fn alignment_distance(
     alignment_distance_with(a, b, matrix, gaps, BandPolicy::Full, &mut DpArena::new(), work)
 }
 
-/// [`alignment_distance`] under an explicit band policy, reusing the
+/// [`alignment_distance`] under explicit [`DpOptions`], reusing the
 /// caller's [`DpArena`].
 pub fn alignment_distance_with(
     a: &Sequence,
     b: &Sequence,
     matrix: &SubstMatrix,
     gaps: GapPenalties,
-    policy: BandPolicy,
+    dp: impl Into<DpOptions>,
     arena: &mut DpArena,
     work: &mut Work,
 ) -> f64 {
-    alignment_distance_with_kernel(a, b, matrix, gaps, policy, DpKernel::Auto, arena, work)
-}
-
-/// [`alignment_distance_with`] with an explicit [`DpKernel`] choice.
-#[allow(clippy::too_many_arguments)]
-pub fn alignment_distance_with_kernel(
-    a: &Sequence,
-    b: &Sequence,
-    matrix: &SubstMatrix,
-    gaps: GapPenalties,
-    policy: BandPolicy,
-    kernel: DpKernel,
-    arena: &mut DpArena,
-    work: &mut Work,
-) -> f64 {
-    let aln = global_align_with_kernel(a, b, matrix, gaps, policy, kernel, arena);
+    let aln = global_align_with(a, b, matrix, gaps, dp, arena);
     *work += aln.work;
     1.0 - aln.identity()
 }

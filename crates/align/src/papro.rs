@@ -6,7 +6,7 @@
 //! being consumed and the total weight of the profile receiving the gap, so
 //! the objective stays in (weighted) sum-of-pairs units end to end.
 
-use crate::dp::{self, BandPolicy, DpArena, DpKernel, PspScorer};
+use crate::dp::{self, BandPolicy, DpArena, DpOptions, PspScorer};
 use crate::profile::Profile;
 use bioseq::alphabet::GAP_CODE;
 use bioseq::{GapPenalties, Msa, SubstMatrix, Work};
@@ -36,36 +36,24 @@ pub fn align_profiles(
     align_profiles_with(pa, pb, matrix, gaps, BandPolicy::Full, &mut DpArena::new())
 }
 
-/// Align two profiles under an explicit [`BandPolicy`], reusing the
-/// caller's [`DpArena`] so the progressive/refinement loops allocate no
-/// DP scratch in steady state.
+/// Align two profiles under explicit [`DpOptions`] (a bare
+/// [`BandPolicy`] converts: that band, auto kernel — which picks the
+/// striped fill whenever the PSP arithmetic is provably f32-exact, i.e.
+/// uniform integral weights), reusing the caller's [`DpArena`] so the
+/// progressive/refinement loops allocate no DP scratch in steady state.
 pub fn align_profiles_with(
     pa: &Profile,
     pb: &Profile,
     matrix: &SubstMatrix,
     gaps: GapPenalties,
-    policy: BandPolicy,
-    arena: &mut DpArena,
-) -> ProfileAlignment {
-    align_profiles_with_kernel(pa, pb, matrix, gaps, policy, DpKernel::Auto, arena)
-}
-
-/// [`align_profiles_with`] with an explicit [`DpKernel`] choice (the
-/// default `Auto` picks the striped fill whenever the PSP arithmetic is
-/// provably f32-exact — uniform integral weights).
-pub fn align_profiles_with_kernel(
-    pa: &Profile,
-    pb: &Profile,
-    matrix: &SubstMatrix,
-    gaps: GapPenalties,
-    policy: BandPolicy,
-    kernel: DpKernel,
+    dp: impl Into<DpOptions>,
     arena: &mut DpArena,
 ) -> ProfileAlignment {
     assert!(!pa.is_empty() && !pb.is_empty(), "profiles must be non-empty");
+    let dp = dp.into();
     let mut work = Work::ZERO;
     let scorer = PspScorer::new(pa, pb, matrix, gaps, &mut work);
-    let out = dp::gotoh_global_with(&scorer, policy, kernel, arena);
+    let out = dp::gotoh_global_with(&scorer, dp.band, dp.kernel, arena);
     work += out.work();
     ProfileAlignment { ops: out.ops, score: out.score, work }
 }
@@ -134,35 +122,20 @@ pub fn align_and_merge(
     align_and_merge_with(a, b, matrix, gaps, BandPolicy::Full, &mut DpArena::new(), work)
 }
 
-/// [`align_and_merge`] under an explicit band policy, reusing the caller's
+/// [`align_and_merge`] under explicit [`DpOptions`], reusing the caller's
 /// [`DpArena`].
 pub fn align_and_merge_with(
     a: &Msa,
     b: &Msa,
     matrix: &SubstMatrix,
     gaps: GapPenalties,
-    policy: BandPolicy,
-    arena: &mut DpArena,
-    work: &mut Work,
-) -> Msa {
-    align_and_merge_with_kernel(a, b, matrix, gaps, policy, DpKernel::Auto, arena, work)
-}
-
-/// [`align_and_merge_with`] with an explicit [`DpKernel`] choice.
-#[allow(clippy::too_many_arguments)]
-pub fn align_and_merge_with_kernel(
-    a: &Msa,
-    b: &Msa,
-    matrix: &SubstMatrix,
-    gaps: GapPenalties,
-    policy: BandPolicy,
-    kernel: DpKernel,
+    dp: impl Into<DpOptions>,
     arena: &mut DpArena,
     work: &mut Work,
 ) -> Msa {
     let pa = Profile::from_msa(a, work);
     let pb = Profile::from_msa(b, work);
-    let aln = align_profiles_with_kernel(&pa, &pb, matrix, gaps, policy, kernel, arena);
+    let aln = align_profiles_with(&pa, &pb, matrix, gaps, dp, arena);
     *work += aln.work;
     merge_msas(a, b, &aln.ops, work)
 }

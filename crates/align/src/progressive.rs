@@ -5,8 +5,8 @@
 //! pluggable (uniform, Henikoff position-based, or fixed per-sequence
 //! weights such as CLUSTALW's tree weights).
 
-use crate::dp::{BandPolicy, DpArena, DpKernel};
-use crate::papro::{align_profiles_with_kernel, merge_msas};
+use crate::dp::{DpArena, DpOptions};
+use crate::papro::{align_profiles_with, merge_msas};
 use crate::profile::{henikoff_weights, Profile};
 use bioseq::{GapPenalties, Msa, Sequence, SubstMatrix, Work};
 use phylo::Tree;
@@ -34,10 +34,10 @@ pub struct ProgressiveConfig {
     pub gaps: GapPenalties,
     /// Sequence weighting scheme.
     pub weights: WeightScheme,
-    /// Band policy for every profile–profile DP along the tree.
-    pub band: BandPolicy,
-    /// DP kernel for every profile–profile DP along the tree.
-    pub kernel: DpKernel,
+    /// Band policy and kernel of every profile–profile DP along the tree
+    /// (the default is auto/auto, unlike the full-band short forms of the
+    /// per-pair functions — see [`DpOptions`]).
+    pub dp: DpOptions,
 }
 
 impl Default for ProgressiveConfig {
@@ -46,8 +46,7 @@ impl Default for ProgressiveConfig {
             matrix: SubstMatrix::blosum62(),
             gaps: GapPenalties::default(),
             weights: WeightScheme::Uniform,
-            band: BandPolicy::default(),
-            kernel: DpKernel::default(),
+            dp: DpOptions::default(),
         }
     }
 }
@@ -64,13 +63,13 @@ pub fn progressive_align(
     cfg: &ProgressiveConfig,
     work: &mut Work,
 ) -> Msa {
-    progressive_align_with_arena(seqs, tree, cfg, &mut DpArena::new(), work)
+    progressive_align_with(seqs, tree, cfg, &mut DpArena::new(), work)
 }
 
 /// [`progressive_align`] reusing the caller's [`DpArena`]: engines thread
 /// one arena through every stage so the whole run allocates DP scratch
 /// only while the arena grows to its high-water mark.
-pub fn progressive_align_with_arena(
+pub fn progressive_align_with(
     seqs: &[Sequence],
     tree: &Tree,
     cfg: &ProgressiveConfig,
@@ -101,15 +100,7 @@ pub fn progressive_align_with_arena(
                 let wb = row_weights(&msa_b, &rows_b, cfg, work);
                 let pa = Profile::from_msa_weighted(&msa_a, &wa, work);
                 let pb = Profile::from_msa_weighted(&msa_b, &wb, work);
-                let aln = align_profiles_with_kernel(
-                    &pa,
-                    &pb,
-                    &cfg.matrix,
-                    cfg.gaps,
-                    cfg.band,
-                    cfg.kernel,
-                    arena,
-                );
+                let aln = align_profiles_with(&pa, &pb, &cfg.matrix, cfg.gaps, cfg.dp, arena);
                 *work += aln.work;
                 let merged = merge_msas(&msa_a, &msa_b, &aln.ops, work);
                 let mut rows = rows_a;

@@ -8,8 +8,8 @@
 //! construction, so scoring only cross pairs is an exact delta computation
 //! at a quarter of the cost.
 
-use crate::dp::{BandPolicy, DpArena, DpKernel};
-use crate::papro::align_and_merge_with_kernel;
+use crate::dp::{BandPolicy, DpArena, DpOptions};
+use crate::papro::align_and_merge_with;
 use bioseq::msa::pairwise_row_score;
 use bioseq::{GapPenalties, Msa, SubstMatrix, Work};
 use phylo::Tree;
@@ -43,21 +43,12 @@ pub fn refine(
     gaps: GapPenalties,
     max_passes: usize,
 ) -> RefineOutcome {
-    refine_with(
-        msa,
-        tree,
-        seq_ids,
-        matrix,
-        gaps,
-        max_passes,
-        BandPolicy::Full,
-        DpKernel::default(),
-        &mut DpArena::new(),
-    )
+    let full = BandPolicy::Full.into();
+    refine_with(msa, tree, seq_ids, matrix, gaps, max_passes, full, &mut DpArena::new())
 }
 
-/// [`refine`] under an explicit [`BandPolicy`] and [`DpKernel`], reusing
-/// the caller's [`DpArena`] across every bipartition realignment.
+/// [`refine`] under explicit [`DpOptions`], reusing the caller's
+/// [`DpArena`] across every bipartition realignment.
 #[allow(clippy::too_many_arguments)]
 pub fn refine_with(
     msa: &Msa,
@@ -66,8 +57,7 @@ pub fn refine_with(
     matrix: &SubstMatrix,
     gaps: GapPenalties,
     max_passes: usize,
-    band: BandPolicy,
-    kernel: DpKernel,
+    dp: DpOptions,
     arena: &mut DpArena,
 ) -> RefineOutcome {
     let mut work = Work::ZERO;
@@ -93,9 +83,8 @@ pub fn refine_with(
             let before = cross_score(&current, &rows_in, &rows_out, matrix, gaps, &mut work);
             let sub_in = extract_rows(&current, &rows_in, &mut work);
             let sub_out = extract_rows(&current, &rows_out, &mut work);
-            let merged = align_and_merge_with_kernel(
-                &sub_in, &sub_out, matrix, gaps, band, kernel, arena, &mut work,
-            );
+            let merged =
+                align_and_merge_with(&sub_in, &sub_out, matrix, gaps, dp, arena, &mut work);
             let merged_in: Vec<usize> = (0..rows_in.len()).collect();
             let merged_out: Vec<usize> = (rows_in.len()..merged.num_rows()).collect();
             let after = cross_score(&merged, &merged_in, &merged_out, matrix, gaps, &mut work);
@@ -125,26 +114,17 @@ pub fn leave_one_out(
     gaps: GapPenalties,
     max_passes: usize,
 ) -> RefineOutcome {
-    leave_one_out_with(
-        msa,
-        matrix,
-        gaps,
-        max_passes,
-        BandPolicy::Full,
-        DpKernel::default(),
-        &mut DpArena::new(),
-    )
+    leave_one_out_with(msa, matrix, gaps, max_passes, BandPolicy::Full.into(), &mut DpArena::new())
 }
 
-/// [`leave_one_out`] under an explicit [`BandPolicy`] and [`DpKernel`],
-/// reusing the caller's [`DpArena`].
+/// [`leave_one_out`] under explicit [`DpOptions`], reusing the caller's
+/// [`DpArena`].
 pub fn leave_one_out_with(
     msa: &Msa,
     matrix: &SubstMatrix,
     gaps: GapPenalties,
     max_passes: usize,
-    band: BandPolicy,
-    kernel: DpKernel,
+    dp: DpOptions,
     arena: &mut DpArena,
 ) -> RefineOutcome {
     let mut work = Work::ZERO;
@@ -164,9 +144,7 @@ pub fn leave_one_out_with(
             let before = cross_score(&current, &[r], &others, matrix, gaps, &mut work);
             let single = extract_rows(&current, &[r], &mut work);
             let rest = extract_rows(&current, &others, &mut work);
-            let merged = align_and_merge_with_kernel(
-                &single, &rest, matrix, gaps, band, kernel, arena, &mut work,
-            );
+            let merged = align_and_merge_with(&single, &rest, matrix, gaps, dp, arena, &mut work);
             let merged_rest: Vec<usize> = (1..merged.num_rows()).collect();
             let after = cross_score(&merged, &[0], &merged_rest, matrix, gaps, &mut work);
             if after > before {

@@ -8,11 +8,13 @@
 //!   pairs where the optimum needs off-diagonal excursions;
 //! * the striped f32 kernel is a pure implementation swap: identical
 //!   traceback ops (hence identical rows) to the scalar f64 oracle on
-//!   every input family, under every band policy.
+//!   every input family, under every band policy;
+//! * every short form (`global_align`, `align_profiles`, `refine`, …) is
+//!   its explicit `*_with` form under the full band and the auto kernel.
 
-use align::dp::{BandPolicy, DpArena, DpKernel};
-use align::pairwise::{global_align, global_align_with, global_align_with_kernel};
-use align::papro::{align_profiles, align_profiles_with, align_profiles_with_kernel};
+use align::dp::{BandPolicy, DpArena, DpKernel, DpOptions};
+use align::pairwise::{global_align, global_align_with};
+use align::papro::{align_profiles, align_profiles_with};
 use align::Profile;
 use bioseq::{GapPenalties, Msa, Sequence, SubstMatrix, Work, GAP_CODE};
 use proptest::prelude::*;
@@ -28,6 +30,11 @@ fn family(n: usize, avg_len: usize, relatedness: f64, seed: u64) -> Vec<Sequence
 /// that clips the optimum on most inputs.
 const ALL_BANDS: [BandPolicy; 3] = [BandPolicy::Full, BandPolicy::Auto, BandPolicy::Fixed(16)];
 
+/// `band` under the scalar oracle and under the striped kernel.
+fn scalar_and_striped(band: BandPolicy) -> (DpOptions, DpOptions) {
+    (DpOptions { band, kernel: DpKernel::Scalar }, DpOptions { band, kernel: DpKernel::Striped })
+}
+
 /// Assert the striped kernel reproduces the scalar oracle's traceback
 /// byte-for-byte on one pair, under every band policy.
 fn assert_pair_kernel_identity(
@@ -38,10 +45,9 @@ fn assert_pair_kernel_identity(
 ) {
     let mut arena = DpArena::new();
     for band in ALL_BANDS {
-        let scalar =
-            global_align_with_kernel(a, b, matrix, gaps, band, DpKernel::Scalar, &mut arena);
-        let striped =
-            global_align_with_kernel(a, b, matrix, gaps, band, DpKernel::Striped, &mut arena);
+        let (scalar, striped) = scalar_and_striped(band);
+        let scalar = global_align_with(a, b, matrix, gaps, scalar, &mut arena);
+        let striped = global_align_with(a, b, matrix, gaps, striped, &mut arena);
         assert_eq!(scalar.row_a, striped.row_a, "{band:?}");
         assert_eq!(scalar.row_b, striped.row_b, "{band:?}");
         assert_eq!(scalar.score, striped.score, "{band:?}");
@@ -177,12 +183,9 @@ proptest! {
         let pb = Profile::from_msa(&msa_b, &mut w);
         let mut arena = DpArena::new();
         for band in ALL_BANDS {
-            let scalar = align_profiles_with_kernel(
-                &pa, &pb, &matrix, gaps, band, DpKernel::Scalar, &mut arena,
-            );
-            let striped = align_profiles_with_kernel(
-                &pa, &pb, &matrix, gaps, band, DpKernel::Striped, &mut arena,
-            );
+            let (scalar, striped) = scalar_and_striped(band);
+            let scalar = align_profiles_with(&pa, &pb, &matrix, gaps, scalar, &mut arena);
+            let striped = align_profiles_with(&pa, &pb, &matrix, gaps, striped, &mut arena);
             prop_assert_eq!(&scalar.ops, &striped.ops, "{:?}", band);
             prop_assert_eq!(scalar.score, striped.score, "{:?}", band);
         }
@@ -246,24 +249,9 @@ fn striped_matches_scalar_on_degenerate_inputs() {
     let mut arena = DpArena::new();
     for band in ALL_BANDS {
         for (pa, pb) in [(&gappy, &single), (&single, &gappy), (&gappy, &gappy)] {
-            let scalar = align_profiles_with_kernel(
-                pa,
-                pb,
-                &matrix,
-                gaps,
-                band,
-                DpKernel::Scalar,
-                &mut arena,
-            );
-            let striped = align_profiles_with_kernel(
-                pa,
-                pb,
-                &matrix,
-                gaps,
-                band,
-                DpKernel::Striped,
-                &mut arena,
-            );
+            let (scalar, striped) = scalar_and_striped(band);
+            let scalar = align_profiles_with(pa, pb, &matrix, gaps, scalar, &mut arena);
+            let striped = align_profiles_with(pa, pb, &matrix, gaps, striped, &mut arena);
             assert_eq!(scalar.ops, striped.ops, "{band:?}");
             assert_eq!(scalar.score, striped.score, "{band:?}");
         }
@@ -317,8 +305,7 @@ fn engines_agree_across_band_policies() {
     let gaps = GapPenalties::default();
     let seqs = family(8, 400, 700.0, 3);
     let (auto_msa, auto_work) = MuscleLite::fast().align_with_work(&seqs);
-    let (full_msa, full_work) =
-        MuscleLite::fast().with_band(BandPolicy::Full).align_with_work(&seqs);
+    let (full_msa, full_work) = MuscleLite::fast().with_dp(BandPolicy::Full).align_with_work(&seqs);
     let score = |m: &Msa| m.sp_score(&matrix, gaps);
     assert_eq!(score(&auto_msa), score(&full_msa), "co-optimal alignments must tie on SP");
     assert!(
@@ -326,5 +313,80 @@ fn engines_agree_across_band_policies() {
         "auto {} should fill fewer cells than full {}",
         auto_work.dp_cells,
         full_work.dp_cells
+    );
+}
+
+/// Every short form is its explicit form under the full band, the auto
+/// kernel and a throwaway arena: same ops, same score, same `Work`.
+#[test]
+fn short_forms_equal_their_explicit_forms() {
+    use align::distance::{alignment_distance_matrix, alignment_distance_matrix_with};
+    use align::pairwise::{alignment_distance, alignment_distance_with};
+    use align::papro::{align_and_merge, align_and_merge_with};
+    use align::progressive::{progressive_align, progressive_align_with, ProgressiveConfig};
+    use align::refine::{leave_one_out, leave_one_out_with, refine, refine_with};
+    use align::MsaEngine;
+    let matrix = SubstMatrix::blosum62();
+    let gaps = GapPenalties::default();
+    let full = DpOptions { band: BandPolicy::Full, kernel: DpKernel::Auto };
+    assert_eq!(DpOptions::from(BandPolicy::Full), full);
+    assert_eq!(DpOptions::default(), DpOptions { band: BandPolicy::Auto, kernel: DpKernel::Auto });
+    // One dirty arena throughout: it is scratch, never an input.
+    let mut arena = DpArena::new();
+    let seqs = family(6, 120, 600.0, 5);
+    let (a, b) = (&seqs[0], &seqs[1]);
+
+    assert_eq!(
+        global_align(a, b, &matrix, gaps),
+        global_align_with(a, b, &matrix, gaps, full, &mut arena)
+    );
+
+    let (mut ws, mut we) = (Work::ZERO, Work::ZERO);
+    let short = alignment_distance(a, b, &matrix, gaps, &mut ws);
+    let explicit = alignment_distance_with(a, b, &matrix, gaps, full, &mut arena, &mut we);
+    assert_eq!((short, ws), (explicit, we));
+
+    let (mut ws, mut we) = (Work::ZERO, Work::ZERO);
+    let short = alignment_distance_matrix(&seqs, &matrix, gaps, &mut ws);
+    let explicit = alignment_distance_matrix_with(&seqs, &matrix, gaps, full, &mut we);
+    assert_eq!((short, ws), (explicit, we));
+
+    let engine = align::MuscleLite::fast();
+    let (msa_a, msa_b) = (engine.align(&seqs[..3]), engine.align(&seqs[3..]));
+    let mut w = Work::ZERO;
+    let (pa, pb) = (Profile::from_msa(&msa_a, &mut w), Profile::from_msa(&msa_b, &mut w));
+    assert_eq!(
+        align_profiles(&pa, &pb, &matrix, gaps),
+        align_profiles_with(&pa, &pb, &matrix, gaps, full, &mut arena)
+    );
+
+    let (mut ws, mut we) = (Work::ZERO, Work::ZERO);
+    let short = align_and_merge(&msa_a, &msa_b, &matrix, gaps, &mut ws);
+    let explicit = align_and_merge_with(&msa_a, &msa_b, &matrix, gaps, full, &mut arena, &mut we);
+    assert_eq!((&short, ws), (&explicit, we));
+
+    let mut w = Work::ZERO;
+    let k = engine.kmer_k;
+    let tree =
+        phylo::upgma(&align::distance::kmer_distance_matrix(&seqs, k, engine.alphabet, &mut w));
+    let cfg = ProgressiveConfig { dp: full, ..ProgressiveConfig::default() };
+    let (mut ws, mut we) = (Work::ZERO, Work::ZERO);
+    let draft = progressive_align(&seqs, &tree, &cfg, &mut ws);
+    let explicit = progressive_align_with(&seqs, &tree, &cfg, &mut arena, &mut we);
+    assert_eq!((&draft, ws), (&explicit, we));
+
+    let ids: Vec<String> = seqs.iter().map(|s| s.id.clone()).collect();
+    let short = refine(&draft, &tree, &ids, &matrix, gaps, 2);
+    let explicit = refine_with(&draft, &tree, &ids, &matrix, gaps, 2, full, &mut arena);
+    assert_eq!(
+        (&short.msa, short.passes, short.improvements, short.work),
+        (&explicit.msa, explicit.passes, explicit.improvements, explicit.work)
+    );
+
+    let short = leave_one_out(&draft, &matrix, gaps, 1);
+    let explicit = leave_one_out_with(&draft, &matrix, gaps, 1, full, &mut arena);
+    assert_eq!(
+        (&short.msa, short.improvements, short.work),
+        (&explicit.msa, explicit.improvements, explicit.work)
     );
 }

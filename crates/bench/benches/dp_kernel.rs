@@ -14,9 +14,9 @@
 //! entry per (case, band, kernel) with cells/sec and median wall time —
 //! the committed baseline future kernel work has to beat.
 
-use align::dp::{BandPolicy, DpArena, DpKernel};
-use align::pairwise::global_align_with_kernel;
-use align::papro::align_profiles_with_kernel;
+use align::dp::{BandPolicy, DpArena, DpKernel, DpOptions};
+use align::pairwise::global_align_with;
+use align::papro::align_profiles_with;
 use align::{MsaEngine, MuscleLite, Profile};
 use bioseq::{GapPenalties, Sequence, SubstMatrix, Work};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -91,7 +91,7 @@ fn bench(c: &mut Criterion) {
 
     // Cell accounting: the acceptance bar for the banded kernel.
     let ga = |band, kernel, arena: &mut DpArena| {
-        global_align_with_kernel(&long_a, &long_b, &matrix, gaps, band, kernel, arena)
+        global_align_with(&long_a, &long_b, &matrix, gaps, DpOptions { band, kernel }, arena)
     };
     let full = ga(BandPolicy::Full, DpKernel::Scalar, &mut arena);
     let auto = ga(BandPolicy::Auto, DpKernel::Scalar, &mut arena);
@@ -136,13 +136,12 @@ fn bench(c: &mut Criterion) {
         for (band_label, band) in BANDS {
             c.bench_function(&format!("dp_kernel/global_600_{band_label}_{kernel_label}"), |bch| {
                 bch.iter(|| {
-                    global_align_with_kernel(
+                    global_align_with(
                         std::hint::black_box(&long_a),
                         &long_b,
                         &matrix,
                         gaps,
-                        band,
-                        kernel,
+                        DpOptions { band, kernel },
                         &mut arena,
                     )
                 })
@@ -150,13 +149,12 @@ fn bench(c: &mut Criterion) {
         }
         c.bench_function(&format!("dp_kernel/profile_8x8_L300_auto_{kernel_label}"), |bch| {
             bch.iter(|| {
-                align_profiles_with_kernel(
+                align_profiles_with(
                     std::hint::black_box(&pa),
                     &pb,
                     &matrix,
                     gaps,
-                    BandPolicy::Auto,
-                    kernel,
+                    DpOptions { band: BandPolicy::Auto, kernel },
                     &mut arena,
                 )
             })
@@ -173,17 +171,15 @@ fn bench(c: &mut Criterion) {
     ] {
         for (band_label, band) in BANDS {
             for (kernel_label, kernel) in KERNELS {
-                let cells = global_align_with_kernel(a, b, &matrix, gaps, band, kernel, &mut arena)
-                    .work
-                    .dp_cells;
+                let dp = DpOptions { band, kernel };
+                let cells = global_align_with(a, b, &matrix, gaps, dp, &mut arena).work.dp_cells;
                 let seconds = median_seconds(9, || {
-                    std::hint::black_box(global_align_with_kernel(
+                    std::hint::black_box(global_align_with(
                         std::hint::black_box(a),
                         b,
                         &matrix,
                         gaps,
-                        band,
-                        kernel,
+                        dp,
                         &mut arena,
                     ));
                 });
@@ -199,18 +195,15 @@ fn bench(c: &mut Criterion) {
     }
     for (band_label, band) in BANDS {
         for (kernel_label, kernel) in KERNELS {
-            let cells =
-                align_profiles_with_kernel(&pa, &pb, &matrix, gaps, band, kernel, &mut arena)
-                    .work
-                    .dp_cells;
+            let dp = DpOptions { band, kernel };
+            let cells = align_profiles_with(&pa, &pb, &matrix, gaps, dp, &mut arena).work.dp_cells;
             let seconds = median_seconds(9, || {
-                std::hint::black_box(align_profiles_with_kernel(
+                std::hint::black_box(align_profiles_with(
                     std::hint::black_box(&pa),
                     &pb,
                     &matrix,
                     gaps,
-                    band,
-                    kernel,
+                    dp,
                     &mut arena,
                 ));
             });

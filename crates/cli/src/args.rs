@@ -1,5 +1,10 @@
 //! Hand-rolled argument parsing (keeps the dependency set to the approved
 //! crates).
+//!
+//! `align`, `batch`, `reads` and `serve` all run the pipeline, so they
+//! share one block of flags: [`PipelineFlags`], parsed by one matcher and
+//! checked by one post-parse rule set here, and turned into a `SadConfig`
+//! plus backend in one place in [`crate::cmd`].
 
 use align::{BandPolicy, DpKernel, EngineChoice};
 
@@ -13,19 +18,16 @@ pub struct Args {
 /// One subcommand.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
-    /// `sad align <in.fasta> [--backend B] [--p N] [--threads N] [--nodes N]
-    /// [--engine E] [--no-fine-tune] [--kernel K] [--progress]
+    /// `sad align <in.fasta> [pipeline flags] [--progress]
     /// [--vertical [--max-block N] [--seam-window W]]`
     Align(AlignArgs),
-    /// `sad batch <dir-or-manifest> [--out DIR] [--jobs N] [--backend B]
-    /// [--p N] [--threads N] [--nodes N] [--engine E] [--no-fine-tune]
-    /// [--kmer K] [--band B] [--kernel K] [--progress]`
+    /// `sad batch <dir-or-manifest> [--out DIR] [--jobs N] [pipeline flags]
+    /// [--progress]`
     Batch(BatchArgs),
     /// `sad reads [in.fasta] [--reads N] [--coverage C] [--read-len L]
     /// [--error-rate E] [--sources N] [--source-len L] [--seed S]
-    /// [--max-bucket N|none] [--min-q Q] [--out FILE] [--backend B]
-    /// [--p N] [--threads N] [--nodes N] [--engine E] [--kmer K]
-    /// [--band B] [--kernel K] [--no-fine-tune] [--progress]`
+    /// [--max-bucket N|none] [--min-q Q] [--out FILE] [pipeline flags]
+    /// [--progress]`
     Reads(ReadsArgs),
     /// `sad trim <aligned.fa> [--out FILE] [--max-dropped N]
     /// [--branch-bound]`
@@ -39,32 +41,37 @@ pub enum Command {
     /// `sad rank <in.fasta> [--p N]`
     Rank(RankArgs),
     /// `sad serve [--host H] [--port N] [--journal FILE] [--out DIR]
-    /// [--workers N] [--queue N] [--backend B] [--p N] [--threads N]
-    /// [--nodes N] [--engine E] [--kmer K] [--band B] [--kernel K]
-    /// [--no-fine-tune]`
+    /// [--workers N] [--queue N] [--cache-mb N] [pipeline flags]`
     Serve(ServeArgs),
     /// `sad submit <files...> [--host H] [--port N] [--out DIR]
     /// [--priority N] [--cancel ID] [--shutdown]`
     Submit(SubmitArgs),
+    /// `sad --help` / `-h` / `help`: print [`USAGE`] and succeed.
+    Help,
 }
 
-/// Options of `sad align`.
+/// The flags every pipeline-running command (`align`, `batch`, `reads`,
+/// `serve`) takes, with one meaning everywhere. The four `*Args` structs
+/// deref to this, so `a.engine` or `a.parallelism()` read the same on all
+/// of them.
 #[derive(Debug, Clone, PartialEq)]
-pub struct AlignArgs {
-    /// Input FASTA path.
-    pub input: String,
-    /// Generic parallelism (`--p`): ranks/buckets when no backend-specific
-    /// flag is given.
+pub struct PipelineFlags {
+    /// Generic parallelism (`--p`, default 4): ranks/buckets when no
+    /// backend-specific width flag is given.
     pub p: usize,
     /// Rayon bucket count (`--threads`), overriding `--p`.
     pub threads: Option<usize>,
     /// Virtual cluster size (`--nodes`), overriding `--p`.
     pub nodes: Option<usize>,
-    /// Engine selection.
-    pub engine: EngineChoice,
-    /// Execution backend.
+    /// Execution backend (`--backend`). The default is per command:
+    /// `align` decomposes on `distributed` (`rayon` under `--vertical`),
+    /// `reads` on `rayon`, while `batch` and `serve` default to
+    /// `sequential` — their throughput comes from concurrent jobs
+    /// (`--jobs` / `--workers`), not from decomposing each job.
     pub backend: Backend,
-    /// Disable the ancestor fine-tuning step.
+    /// Engine selection (`--engine`).
+    pub engine: EngineChoice,
+    /// Disable the ancestor fine-tuning step (`--no-fine-tune`).
     pub no_fine_tune: bool,
     /// k-mer length override (`--kmer`); `None` keeps the paper default.
     /// Inputs with sequences shorter than the k-mer length are rejected,
@@ -74,6 +81,134 @@ pub struct AlignArgs {
     pub band: BandPolicy,
     /// DP kernel variant (`--kernel scalar|striped|auto`).
     pub kernel: DpKernel,
+    /// Run the MaxAlign-style area-maximizing trim stage on every
+    /// finished alignment (`--trim`).
+    pub trim: bool,
+}
+
+impl PipelineFlags {
+    /// Effective decomposition width for the selected backend.
+    pub fn parallelism(&self) -> usize {
+        match self.backend {
+            Backend::Sequential => 1,
+            Backend::Rayon => self.threads.unwrap_or(self.p),
+            Backend::Distributed => self.nodes.unwrap_or(self.p),
+        }
+    }
+}
+
+/// Parse state of the shared block: the flags so far, plus `--backend`
+/// only if it was given, so each command's default (which for `align`
+/// depends on `--vertical`) is resolved once the whole line is read.
+struct PipelineParser {
+    flags: PipelineFlags,
+    backend: Option<Backend>,
+}
+
+impl PipelineParser {
+    fn new() -> Self {
+        let flags = PipelineFlags {
+            p: 4,
+            threads: None,
+            nodes: None,
+            backend: Backend::Sequential,
+            engine: EngineChoice::MuscleFast,
+            no_fine_tune: false,
+            kmer: None,
+            band: BandPolicy::default(),
+            kernel: DpKernel::default(),
+            trim: false,
+        };
+        PipelineParser { flags, backend: None }
+    }
+
+    /// Consume `tok` (and its value) if it is a pipeline flag; `false`
+    /// leaves it to the command.
+    fn take(&mut self, tok: &str, it: Tokens) -> Result<bool, ParseError> {
+        let f = &mut self.flags;
+        match tok {
+            "--p" => f.p = take_num(tok, it)?,
+            "--threads" => f.threads = Some(take_num(tok, it)?),
+            "--nodes" => f.nodes = Some(take_num(tok, it)?),
+            "--backend" => {
+                self.backend = Some(match take_value(tok, it)? {
+                    "sequential" => Backend::Sequential,
+                    "rayon" => Backend::Rayon,
+                    // "cluster" kept as a pre-0.2 alias.
+                    "distributed" | "cluster" => Backend::Distributed,
+                    other => return Err(ParseError(format!("unknown backend {other:?}"))),
+                })
+            }
+            "--engine" => {
+                let v = take_value(tok, it)?;
+                f.engine = EngineChoice::from_label(v)
+                    .ok_or_else(|| ParseError(format!("unknown engine {v:?}")))?;
+            }
+            "--no-fine-tune" => f.no_fine_tune = true,
+            "--kmer" => f.kmer = Some(take_num(tok, it)?),
+            "--band" => {
+                let v = take_value(tok, it)?;
+                f.band = BandPolicy::parse(v).ok_or_else(|| {
+                    ParseError(format!("--band takes auto, full or a positive width, not {v:?}"))
+                })?;
+            }
+            "--kernel" => {
+                let v = take_value(tok, it)?;
+                f.kernel = DpKernel::parse(v).ok_or_else(|| {
+                    ParseError(format!("--kernel takes scalar, striped or auto, not {v:?}"))
+                })?;
+            }
+            "--trim" => f.trim = true,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// The one post-parse check. The effective backend (`--backend`, else
+    /// the command's `default_backend`) is settled first, so the width
+    /// rule judges the backend that will actually run: `--threads` and
+    /// `--nodes` each name one backend's width and are rejected anywhere
+    /// else instead of being silently ignored.
+    fn finish(self, default_backend: Backend) -> Result<PipelineFlags, ParseError> {
+        let mut f = self.flags;
+        f.backend = self.backend.unwrap_or(default_backend);
+        if f.p == 0 || f.threads == Some(0) || f.nodes == Some(0) {
+            return Err(ParseError("--p/--threads/--nodes must be at least 1".into()));
+        }
+        if f.kmer == Some(0) {
+            return Err(ParseError("--kmer must be at least 1".into()));
+        }
+        if f.threads.is_some() && f.backend != Backend::Rayon {
+            return Err(ParseError("--threads only applies to --backend rayon".into()));
+        }
+        if f.nodes.is_some() && f.backend != Backend::Distributed {
+            return Err(ParseError("--nodes only applies to --backend distributed".into()));
+        }
+        Ok(f)
+    }
+}
+
+/// The pipeline-running commands read their [`PipelineFlags`] as their
+/// own fields and methods.
+macro_rules! deref_to_pipeline {
+    ($($args:ty),*) => {$(
+        impl std::ops::Deref for $args {
+            type Target = PipelineFlags;
+            fn deref(&self) -> &PipelineFlags {
+                &self.pipeline
+            }
+        }
+    )*};
+}
+deref_to_pipeline!(AlignArgs, BatchArgs, ReadsArgs, ServeArgs);
+
+/// Options of `sad align`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct AlignArgs {
+    /// Input FASTA path.
+    pub input: String,
+    /// The shared pipeline flags.
+    pub pipeline: PipelineFlags,
     /// Stream a live per-phase progress display to stderr (`--progress`),
     /// built on the pipeline observer API.
     pub progress: bool,
@@ -86,20 +221,6 @@ pub struct AlignArgs {
     /// Seam-polish half-window (`--seam-window W`; requires `--vertical`;
     /// `0` disables seam refinement).
     pub seam_window: Option<usize>,
-    /// Run the MaxAlign-style area-maximizing trim stage on the finished
-    /// alignment (`--trim`).
-    pub trim: bool,
-}
-
-impl AlignArgs {
-    /// Effective decomposition width for the selected backend.
-    pub fn parallelism(&self) -> usize {
-        match self.backend {
-            Backend::Sequential => 1,
-            Backend::Rayon => self.threads.unwrap_or(self.p),
-            Backend::Distributed => self.nodes.unwrap_or(self.p),
-        }
-    }
 }
 
 /// Options of `sad batch`.
@@ -116,42 +237,10 @@ pub struct BatchArgs {
     /// Concurrent jobs in flight (`--jobs`); defaults to the host's
     /// available parallelism.
     pub jobs: Option<usize>,
-    /// Generic per-job parallelism (`--p`), as in `sad align`.
-    pub p: usize,
-    /// Rayon bucket count (`--threads`), overriding `--p`.
-    pub threads: Option<usize>,
-    /// Virtual cluster size (`--nodes`), overriding `--p`.
-    pub nodes: Option<usize>,
-    /// Engine selection.
-    pub engine: EngineChoice,
-    /// Per-job execution backend. Unlike `sad align` this defaults to
-    /// `sequential`: batch throughput comes from running jobs
-    /// concurrently (`--jobs`), not from decomposing each job.
-    pub backend: Backend,
-    /// Disable the ancestor fine-tuning step.
-    pub no_fine_tune: bool,
-    /// k-mer length override (`--kmer`).
-    pub kmer: Option<usize>,
-    /// DP kernel band policy (`--band auto|full|<width>`).
-    pub band: BandPolicy,
-    /// DP kernel variant (`--kernel scalar|striped|auto`).
-    pub kernel: DpKernel,
+    /// The shared pipeline flags, applied to every job.
+    pub pipeline: PipelineFlags,
     /// Stream job/phase progress to stderr (`--progress`).
     pub progress: bool,
-    /// Run the area-maximizing trim stage on every job's alignment
-    /// (`--trim`).
-    pub trim: bool,
-}
-
-impl BatchArgs {
-    /// Effective per-job decomposition width for the selected backend.
-    pub fn parallelism(&self) -> usize {
-        match self.backend {
-            Backend::Sequential => 1,
-            Backend::Rayon => self.threads.unwrap_or(self.p),
-            Backend::Distributed => self.nodes.unwrap_or(self.p),
-        }
-    }
 }
 
 /// Options of `sad reads` — the Pyro-Align-style large-N read mode.
@@ -186,43 +275,12 @@ pub struct ReadsArgs {
     /// Write the aligned reads as gapped FASTA here (`--out`); stdout
     /// carries only the run summary either way.
     pub out: Option<String>,
-    /// Generic parallelism (`--p`): lower bound on the bucket count.
-    pub p: usize,
-    /// Rayon bucket count (`--threads`), overriding `--p`.
-    pub threads: Option<usize>,
-    /// Virtual cluster size (`--nodes`), overriding `--p`.
-    pub nodes: Option<usize>,
-    /// Engine selection.
-    pub engine: EngineChoice,
-    /// Execution backend; defaults to `rayon`.
-    pub backend: Backend,
-    /// Disable the ancestor fine-tuning step.
-    pub no_fine_tune: bool,
-    /// k-mer length override (`--kmer`); reads shorter than `k` are
-    /// rejected, so very short reads need a smaller `k`.
-    pub kmer: Option<usize>,
-    /// DP kernel band policy (`--band auto|full|<width>`).
-    pub band: BandPolicy,
-    /// DP kernel variant (`--kernel scalar|striped|auto`).
-    pub kernel: DpKernel,
+    /// The shared pipeline flags. [`PipelineFlags::parallelism`] is the
+    /// user-requested width; the command widens it to `reads / max_bucket`
+    /// so first-pass blocks already approach the cap.
+    pub pipeline: PipelineFlags,
     /// Stream a live per-phase progress display to stderr (`--progress`).
     pub progress: bool,
-    /// Run the area-maximizing trim stage on the finished alignment
-    /// (`--trim`).
-    pub trim: bool,
-}
-
-impl ReadsArgs {
-    /// User-requested decomposition width for the selected backend (the
-    /// command widens this to `reads / max_bucket` so first-pass blocks
-    /// already approach the cap).
-    pub fn parallelism(&self) -> usize {
-        match self.backend {
-            Backend::Sequential => 1,
-            Backend::Rayon => self.threads.unwrap_or(self.p),
-            Backend::Distributed => self.nodes.unwrap_or(self.p),
-        }
-    }
 }
 
 /// Options of `sad trim` — MaxAlign-style area optimization over an
@@ -314,36 +372,8 @@ pub struct ServeArgs {
     /// Result-cache budget in MiB (`--cache-mb`, default 64); the
     /// in-memory result cache evicts least-recently-used entries past it.
     pub cache_mb: usize,
-    /// Per-job execution backend; defaults to `sequential` like `sad
-    /// batch` (throughput comes from `--workers`, not per-job width).
-    pub backend: Backend,
-    /// Generic per-job parallelism (`--p`), as in `sad align`.
-    pub p: usize,
-    /// Rayon bucket count (`--threads`), overriding `--p`.
-    pub threads: Option<usize>,
-    /// Virtual cluster size (`--nodes`), overriding `--p`.
-    pub nodes: Option<usize>,
-    /// Engine selection.
-    pub engine: EngineChoice,
-    /// k-mer length override (`--kmer`).
-    pub kmer: Option<usize>,
-    /// DP kernel band policy (`--band auto|full|<width>`).
-    pub band: BandPolicy,
-    /// DP kernel variant (`--kernel scalar|striped|auto`).
-    pub kernel: DpKernel,
-    /// Disable the ancestor fine-tuning step.
-    pub no_fine_tune: bool,
-}
-
-impl ServeArgs {
-    /// Effective per-job decomposition width for the selected backend.
-    pub fn parallelism(&self) -> usize {
-        match self.backend {
-            Backend::Sequential => 1,
-            Backend::Rayon => self.threads.unwrap_or(self.p),
-            Backend::Distributed => self.nodes.unwrap_or(self.p),
-        }
-    }
+    /// The shared pipeline flags, applied to every served job.
+    pub pipeline: PipelineFlags,
 }
 
 /// Options of `sad submit`.
@@ -381,77 +411,50 @@ impl std::fmt::Display for ParseError {
 /// Usage text.
 pub const USAGE: &str = "\
 usage: sad <command> [options]
-  align <in.fasta> [--backend sequential|rayon|distributed] [--p N]
-                   [--threads N] [--nodes N] [--no-fine-tune] [--kmer K]
-                   [--engine muscle-fast|muscle|clustalw]
-                   [--band auto|full|<width>]
-                   [--kernel scalar|striped|auto] [--progress] [--trim]
+  align <in.fasta> [pipeline flags] [--progress]
                    [--vertical [--max-block N] [--seam-window W]]
                    (--vertical needs sequential or rayon; defaults to rayon)
-  batch <dir|manifest> [--out DIR] [--jobs N]
-                   [--backend sequential|rayon|distributed] [--p N]
-                   [--threads N] [--nodes N] [--no-fine-tune] [--kmer K]
-                   [--engine muscle-fast|muscle|clustalw]
-                   [--band auto|full|<width>]
-                   [--kernel scalar|striped|auto] [--progress] [--trim]
+  batch <dir|manifest> [--out DIR] [--jobs N] [pipeline flags] [--progress]
   reads [in.fasta] [--reads N] [--coverage C] [--read-len L] [--error-rate E]
                    [--sources N] [--source-len L] [--seed S]
                    [--max-bucket N|none] [--min-q Q] [--out FILE]
-                   [--backend sequential|rayon|distributed] [--p N]
-                   [--threads N] [--nodes N] [--no-fine-tune] [--kmer K]
-                   [--engine muscle-fast|muscle|clustalw]
-                   [--band auto|full|<width>]
-                   [--kernel scalar|striped|auto] [--progress] [--trim]
+                   [pipeline flags] [--progress]
   trim <aligned.fa> [--out FILE] [--max-dropped N] [--branch-bound]
   generate [--n N] [--len L] [--relatedness R] [--seed S] [--reference PATH]
   scaling  [--n N] [--procs 1,4,8,16]
   eval     [--cases C] [--p N]
   rank <in.fasta> [--p N]
   serve    [--host H] [--port N] [--journal FILE] [--out DIR] [--workers N]
-                   [--queue N] [--cache-mb N]
-                   [--backend sequential|rayon|distributed]
-                   [--p N] [--threads N] [--nodes N] [--no-fine-tune]
-                   [--kmer K] [--engine muscle-fast|muscle|clustalw]
-                   [--band auto|full|<width>]
-                   [--kernel scalar|striped|auto]
+                   [--queue N] [--cache-mb N] [pipeline flags]
   submit <files...> [--host H] [--port N] [--out DIR] [--priority N]
                    [--cancel ID] [--shutdown]
+  help | --help | -h
+pipeline flags (align, batch, reads, serve):
+                   [--backend sequential|rayon|distributed] [--p N]
+                   [--threads N] [--nodes N] [--no-fine-tune] [--kmer K]
+                   [--engine muscle-fast|muscle|clustalw]
+                   [--band auto|full|<width>]
+                   [--kernel scalar|striped|auto] [--trim]
 ";
 
-fn take_value<'a, I: Iterator<Item = &'a str>>(
-    flag: &str,
-    it: &mut I,
-) -> Result<&'a str, ParseError> {
-    it.next().ok_or_else(|| ParseError(format!("{flag} needs a value")))
-}
+/// The rest of the command line, as the flag parsers consume it.
+type Tokens<'a, 'i> = &'i mut dyn Iterator<Item = &'a str>;
 
-/// `--threads` and `--nodes` each name one backend's width; reject them
-/// anywhere else instead of silently ignoring them.
-fn check_width_flags(
-    backend: Backend,
-    threads: Option<usize>,
-    nodes: Option<usize>,
-) -> Result<(), ParseError> {
-    if threads.is_some() && backend != Backend::Rayon {
-        return Err(ParseError("--threads only applies to --backend rayon".into()));
-    }
-    if nodes.is_some() && backend != Backend::Distributed {
-        return Err(ParseError("--nodes only applies to --backend distributed".into()));
-    }
-    Ok(())
+fn take_value<'a>(flag: &str, it: Tokens<'a, '_>) -> Result<&'a str, ParseError> {
+    it.next().ok_or_else(|| ParseError(format!("{flag} needs a value")))
 }
 
 fn parse_num<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, ParseError> {
     v.parse().map_err(|_| ParseError(format!("{flag}: cannot parse {v:?}")))
 }
 
-fn parse_engine(v: &str) -> Result<EngineChoice, ParseError> {
-    EngineChoice::from_label(v).ok_or_else(|| ParseError(format!("unknown engine {v:?}")))
+/// The numeric value following `flag`.
+fn take_num<T: std::str::FromStr>(flag: &str, it: Tokens) -> Result<T, ParseError> {
+    parse_num(flag, take_value(flag, it)?)
 }
 
-fn parse_kernel(v: &str) -> Result<DpKernel, ParseError> {
-    DpKernel::parse(v)
-        .ok_or_else(|| ParseError(format!("--kernel takes scalar, striped or auto, not {v:?}")))
+fn unexpected(tok: &str) -> ParseError {
+    ParseError(format!("unexpected argument {tok:?}"))
 }
 
 /// Parse a full argument vector (without the binary name).
@@ -460,176 +463,81 @@ pub fn parse<'a>(argv: impl IntoIterator<Item = &'a str>) -> Result<Args, ParseE
     let cmd = it.next().ok_or_else(|| ParseError("missing command".into()))?;
     match cmd {
         "align" => {
+            let mut pipeline = PipelineParser::new();
             let mut input = None;
             let mut a = AlignArgs {
                 input: String::new(),
-                p: 4,
-                threads: None,
-                nodes: None,
-                engine: EngineChoice::MuscleFast,
-                backend: Backend::Distributed,
-                no_fine_tune: false,
-                kmer: None,
-                band: BandPolicy::default(),
-                kernel: DpKernel::default(),
+                pipeline: pipeline.flags.clone(),
                 progress: false,
                 vertical: false,
                 max_block: None,
                 seam_window: None,
-                trim: false,
             };
-            let mut backend_set = false;
             while let Some(tok) = it.next() {
                 match tok {
-                    "--p" => a.p = parse_num("--p", take_value("--p", &mut it)?)?,
                     "--vertical" => a.vertical = true,
-                    "--max-block" => {
-                        a.max_block =
-                            Some(parse_num("--max-block", take_value("--max-block", &mut it)?)?)
-                    }
-                    "--seam-window" => {
-                        a.seam_window =
-                            Some(parse_num("--seam-window", take_value("--seam-window", &mut it)?)?)
-                    }
-                    "--kmer" => a.kmer = Some(parse_num("--kmer", take_value("--kmer", &mut it)?)?),
-                    "--band" => {
-                        let v = take_value("--band", &mut it)?;
-                        a.band = BandPolicy::parse(v).ok_or_else(|| {
-                            ParseError(format!(
-                                "--band takes auto, full or a positive width, not {v:?}"
-                            ))
-                        })?;
-                    }
-                    "--kernel" => a.kernel = parse_kernel(take_value("--kernel", &mut it)?)?,
-                    "--threads" => {
-                        a.threads = Some(parse_num("--threads", take_value("--threads", &mut it)?)?)
-                    }
-                    "--nodes" => {
-                        a.nodes = Some(parse_num("--nodes", take_value("--nodes", &mut it)?)?)
-                    }
-                    "--engine" => a.engine = parse_engine(take_value("--engine", &mut it)?)?,
-                    "--backend" => {
-                        backend_set = true;
-                        a.backend = match take_value("--backend", &mut it)? {
-                            "sequential" => Backend::Sequential,
-                            "rayon" => Backend::Rayon,
-                            // "cluster" kept as a pre-0.2 alias.
-                            "distributed" | "cluster" => Backend::Distributed,
-                            other => return Err(ParseError(format!("unknown backend {other:?}"))),
-                        }
-                    }
-                    "--no-fine-tune" => a.no_fine_tune = true,
+                    "--max-block" => a.max_block = Some(take_num(tok, &mut it)?),
+                    "--seam-window" => a.seam_window = Some(take_num(tok, &mut it)?),
                     "--progress" => a.progress = true,
-                    "--trim" => a.trim = true,
-                    other if !other.starts_with("--") && input.is_none() => {
-                        input = Some(other.to_string())
+                    tok if pipeline.take(tok, &mut it)? => {}
+                    tok if !tok.starts_with("--") && input.is_none() => {
+                        input = Some(tok.to_string())
                     }
-                    other => return Err(ParseError(format!("unexpected argument {other:?}"))),
+                    tok => return Err(unexpected(tok)),
                 }
             }
             a.input = input.ok_or_else(|| ParseError("align needs an input file".into()))?;
-            if a.p == 0 || a.threads == Some(0) || a.nodes == Some(0) {
-                return Err(ParseError("--p/--threads/--nodes must be at least 1".into()));
-            }
-            if a.kmer == Some(0) {
-                return Err(ParseError("--kmer must be at least 1".into()));
-            }
-            check_width_flags(a.backend, a.threads, a.nodes)?;
+            // The distributed default rejects vertical mode; run the
+            // blocks on the shared-memory pool instead.
+            a.pipeline =
+                pipeline.finish(if a.vertical { Backend::Rayon } else { Backend::Distributed })?;
             if !a.vertical && (a.max_block.is_some() || a.seam_window.is_some()) {
                 return Err(ParseError("--max-block/--seam-window require --vertical".into()));
             }
             if a.max_block == Some(0) {
                 return Err(ParseError("--max-block must be at least 1".into()));
             }
-            if a.vertical {
-                if a.backend == Backend::Distributed && backend_set {
-                    return Err(ParseError(
-                        "--vertical is not supported on the distributed backend \
-                         (use --backend sequential or rayon)"
-                            .into(),
-                    ));
-                }
-                if !backend_set {
-                    // The distributed default rejects vertical mode; run the
-                    // blocks on the shared-memory pool instead.
-                    a.backend = Backend::Rayon;
-                }
+            if a.vertical && a.backend == Backend::Distributed {
+                return Err(ParseError(
+                    "--vertical is not supported on the distributed backend \
+                     (use --backend sequential or rayon)"
+                        .into(),
+                ));
             }
             Ok(Args { command: Command::Align(a) })
         }
         "batch" => {
+            let mut pipeline = PipelineParser::new();
             let mut input = None;
             let mut b = BatchArgs {
                 input: String::new(),
                 out_dir: ".".into(),
                 jobs: None,
-                p: 4,
-                threads: None,
-                nodes: None,
-                engine: EngineChoice::MuscleFast,
-                backend: Backend::Sequential,
-                no_fine_tune: false,
-                kmer: None,
-                band: BandPolicy::default(),
-                kernel: DpKernel::default(),
+                pipeline: pipeline.flags.clone(),
                 progress: false,
-                trim: false,
             };
             while let Some(tok) = it.next() {
                 match tok {
-                    "--out" => b.out_dir = take_value("--out", &mut it)?.to_string(),
-                    "--jobs" => b.jobs = Some(parse_num("--jobs", take_value("--jobs", &mut it)?)?),
-                    "--p" => b.p = parse_num("--p", take_value("--p", &mut it)?)?,
-                    "--kmer" => b.kmer = Some(parse_num("--kmer", take_value("--kmer", &mut it)?)?),
-                    "--band" => {
-                        let v = take_value("--band", &mut it)?;
-                        b.band = BandPolicy::parse(v).ok_or_else(|| {
-                            ParseError(format!(
-                                "--band takes auto, full or a positive width, not {v:?}"
-                            ))
-                        })?;
-                    }
-                    "--kernel" => b.kernel = parse_kernel(take_value("--kernel", &mut it)?)?,
-                    "--threads" => {
-                        b.threads = Some(parse_num("--threads", take_value("--threads", &mut it)?)?)
-                    }
-                    "--nodes" => {
-                        b.nodes = Some(parse_num("--nodes", take_value("--nodes", &mut it)?)?)
-                    }
-                    "--engine" => b.engine = parse_engine(take_value("--engine", &mut it)?)?,
-                    "--backend" => {
-                        b.backend = match take_value("--backend", &mut it)? {
-                            "sequential" => Backend::Sequential,
-                            "rayon" => Backend::Rayon,
-                            "distributed" | "cluster" => Backend::Distributed,
-                            other => return Err(ParseError(format!("unknown backend {other:?}"))),
-                        }
-                    }
-                    "--no-fine-tune" => b.no_fine_tune = true,
+                    "--out" => b.out_dir = take_value(tok, &mut it)?.to_string(),
+                    "--jobs" => b.jobs = Some(take_num(tok, &mut it)?),
                     "--progress" => b.progress = true,
-                    "--trim" => b.trim = true,
-                    other if !other.starts_with("--") && input.is_none() => {
-                        input = Some(other.to_string())
+                    tok if pipeline.take(tok, &mut it)? => {}
+                    tok if !tok.starts_with("--") && input.is_none() => {
+                        input = Some(tok.to_string())
                     }
-                    other => return Err(ParseError(format!("unexpected argument {other:?}"))),
+                    tok => return Err(unexpected(tok)),
                 }
             }
             b.input =
                 input.ok_or_else(|| ParseError("batch needs a directory or manifest".into()))?;
-            if b.p == 0 || b.threads == Some(0) || b.nodes == Some(0) {
-                return Err(ParseError("--p/--threads/--nodes must be at least 1".into()));
-            }
+            b.pipeline = pipeline.finish(Backend::Sequential)?;
             if b.jobs == Some(0) {
                 return Err(ParseError("--jobs must be at least 1".into()));
             }
-            if b.kmer == Some(0) {
-                return Err(ParseError("--kmer must be at least 1".into()));
-            }
-            check_width_flags(b.backend, b.threads, b.nodes)?;
             Ok(Args { command: Command::Batch(b) })
         }
         "reads" => {
-            let mut input = None;
+            let mut pipeline = PipelineParser::new();
             let mut r = ReadsArgs {
                 input: None,
                 max_bucket: Some(512),
@@ -642,98 +550,40 @@ pub fn parse<'a>(argv: impl IntoIterator<Item = &'a str>) -> Result<Args, ParseE
                 seed: 0,
                 min_q: None,
                 out: None,
-                p: 4,
-                threads: None,
-                nodes: None,
-                engine: EngineChoice::MuscleFast,
-                backend: Backend::Rayon,
-                no_fine_tune: false,
-                kmer: None,
-                band: BandPolicy::default(),
-                kernel: DpKernel::default(),
+                pipeline: pipeline.flags.clone(),
                 progress: false,
-                trim: false,
             };
             while let Some(tok) = it.next() {
                 match tok {
                     "--max-bucket" => {
-                        r.max_bucket = match take_value("--max-bucket", &mut it)? {
+                        r.max_bucket = match take_value(tok, &mut it)? {
                             "none" => None,
-                            v => Some(parse_num("--max-bucket", v)?),
+                            v => Some(parse_num(tok, v)?),
                         }
                     }
-                    "--reads" => {
-                        r.reads = Some(parse_num("--reads", take_value("--reads", &mut it)?)?)
-                    }
-                    "--coverage" => {
-                        r.coverage = parse_num("--coverage", take_value("--coverage", &mut it)?)?
-                    }
-                    "--read-len" => {
-                        r.read_len = parse_num("--read-len", take_value("--read-len", &mut it)?)?
-                    }
-                    "--error-rate" => {
-                        r.error_rate =
-                            parse_num("--error-rate", take_value("--error-rate", &mut it)?)?
-                    }
-                    "--sources" => {
-                        r.sources = parse_num("--sources", take_value("--sources", &mut it)?)?
-                    }
-                    "--source-len" => {
-                        r.source_len =
-                            parse_num("--source-len", take_value("--source-len", &mut it)?)?
-                    }
-                    "--seed" => r.seed = parse_num("--seed", take_value("--seed", &mut it)?)?,
-                    "--min-q" => {
-                        r.min_q = Some(parse_num("--min-q", take_value("--min-q", &mut it)?)?)
-                    }
-                    "--out" => r.out = Some(take_value("--out", &mut it)?.to_string()),
-                    "--p" => r.p = parse_num("--p", take_value("--p", &mut it)?)?,
-                    "--kmer" => r.kmer = Some(parse_num("--kmer", take_value("--kmer", &mut it)?)?),
-                    "--band" => {
-                        let v = take_value("--band", &mut it)?;
-                        r.band = BandPolicy::parse(v).ok_or_else(|| {
-                            ParseError(format!(
-                                "--band takes auto, full or a positive width, not {v:?}"
-                            ))
-                        })?;
-                    }
-                    "--kernel" => r.kernel = parse_kernel(take_value("--kernel", &mut it)?)?,
-                    "--threads" => {
-                        r.threads = Some(parse_num("--threads", take_value("--threads", &mut it)?)?)
-                    }
-                    "--nodes" => {
-                        r.nodes = Some(parse_num("--nodes", take_value("--nodes", &mut it)?)?)
-                    }
-                    "--engine" => r.engine = parse_engine(take_value("--engine", &mut it)?)?,
-                    "--backend" => {
-                        r.backend = match take_value("--backend", &mut it)? {
-                            "sequential" => Backend::Sequential,
-                            "rayon" => Backend::Rayon,
-                            "distributed" | "cluster" => Backend::Distributed,
-                            other => return Err(ParseError(format!("unknown backend {other:?}"))),
-                        }
-                    }
-                    "--no-fine-tune" => r.no_fine_tune = true,
+                    "--reads" => r.reads = Some(take_num(tok, &mut it)?),
+                    "--coverage" => r.coverage = take_num(tok, &mut it)?,
+                    "--read-len" => r.read_len = take_num(tok, &mut it)?,
+                    "--error-rate" => r.error_rate = take_num(tok, &mut it)?,
+                    "--sources" => r.sources = take_num(tok, &mut it)?,
+                    "--source-len" => r.source_len = take_num(tok, &mut it)?,
+                    "--seed" => r.seed = take_num(tok, &mut it)?,
+                    "--min-q" => r.min_q = Some(take_num(tok, &mut it)?),
+                    "--out" => r.out = Some(take_value(tok, &mut it)?.to_string()),
                     "--progress" => r.progress = true,
-                    "--trim" => r.trim = true,
-                    other if !other.starts_with("--") && input.is_none() => {
-                        input = Some(other.to_string())
+                    tok if pipeline.take(tok, &mut it)? => {}
+                    tok if !tok.starts_with("--") && r.input.is_none() => {
+                        r.input = Some(tok.to_string())
                     }
-                    other => return Err(ParseError(format!("unexpected argument {other:?}"))),
+                    tok => return Err(unexpected(tok)),
                 }
             }
-            r.input = input;
-            if r.p == 0 || r.threads == Some(0) || r.nodes == Some(0) {
-                return Err(ParseError("--p/--threads/--nodes must be at least 1".into()));
-            }
+            r.pipeline = pipeline.finish(Backend::Rayon)?;
             if r.max_bucket == Some(0) {
                 return Err(ParseError("--max-bucket must be at least 1 (or none)".into()));
             }
             if r.reads == Some(0) {
                 return Err(ParseError("--reads must be at least 1".into()));
-            }
-            if r.kmer == Some(0) {
-                return Err(ParseError("--kmer must be at least 1".into()));
             }
             if r.read_len == 0 || r.sources == 0 || r.source_len == 0 {
                 return Err(ParseError(
@@ -756,7 +606,6 @@ pub fn parse<'a>(argv: impl IntoIterator<Item = &'a str>) -> Result<Args, ParseE
                     ));
                 }
             }
-            check_width_flags(r.backend, r.threads, r.nodes)?;
             Ok(Args { command: Command::Reads(r) })
         }
         "trim" => {
@@ -769,16 +618,13 @@ pub fn parse<'a>(argv: impl IntoIterator<Item = &'a str>) -> Result<Args, ParseE
             };
             while let Some(tok) = it.next() {
                 match tok {
-                    "--out" => t.out = Some(take_value("--out", &mut it)?.to_string()),
-                    "--max-dropped" => {
-                        t.max_dropped =
-                            Some(parse_num("--max-dropped", take_value("--max-dropped", &mut it)?)?)
-                    }
+                    "--out" => t.out = Some(take_value(tok, &mut it)?.to_string()),
+                    "--max-dropped" => t.max_dropped = Some(take_num(tok, &mut it)?),
                     "--branch-bound" => t.branch_bound = true,
-                    other if !other.starts_with("--") && input.is_none() => {
-                        input = Some(other.to_string())
+                    tok if !tok.starts_with("--") && input.is_none() => {
+                        input = Some(tok.to_string())
                     }
-                    other => return Err(ParseError(format!("unexpected argument {other:?}"))),
+                    tok => return Err(unexpected(tok)),
                 }
             }
             t.input = input.ok_or_else(|| ParseError("trim needs an aligned FASTA file".into()))?;
@@ -789,17 +635,12 @@ pub fn parse<'a>(argv: impl IntoIterator<Item = &'a str>) -> Result<Args, ParseE
                 GenerateArgs { n: 100, len: 300, relatedness: 800.0, seed: 0, reference: None };
             while let Some(tok) = it.next() {
                 match tok {
-                    "--n" => g.n = parse_num("--n", take_value("--n", &mut it)?)?,
-                    "--len" => g.len = parse_num("--len", take_value("--len", &mut it)?)?,
-                    "--relatedness" => {
-                        g.relatedness =
-                            parse_num("--relatedness", take_value("--relatedness", &mut it)?)?
-                    }
-                    "--seed" => g.seed = parse_num("--seed", take_value("--seed", &mut it)?)?,
-                    "--reference" => {
-                        g.reference = Some(take_value("--reference", &mut it)?.to_string())
-                    }
-                    other => return Err(ParseError(format!("unexpected argument {other:?}"))),
+                    "--n" => g.n = take_num(tok, &mut it)?,
+                    "--len" => g.len = take_num(tok, &mut it)?,
+                    "--relatedness" => g.relatedness = take_num(tok, &mut it)?,
+                    "--seed" => g.seed = take_num(tok, &mut it)?,
+                    "--reference" => g.reference = Some(take_value(tok, &mut it)?.to_string()),
+                    tok => return Err(unexpected(tok)),
                 }
             }
             Ok(Args { command: Command::Generate(g) })
@@ -808,9 +649,9 @@ pub fn parse<'a>(argv: impl IntoIterator<Item = &'a str>) -> Result<Args, ParseE
             let mut s = ScalingArgs { n: 400, procs: vec![1, 4, 8, 12, 16] };
             while let Some(tok) = it.next() {
                 match tok {
-                    "--n" => s.n = parse_num("--n", take_value("--n", &mut it)?)?,
+                    "--n" => s.n = take_num(tok, &mut it)?,
                     "--procs" => {
-                        let v = take_value("--procs", &mut it)?;
+                        let v = take_value(tok, &mut it)?;
                         s.procs = v
                             .split(',')
                             .map(|x| parse_num::<usize>("--procs", x))
@@ -819,7 +660,7 @@ pub fn parse<'a>(argv: impl IntoIterator<Item = &'a str>) -> Result<Args, ParseE
                             return Err(ParseError("--procs must be positive".into()));
                         }
                     }
-                    other => return Err(ParseError(format!("unexpected argument {other:?}"))),
+                    tok => return Err(unexpected(tok)),
                 }
             }
             Ok(Args { command: Command::Scaling(s) })
@@ -828,9 +669,9 @@ pub fn parse<'a>(argv: impl IntoIterator<Item = &'a str>) -> Result<Args, ParseE
             let mut e = EvalArgs { cases: 8, p: 4 };
             while let Some(tok) = it.next() {
                 match tok {
-                    "--cases" => e.cases = parse_num("--cases", take_value("--cases", &mut it)?)?,
-                    "--p" => e.p = parse_num("--p", take_value("--p", &mut it)?)?,
-                    other => return Err(ParseError(format!("unexpected argument {other:?}"))),
+                    "--cases" => e.cases = take_num(tok, &mut it)?,
+                    "--p" => e.p = take_num(tok, &mut it)?,
+                    tok => return Err(unexpected(tok)),
                 }
             }
             Ok(Args { command: Command::Eval(e) })
@@ -840,17 +681,18 @@ pub fn parse<'a>(argv: impl IntoIterator<Item = &'a str>) -> Result<Args, ParseE
             let mut r = RankArgs { input: String::new(), p: 8 };
             while let Some(tok) = it.next() {
                 match tok {
-                    "--p" => r.p = parse_num("--p", take_value("--p", &mut it)?)?,
-                    other if !other.starts_with("--") && input.is_none() => {
-                        input = Some(other.to_string())
+                    "--p" => r.p = take_num(tok, &mut it)?,
+                    tok if !tok.starts_with("--") && input.is_none() => {
+                        input = Some(tok.to_string())
                     }
-                    other => return Err(ParseError(format!("unexpected argument {other:?}"))),
+                    tok => return Err(unexpected(tok)),
                 }
             }
             r.input = input.ok_or_else(|| ParseError("rank needs an input file".into()))?;
             Ok(Args { command: Command::Rank(r) })
         }
         "serve" => {
+            let mut pipeline = PipelineParser::new();
             let mut s = ServeArgs {
                 host: "127.0.0.1".into(),
                 port: 7401,
@@ -859,72 +701,28 @@ pub fn parse<'a>(argv: impl IntoIterator<Item = &'a str>) -> Result<Args, ParseE
                 workers: None,
                 queue: 32,
                 cache_mb: 64,
-                backend: Backend::Sequential,
-                p: 4,
-                threads: None,
-                nodes: None,
-                engine: EngineChoice::MuscleFast,
-                kmer: None,
-                band: BandPolicy::default(),
-                kernel: DpKernel::default(),
-                no_fine_tune: false,
+                pipeline: pipeline.flags.clone(),
             };
             while let Some(tok) = it.next() {
                 match tok {
-                    "--host" => s.host = take_value("--host", &mut it)?.to_string(),
-                    "--port" => s.port = parse_num("--port", take_value("--port", &mut it)?)?,
-                    "--journal" => s.journal = take_value("--journal", &mut it)?.to_string(),
-                    "--out" => s.out_dir = take_value("--out", &mut it)?.to_string(),
-                    "--workers" => {
-                        s.workers = Some(parse_num("--workers", take_value("--workers", &mut it)?)?)
-                    }
-                    "--queue" => s.queue = parse_num("--queue", take_value("--queue", &mut it)?)?,
-                    "--cache-mb" => {
-                        s.cache_mb = parse_num("--cache-mb", take_value("--cache-mb", &mut it)?)?
-                    }
-                    "--p" => s.p = parse_num("--p", take_value("--p", &mut it)?)?,
-                    "--kmer" => s.kmer = Some(parse_num("--kmer", take_value("--kmer", &mut it)?)?),
-                    "--band" => {
-                        let v = take_value("--band", &mut it)?;
-                        s.band = BandPolicy::parse(v).ok_or_else(|| {
-                            ParseError(format!(
-                                "--band takes auto, full or a positive width, not {v:?}"
-                            ))
-                        })?;
-                    }
-                    "--kernel" => s.kernel = parse_kernel(take_value("--kernel", &mut it)?)?,
-                    "--threads" => {
-                        s.threads = Some(parse_num("--threads", take_value("--threads", &mut it)?)?)
-                    }
-                    "--nodes" => {
-                        s.nodes = Some(parse_num("--nodes", take_value("--nodes", &mut it)?)?)
-                    }
-                    "--engine" => s.engine = parse_engine(take_value("--engine", &mut it)?)?,
-                    "--backend" => {
-                        s.backend = match take_value("--backend", &mut it)? {
-                            "sequential" => Backend::Sequential,
-                            "rayon" => Backend::Rayon,
-                            "distributed" | "cluster" => Backend::Distributed,
-                            other => return Err(ParseError(format!("unknown backend {other:?}"))),
-                        }
-                    }
-                    "--no-fine-tune" => s.no_fine_tune = true,
-                    other => return Err(ParseError(format!("unexpected argument {other:?}"))),
+                    "--host" => s.host = take_value(tok, &mut it)?.to_string(),
+                    "--port" => s.port = take_num(tok, &mut it)?,
+                    "--journal" => s.journal = take_value(tok, &mut it)?.to_string(),
+                    "--out" => s.out_dir = take_value(tok, &mut it)?.to_string(),
+                    "--workers" => s.workers = Some(take_num(tok, &mut it)?),
+                    "--queue" => s.queue = take_num(tok, &mut it)?,
+                    "--cache-mb" => s.cache_mb = take_num(tok, &mut it)?,
+                    tok if pipeline.take(tok, &mut it)? => {}
+                    tok => return Err(unexpected(tok)),
                 }
             }
-            if s.p == 0 || s.threads == Some(0) || s.nodes == Some(0) {
-                return Err(ParseError("--p/--threads/--nodes must be at least 1".into()));
-            }
+            s.pipeline = pipeline.finish(Backend::Sequential)?;
             if s.workers == Some(0) {
                 return Err(ParseError("--workers must be at least 1".into()));
             }
             if s.queue == 0 {
                 return Err(ParseError("--queue must be at least 1".into()));
             }
-            if s.kmer == Some(0) {
-                return Err(ParseError("--kmer must be at least 1".into()));
-            }
-            check_width_flags(s.backend, s.threads, s.nodes)?;
             Ok(Args { command: Command::Serve(s) })
         }
         "submit" => {
@@ -939,16 +737,14 @@ pub fn parse<'a>(argv: impl IntoIterator<Item = &'a str>) -> Result<Args, ParseE
             };
             while let Some(tok) = it.next() {
                 match tok {
-                    "--host" => s.host = take_value("--host", &mut it)?.to_string(),
-                    "--port" => s.port = parse_num("--port", take_value("--port", &mut it)?)?,
-                    "--out" => s.out_dir = Some(take_value("--out", &mut it)?.to_string()),
-                    "--priority" => {
-                        s.priority = parse_num("--priority", take_value("--priority", &mut it)?)?
-                    }
-                    "--cancel" => s.cancel = Some(take_value("--cancel", &mut it)?.to_string()),
+                    "--host" => s.host = take_value(tok, &mut it)?.to_string(),
+                    "--port" => s.port = take_num(tok, &mut it)?,
+                    "--out" => s.out_dir = Some(take_value(tok, &mut it)?.to_string()),
+                    "--priority" => s.priority = take_num(tok, &mut it)?,
+                    "--cancel" => s.cancel = Some(take_value(tok, &mut it)?.to_string()),
                     "--shutdown" => s.shutdown = true,
-                    other if !other.starts_with("--") => s.files.push(other.to_string()),
-                    other => return Err(ParseError(format!("unexpected argument {other:?}"))),
+                    tok if !tok.starts_with("--") => s.files.push(tok.to_string()),
+                    tok => return Err(unexpected(tok)),
                 }
             }
             if s.files.is_empty() && s.cancel.is_none() && !s.shutdown {
@@ -958,7 +754,7 @@ pub fn parse<'a>(argv: impl IntoIterator<Item = &'a str>) -> Result<Args, ParseE
             }
             Ok(Args { command: Command::Submit(s) })
         }
-        "--help" | "-h" | "help" => Err(ParseError("".into())),
+        "--help" | "-h" | "help" => Ok(Args { command: Command::Help }),
         other => Err(ParseError(format!("unknown command {other:?}"))),
     }
 }
@@ -967,21 +763,26 @@ pub fn parse<'a>(argv: impl IntoIterator<Item = &'a str>) -> Result<Args, ParseE
 mod tests {
     use super::*;
 
+    /// Parse `argv` and unwrap the named command's options.
+    macro_rules! parsed {
+        ($command:ident, $argv:expr) => {
+            match parse($argv).unwrap().command {
+                Command::$command(args) => args,
+                other => panic!("wrong command: {other:?}"),
+            }
+        };
+    }
+
     #[test]
     fn align_defaults_and_flags() {
-        let a = parse(["align", "in.fa"]).unwrap();
-        match a.command {
-            Command::Align(a) => {
-                assert_eq!(a.input, "in.fa");
-                assert_eq!(a.p, 4);
-                assert_eq!(a.engine, EngineChoice::MuscleFast);
-                assert_eq!(a.backend, Backend::Distributed);
-                assert_eq!(a.parallelism(), 4);
-                assert!(!a.no_fine_tune);
-            }
-            _ => panic!("wrong command"),
-        }
-        let a = parse([
+        let a = parsed!(Align, ["align", "in.fa"]);
+        assert_eq!(a.input, "in.fa");
+        assert_eq!(a.p, 4);
+        assert_eq!(a.engine, EngineChoice::MuscleFast);
+        assert_eq!(a.backend, Backend::Distributed);
+        assert_eq!(a.parallelism(), 4);
+        assert!(!a.no_fine_tune);
+        let argv = [
             "align",
             "x.fa",
             "--p",
@@ -991,17 +792,12 @@ mod tests {
             "--backend",
             "rayon",
             "--no-fine-tune",
-        ])
-        .unwrap();
-        match a.command {
-            Command::Align(a) => {
-                assert_eq!(a.p, 16);
-                assert_eq!(a.engine, EngineChoice::Clustal);
-                assert_eq!(a.backend, Backend::Rayon);
-                assert!(a.no_fine_tune);
-            }
-            _ => panic!("wrong command"),
-        }
+        ];
+        let a = parsed!(Align, argv);
+        assert_eq!(a.p, 16);
+        assert_eq!(a.engine, EngineChoice::Clustal);
+        assert_eq!(a.backend, Backend::Rayon);
+        assert!(a.no_fine_tune);
     }
 
     #[test]
@@ -1012,132 +808,152 @@ mod tests {
 
     #[test]
     fn backend_selection_and_width_flags() {
-        let a = parse(["align", "x.fa", "--backend", "sequential"]).unwrap();
-        match a.command {
-            Command::Align(a) => {
-                assert_eq!(a.backend, Backend::Sequential);
-                assert_eq!(a.parallelism(), 1);
-            }
-            _ => panic!("wrong command"),
-        }
-        let a = parse(["align", "x.fa", "--backend", "rayon", "--threads", "6"]).unwrap();
-        match a.command {
-            Command::Align(a) => {
-                assert_eq!(a.threads, Some(6));
-                assert_eq!(a.parallelism(), 6);
-            }
-            _ => panic!("wrong command"),
-        }
-        let a = parse(["align", "x.fa", "--backend", "distributed", "--nodes", "8"]).unwrap();
-        match a.command {
-            Command::Align(a) => {
-                assert_eq!(a.nodes, Some(8));
-                assert_eq!(a.parallelism(), 8);
-            }
-            _ => panic!("wrong command"),
-        }
+        let a = parsed!(Align, ["align", "x.fa", "--backend", "sequential"]);
+        assert_eq!((a.backend, a.parallelism()), (Backend::Sequential, 1));
+        let a = parsed!(Align, ["align", "x.fa", "--backend", "rayon", "--threads", "6"]);
+        assert_eq!((a.threads, a.parallelism()), (Some(6), 6));
+        let a = parsed!(Align, ["align", "x.fa", "--backend", "distributed", "--nodes", "8"]);
+        assert_eq!((a.nodes, a.parallelism()), (Some(8), 8));
         // "cluster" stays as a pre-0.2 alias for distributed.
-        let a = parse(["align", "x.fa", "--backend", "cluster"]).unwrap();
-        match a.command {
-            Command::Align(a) => assert_eq!(a.backend, Backend::Distributed),
-            _ => panic!("wrong command"),
-        }
+        let a = parsed!(Align, ["align", "x.fa", "--backend", "cluster"]);
+        assert_eq!(a.backend, Backend::Distributed);
     }
 
     #[test]
-    fn band_flag_parses_and_rejects_nonsense() {
-        // Default is the adaptive kernel.
-        match parse(["align", "x.fa"]).unwrap().command {
-            Command::Align(a) => assert_eq!(a.band, BandPolicy::Auto),
-            _ => panic!("wrong command"),
-        }
-        for (text, want) in
-            [("auto", BandPolicy::Auto), ("full", BandPolicy::Full), ("64", BandPolicy::Fixed(64))]
-        {
-            match parse(["align", "x.fa", "--band", text]).unwrap().command {
-                Command::Align(a) => assert_eq!(a.band, want, "{text}"),
-                _ => panic!("wrong command"),
-            }
-        }
-        assert!(parse(["align", "x.fa", "--band", "0"]).is_err());
-        assert!(parse(["align", "x.fa", "--band", "wavefront"]).is_err());
-        assert!(parse(["align", "x.fa", "--band"]).is_err());
-    }
+    fn shared_flags_parse_identically_on_every_command() {
+        use Backend::{Distributed, Rayon, Sequential};
+        // Command prefix and the backend it runs on without `--backend`.
+        let commands: [(&[&str], Backend); 4] = [
+            (&["align", "x.fa"], Distributed),
+            (&["batch", "d/"], Sequential),
+            (&["reads"], Rayon),
+            (&["serve"], Sequential),
+        ];
+        let pipeline =
+            |prefix: &[&str], flags: &[&str]| match parse([prefix, flags].concat())?.command {
+                Command::Align(a) => Ok(a.pipeline),
+                Command::Batch(b) => Ok(b.pipeline),
+                Command::Reads(r) => Ok(r.pipeline),
+                Command::Serve(s) => Ok(s.pipeline),
+                other => panic!("{other:?} takes no pipeline flags"),
+            };
+        // What every command starts from (the backend aside): adaptive
+        // band, exactness-audited kernel, the paper's k, no trim.
+        let defaults = PipelineFlags {
+            p: 4,
+            threads: None,
+            nodes: None,
+            backend: Sequential,
+            engine: EngineChoice::MuscleFast,
+            no_fine_tune: false,
+            kmer: None,
+            band: BandPolicy::Auto,
+            kernel: DpKernel::Auto,
+            trim: false,
+        };
+        let with = |edit: fn(&mut PipelineFlags)| {
+            let mut f = defaults.clone();
+            edit(&mut f);
+            f
+        };
 
-    #[test]
-    fn kernel_flag_parses_and_rejects_nonsense() {
-        // Default is the adaptive (exactness-audited) kernel.
-        match parse(["align", "x.fa"]).unwrap().command {
-            Command::Align(a) => assert_eq!(a.kernel, DpKernel::Auto),
-            _ => panic!("wrong command"),
-        }
-        for (text, want) in
-            [("scalar", DpKernel::Scalar), ("striped", DpKernel::Striped), ("auto", DpKernel::Auto)]
-        {
-            match parse(["align", "x.fa", "--kernel", text]).unwrap().command {
-                Command::Align(a) => assert_eq!(a.kernel, want, "{text}"),
-                _ => panic!("wrong command"),
+        // Accepted: flags, the parse, and — when the row names a backend —
+        // that backend and the `parallelism()` it yields.
+        type Accepted<'a> = (&'a [&'a str], PipelineFlags, Option<(Backend, usize)>);
+        let accepted: [Accepted; 16] = [
+            (&[], defaults.clone(), None),
+            (&["--band", "auto"], with(|f| f.band = BandPolicy::Auto), None),
+            (&["--band", "full"], with(|f| f.band = BandPolicy::Full), None),
+            (&["--band", "64"], with(|f| f.band = BandPolicy::Fixed(64)), None),
+            (&["--kernel", "scalar"], with(|f| f.kernel = DpKernel::Scalar), None),
+            (&["--kernel", "striped"], with(|f| f.kernel = DpKernel::Striped), None),
+            (&["--kernel", "auto"], with(|f| f.kernel = DpKernel::Auto), None),
+            (&["--kmer", "2"], with(|f| f.kmer = Some(2)), None),
+            (&["--trim"], with(|f| f.trim = true), None),
+            (&["--no-fine-tune"], with(|f| f.no_fine_tune = true), None),
+            (&["--engine", "clustalw"], with(|f| f.engine = EngineChoice::Clustal), None),
+            (&["--backend", "sequential", "--p", "9"], with(|f| f.p = 9), Some((Sequential, 1))),
+            (&["--backend", "rayon", "--p", "9"], with(|f| f.p = 9), Some((Rayon, 9))),
+            (
+                &["--backend", "rayon", "--threads", "6"],
+                with(|f| f.threads = Some(6)),
+                Some((Rayon, 6)),
+            ),
+            (
+                &["--backend", "distributed", "--nodes", "8"],
+                with(|f| f.nodes = Some(8)),
+                Some((Distributed, 8)),
+            ),
+            // "cluster" stays as a pre-0.2 alias for distributed.
+            (&["--backend", "cluster"], defaults.clone(), Some((Distributed, 4))),
+        ];
+        for (flags, want, named) in &accepted {
+            for (prefix, default_backend) in commands {
+                let got = pipeline(prefix, flags)
+                    .unwrap_or_else(|e: ParseError| panic!("{flags:?}: {e}"));
+                let backend = named.map_or(default_backend, |(backend, _)| backend);
+                assert_eq!(got, PipelineFlags { backend, ..want.clone() }, "{prefix:?} {flags:?}");
+                if let Some((_, width)) = named {
+                    assert_eq!(got.parallelism(), *width, "{prefix:?} {flags:?}");
+                }
             }
         }
-        // Every DP-running subcommand takes the flag.
-        match parse(["batch", "d/", "--kernel", "scalar"]).unwrap().command {
-            Command::Batch(b) => assert_eq!(b.kernel, DpKernel::Scalar),
-            _ => panic!("wrong command"),
+
+        // Rejected, with the same message whatever the command.
+        const BAND: &str = "--band takes auto, full or a positive width, not";
+        const ZERO: &str = "--p/--threads/--nodes must be at least 1";
+        const THREADS: &str = "--threads only applies to --backend rayon";
+        const NODES: &str = "--nodes only applies to --backend distributed";
+        let rejected: [(&[&str], String); 16] = [
+            (&["--band", "0"], format!("{BAND} \"0\"")),
+            (&["--band", "wavefront"], format!("{BAND} \"wavefront\"")),
+            (&["--band"], "--band needs a value".into()),
+            (&["--kernel", "avx"], "--kernel takes scalar, striped or auto, not \"avx\"".into()),
+            (&["--kernel"], "--kernel needs a value".into()),
+            (&["--kmer", "0"], "--kmer must be at least 1".into()),
+            (&["--p", "0"], ZERO.into()),
+            (&["--p", "many"], "--p: cannot parse \"many\"".into()),
+            (&["--backend", "rayon", "--threads", "0"], ZERO.into()),
+            (&["--backend", "distributed", "--nodes", "0"], ZERO.into()),
+            (&["--backend", "sequential", "--threads", "4"], THREADS.into()),
+            (&["--backend", "distributed", "--threads", "4"], THREADS.into()),
+            (&["--backend", "rayon", "--nodes", "4"], NODES.into()),
+            (&["--backend", "sequential", "--nodes", "4"], NODES.into()),
+            (&["--backend", "warp"], "unknown backend \"warp\"".into()),
+            (&["--engine", "t-coffee"], "unknown engine \"t-coffee\"".into()),
+        ];
+        for (flags, message) in &rejected {
+            for (prefix, _) in commands {
+                let err = pipeline(prefix, flags).expect_err(&format!("{prefix:?} {flags:?}"));
+                assert_eq!(&err.0, message, "{prefix:?} {flags:?}");
+            }
         }
-        match parse(["reads", "--kernel", "striped"]).unwrap().command {
-            Command::Reads(r) => assert_eq!(r.kernel, DpKernel::Striped),
-            _ => panic!("wrong command"),
-        }
-        match parse(["serve", "--kernel", "scalar"]).unwrap().command {
-            Command::Serve(s) => assert_eq!(s.kernel, DpKernel::Scalar),
-            _ => panic!("wrong command"),
-        }
-        assert!(parse(["align", "x.fa", "--kernel", "avx"]).is_err());
-        assert!(parse(["align", "x.fa", "--kernel"]).is_err());
     }
 
     #[test]
     fn progress_flag_parses() {
-        match parse(["align", "x.fa"]).unwrap().command {
-            Command::Align(a) => assert!(!a.progress, "progress is opt-in"),
-            _ => panic!("wrong command"),
-        }
-        match parse(["align", "x.fa", "--progress"]).unwrap().command {
-            Command::Align(a) => assert!(a.progress),
-            _ => panic!("wrong command"),
-        }
+        assert!(!parsed!(Align, ["align", "x.fa"]).progress, "progress is opt-in");
+        assert!(parsed!(Align, ["align", "x.fa", "--progress"]).progress);
     }
 
     #[test]
     fn vertical_flags_parse_and_validate() {
-        match parse(["align", "x.fa"]).unwrap().command {
-            Command::Align(a) => {
-                assert!(!a.vertical, "vertical is opt-in");
-                assert_eq!((a.max_block, a.seam_window), (None, None));
-            }
-            _ => panic!("wrong command"),
-        }
-        match parse(["align", "x.fa", "--vertical", "--max-block", "256", "--seam-window", "8"])
-            .unwrap()
-            .command
-        {
-            Command::Align(a) => {
-                assert!(a.vertical);
-                assert_eq!(a.max_block, Some(256));
-                assert_eq!(a.seam_window, Some(8));
-                assert_eq!(a.backend, Backend::Rayon, "vertical defaults to rayon");
-            }
-            _ => panic!("wrong command"),
-        }
-        match parse(["align", "x.fa", "--vertical", "--backend", "sequential"]).unwrap().command {
-            Command::Align(a) => assert_eq!(a.backend, Backend::Sequential),
-            _ => panic!("wrong command"),
-        }
+        let a = parsed!(Align, ["align", "x.fa"]);
+        assert!(!a.vertical, "vertical is opt-in");
+        assert_eq!((a.max_block, a.seam_window), (None, None));
+        let a = parsed!(
+            Align,
+            ["align", "x.fa", "--vertical", "--max-block", "256", "--seam-window", "8"]
+        );
+        assert!(a.vertical);
+        assert_eq!(a.max_block, Some(256));
+        assert_eq!(a.seam_window, Some(8));
+        assert_eq!(a.backend, Backend::Rayon, "vertical defaults to rayon");
+        let a = parsed!(Align, ["align", "x.fa", "--vertical", "--backend", "sequential"]);
+        assert_eq!(a.backend, Backend::Sequential);
         // A zero half-window disables seam refinement but still parses.
-        match parse(["align", "x.fa", "--vertical", "--seam-window", "0"]).unwrap().command {
-            Command::Align(a) => assert_eq!(a.seam_window, Some(0)),
-            _ => panic!("wrong command"),
-        }
+        let a = parsed!(Align, ["align", "x.fa", "--vertical", "--seam-window", "0"]);
+        assert_eq!(a.seam_window, Some(0));
         assert!(parse(["align", "x.fa", "--max-block", "256"]).is_err(), "needs --vertical");
         assert!(parse(["align", "x.fa", "--seam-window", "4"]).is_err(), "needs --vertical");
         assert!(parse(["align", "x.fa", "--vertical", "--max-block", "0"]).is_err());
@@ -1148,68 +964,57 @@ mod tests {
     }
 
     #[test]
-    fn kmer_override_parses_and_rejects_zero() {
-        let a = parse(["align", "x.fa", "--kmer", "2"]).unwrap();
-        match a.command {
-            Command::Align(a) => assert_eq!(a.kmer, Some(2)),
-            _ => panic!("wrong command"),
-        }
-        assert!(parse(["align", "x.fa", "--kmer", "0"]).is_err());
-    }
-
-    #[test]
     fn width_flags_must_match_backend() {
         assert!(parse(["align", "x.fa", "--threads", "4"]).is_err());
         assert!(parse(["align", "x.fa", "--backend", "rayon", "--nodes", "4"]).is_err());
         assert!(parse(["align", "x.fa", "--backend", "rayon", "--threads", "0"]).is_err());
         assert!(parse(["align", "x.fa", "--nodes", "0"]).is_err());
+        // The rule judges the backend that will run: `--vertical` moves
+        // align's default to rayon, so `--nodes` has no cluster to size
+        // (and must not be silently ignored) while `--threads` has a pool.
+        let err = parse(["align", "x.fa", "--vertical", "--nodes", "2"]).unwrap_err();
+        assert_eq!(err.0, "--nodes only applies to --backend distributed");
+        let a = parsed!(Align, ["align", "x.fa", "--vertical", "--threads", "2"]);
+        assert_eq!((a.backend, a.parallelism()), (Backend::Rayon, 2));
     }
 
     #[test]
     fn batch_defaults_and_flags() {
-        let a = parse(["batch", "families/"]).unwrap();
-        match a.command {
-            Command::Batch(b) => {
-                assert_eq!(b.input, "families/");
-                assert_eq!(b.out_dir, ".");
-                assert_eq!(b.jobs, None);
-                assert_eq!(b.backend, Backend::Sequential, "batch defaults to sequential jobs");
-                assert_eq!(b.parallelism(), 1);
-                assert!(!b.progress);
-            }
-            _ => panic!("wrong command"),
-        }
-        let a = parse([
-            "batch",
-            "list.manifest",
-            "--out",
-            "aligned/",
-            "--jobs",
-            "8",
-            "--backend",
-            "rayon",
-            "--threads",
-            "2",
-            "--engine",
-            "clustalw",
-            "--band",
-            "32",
-            "--progress",
-        ])
-        .unwrap();
-        match a.command {
-            Command::Batch(b) => {
-                assert_eq!(b.input, "list.manifest");
-                assert_eq!(b.out_dir, "aligned/");
-                assert_eq!(b.jobs, Some(8));
-                assert_eq!(b.backend, Backend::Rayon);
-                assert_eq!(b.parallelism(), 2);
-                assert_eq!(b.engine, EngineChoice::Clustal);
-                assert_eq!(b.band, BandPolicy::Fixed(32));
-                assert!(b.progress);
-            }
-            _ => panic!("wrong command"),
-        }
+        let b = parsed!(Batch, ["batch", "families/"]);
+        assert_eq!(b.input, "families/");
+        assert_eq!(b.out_dir, ".");
+        assert_eq!(b.jobs, None);
+        assert_eq!(b.backend, Backend::Sequential, "batch defaults to sequential jobs");
+        assert_eq!(b.parallelism(), 1);
+        assert!(!b.progress);
+        let b = parsed!(
+            Batch,
+            [
+                "batch",
+                "list.manifest",
+                "--out",
+                "aligned/",
+                "--jobs",
+                "8",
+                "--backend",
+                "rayon",
+                "--threads",
+                "2",
+                "--engine",
+                "clustalw",
+                "--band",
+                "32",
+                "--progress",
+            ]
+        );
+        assert_eq!(b.input, "list.manifest");
+        assert_eq!(b.out_dir, "aligned/");
+        assert_eq!(b.jobs, Some(8));
+        assert_eq!(b.backend, Backend::Rayon);
+        assert_eq!(b.parallelism(), 2);
+        assert_eq!(b.engine, EngineChoice::Clustal);
+        assert_eq!(b.band, BandPolicy::Fixed(32));
+        assert!(b.progress);
     }
 
     #[test]
@@ -1217,50 +1022,38 @@ mod tests {
         assert!(parse(["batch"]).is_err(), "input is required");
         assert!(parse(["batch", "d/", "--jobs", "0"]).is_err());
         assert!(parse(["batch", "d/", "--threads", "4"]).is_err(), "threads need rayon");
-        assert!(parse(["batch", "d/", "--backend", "rayon", "--nodes", "4"]).is_err());
-        assert!(parse(["batch", "d/", "--p", "0"]).is_err());
-        assert!(parse(["batch", "d/", "--kmer", "0"]).is_err());
-        assert!(parse(["batch", "d/", "--band", "zig"]).is_err());
     }
 
     #[test]
     fn generate_parses_all_options() {
-        let g = parse([
-            "generate",
-            "--n",
-            "50",
-            "--len",
-            "120",
-            "--relatedness",
-            "650.5",
-            "--seed",
-            "9",
-            "--reference",
-            "ref.fa",
-        ])
-        .unwrap();
-        match g.command {
-            Command::Generate(g) => {
-                assert_eq!(g.n, 50);
-                assert_eq!(g.len, 120);
-                assert_eq!(g.relatedness, 650.5);
-                assert_eq!(g.seed, 9);
-                assert_eq!(g.reference.as_deref(), Some("ref.fa"));
-            }
-            _ => panic!("wrong command"),
-        }
+        let g = parsed!(
+            Generate,
+            [
+                "generate",
+                "--n",
+                "50",
+                "--len",
+                "120",
+                "--relatedness",
+                "650.5",
+                "--seed",
+                "9",
+                "--reference",
+                "ref.fa",
+            ]
+        );
+        assert_eq!(g.n, 50);
+        assert_eq!(g.len, 120);
+        assert_eq!(g.relatedness, 650.5);
+        assert_eq!(g.seed, 9);
+        assert_eq!(g.reference.as_deref(), Some("ref.fa"));
     }
 
     #[test]
     fn scaling_proc_list() {
-        let s = parse(["scaling", "--n", "128", "--procs", "1,2,4"]).unwrap();
-        match s.command {
-            Command::Scaling(s) => {
-                assert_eq!(s.n, 128);
-                assert_eq!(s.procs, vec![1, 2, 4]);
-            }
-            _ => panic!("wrong command"),
-        }
+        let s = parsed!(Scaling, ["scaling", "--n", "128", "--procs", "1,2,4"]);
+        assert_eq!(s.n, 128);
+        assert_eq!(s.procs, vec![1, 2, 4]);
         assert!(parse(["scaling", "--procs", "1,0"]).is_err());
         assert!(parse(["scaling", "--procs", "a,b"]).is_err());
     }
@@ -1272,55 +1065,58 @@ mod tests {
     }
 
     #[test]
-    fn zero_p_rejected() {
-        assert!(parse(["align", "x.fa", "--p", "0"]).is_err());
+    fn help_is_a_command_not_an_error() {
+        for word in ["--help", "-h", "help"] {
+            assert_eq!(parse([word]), Ok(Args { command: Command::Help }), "{word}");
+        }
+        let mut out = Vec::new();
+        crate::run(Args { command: Command::Help }, &mut out).unwrap();
+        assert_eq!(String::from_utf8(out).unwrap(), USAGE);
+        // The shared block is spelled once, under its own heading.
+        assert_eq!(USAGE.matches("--band").count(), 1);
+        assert_eq!(USAGE.matches("[pipeline flags]").count(), 4);
+        // A bare `sad` is still a usage error.
+        assert_eq!(parse([]), Err(ParseError("missing command".into())));
     }
 
     #[test]
     fn serve_defaults_and_flags() {
-        match parse(["serve"]).unwrap().command {
-            Command::Serve(s) => {
-                assert_eq!(s.host, "127.0.0.1");
-                assert_eq!(s.port, 7401);
-                assert_eq!(s.journal, "sad-serve.journal.jsonl");
-                assert_eq!(s.out_dir, ".");
-                assert_eq!(s.workers, None);
-                assert_eq!(s.queue, 32);
-                assert_eq!(s.backend, Backend::Sequential);
-                assert_eq!(s.parallelism(), 1);
-            }
-            _ => panic!("wrong command"),
-        }
-        let parsed = parse([
-            "serve",
-            "--port",
-            "0",
-            "--journal",
-            "j.jsonl",
-            "--out",
-            "outdir/",
-            "--workers",
-            "4",
-            "--queue",
-            "8",
-            "--backend",
-            "rayon",
-            "--threads",
-            "2",
-        ])
-        .unwrap();
-        match parsed.command {
-            Command::Serve(s) => {
-                assert_eq!(s.port, 0);
-                assert_eq!(s.journal, "j.jsonl");
-                assert_eq!(s.out_dir, "outdir/");
-                assert_eq!(s.workers, Some(4));
-                assert_eq!(s.queue, 8);
-                assert_eq!(s.backend, Backend::Rayon);
-                assert_eq!(s.parallelism(), 2);
-            }
-            _ => panic!("wrong command"),
-        }
+        let s = parsed!(Serve, ["serve"]);
+        assert_eq!(s.host, "127.0.0.1");
+        assert_eq!(s.port, 7401);
+        assert_eq!(s.journal, "sad-serve.journal.jsonl");
+        assert_eq!(s.out_dir, ".");
+        assert_eq!(s.workers, None);
+        assert_eq!(s.queue, 32);
+        assert_eq!(s.backend, Backend::Sequential);
+        assert_eq!(s.parallelism(), 1);
+        let s = parsed!(
+            Serve,
+            [
+                "serve",
+                "--port",
+                "0",
+                "--journal",
+                "j.jsonl",
+                "--out",
+                "outdir/",
+                "--workers",
+                "4",
+                "--queue",
+                "8",
+                "--backend",
+                "rayon",
+                "--threads",
+                "2",
+            ]
+        );
+        assert_eq!(s.port, 0);
+        assert_eq!(s.journal, "j.jsonl");
+        assert_eq!(s.out_dir, "outdir/");
+        assert_eq!(s.workers, Some(4));
+        assert_eq!(s.queue, 8);
+        assert_eq!(s.backend, Backend::Rayon);
+        assert_eq!(s.parallelism(), 2);
         assert!(parse(["serve", "--workers", "0"]).is_err());
         assert!(parse(["serve", "--queue", "0"]).is_err());
         assert!(parse(["serve", "--threads", "4"]).is_err(), "threads need rayon");
@@ -1329,113 +1125,90 @@ mod tests {
 
     #[test]
     fn submit_files_and_control_flags() {
-        match parse(["submit", "a.fa", "b.fa", "--priority", "2", "--out", "res/"]).unwrap().command
-        {
-            Command::Submit(s) => {
-                assert_eq!(s.files, vec!["a.fa", "b.fa"]);
-                assert_eq!(s.priority, 2);
-                assert_eq!(s.out_dir.as_deref(), Some("res/"));
-                assert_eq!(s.port, 7401);
-                assert!(!s.shutdown);
-            }
-            _ => panic!("wrong command"),
-        }
-        match parse(["submit", "--cancel", "fam_a"]).unwrap().command {
-            Command::Submit(s) => {
-                assert!(s.files.is_empty());
-                assert_eq!(s.cancel.as_deref(), Some("fam_a"));
-            }
-            _ => panic!("wrong command"),
-        }
-        match parse(["submit", "--shutdown", "--port", "9000"]).unwrap().command {
-            Command::Submit(s) => {
-                assert!(s.shutdown);
-                assert_eq!(s.port, 9000);
-            }
-            _ => panic!("wrong command"),
-        }
+        let s = parsed!(Submit, ["submit", "a.fa", "b.fa", "--priority", "2", "--out", "res/"]);
+        assert_eq!(s.files, vec!["a.fa", "b.fa"]);
+        assert_eq!(s.priority, 2);
+        assert_eq!(s.out_dir.as_deref(), Some("res/"));
+        assert_eq!(s.port, 7401);
+        assert!(!s.shutdown);
+        let s = parsed!(Submit, ["submit", "--cancel", "fam_a"]);
+        assert!(s.files.is_empty());
+        assert_eq!(s.cancel.as_deref(), Some("fam_a"));
+        let s = parsed!(Submit, ["submit", "--shutdown", "--port", "9000"]);
+        assert!(s.shutdown);
+        assert_eq!(s.port, 9000);
         assert!(parse(["submit"]).is_err(), "needs files, --cancel or --shutdown");
     }
 
     #[test]
     fn reads_defaults_and_flags() {
-        match parse(["reads"]).unwrap().command {
-            Command::Reads(r) => {
-                assert_eq!(r.input, None, "no file means simulated input");
-                assert_eq!(r.max_bucket, Some(512));
-                assert_eq!(r.backend, Backend::Rayon, "reads defaults to rayon");
-                assert_eq!(r.coverage, 8.0);
-                assert_eq!(r.read_len, 90);
-                assert_eq!(r.parallelism(), 4);
-                assert!(!r.progress);
-            }
-            _ => panic!("wrong command"),
-        }
-        let parsed = parse([
-            "reads",
-            "reads.fa",
-            "--max-bucket",
-            "64",
-            "--backend",
-            "rayon",
-            "--threads",
-            "8",
-            "--kmer",
-            "3",
-            "--band",
-            "16",
-            "--out",
-            "aligned.fa",
-        ])
-        .unwrap();
-        match parsed.command {
-            Command::Reads(r) => {
-                assert_eq!(r.input.as_deref(), Some("reads.fa"));
-                assert_eq!(r.max_bucket, Some(64));
-                assert_eq!(r.parallelism(), 8);
-                assert_eq!(r.kmer, Some(3));
-                assert_eq!(r.band, BandPolicy::Fixed(16));
-                assert_eq!(r.out.as_deref(), Some("aligned.fa"));
-            }
-            _ => panic!("wrong command"),
-        }
+        let r = parsed!(Reads, ["reads"]);
+        assert_eq!(r.input, None, "no file means simulated input");
+        assert_eq!(r.max_bucket, Some(512));
+        assert_eq!(r.backend, Backend::Rayon, "reads defaults to rayon");
+        assert_eq!(r.coverage, 8.0);
+        assert_eq!(r.read_len, 90);
+        assert_eq!(r.parallelism(), 4);
+        assert!(!r.progress);
+        let r = parsed!(
+            Reads,
+            [
+                "reads",
+                "reads.fa",
+                "--max-bucket",
+                "64",
+                "--backend",
+                "rayon",
+                "--threads",
+                "8",
+                "--kmer",
+                "3",
+                "--band",
+                "16",
+                "--out",
+                "aligned.fa",
+            ]
+        );
+        assert_eq!(r.input.as_deref(), Some("reads.fa"));
+        assert_eq!(r.max_bucket, Some(64));
+        assert_eq!(r.parallelism(), 8);
+        assert_eq!(r.kmer, Some(3));
+        assert_eq!(r.band, BandPolicy::Fixed(16));
+        assert_eq!(r.out.as_deref(), Some("aligned.fa"));
     }
 
     #[test]
     fn reads_simulation_and_gate_flags() {
-        let parsed = parse([
-            "reads",
-            "--reads",
-            "500",
-            "--coverage",
-            "12",
-            "--error-rate",
-            "0.05",
-            "--sources",
-            "2",
-            "--source-len",
-            "300",
-            "--seed",
-            "7",
-            "--min-q",
-            "0.8",
-            "--max-bucket",
-            "none",
-        ])
-        .unwrap();
-        match parsed.command {
-            Command::Reads(r) => {
-                assert_eq!(r.reads, Some(500));
-                assert_eq!(r.coverage, 12.0);
-                assert_eq!(r.error_rate, 0.05);
-                assert_eq!(r.sources, 2);
-                assert_eq!(r.source_len, 300);
-                assert_eq!(r.seed, 7);
-                assert_eq!(r.min_q, Some(0.8));
-                assert_eq!(r.max_bucket, None);
-            }
-            _ => panic!("wrong command"),
-        }
+        let r = parsed!(
+            Reads,
+            [
+                "reads",
+                "--reads",
+                "500",
+                "--coverage",
+                "12",
+                "--error-rate",
+                "0.05",
+                "--sources",
+                "2",
+                "--source-len",
+                "300",
+                "--seed",
+                "7",
+                "--min-q",
+                "0.8",
+                "--max-bucket",
+                "none",
+            ]
+        );
+        assert_eq!(r.reads, Some(500));
+        assert_eq!(r.coverage, 12.0);
+        assert_eq!(r.error_rate, 0.05);
+        assert_eq!(r.sources, 2);
+        assert_eq!(r.source_len, 300);
+        assert_eq!(r.seed, 7);
+        assert_eq!(r.min_q, Some(0.8));
+        assert_eq!(r.max_bucket, None);
     }
 
     #[test]
@@ -1447,46 +1220,33 @@ mod tests {
         assert!(parse(["reads", "--read-len", "0"]).is_err());
         assert!(parse(["reads", "--min-q", "2"]).is_err());
         assert!(parse(["reads", "in.fa", "--min-q", "0.9"]).is_err(), "gate needs the truth");
-        assert!(parse(["reads", "--threads", "4", "--backend", "sequential"]).is_err());
         assert!(parse(["reads", "--nodes", "4"]).is_err(), "nodes need distributed");
     }
 
     #[test]
     fn reads_cap_parses_the_same_on_every_backend() {
         for backend in ["rayon", "distributed"] {
-            match parse(["reads", "--backend", backend]).unwrap().command {
-                Command::Reads(r) => assert_eq!(r.max_bucket, Some(512), "{backend}"),
-                _ => panic!("wrong command"),
-            }
-            match parse(["reads", "--max-bucket", "64", "--backend", backend]).unwrap().command {
-                Command::Reads(r) => assert_eq!(r.max_bucket, Some(64), "{backend}"),
-                _ => panic!("wrong command"),
-            }
+            let r = parsed!(Reads, ["reads", "--backend", backend]);
+            assert_eq!(r.max_bucket, Some(512), "{backend}");
+            let r = parsed!(Reads, ["reads", "--max-bucket", "64", "--backend", backend]);
+            assert_eq!(r.max_bucket, Some(64), "{backend}");
         }
     }
 
     #[test]
     fn trim_defaults_and_flags() {
-        match parse(["trim", "aligned.fa"]).unwrap().command {
-            Command::Trim(t) => {
-                assert_eq!(t.input, "aligned.fa");
-                assert_eq!(t.out, None);
-                assert_eq!(t.max_dropped, None);
-                assert!(!t.branch_bound);
-            }
-            _ => panic!("wrong command"),
-        }
-        match parse(["trim", "a.fa", "--out", "b.fa", "--max-dropped", "3", "--branch-bound"])
-            .unwrap()
-            .command
-        {
-            Command::Trim(t) => {
-                assert_eq!(t.out.as_deref(), Some("b.fa"));
-                assert_eq!(t.max_dropped, Some(3));
-                assert!(t.branch_bound);
-            }
-            _ => panic!("wrong command"),
-        }
+        let t = parsed!(Trim, ["trim", "aligned.fa"]);
+        assert_eq!(t.input, "aligned.fa");
+        assert_eq!(t.out, None);
+        assert_eq!(t.max_dropped, None);
+        assert!(!t.branch_bound);
+        let t = parsed!(
+            Trim,
+            ["trim", "a.fa", "--out", "b.fa", "--max-dropped", "3", "--branch-bound"]
+        );
+        assert_eq!(t.out.as_deref(), Some("b.fa"));
+        assert_eq!(t.max_dropped, Some(3));
+        assert!(t.branch_bound);
         assert!(parse(["trim"]).is_err(), "input is required");
         assert!(parse(["trim", "a.fa", "--max-dropped"]).is_err(), "flag needs a value");
         assert!(parse(["trim", "a.fa", "--bogus"]).is_err());
@@ -1494,34 +1254,18 @@ mod tests {
 
     #[test]
     fn trim_flag_parses_on_every_aligning_command() {
-        match parse(["align", "x.fa"]).unwrap().command {
-            Command::Align(a) => assert!(!a.trim, "trim is opt-in"),
-            _ => panic!("wrong command"),
-        }
-        match parse(["align", "x.fa", "--trim"]).unwrap().command {
-            Command::Align(a) => assert!(a.trim),
-            _ => panic!("wrong command"),
-        }
-        match parse(["batch", "d/", "--trim"]).unwrap().command {
-            Command::Batch(b) => assert!(b.trim),
-            _ => panic!("wrong command"),
-        }
-        match parse(["reads", "--trim"]).unwrap().command {
-            Command::Reads(r) => assert!(r.trim),
-            _ => panic!("wrong command"),
-        }
+        assert!(!parsed!(Align, ["align", "x.fa"]).trim, "trim is opt-in");
+        assert!(parsed!(Align, ["align", "x.fa", "--trim"]).trim);
+        assert!(parsed!(Batch, ["batch", "d/", "--trim"]).trim);
+        assert!(parsed!(Reads, ["reads", "--trim"]).trim);
+        assert!(parsed!(Serve, ["serve", "--trim"]).trim);
+        assert!(!parsed!(Serve, ["serve"]).trim, "trim is opt-in when serving too");
     }
 
     #[test]
     fn serve_cache_budget_flag() {
-        match parse(["serve"]).unwrap().command {
-            Command::Serve(s) => assert_eq!(s.cache_mb, 64),
-            _ => panic!("wrong command"),
-        }
-        match parse(["serve", "--cache-mb", "8"]).unwrap().command {
-            Command::Serve(s) => assert_eq!(s.cache_mb, 8),
-            _ => panic!("wrong command"),
-        }
+        assert_eq!(parsed!(Serve, ["serve"]).cache_mb, 64);
+        assert_eq!(parsed!(Serve, ["serve", "--cache-mb", "8"]).cache_mb, 8);
         assert!(parse(["serve", "--cache-mb", "x"]).is_err());
     }
 

@@ -1,8 +1,8 @@
 //! Subcommand implementations.
 
 use crate::args::{
-    AlignArgs, Backend, BatchArgs, EvalArgs, GenerateArgs, RankArgs, ReadsArgs, ScalingArgs,
-    ServeArgs, SubmitArgs, TrimArgs,
+    AlignArgs, Backend, BatchArgs, EvalArgs, GenerateArgs, PipelineFlags, RankArgs, ReadsArgs,
+    ScalingArgs, ServeArgs, SubmitArgs, TrimArgs,
 };
 use bioseq::{fasta, Sequence};
 use qbench::{evaluate_engine, evaluate_with, mean_read_pair_q, Benchmark, BenchmarkConfig};
@@ -11,8 +11,10 @@ use sad_core::{
     rank_experiment, Aligner, Backend as SadBackend, BatchJob, RunReport, SadConfig, TrimConfig,
     VerticalConfig,
 };
+use sad_serve::ServeBackend;
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use vcluster::{CostModel, VirtualCluster};
 
 type Out<'a> = &'a mut dyn Write;
@@ -43,14 +45,7 @@ fn read_fasta(path: impl AsRef<Path>) -> Result<Vec<Sequence>, String> {
 /// `sad align`
 pub fn align(a: AlignArgs, out: Out) -> Result<(), String> {
     let seqs = read_fasta(&a.input)?;
-    let mut cfg = SadConfig::default()
-        .with_engine(a.engine)
-        .with_fine_tune(!a.no_fine_tune)
-        .with_band_policy(a.band)
-        .with_dp_kernel(a.kernel);
-    if let Some(k) = a.kmer {
-        cfg = cfg.with_kmer_k(k);
-    }
+    let mut cfg = a.config();
     if a.vertical {
         let mut v = VerticalConfig::default();
         if let Some(cap) = a.max_block {
@@ -61,32 +56,56 @@ pub fn align(a: AlignArgs, out: Out) -> Result<(), String> {
         }
         cfg = cfg.with_vertical(v);
     }
-    if a.trim {
-        cfg = cfg.with_trim(TrimConfig::default());
-    }
     // Fail loudly (typed) rather than silently degrading short sequences;
     // `--kmer` lowers k below the shortest sequence when inputs are short.
     cfg.validate_for(&seqs).map_err(|e| e.to_string())?;
-    let mut aligner = Aligner::new(cfg).backend(sad_backend(a.backend, a.parallelism()));
-    if a.progress {
-        // Live phase display on stderr; stdout stays parseable FASTA.
-        aligner =
-            aligner.observer(std::sync::Arc::new(crate::progress::ProgressObserver::stderr()));
-    }
-    let report = aligner.run(&seqs).map_err(|e| e.to_string())?;
+    let report = build_aligner(cfg, &a, a.parallelism(), a.progress)
+        .run(&seqs)
+        .map_err(|e| e.to_string())?;
     write_report_comments(&report, seqs.len(), out);
     write!(out, "{}", fasta::write_alignment(&report.msa)).map_err(|e| e.to_string())
 }
 
-/// The library backend a `--backend` choice names, `width` ranks wide
-/// (the sequential baseline has no width).
-fn sad_backend(backend: Backend, width: usize) -> SadBackend {
-    match backend {
-        Backend::Sequential => SadBackend::Sequential,
-        Backend::Rayon => SadBackend::Rayon { threads: width },
-        Backend::Distributed => {
-            SadBackend::Distributed(VirtualCluster::new(width, CostModel::beowulf_2008()))
+impl PipelineFlags {
+    /// The pipeline configuration these flags select — the one place CLI
+    /// flags become a [`SadConfig`]. Commands add only what is theirs
+    /// (`--vertical`, `--max-bucket`).
+    pub(crate) fn config(&self) -> SadConfig {
+        let mut cfg = SadConfig::default()
+            .with_engine(self.engine)
+            .with_fine_tune(!self.no_fine_tune)
+            .with_band_policy(self.band)
+            .with_dp_kernel(self.kernel);
+        if let Some(k) = self.kmer {
+            cfg = cfg.with_kmer_k(k);
         }
+        if self.trim {
+            cfg = cfg.with_trim(TrimConfig::default());
+        }
+        cfg
+    }
+
+    /// The backend `--backend` names, `width` ranks wide (the sequential
+    /// baseline has no width), as the plain-data spec `sad serve` hands
+    /// its workers; [`ServeBackend::instantiate`] makes the live one.
+    pub(crate) fn sad_backend(&self, width: usize) -> ServeBackend {
+        match self.backend {
+            Backend::Sequential => ServeBackend::Sequential,
+            Backend::Rayon => ServeBackend::Rayon { threads: width },
+            Backend::Distributed => ServeBackend::Distributed { nodes: width },
+        }
+    }
+}
+
+/// The aligner a pipeline-running command drives: `cfg` on the backend
+/// its flags name, `width` ranks wide, with the live phase display
+/// attached on `--progress` (on stderr, so stdout stays parseable).
+fn build_aligner(cfg: SadConfig, flags: &PipelineFlags, width: usize, progress: bool) -> Aligner {
+    let aligner = Aligner::new(cfg).backend(flags.sad_backend(width).instantiate());
+    if progress {
+        aligner.observer(Arc::new(crate::progress::ProgressObserver::stderr()))
+    } else {
+        aligner
     }
 }
 
@@ -145,30 +164,14 @@ pub fn reads(r: ReadsArgs, out: Out) -> Result<(), String> {
     let n = seqs.len();
 
     // 2. Configure.
-    let mut cfg = SadConfig::default()
-        .with_engine(r.engine)
-        .with_fine_tune(!r.no_fine_tune)
-        .with_band_policy(r.band)
-        .with_dp_kernel(r.kernel)
-        .with_max_bucket(r.max_bucket);
-    if let Some(k) = r.kmer {
-        cfg = cfg.with_kmer_k(k);
-    }
-    if r.trim {
-        cfg = cfg.with_trim(TrimConfig::default());
-    }
+    let cfg = r.config().with_max_bucket(r.max_bucket);
     cfg.validate_for(&seqs).map_err(|e| e.to_string())?;
 
     // 3. Width: with a cap, widen the first pass to ~cap-sized blocks so
     //    the O(w²) local rank never sees a giant block it would only
     //    decompose later anyway.
     let width = r.max_bucket.map_or(r.parallelism(), |cap| r.parallelism().max(n.div_ceil(cap)));
-    let mut aligner = Aligner::new(cfg).backend(sad_backend(r.backend, width));
-    if r.progress {
-        aligner =
-            aligner.observer(std::sync::Arc::new(crate::progress::ProgressObserver::stderr()));
-    }
-    let report = aligner.run(&seqs).map_err(|e| e.to_string())?;
+    let report = build_aligner(cfg, &r, width, r.progress).run(&seqs).map_err(|e| e.to_string())?;
 
     // 4. Summary. Stdout is the report; the alignment itself only lands
     //    on disk via --out (50k reads of FASTA do not belong in a pipe).
@@ -356,22 +359,7 @@ pub fn batch(b: BatchArgs, out: Out) -> Result<(), String> {
             Err(err) => skipped.push((id.clone(), err)),
         }
     }
-    let mut cfg = SadConfig::default()
-        .with_engine(b.engine)
-        .with_fine_tune(!b.no_fine_tune)
-        .with_band_policy(b.band)
-        .with_dp_kernel(b.kernel);
-    if let Some(k) = b.kmer {
-        cfg = cfg.with_kmer_k(k);
-    }
-    if b.trim {
-        cfg = cfg.with_trim(TrimConfig::default());
-    }
-    let mut aligner = Aligner::new(cfg).backend(sad_backend(b.backend, b.parallelism()));
-    if b.progress {
-        aligner =
-            aligner.observer(std::sync::Arc::new(crate::progress::ProgressObserver::stderr()));
-    }
+    let aligner = build_aligner(b.config(), &b, b.parallelism(), b.progress);
     let report = match b.jobs {
         Some(workers) => aligner.run_batch_with(&jobs, workers),
         None => aligner.run_batch(&jobs),
@@ -487,21 +475,9 @@ pub fn rank(r: RankArgs, out: Out) -> Result<(), String> {
 /// `sad serve` — run the alignment daemon until SIGTERM/SIGINT or a
 /// client `SHUTDOWN`, then drain and exit.
 pub fn serve(s: ServeArgs, out: Out) -> Result<(), String> {
-    use sad_serve::{ServeBackend, ServeConfig, Server};
-    let mut cfg = SadConfig::default()
-        .with_engine(s.engine)
-        .with_fine_tune(!s.no_fine_tune)
-        .with_band_policy(s.band)
-        .with_dp_kernel(s.kernel);
-    if let Some(k) = s.kmer {
-        cfg = cfg.with_kmer_k(k);
-    }
+    use sad_serve::{ServeConfig, Server};
+    let cfg = s.config();
     cfg.validate().map_err(|e| e.to_string())?;
-    let backend = match s.backend {
-        Backend::Sequential => ServeBackend::Sequential,
-        Backend::Rayon => ServeBackend::Rayon { threads: s.parallelism() },
-        Backend::Distributed => ServeBackend::Distributed { nodes: s.parallelism() },
-    };
     let workers = s.workers.unwrap_or_else(|| {
         std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
     });
@@ -512,7 +488,7 @@ pub fn serve(s: ServeArgs, out: Out) -> Result<(), String> {
         out_dir: PathBuf::from(&s.out_dir),
         workers,
         queue_capacity: s.queue,
-        backend,
+        backend: s.sad_backend(s.parallelism()),
         sad: cfg,
         cache_budget_bytes: s.cache_mb.saturating_mul(1024 * 1024),
         paused: false,

@@ -64,5 +64,6 @@ pub fn run(args: Args, out: &mut dyn std::io::Write) -> Result<(), String> {
         Command::Rank(r) => cmd::rank(r, out),
         Command::Serve(s) => cmd::serve(s, out),
         Command::Submit(s) => cmd::submit(s, out),
+        Command::Help => write!(out, "{}", args::USAGE).map_err(|e| e.to_string()),
     }
 }

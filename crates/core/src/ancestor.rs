@@ -11,8 +11,8 @@
 
 use crate::messages::AnchoredBlockMsg;
 use align::anchor::{anchored_profile_ops, AnchorSpec};
-use align::papro::{align_profiles_with_kernel, ColOp};
-use align::{BandPolicy, DpArena, DpKernel, Profile};
+use align::papro::{align_profiles_with, ColOp};
+use align::{DpArena, DpOptions, Profile};
 use bioseq::alphabet::GAP_CODE;
 use bioseq::{GapPenalties, Msa, Sequence, SubstMatrix, Work};
 
@@ -21,29 +21,20 @@ use bioseq::{GapPenalties, Msa, Sequence, SubstMatrix, Work};
 /// Returns the bucket's rows rewritten into "ancestor + private inserts"
 /// coordinates: the result has exactly `ancestor.len()` anchor columns (in
 /// order) plus the bucket's insert columns. The profile DP runs under
-/// `band` (see [`BandPolicy`]) with the `kernel` fill variant (see
-/// [`DpKernel`]).
+/// `dp` (see [`DpOptions`]) in the caller's `arena`.
 pub fn anchor_to_ancestor(
     local: &Msa,
     ancestor: &Sequence,
     matrix: &SubstMatrix,
     gaps: GapPenalties,
-    band: BandPolicy,
-    kernel: DpKernel,
+    dp: DpOptions,
+    arena: &mut DpArena,
     work: &mut Work,
 ) -> AnchoredBlockMsg {
     let p_local = Profile::from_msa(local, work);
     let anc_msa = Msa::from_sequence(ancestor);
     let p_anc = Profile::from_msa(&anc_msa, work);
-    let aln = align_profiles_with_kernel(
-        &p_local,
-        &p_anc,
-        matrix,
-        gaps,
-        band,
-        kernel,
-        &mut DpArena::new(),
-    );
+    let aln = align_profiles_with(&p_local, &p_anc, matrix, gaps, dp, arena);
     *work += aln.work;
     apply_anchor_ops(local, ancestor, &aln.ops, work)
 }
@@ -61,22 +52,12 @@ pub fn anchor_to_ancestor_seeded(
     spec: &AnchorSpec,
     matrix: &SubstMatrix,
     gaps: GapPenalties,
-    band: BandPolicy,
-    kernel: DpKernel,
+    dp: DpOptions,
+    arena: &mut DpArena,
     work: &mut Work,
 ) -> AnchoredBlockMsg {
     let anc_msa = Msa::from_sequence(ancestor);
-    let ops = anchored_profile_ops(
-        local,
-        &anc_msa,
-        spec,
-        matrix,
-        gaps,
-        band,
-        kernel,
-        &mut DpArena::new(),
-        work,
-    );
+    let ops = anchored_profile_ops(local, &anc_msa, spec, matrix, gaps, dp, arena, work);
     apply_anchor_ops(local, ancestor, &ops, work)
 }
 
@@ -239,21 +220,19 @@ mod tests {
         (SubstMatrix::blosum62(), GapPenalties::default())
     }
 
+    /// [`anchor_to_ancestor`] under [`setup`]'s scoring, the default DP
+    /// options and a throwaway arena.
+    fn anchor(local: &Msa, anc: &Sequence, work: &mut Work) -> AnchoredBlockMsg {
+        let (mat, gaps) = setup();
+        anchor_to_ancestor(local, anc, &mat, gaps, DpOptions::default(), &mut DpArena::new(), work)
+    }
+
     #[test]
     fn anchoring_preserves_rows_and_anchor_count() {
-        let (mat, gaps) = setup();
         let local = msa(">a\nMKVLAW\n>b\nMKV-AW\n");
         let anc = Sequence::from_str("GA", "MKVAW").unwrap();
         let mut w = Work::ZERO;
-        let block = anchor_to_ancestor(
-            &local,
-            &anc,
-            &mat,
-            gaps,
-            BandPolicy::Auto,
-            DpKernel::default(),
-            &mut w,
-        );
+        let block = anchor(&local, &anc, &mut w);
         assert_eq!(block.ids, vec!["a".to_string(), "b".to_string()]);
         assert_eq!(block.is_anchor.iter().filter(|&&a| a).count(), 5);
         // Rows ungap to the originals.
@@ -269,29 +248,12 @@ mod tests {
 
     #[test]
     fn glue_two_identical_buckets_aligns_rows() {
-        let (mat, gaps) = setup();
         let bucket = msa(">a\nMKVLAW\n>b\nMKVLAW\n");
         let bucket2 = msa(">c\nMKVLAW\n>d\nMKVLAW\n");
         let anc = Sequence::from_str("GA", "MKVLAW").unwrap();
         let mut w = Work::ZERO;
-        let b1 = anchor_to_ancestor(
-            &bucket,
-            &anc,
-            &mat,
-            gaps,
-            BandPolicy::Auto,
-            DpKernel::default(),
-            &mut w,
-        );
-        let b2 = anchor_to_ancestor(
-            &bucket2,
-            &anc,
-            &mat,
-            gaps,
-            BandPolicy::Auto,
-            DpKernel::default(),
-            &mut w,
-        );
+        let b1 = anchor(&bucket, &anc, &mut w);
+        let b2 = anchor(&bucket2, &anc, &mut w);
         let glued = glue_anchored(anc.len(), &[b1, b2], &mut w);
         glued.validate().unwrap();
         assert_eq!(glued.num_rows(), 4);
@@ -302,30 +264,13 @@ mod tests {
 
     #[test]
     fn glue_handles_private_inserts() {
-        let (mat, gaps) = setup();
         // Bucket 1 has an insertion (WWW) the ancestor lacks.
         let bucket1 = msa(">a\nMKVWWWLAW\n");
         let bucket2 = msa(">b\nMKVLAW\n");
         let anc = Sequence::from_str("GA", "MKVLAW").unwrap();
         let mut w = Work::ZERO;
-        let b1 = anchor_to_ancestor(
-            &bucket1,
-            &anc,
-            &mat,
-            gaps,
-            BandPolicy::Auto,
-            DpKernel::default(),
-            &mut w,
-        );
-        let b2 = anchor_to_ancestor(
-            &bucket2,
-            &anc,
-            &mat,
-            gaps,
-            BandPolicy::Auto,
-            DpKernel::default(),
-            &mut w,
-        );
+        let b1 = anchor(&bucket1, &anc, &mut w);
+        let b2 = anchor(&bucket2, &anc, &mut w);
         let glued = glue_anchored(anc.len(), &[b1, b2], &mut w);
         glued.validate().unwrap();
         assert_eq!(glued.ungapped(0).to_letters(), "MKVWWWLAW");
@@ -356,26 +301,7 @@ mod tests {
         let mut w = Work::ZERO;
         let anchored = glue_anchored(
             anc.len(),
-            &[
-                anchor_to_ancestor(
-                    &bucket1,
-                    &anc,
-                    &mat,
-                    gaps,
-                    BandPolicy::Auto,
-                    DpKernel::default(),
-                    &mut w,
-                ),
-                anchor_to_ancestor(
-                    &bucket2,
-                    &anc,
-                    &mat,
-                    gaps,
-                    BandPolicy::Auto,
-                    DpKernel::default(),
-                    &mut w,
-                ),
-            ],
+            &[anchor(&bucket1, &anc, &mut w), anchor(&bucket2, &anc, &mut w)],
             &mut w,
         );
         let diagonal = glue_block_diagonal(&[bucket1, bucket2], &mut w);
@@ -393,15 +319,7 @@ mod tests {
         let local = msa(">a\nMKVLAWMKVLAW\n>b\nMKV-AWMKVLAW\n");
         let anc = Sequence::from_str("GA", "MKVAWMKVLAW").unwrap();
         let mut w1 = Work::ZERO;
-        let plain = anchor_to_ancestor(
-            &local,
-            &anc,
-            &mat,
-            gaps,
-            BandPolicy::Auto,
-            DpKernel::default(),
-            &mut w1,
-        );
+        let plain = anchor(&local, &anc, &mut w1);
         let mut w2 = Work::ZERO;
         let seeded = anchor_to_ancestor_seeded(
             &local,
@@ -409,8 +327,8 @@ mod tests {
             &AnchorSpec { k: 64, ..Default::default() },
             &mat,
             gaps,
-            BandPolicy::Auto,
-            DpKernel::default(),
+            DpOptions::default(),
+            &mut DpArena::new(),
             &mut w2,
         );
         assert_eq!(plain, seeded);
@@ -431,8 +349,8 @@ mod tests {
             &spec,
             &mat,
             gaps,
-            BandPolicy::Auto,
-            DpKernel::default(),
+            DpOptions::default(),
+            &mut DpArena::new(),
             &mut w,
         );
         assert_eq!(block.ids, vec!["a".to_string(), "b".to_string()]);
@@ -449,19 +367,10 @@ mod tests {
 
     #[test]
     fn single_block_glue_is_identityish() {
-        let (mat, gaps) = setup();
         let bucket = msa(">a\nMKVLAW\n>b\nMKV-AW\n");
         let anc = Sequence::from_str("GA", "MKVLAW").unwrap();
         let mut w = Work::ZERO;
-        let block = anchor_to_ancestor(
-            &bucket,
-            &anc,
-            &mat,
-            gaps,
-            BandPolicy::Auto,
-            DpKernel::default(),
-            &mut w,
-        );
+        let block = anchor(&bucket, &anc, &mut w);
         let glued = glue_anchored(anc.len(), &[block], &mut w);
         assert_eq!(glued.num_rows(), 2);
         for r in 0..2 {

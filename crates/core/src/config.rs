@@ -2,7 +2,7 @@
 
 use crate::decomp::VerticalConfig;
 use crate::error::SadError;
-use align::{BandPolicy, DpKernel, EngineChoice, TrimConfig};
+use align::{BandPolicy, DpKernel, DpOptions, EngineChoice, TrimConfig};
 use bioseq::{CompressedAlphabet, GapPenalties, RankTransform, Sequence, SubstMatrix};
 use serde::Serialize;
 
@@ -200,6 +200,13 @@ impl SadConfig {
     pub fn without_trim(mut self) -> Self {
         self.trim = None;
         self
+    }
+
+    /// The one [`DpOptions`] value every DP-running step of the pipeline
+    /// is handed: [`band_policy`](Self::band_policy) and
+    /// [`dp_kernel`](Self::dp_kernel) together.
+    pub fn dp(&self) -> DpOptions {
+        DpOptions { band: self.band_policy, kernel: self.dp_kernel }
     }
 
     /// Effective sample count per rank for a cluster of `p`.

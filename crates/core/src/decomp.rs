@@ -238,7 +238,7 @@ pub(crate) fn vertical_pipeline(
     let aligned: Vec<(Msa, Work)> = ctx.phase(Phase::BlockAlign, || {
         let results: Vec<(Msa, Work)> = crate::batch::pool_map(blocks.len(), width, |b, arena| {
             let t0 = Instant::now();
-            let engine = cfg.engine.build_with(cfg.band_policy, cfg.dp_kernel);
+            let engine = cfg.engine.build_with(cfg.dp());
             let (msa, work) = engine.align_with_work_in(&blocks[b], arena);
             ctx.block_aligned(b, msa.num_rows(), msa.num_cols(), t0.elapsed().as_secs_f64());
             (msa, work)
@@ -360,15 +360,8 @@ fn refine_window(
         resident.iter().map(|&r| glued.ids()[r].clone()).collect(),
         resident.iter().map(|&r| glued.row(r)[lo..hi].to_vec()).collect(),
     );
-    let outcome = leave_one_out_with(
-        &sub,
-        &cfg.matrix,
-        cfg.gaps,
-        vcfg.seam_passes,
-        cfg.band_policy,
-        cfg.dp_kernel,
-        arena,
-    );
+    let outcome =
+        leave_one_out_with(&sub, &cfg.matrix, cfg.gaps, vcfg.seam_passes, cfg.dp(), arena);
     *work += outcome.work;
     // leave_one_out may permute rows (ids are preserved); restore the
     // window's row order by consuming refined rows id-by-id.

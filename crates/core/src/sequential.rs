@@ -24,8 +24,7 @@ pub(crate) fn sequential_pipeline(
     debug_assert!(!seqs.is_empty(), "Aligner::run rejects empty input");
     let msa = ctx.phase(Phase::LocalAlign, || {
         let t0 = Instant::now();
-        let (msa, work) =
-            cfg.engine.build_with(cfg.band_policy, cfg.dp_kernel).align_with_work_in(seqs, arena);
+        let (msa, work) = cfg.engine.build_with(cfg.dp()).align_with_work_in(seqs, arena);
         ctx.bucket_aligned(0, msa.num_rows(), t0.elapsed().as_secs_f64());
         (msa, work)
     })?;
@@ -87,7 +86,7 @@ mod tests {
         let seqs = family(6, 40, 2);
         let cfg = SadConfig::default();
         let report = Aligner::new(cfg.clone()).run(&seqs).unwrap();
-        assert_eq!(report.msa, cfg.engine.build_with(cfg.band_policy, cfg.dp_kernel).align(&seqs));
+        assert_eq!(report.msa, cfg.engine.build_with(cfg.dp()).align(&seqs));
         assert_eq!(report.bucket_sizes, vec![6]);
         assert_eq!(report.ranks, 1);
         assert_eq!(report.work, report.phases.iter().map(|p| p.work).sum());

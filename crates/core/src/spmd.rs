@@ -29,6 +29,7 @@ use crate::pipeline::{Phase, PipelineCtx};
 use crate::report::{BackendExtras, RunReport};
 use align::anchor::AnchorSpec;
 use align::consensus::consensus_sequence;
+use align::DpArena;
 use bioseq::kmer::{self, KmerProfile};
 use bioseq::{Msa, Sequence, Work};
 use std::ops::Range;
@@ -255,7 +256,7 @@ pub(crate) fn sample_align_d<C: Comm>(
     // Step 8: the sequential engine on every non-empty leaf.
     let mut local_msas: Vec<Vec<Msa>> = c.phase(Phase::LocalAlign, |c| {
         c.each(leaves, |rank, leaves| {
-            let engine = cfg.engine.build_with(cfg.band_policy, cfg.dp_kernel);
+            let engine = cfg.engine.build_with(cfg.dp());
             let mut work = Work::ZERO;
             let msas = leaves
                 .into_iter()
@@ -319,7 +320,7 @@ pub(crate) fn sample_align_d<C: Comm>(
             if ancestors.len() == 1 {
                 return SeqBatch(ancestors);
             }
-            let engine = cfg.engine.build_with(cfg.band_policy, cfg.dp_kernel);
+            let engine = cfg.engine.build_with(cfg.dp());
             let (anc_msa, work) = engine.align_with_work(&ancestors);
             c.charge(work);
             let mut work = Work::ZERO;
@@ -339,15 +340,17 @@ pub(crate) fn sample_align_d<C: Comm>(
     let anchored = c.phase(Phase::FineTune, |c| {
         c.each(local_msas, |_, msas| {
             let mut work = Work::ZERO;
-            let (m, g, band, kernel) = (&cfg.matrix, cfg.gaps, cfg.band_policy, cfg.dp_kernel);
+            // One DP arena per rank task, shared by all of its leaves.
+            let mut arena = DpArena::new();
+            let (m, g, dp) = (&cfg.matrix, cfg.gaps, cfg.dp());
             let blocks: Vec<AnchoredBlockMsg> = msas
                 .iter()
                 .map(|msa| {
                     if seeded {
                         let spec = AnchorSpec::default();
-                        anchor_to_ancestor_seeded(msa, &ga, &spec, m, g, band, kernel, &mut work)
+                        anchor_to_ancestor_seeded(msa, &ga, &spec, m, g, dp, &mut arena, &mut work)
                     } else {
-                        anchor_to_ancestor(msa, &ga, m, g, band, kernel, &mut work)
+                        anchor_to_ancestor(msa, &ga, m, g, dp, &mut arena, &mut work)
                     }
                 })
                 .collect();

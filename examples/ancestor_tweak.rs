@@ -47,12 +47,10 @@ fn main() {
     );
 
     // Fig. 2's tweak: anchor each bucket to the ancestor, then glue.
-    let band = BandPolicy::default();
-    let kernel = align::DpKernel::default();
-    let block_a =
-        anchor_to_ancestor(&bucket_a, &global_ancestor, &matrix, gaps, band, kernel, &mut work);
-    let block_b =
-        anchor_to_ancestor(&bucket_b, &global_ancestor, &matrix, gaps, band, kernel, &mut work);
+    let (dp, mut arena) = (DpOptions::default(), DpArena::new());
+    let (m, g) = (&matrix, gaps);
+    let block_a = anchor_to_ancestor(&bucket_a, &global_ancestor, m, g, dp, &mut arena, &mut work);
+    let block_b = anchor_to_ancestor(&bucket_b, &global_ancestor, m, g, dp, &mut arena, &mut work);
     let glued = glue_anchored(global_ancestor.len(), &[block_a, block_b], &mut work);
     println!(
         "with ancestor fine-tuning:            {} cols, SP = {}",

@@ -65,7 +65,7 @@ pub use vcluster;
 /// The most common imports for working with the system.
 pub mod prelude {
     pub use align::{
-        trim_msa, BandPolicy, ClustalLite, DpArena, EngineChoice, MsaEngine, MuscleLite,
+        trim_msa, BandPolicy, ClustalLite, DpArena, DpOptions, EngineChoice, MsaEngine, MuscleLite,
         TrimOutcome,
     };
     pub use bioseq::{fasta, CompressedAlphabet, GapPenalties, Msa, Sequence, SubstMatrix};

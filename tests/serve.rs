@@ -87,6 +87,31 @@ fn submit_stream_result_on_every_backend() {
 }
 
 #[test]
+fn served_job_under_a_trim_config_matches_the_direct_run() {
+    // `sad serve --trim` hands every job a trim config. Two short
+    // fragments make the stage bite: dropping them frees their gap
+    // columns, so the served rows are fewer than the submitted ones.
+    let cfg = SadConfig::default().with_trim(sad_core::TrimConfig::default());
+    let mut fasta = family_fasta(6, 60, 11);
+    fasta.push_str(">frag1\nMKVLAWGKVL\n>frag2\nGKVLAWMKIL\n");
+    let seqs = bioseq::fasta::parse(&fasta).expect("fixture parses");
+    let direct = |cfg: SadConfig| {
+        let report = Aligner::new(cfg).run(&seqs).expect("direct run succeeds");
+        bioseq::fasta::write_alignment(&report.msa)
+    };
+    let trimmed = direct(cfg.clone());
+    assert_ne!(trimmed, direct(SadConfig::default()), "the fixture must give trim work to do");
+
+    let mut h = ServeHarness::new("trim").sad_config(cfg).start();
+    let mut client = h.client();
+    let job = submit_ok(&mut client, "gappy", &fasta);
+    let result = client.wait_result(&job, WAIT).expect("result event");
+    assert_eq!(result.get("fasta").and_then(Json::as_str), Some(trimmed.as_str()));
+    assert_eq!(std::fs::read_to_string(h.output_path(&job)).expect("output file"), trimmed);
+    h.shutdown();
+}
+
+#[test]
 fn kill_mid_batch_then_restart_resumes_unfinished_and_skips_finished() {
     let hold = sad_serve::JobHold::new();
     let mut h = ServeHarness::new("kill-restart").workers(1).hold(hold.clone()).start();
