@@ -10,9 +10,10 @@
 //!   kernel's cells/sec on every measured shape (CI runs this bench, so a
 //!   striped slowdown fails the build).
 //!
-//! It also writes `BENCH_dp_kernel.json` at the workspace root — one
-//! entry per (case, band, kernel) with cells/sec and median wall time —
-//! the committed baseline future kernel work has to beat.
+//! It also writes `BENCH_dp_kernel.json` at the workspace root through
+//! `sad_bench::BenchFile` — one entry per (case, band, kernel) with
+//! cells/sec and median wall time — the committed baseline future kernel
+//! work has to beat.
 
 use align::dp::{BandPolicy, DpArena, DpKernel, DpOptions};
 use align::pairwise::global_align_with;
@@ -21,6 +22,8 @@ use align::{MsaEngine, MuscleLite, Profile};
 use bioseq::{GapPenalties, Sequence, SubstMatrix, Work};
 use criterion::{criterion_group, criterion_main, Criterion};
 use rosegen::{Family, FamilyConfig};
+use sad_bench::{median_seconds, BenchFile};
+use sad_serve::Json;
 
 fn pair(avg_len: usize, seed: u64) -> (Sequence, Sequence) {
     let mut seqs = Family::generate(&FamilyConfig {
@@ -50,31 +53,16 @@ impl Entry {
         self.dp_cells as f64 / self.seconds_median
     }
 
-    fn json(&self) -> String {
-        format!(
-            "    {{\"case\": \"{}\", \"band\": \"{}\", \"kernel\": \"{}\", \
-             \"dp_cells\": {}, \"seconds_median\": {:.9}, \"cells_per_sec\": {:.0}}}",
-            self.case,
-            self.band,
-            self.kernel,
-            self.dp_cells,
-            self.seconds_median,
-            self.cells_per_sec()
-        )
+    fn json(&self) -> Json {
+        Json::obj([
+            ("case", Json::str(self.case)),
+            ("band", Json::str(self.band)),
+            ("kernel", Json::str(self.kernel)),
+            ("dp_cells", Json::Num(self.dp_cells as f64)),
+            ("seconds_median", Json::Num(self.seconds_median)),
+            ("cells_per_sec", Json::Num(self.cells_per_sec().round())),
+        ])
     }
-}
-
-/// Median wall time of `runs` calls to `f`.
-fn median_seconds(runs: usize, mut f: impl FnMut()) -> f64 {
-    let mut times: Vec<f64> = (0..runs)
-        .map(|_| {
-            let start = std::time::Instant::now();
-            f();
-            start.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
 }
 
 const BANDS: [(&str, BandPolicy); 2] = [("full", BandPolicy::Full), ("auto", BandPolicy::Auto)];
@@ -245,12 +233,7 @@ fn bench(c: &mut Criterion) {
         );
     }
 
-    let json = format!(
-        "{{\n  \"bench\": \"dp_kernel\",\n  \"entries\": [\n{}\n  ]\n}}\n",
-        entries.iter().map(Entry::json).collect::<Vec<_>>().join(",\n")
-    );
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_dp_kernel.json");
-    std::fs::write(&path, json).expect("write BENCH_dp_kernel.json");
+    let path = BenchFile::new("dp_kernel", entries.iter().map(Entry::json).collect()).write();
     println!("wrote {}", path.display());
 }
 

@@ -10,7 +10,7 @@
 //! noisy CI runners while still catching a real per-event cost).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sad_bench::rose_workload;
+use sad_bench::{median, rose_workload};
 use sad_core::{Aligner, Backend, CancelToken, Event, Observer, SadConfig};
 use std::sync::Arc;
 use std::time::Instant;
@@ -26,11 +26,6 @@ fn timed_run(aligner: &Aligner, seqs: &[bioseq::Sequence]) -> f64 {
     let report = aligner.run(seqs).expect("bench workloads are valid inputs");
     assert!(!report.work.is_zero());
     t0.elapsed().as_secs_f64()
-}
-
-fn median(mut times: Vec<f64>) -> f64 {
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
 }
 
 fn bench(c: &mut Criterion) {

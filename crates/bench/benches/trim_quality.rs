@@ -14,16 +14,19 @@
 //!   never-decrease invariant (whether fragments survive depends on the
 //!   read mix).
 //!
-//! Writes `BENCH_trim.json` at the workspace root — area before/after,
-//! rows dropped and median trim wall time per case — the committed
-//! baseline future trim work has to beat.
+//! Writes `BENCH_trim.json` at the workspace root through
+//! `sad_bench::BenchFile` — area before/after, rows dropped and median
+//! trim wall time per case — the committed baseline future trim work has
+//! to beat.
 
 use align::trim::{alignment_area, trim_msa, TrimConfig};
 use bioseq::alphabet::GAP_CODE;
 use bioseq::Msa;
 use criterion::{criterion_group, criterion_main, Criterion};
 use rosegen::{Family, FamilyConfig, ReadSet, ReadSimConfig};
+use sad_bench::{median_seconds, BenchFile};
 use sad_core::{Aligner, Backend, SadConfig};
+use sad_serve::Json;
 
 /// A clean (indel-free) family widened with `n_frags` fragment rows:
 /// half carry residues only in the first quarter of the columns, half
@@ -95,35 +98,19 @@ struct Entry {
 }
 
 impl Entry {
-    fn json(&self) -> String {
-        format!(
-            "    {{\"case\": \"{}\", \"mode\": \"{}\", \"rows\": {}, \"width\": {}, \
-             \"area_before\": {}, \"area_after\": {}, \"rows_dropped\": {}, \
-             \"cols_gained\": {}, \"seconds_median\": {:.9}}}",
-            self.case,
-            self.mode,
-            self.rows,
-            self.width,
-            self.area_before,
-            self.area_after,
-            self.rows_dropped,
-            self.cols_gained,
-            self.seconds_median
-        )
+    fn json(&self) -> Json {
+        Json::obj([
+            ("case", Json::str(&self.case)),
+            ("mode", Json::str(self.mode)),
+            ("rows", Json::Num(self.rows as f64)),
+            ("width", Json::Num(self.width as f64)),
+            ("area_before", Json::Num(self.area_before as f64)),
+            ("area_after", Json::Num(self.area_after as f64)),
+            ("rows_dropped", Json::Num(self.rows_dropped as f64)),
+            ("cols_gained", Json::Num(self.cols_gained as f64)),
+            ("seconds_median", Json::Num(self.seconds_median)),
+        ])
     }
-}
-
-/// Median wall time of `runs` calls to `f`.
-fn median_seconds(runs: usize, mut f: impl FnMut()) -> f64 {
-    let mut times: Vec<f64> = (0..runs)
-        .map(|_| {
-            let start = std::time::Instant::now();
-            f();
-            start.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
 }
 
 fn measure(case: &str, mode: &'static str, msa: &Msa, cfg: &TrimConfig) -> Entry {
@@ -219,12 +206,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| trim_msa(std::hint::black_box(&msa), &cfg))
     });
 
-    let json = format!(
-        "{{\n  \"bench\": \"trim_quality\",\n  \"entries\": [\n{}\n  ]\n}}\n",
-        entries.iter().map(Entry::json).collect::<Vec<_>>().join(",\n")
-    );
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_trim.json");
-    std::fs::write(&path, json).expect("write BENCH_trim.json");
+    let path = BenchFile::new("trim", entries.iter().map(Entry::json).collect()).write();
     println!("wrote {}", path.display());
 }
 

@@ -14,6 +14,9 @@
 //! Sizing: by default workloads are scaled down ~10× so the whole suite
 //! finishes on a small CI box. Set `SAD_PAPER_SCALE=1` to run the paper's
 //! exact sizes (N up to 20 000).
+//!
+//! The benches that commit a baseline (`dp_kernel`, `trim_quality`) write
+//! it through [`BenchFile`], never by formatting JSON by hand.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -21,6 +24,9 @@
 use bioseq::Sequence;
 use rosegen::{Family, FamilyConfig, GenomeConfig, GenomeSample};
 use sad_core::{Aligner, Backend, RunReport, SadConfig};
+use sad_serve::Json;
+use std::path::{Path, PathBuf};
+use std::time::Instant;
 use vcluster::{CostModel, VirtualCluster};
 
 /// Run Sample-Align-D on a `p`-rank virtual Beowulf cluster — the
@@ -128,9 +134,102 @@ pub fn table(headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
+/// The median of `xs` (the upper median for an even count).
+pub fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
+/// Median wall time, in seconds, of `runs` calls to `f`.
+pub fn median_seconds(runs: usize, mut f: impl FnMut()) -> f64 {
+    median(
+        (0..runs)
+            .map(|_| {
+                let start = Instant::now();
+                f();
+                start.elapsed().as_secs_f64()
+            })
+            .collect(),
+    )
+}
+
+/// A committed bench baseline, `BENCH_<name>.json` at the workspace root:
+/// one [`Json`] document stamped with the provenance a number needs to be
+/// read on another machine — `bench`, `commit`, `host_cores`,
+/// `paper_scale` — around the bench's `entries`.
+pub struct BenchFile {
+    name: &'static str,
+    entries: Vec<Json>,
+}
+
+impl BenchFile {
+    /// A file named `BENCH_<name>.json` holding `entries`.
+    pub fn new(name: &'static str, entries: Vec<Json>) -> BenchFile {
+        BenchFile { name, entries }
+    }
+
+    /// The stamped document, encoded (one line plus a trailing newline).
+    pub fn encode(&self) -> String {
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let doc = Json::obj([
+            ("bench", Json::str(self.name)),
+            ("commit", Json::str(commit())),
+            ("host_cores", Json::num(cores as u32)),
+            ("paper_scale", Json::Bool(paper_scale())),
+            ("entries", Json::Arr(self.entries.clone())),
+        ]);
+        doc.encode() + "\n"
+    }
+
+    /// Write the document to the workspace root and return its path.
+    pub fn write(&self) -> PathBuf {
+        let path = workspace_root().join(format!("BENCH_{}.json", self.name));
+        std::fs::write(&path, self.encode())
+            .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+        path
+    }
+}
+
+fn workspace_root() -> &'static Path {
+    Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
+}
+
+/// `git rev-parse --short HEAD` of the workspace, or `"unknown"`.
+fn commit() -> String {
+    std::process::Command::new("git")
+        .args(["rev-parse", "--short", "HEAD"])
+        .current_dir(workspace_root())
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |s| s.trim().to_string())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bench_file_parses_back_with_every_stamp() {
+        let entry =
+            Json::obj([("case", Json::str("global_600")), ("seconds_median", Json::Num(0.5))]);
+        let doc = Json::parse(&BenchFile::new("unit", vec![entry.clone()]).encode())
+            .expect("BenchFile output is valid JSON");
+        for key in ["bench", "commit", "host_cores", "paper_scale", "entries"] {
+            assert!(doc.get(key).is_some(), "missing {key}");
+        }
+        assert_eq!(doc.get("bench").and_then(Json::as_str), Some("unit"));
+        assert!(doc.get("host_cores").and_then(Json::as_u64).is_some_and(|n| n >= 1));
+        assert_eq!(doc.get("paper_scale").and_then(Json::as_bool), Some(paper_scale()));
+        assert_eq!(doc.get("entries"), Some(&Json::Arr(vec![entry])));
+    }
+
+    #[test]
+    fn median_picks_the_middle() {
+        assert_eq!(median(vec![3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(vec![4.0, 1.0, 3.0, 2.0]), 3.0, "upper median for an even count");
+    }
 
     #[test]
     fn scaling_rules() {

@@ -11,7 +11,6 @@ use sad_core::{
     rank_experiment, Aligner, Backend as SadBackend, BatchJob, RunReport, SadConfig, TrimConfig,
     VerticalConfig,
 };
-use sad_serve::ServeBackend;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -86,13 +85,14 @@ impl PipelineFlags {
     }
 
     /// The backend `--backend` names, `width` ranks wide (the sequential
-    /// baseline has no width), as the plain-data spec `sad serve` hands
-    /// its workers; [`ServeBackend::instantiate`] makes the live one.
-    pub(crate) fn sad_backend(&self, width: usize) -> ServeBackend {
+    /// baseline has no width).
+    pub(crate) fn sad_backend(&self, width: usize) -> SadBackend {
         match self.backend {
-            Backend::Sequential => ServeBackend::Sequential,
-            Backend::Rayon => ServeBackend::Rayon { threads: width },
-            Backend::Distributed => ServeBackend::Distributed { nodes: width },
+            Backend::Sequential => SadBackend::Sequential,
+            Backend::Rayon => SadBackend::Rayon { threads: width },
+            Backend::Distributed => {
+                SadBackend::Distributed(VirtualCluster::new(width, CostModel::beowulf_2008()))
+            }
         }
     }
 }
@@ -101,7 +101,7 @@ impl PipelineFlags {
 /// its flags name, `width` ranks wide, with the live phase display
 /// attached on `--progress` (on stderr, so stdout stays parseable).
 fn build_aligner(cfg: SadConfig, flags: &PipelineFlags, width: usize, progress: bool) -> Aligner {
-    let aligner = Aligner::new(cfg).backend(flags.sad_backend(width).instantiate());
+    let aligner = Aligner::new(cfg).backend(flags.sad_backend(width));
     if progress {
         aligner.observer(Arc::new(crate::progress::ProgressObserver::stderr()))
     } else {

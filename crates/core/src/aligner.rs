@@ -170,7 +170,7 @@ impl Aligner {
     /// Validate configuration and input, then run the pipeline on the
     /// selected backend.
     pub fn run(&self, seqs: &[Sequence]) -> Result<RunReport, SadError> {
-        self.run_inner(seqs, &self.backend, self.cancel.clone(), self.deadline, &mut DpArena::new())
+        self.run_inner(seqs, self.cancel.clone(), self.deadline, &mut DpArena::new())
     }
 
     /// Run many independent families through this aligner's backend with
@@ -184,14 +184,13 @@ impl Aligner {
     /// scheduling across `workers` concurrent workers (clamped to
     /// `1..=jobs.len()`).
     ///
-    /// Scheduling is backend-aware: [`Backend::Sequential`] and
-    /// [`Backend::Rayon`] jobs are pulled from a shared queue by the
-    /// worker pool (work-stealing across jobs), while
-    /// [`Backend::Distributed`] jobs are round-robined over per-worker
-    /// clones of the virtual cluster. Each worker owns one [`DpArena`] of
-    /// DP scratch, reused across its jobs on the `Sequential` per-job
-    /// backend (the decomposed backends keep scratch on their own
-    /// internal worker threads).
+    /// One scheduler serves every backend: workers pull the next job from
+    /// a shared queue the moment they go idle, and every job runs on this
+    /// aligner's backend (a [`Backend::Distributed`] run builds fresh
+    /// virtual-cluster nodes, so concurrent jobs never share clocks).
+    /// Each worker owns one [`DpArena`] of DP scratch, reused across its
+    /// jobs on the `Sequential` per-job backend (the decomposed backends
+    /// keep scratch on their own internal worker threads).
     ///
     /// Failures never abort the batch: each [`BatchJob`] yields its own
     /// `Result<RunReport, SadError>` inside the returned [`BatchReport`].
@@ -206,18 +205,18 @@ impl Aligner {
         crate::batch::run_batch(self, jobs, Some(workers))
     }
 
-    /// The shared single-run path: `run` uses the builder's own backend,
-    /// token, deadline and a fresh arena; the batch runner substitutes
-    /// per-job fused tokens, per-worker cluster clones, per-worker arenas
-    /// and each job's *remaining* share of the batch-wide budget.
+    /// The shared single-run path: `run` uses the builder's own token,
+    /// deadline and a fresh arena; the batch runner substitutes per-job
+    /// fused tokens, per-worker arenas and each job's *remaining* share of
+    /// the batch-wide budget.
     pub(crate) fn run_inner(
         &self,
         seqs: &[Sequence],
-        backend: &Backend,
         cancel: Option<CancelToken>,
         budget: Option<Duration>,
         scratch: &mut DpArena,
     ) -> Result<RunReport, SadError> {
+        let backend = &self.backend;
         self.cfg.validate()?;
         if seqs.len() < 2 {
             return Err(SadError::TooFewSequences { found: seqs.len() });
@@ -307,7 +306,7 @@ impl Aligner {
         Ok(())
     }
 
-    /// The selected backend (the batch runner's scheduling key).
+    /// The selected backend (the batch runner names its first phase).
     pub(crate) fn backend_ref(&self) -> &Backend {
         &self.backend
     }

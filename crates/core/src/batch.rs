@@ -7,11 +7,11 @@
 //! many-jobs-per-process path:
 //!
 //! * an ordered set of named [`BatchJob`]s goes in;
-//! * a backend-aware worker pool schedules them — a shared self-scheduling
-//!   queue for [`Sequential`](crate::Backend::Sequential)/
-//!   [`Rayon`](crate::Backend::Rayon) jobs (workers steal the next job the
-//!   moment they go idle), a round-robin of per-worker virtual-cluster
-//!   clones for [`Distributed`](crate::Backend::Distributed) jobs;
+//! * one self-scheduling worker pool runs them on every backend — workers
+//!   steal the next job the moment they go idle, and a
+//!   [`Distributed`](crate::Backend::Distributed) job builds fresh
+//!   virtual-cluster nodes per run, so its virtual clocks stay
+//!   deterministic whichever worker runs it;
 //! * each worker owns one [`DpArena`] of DP scratch, reused across all
 //!   its jobs on the `Sequential` per-job backend (whose engine runs on
 //!   the worker thread itself; the decomposed backends run their engines
@@ -250,7 +250,6 @@ fn run_job(
     aligner: &Aligner,
     index: usize,
     job: &BatchJob,
-    backend: &Backend,
     deadline_at: Option<Instant>,
     arena: &mut DpArena,
 ) -> JobReport {
@@ -272,9 +271,9 @@ fn run_job(
     // `RunFinished`, no cluster spin-up) and report the same error the
     // first phase boundary would have produced.
     let outcome = if cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-        Err(SadError::Cancelled { phase: first_phase(backend) })
+        Err(SadError::Cancelled { phase: first_phase(aligner.backend_ref()) })
     } else {
-        aligner.run_inner(&job.seqs, backend, cancel, budget, arena)
+        aligner.run_inner(&job.seqs, cancel, budget, arena)
     };
     let seconds = t0.elapsed().as_secs_f64();
     if let Some(obs) = aligner.observer_ref() {
@@ -311,67 +310,13 @@ pub(crate) fn run_batch(
     let deadline_at = aligner.deadline_budget().map(|d| t0 + d);
     let workers = workers.unwrap_or_else(default_workers).clamp(1, jobs.len().max(1));
 
-    let jobs_out: Vec<JobReport> = if workers == 1 {
-        // Inline fast path: no pool, one arena, deterministic event order.
-        let mut arena = DpArena::new();
-        jobs.iter()
-            .enumerate()
-            .map(|(i, job)| {
-                run_job(aligner, i, job, aligner.backend_ref(), deadline_at, &mut arena)
-            })
-            .collect()
-    } else {
-        match aligner.backend_ref() {
-            Backend::Distributed(cluster) => {
-                // Round-robin over per-worker cluster clones: worker `w`
-                // owns one virtual cluster and runs jobs w, w+W, w+2W, …
-                // serially on it, so every job sees a dedicated cluster
-                // and virtual clocks stay deterministic. One slot per job
-                // keeps the report in submission order whatever order
-                // workers finish in.
-                let slots: Vec<Mutex<Option<JobReport>>> =
-                    jobs.iter().map(|_| Mutex::new(None)).collect();
-                std::thread::scope(|scope| {
-                    for w in 0..workers {
-                        let cluster = cluster.clone();
-                        let slots = &slots;
-                        scope.spawn(move || {
-                            let backend = Backend::Distributed(cluster);
-                            let mut arena = DpArena::new();
-                            let mut i = w;
-                            while i < jobs.len() {
-                                *slots[i].lock().expect("batch slot poisoned") = Some(run_job(
-                                    aligner,
-                                    i,
-                                    &jobs[i],
-                                    &backend,
-                                    deadline_at,
-                                    &mut arena,
-                                ));
-                                i += workers;
-                            }
-                        });
-                    }
-                });
-                slots
-                    .into_iter()
-                    .map(|slot| {
-                        slot.into_inner()
-                            .expect("batch slot poisoned")
-                            .expect("every job was scheduled")
-                    })
-                    .collect()
-            }
-            backend => {
-                // Shared-queue self-scheduling: idle workers steal the
-                // next unclaimed job, so a long job never strands its
-                // worker's queue the way static chunking would.
-                pool_map(jobs.len(), workers, |i, arena| {
-                    run_job(aligner, i, &jobs[i], backend, deadline_at, arena)
-                })
-            }
-        }
-    };
+    // One scheduler for every backend: idle workers steal the next
+    // unclaimed job, so a long job never strands its worker's queue. A
+    // distributed backend is a plain `{p, cost}` value and every run
+    // builds fresh nodes, so concurrent jobs can share it and each still
+    // sees its own virtual cluster with deterministic clocks.
+    let jobs_out =
+        pool_map(jobs.len(), workers, |i, arena| run_job(aligner, i, &jobs[i], deadline_at, arena));
     // Aggregate with Work::add so banded/full DP counters move in step;
     // the audit invariant catches any future double-counting regression.
     let work: Work = jobs_out.iter().filter_map(|j| j.outcome.as_ref().ok()).map(|r| r.work).sum();
@@ -571,7 +516,7 @@ mod tests {
     }
 
     #[test]
-    fn distributed_round_robin_matches_single_runs() {
+    fn distributed_batch_equals_single_runs_including_makespan() {
         let jobs = jobs(5);
         let cluster = VirtualCluster::new(2, CostModel::beowulf_2008());
         let aligner = Aligner::new(SadConfig::default()).backend(Backend::Distributed(cluster));

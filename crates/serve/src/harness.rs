@@ -3,8 +3,8 @@
 //! the output directory.
 //!
 //! Shipped as a normal (non-`cfg(test)`) module so the workspace-level
-//! integration suite, the golden-transcript test, and the throughput
-//! bench all drive the same fixture:
+//! integration suite and the golden-transcript test drive the same
+//! fixture:
 //!
 //! ```no_run
 //! use sad_serve::harness::ServeHarness;
@@ -17,7 +17,8 @@
 
 use crate::client::Client;
 use crate::journal::JournalEntry;
-use crate::server::{RecoveryReport, ServeBackend, ServeConfig, Server, ServerHandle, ServerStats};
+use crate::server::{RecoveryReport, ServeConfig, Server, ServerHandle, ServerStats};
+use sad_core::Backend;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -56,7 +57,7 @@ impl ServeHarness {
     }
 
     /// Execution backend (default sequential).
-    pub fn backend(mut self, backend: ServeBackend) -> Self {
+    pub fn backend(mut self, backend: Backend) -> Self {
         self.cfg.backend = backend;
         self
     }

@@ -51,6 +51,5 @@ pub use journal::{Journal, JournalEntry, JournalError};
 pub use json::Json;
 pub use protocol::Request;
 pub use server::{
-    JobHold, RecoveryReport, ServeBackend, ServeConfig, ServeError, Server, ServerHandle,
-    ServerStats,
+    JobHold, RecoveryReport, ServeConfig, ServeError, Server, ServerHandle, ServerStats,
 };

@@ -33,49 +33,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use vcluster::{CostModel, VirtualCluster};
-
-/// Which execution substrate the server runs jobs on. A plain-data mirror
-/// of [`Backend`] (the distributed arm names a cluster size rather than
-/// holding a live cluster), so the config stays `Clone + Debug` and each
-/// worker can build its own backend instance.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ServeBackend {
-    /// Direct single-bucket runs.
-    Sequential,
-    /// Shared-memory pipeline with this many threads per job.
-    Rayon {
-        /// Threads per job.
-        threads: usize,
-    },
-    /// Virtual-cluster pipeline with this many nodes per job.
-    Distributed {
-        /// Cluster nodes per job.
-        nodes: usize,
-    },
-}
-
-impl ServeBackend {
-    /// Build a fresh backend instance (each worker gets its own).
-    pub fn instantiate(&self) -> Backend {
-        match self {
-            ServeBackend::Sequential => Backend::Sequential,
-            ServeBackend::Rayon { threads } => Backend::Rayon { threads: *threads },
-            ServeBackend::Distributed { nodes } => {
-                Backend::Distributed(VirtualCluster::new(*nodes, CostModel::beowulf_2008()))
-            }
-        }
-    }
-
-    /// Stable label for logs.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ServeBackend::Sequential => "sequential",
-            ServeBackend::Rayon { .. } => "rayon",
-            ServeBackend::Distributed { .. } => "distributed",
-        }
-    }
-}
 
 /// Deterministic mid-job breakpoint for tests: while engaged, every job
 /// blocks right after journaling `Started` (and streaming its `started`
@@ -137,8 +94,9 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Bound on pending (queued, not yet started) jobs.
     pub queue_capacity: usize,
-    /// Execution substrate for every job.
-    pub backend: ServeBackend,
+    /// Execution substrate for every job (a distributed backend's cluster
+    /// is a plain `{p, cost}` value; every run builds fresh nodes).
+    pub backend: Backend,
     /// Pipeline configuration for every job.
     pub sad: SadConfig,
     /// Byte budget of the in-memory result cache (`--cache-mb` on the
@@ -165,7 +123,7 @@ impl ServeConfig {
             out_dir: out_dir.into(),
             workers: 1,
             queue_capacity: 32,
-            backend: ServeBackend::Sequential,
+            backend: Backend::Sequential,
             sad: SadConfig::default(),
             cache_budget_bytes: crate::cache::DEFAULT_BUDGET_BYTES,
             paused: false,
@@ -390,8 +348,7 @@ impl Server {
     pub fn start(cfg: ServeConfig) -> Result<ServerHandle, ServeError> {
         std::fs::create_dir_all(&cfg.out_dir)?;
         let replay = crate::journal::replay(&cfg.journal)?;
-        let backend_proto = cfg.backend.instantiate();
-        let fingerprint = digest::config_fingerprint(&cfg.sad, &backend_proto);
+        let fingerprint = digest::config_fingerprint(&cfg.sad, &cfg.backend);
         let workers = cfg.workers.max(1);
         let paused = cfg.paused;
         let shared = Arc::new(Shared {
@@ -432,7 +389,7 @@ impl Server {
         let listener = TcpListener::bind((shared.cfg.host.as_str(), shared.cfg.port))?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-        shared.log(&format!("listening on {addr} ({})", shared.cfg.backend.label()));
+        shared.log(&format!("listening on {addr} ({})", shared.cfg.backend.name()));
 
         let worker_handles = (0..workers)
             .map(|w| {
@@ -853,7 +810,6 @@ fn handle_cancel(shared: &Arc<Shared>, sink: &EventSink, job: &str) {
 }
 
 fn worker_loop(shared: &Arc<Shared>) {
-    let backend = shared.cfg.backend.instantiate();
     loop {
         // Pause gate (tests stage the queue, then release).
         {
@@ -884,12 +840,12 @@ fn worker_loop(shared: &Arc<Shared>) {
             continue;
         };
         shared.active.fetch_add(1, Ordering::SeqCst);
-        run_one(shared, &backend, &job);
+        run_one(shared, &job);
         shared.active.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
-fn run_one(shared: &Arc<Shared>, backend: &Backend, job: &QueuedJob) {
+fn run_one(shared: &Arc<Shared>, job: &QueuedJob) {
     let killed = || shared.kill.load(Ordering::SeqCst);
     if killed() {
         return;
@@ -925,7 +881,7 @@ fn run_one(shared: &Arc<Shared>, backend: &Backend, job: &QueuedJob) {
     });
     let started_at = Instant::now();
     let outcome = Aligner::new(shared.cfg.sad.clone())
-        .backend(backend.clone())
+        .backend(shared.cfg.backend.clone())
         .cancel_token(CancelToken::fused([&shared.kill_token, &token]))
         .observer(observer)
         .run(&seqs);

@@ -1,11 +1,13 @@
 //! The batch subsystem's contract: `run_batch` is nothing but N
 //! independent `Aligner::run`s — byte-identical alignments on every
-//! backend, in any job order — with per-job failure isolation and a
-//! well-formed `JobStarted`/`JobFinished` event stream.
+//! backend, in any job order — with per-job failure isolation, a
+//! well-formed `JobStarted`/`JobFinished` event stream, and jobs that
+//! really run concurrently.
 
 use proptest::prelude::*;
 use sample_align_d::prelude::*;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 fn backends(p: usize) -> Vec<Backend> {
     vec![
@@ -194,6 +196,43 @@ fn failure_isolation_with_a_well_formed_event_stream() {
             assert_eq!(finishes[0].1, expect_ok, "{name}: job {i} ({}) verdict", job.id);
         }
         poison.cancel(); // keep the token poisoned for the next backend
+    }
+}
+
+#[test]
+fn two_workers_run_two_jobs_at_once_on_every_backend() {
+    // Job 0's observer call blocks until job 1 has started. Only a
+    // scheduler that really runs both jobs concurrently gets there; a
+    // serial one would leave job 0 waiting out the bound and fail.
+    let jobs: Vec<BatchJob> =
+        (0..2).map(|i| BatchJob::new(format!("j{i}"), family(6, i as u64))).collect();
+    for backend in backends(2) {
+        let name = backend.name();
+        // (job 1 started, job 0 saw it while blocked)
+        let gate = Arc::new((Mutex::new((false, false)), Condvar::new()));
+        let seen = Arc::clone(&gate);
+        let observer = move |e: &Event| {
+            let (lock, cv) = &*seen;
+            match e {
+                Event::JobStarted { job: 0, .. } => {
+                    let wait = Duration::from_secs(30);
+                    let mut state =
+                        cv.wait_timeout_while(lock.lock().unwrap(), wait, |s| !s.0).unwrap().0;
+                    state.1 = state.0;
+                }
+                Event::JobStarted { job: 1, .. } => {
+                    lock.lock().unwrap().0 = true;
+                    cv.notify_all();
+                }
+                _ => {}
+            }
+        };
+        let batch = Aligner::new(SadConfig::default())
+            .backend(backend)
+            .observer(Arc::new(observer))
+            .run_batch_with(&jobs, 2);
+        assert_eq!(batch.failed(), 0, "{name}");
+        assert!(gate.0.lock().unwrap().1, "{name}: job 0 never saw job 1 start while it ran");
     }
 }
 

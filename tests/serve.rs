@@ -7,13 +7,14 @@
 
 use proptest::prelude::*;
 use rosegen::{Family, FamilyConfig};
-use sad_core::{Aligner, SadConfig};
+use sad_core::{Aligner, Backend, SadConfig};
 use sad_serve::harness::ServeHarness;
 use sad_serve::journal::JournalEntry;
 use sad_serve::json::Json;
-use sad_serve::server::{ServeBackend, Server};
+use sad_serve::server::Server;
 use sad_serve::Submitted;
 use std::time::Duration;
+use vcluster::{CostModel, VirtualCluster};
 
 const WAIT: Duration = Duration::from_secs(60);
 
@@ -31,10 +32,10 @@ fn family_fasta(n: usize, len: usize, seed: u64) -> String {
 
 /// The aligned FASTA a direct (serverless) run of the same pipeline
 /// produces for this input — the byte-identity reference.
-fn direct_alignment(fasta: &str, backend: &ServeBackend) -> String {
+fn direct_alignment(fasta: &str, backend: &Backend) -> String {
     let seqs = bioseq::fasta::parse(fasta).expect("fixture parses");
     let report = Aligner::new(SadConfig::default())
-        .backend(backend.instantiate())
+        .backend(backend.clone())
         .run(&seqs)
         .expect("direct run succeeds");
     bioseq::fasta::write_alignment(&report.msa)
@@ -54,11 +55,11 @@ fn event_kind(e: &Json) -> &str {
 #[test]
 fn submit_stream_result_on_every_backend() {
     for backend in [
-        ServeBackend::Sequential,
-        ServeBackend::Rayon { threads: 2 },
-        ServeBackend::Distributed { nodes: 2 },
+        Backend::Sequential,
+        Backend::Rayon { threads: 2 },
+        Backend::Distributed(VirtualCluster::new(2, CostModel::beowulf_2008())),
     ] {
-        let label = backend.label();
+        let label = backend.name();
         let mut h = ServeHarness::new(&format!("e2e-{label}")).backend(backend.clone()).start();
         let mut client = h.client();
         let fasta = family_fasta(8, 50, 7);
@@ -82,7 +83,8 @@ fn submit_stream_result_on_every_backend() {
         // The output file on disk is the same bytes the stream carried.
         let on_disk = std::fs::read_to_string(h.output_path(&job)).expect("output file");
         assert_eq!(on_disk, aligned, "{label}");
-        h.shutdown();
+        let stats = h.shutdown();
+        assert_eq!((stats.completed, stats.cache_hits), (1, 0), "{label}: computed, not cached");
     }
 }
 
@@ -177,7 +179,7 @@ fn kill_mid_batch_then_restart_resumes_unfinished_and_skips_finished() {
         let on_disk = std::fs::read_to_string(h.output_path(id)).expect("output exists");
         assert_eq!(
             on_disk,
-            direct_alignment(fasta, &ServeBackend::Sequential),
+            direct_alignment(fasta, &Backend::Sequential),
             "{id}: byte-identical to an uninterrupted run"
         );
     }
@@ -253,7 +255,7 @@ fn missing_or_corrupt_output_file_is_rerun_on_restart() {
     h.shutdown();
     for (id, fasta) in [("fam_a", &fasta_a), ("fam_b", &fasta_b)] {
         let on_disk = std::fs::read_to_string(h.output_path(id)).expect("regenerated output");
-        assert_eq!(on_disk, direct_alignment(fasta, &ServeBackend::Sequential), "{id}");
+        assert_eq!(on_disk, direct_alignment(fasta, &Backend::Sequential), "{id}");
     }
 }
 
@@ -454,7 +456,7 @@ proptest! {
         let cold_fasta = cold.get("fasta").and_then(Json::as_str).expect("cold fasta");
         let warm_fasta = warm.get("fasta").and_then(Json::as_str).expect("warm fasta");
         prop_assert_eq!(cold_fasta, warm_fasta);
-        let direct = direct_alignment(&fasta, &ServeBackend::Sequential);
+        let direct = direct_alignment(&fasta, &Backend::Sequential);
         prop_assert_eq!(cold_fasta, direct.as_str());
         h.shutdown();
     }
@@ -487,7 +489,10 @@ proptest! {
                 client.wait_result(job, WAIT).expect("every job completes");
             }
         }
-        h.shutdown();
+        // Distinct families: every job did real work, none was a cache hit.
+        let stats = h.shutdown();
+        prop_assert_eq!(stats.completed, n_clients * jobs_each);
+        prop_assert_eq!(stats.cache_hits, 0);
 
         let entries = h.journal_entries();
         let started_order: Vec<String> = entries.iter().filter_map(|e| match e {

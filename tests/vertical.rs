@@ -1,6 +1,7 @@
 //! Integration invariants of the vertical (length-wise) decomposition:
 //! lossless block cutting, well-formed glue output, zero-anchor byte
-//! parity, and the anchored read-bucket merge quality floor.
+//! parity, fewer DP cells than whole-length at reference quality, and the
+//! anchored read-bucket merge quality floor.
 
 use proptest::prelude::*;
 use sample_align_d::prelude::*;
@@ -124,6 +125,43 @@ proptest! {
             .expect("valid input");
         prop_assert_eq!(&plain_ray.msa, &vert_ray.msa);
     }
+}
+
+/// The decomposition contract on an anchored 8×L600 family under a
+/// full-matrix band (the honest comparison: adaptive banding shrinks both
+/// bills): vertical cuts into blocks, fills strictly fewer DP cells than
+/// the whole-length run, and keeps reference Q within 0.05 of it.
+#[test]
+fn vertical_fills_fewer_cells_than_whole_length_at_reference_quality() {
+    let fam = Family::generate(&FamilyConfig {
+        n_seqs: 8,
+        avg_len: 600,
+        relatedness: 120.0,
+        indel_rate: 0.01,
+        seed: 0x61,
+        ..Default::default()
+    });
+    let full = SadConfig::default().with_band_policy(BandPolicy::Full);
+    let vcfg = VerticalConfig { max_block_len: 256, ..Default::default() };
+    let whole = Aligner::new(full.clone()).run(&fam.seqs).expect("valid input");
+    let vert = Aligner::new(full.with_vertical(vcfg)).run(&fam.seqs).expect("valid input");
+    let q = |msa: &bioseq::Msa| {
+        bioseq::compare::q_score_msa(msa, &fam.reference).expect("same rows as truth")
+    };
+
+    let blocks = vert.vertical.as_ref().expect("vertical census recorded").blocks();
+    assert!(blocks >= 2, "an anchored family at relatedness 120 must cut into blocks: {blocks}");
+    assert!(
+        vert.work.dp_cells < whole.work.dp_cells,
+        "vertical must fill strictly fewer DP cells: {} vs whole-length {}",
+        vert.work.dp_cells,
+        whole.work.dp_cells
+    );
+    let (q_vert, q_whole) = (q(&vert.msa), q(&whole.msa));
+    assert!(
+        q_vert >= q_whole - 0.05,
+        "vertical glue lost too much quality: Q {q_vert:.4} vs whole-length {q_whole:.4}"
+    );
 }
 
 /// The anchored read-bucket merge (seeding the fine-tune profile DP with
