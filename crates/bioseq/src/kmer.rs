@@ -16,9 +16,12 @@
 //!
 //! The **k-mer rank** of a sequence against a set is
 //! `R_i = log(0.1 + D_i)` with `D_i` the average of the pairwise measure
-//! over the set. [`RankTransform`] selects the exact transform; the paper's
-//! printed constants are ambiguous (see `EXPERIMENTS.md`), so the transform
-//! is pluggable and defaults to the formula as printed.
+//! over the set. [`RankTransform`] selects the exact transform and defaults
+//! to the formula as printed. The printed constants cannot be the ones the
+//! paper ran: its Table 1 ranks lie in [0, 1.46], while `ln(0.1 + D)` on
+//! `D ∈ [0, 1]` spans [−2.30, 0.095]. So [`RankTransform::PaperLog`] yields
+//! negative ranks, and the Table 1 claim in `BENCH_paper.json` records both
+//! sets of values.
 
 use crate::alphabet::{Alphabet, CompressedAlphabet};
 use crate::sequence::Sequence;

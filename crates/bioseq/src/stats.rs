@@ -103,8 +103,8 @@ impl Histogram {
         self.counts.iter().sum()
     }
 
-    /// Render an ASCII bar chart (used by the figure benches to show the
-    /// distribution shape in the terminal).
+    /// Render an ASCII bar chart, to show the distribution shape in a
+    /// terminal.
     pub fn ascii(&self, bar_width: usize) -> String {
         use std::fmt::Write;
         let max = self.counts.iter().copied().max().unwrap_or(1).max(1);

@@ -34,12 +34,6 @@ pub enum Command {
     Trim(TrimArgs),
     /// `sad generate [--n N] [--len L] [--relatedness R] [--seed S] [--reference PATH]`
     Generate(GenerateArgs),
-    /// `sad scaling [--n N] [--procs 1,4,8,16]`
-    Scaling(ScalingArgs),
-    /// `sad eval [--cases C] [--p N]`
-    Eval(EvalArgs),
-    /// `sad rank <in.fasta> [--p N]`
-    Rank(RankArgs),
     /// `sad serve [--host H] [--port N] [--journal FILE] [--out DIR]
     /// [--workers N] [--queue N] [--cache-mb N] [pipeline flags]`
     Serve(ServeArgs),
@@ -324,33 +318,6 @@ pub struct GenerateArgs {
     pub reference: Option<String>,
 }
 
-/// Options of `sad scaling`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScalingArgs {
-    /// Number of sequences.
-    pub n: usize,
-    /// Processor counts to sweep.
-    pub procs: Vec<usize>,
-}
-
-/// Options of `sad eval`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EvalArgs {
-    /// Number of benchmark cases.
-    pub cases: usize,
-    /// Cluster size for the Sample-Align-D row.
-    pub p: usize,
-}
-
-/// Options of `sad rank`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RankArgs {
-    /// Input FASTA path.
-    pub input: String,
-    /// Emulated processor count for the globalized rank.
-    pub p: usize,
-}
-
 /// Options of `sad serve`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeArgs {
@@ -421,9 +388,6 @@ usage: sad <command> [options]
                    [pipeline flags] [--progress]
   trim <aligned.fa> [--out FILE] [--max-dropped N] [--branch-bound]
   generate [--n N] [--len L] [--relatedness R] [--seed S] [--reference PATH]
-  scaling  [--n N] [--procs 1,4,8,16]
-  eval     [--cases C] [--p N]
-  rank <in.fasta> [--p N]
   serve    [--host H] [--port N] [--journal FILE] [--out DIR] [--workers N]
                    [--queue N] [--cache-mb N] [pipeline flags]
   submit <files...> [--host H] [--port N] [--out DIR] [--priority N]
@@ -644,52 +608,6 @@ pub fn parse<'a>(argv: impl IntoIterator<Item = &'a str>) -> Result<Args, ParseE
                 }
             }
             Ok(Args { command: Command::Generate(g) })
-        }
-        "scaling" => {
-            let mut s = ScalingArgs { n: 400, procs: vec![1, 4, 8, 12, 16] };
-            while let Some(tok) = it.next() {
-                match tok {
-                    "--n" => s.n = take_num(tok, &mut it)?,
-                    "--procs" => {
-                        let v = take_value(tok, &mut it)?;
-                        s.procs = v
-                            .split(',')
-                            .map(|x| parse_num::<usize>("--procs", x))
-                            .collect::<Result<_, _>>()?;
-                        if s.procs.is_empty() || s.procs.contains(&0) {
-                            return Err(ParseError("--procs must be positive".into()));
-                        }
-                    }
-                    tok => return Err(unexpected(tok)),
-                }
-            }
-            Ok(Args { command: Command::Scaling(s) })
-        }
-        "eval" => {
-            let mut e = EvalArgs { cases: 8, p: 4 };
-            while let Some(tok) = it.next() {
-                match tok {
-                    "--cases" => e.cases = take_num(tok, &mut it)?,
-                    "--p" => e.p = take_num(tok, &mut it)?,
-                    tok => return Err(unexpected(tok)),
-                }
-            }
-            Ok(Args { command: Command::Eval(e) })
-        }
-        "rank" => {
-            let mut input = None;
-            let mut r = RankArgs { input: String::new(), p: 8 };
-            while let Some(tok) = it.next() {
-                match tok {
-                    "--p" => r.p = take_num(tok, &mut it)?,
-                    tok if !tok.starts_with("--") && input.is_none() => {
-                        input = Some(tok.to_string())
-                    }
-                    tok => return Err(unexpected(tok)),
-                }
-            }
-            r.input = input.ok_or_else(|| ParseError("rank needs an input file".into()))?;
-            Ok(Args { command: Command::Rank(r) })
         }
         "serve" => {
             let mut pipeline = PipelineParser::new();
@@ -1050,18 +968,13 @@ mod tests {
     }
 
     #[test]
-    fn scaling_proc_list() {
-        let s = parsed!(Scaling, ["scaling", "--n", "128", "--procs", "1,2,4"]);
-        assert_eq!(s.n, 128);
-        assert_eq!(s.procs, vec![1, 2, 4]);
-        assert!(parse(["scaling", "--procs", "1,0"]).is_err());
-        assert!(parse(["scaling", "--procs", "a,b"]).is_err());
-    }
-
-    #[test]
     fn errors_carry_usage() {
         let err = parse(["bogus"]).unwrap_err();
         assert!(format!("{err}").contains("usage: sad"));
+        // The paper's tables and figures live in the `paper` bench target.
+        for gone in ["scaling", "eval", "rank"] {
+            assert_eq!(parse([gone]), Err(ParseError(format!("unknown command {gone:?}"))));
+        }
     }
 
     #[test]
@@ -1267,17 +1180,5 @@ mod tests {
         assert_eq!(parsed!(Serve, ["serve"]).cache_mb, 64);
         assert_eq!(parsed!(Serve, ["serve", "--cache-mb", "8"]).cache_mb, 8);
         assert!(parse(["serve", "--cache-mb", "x"]).is_err());
-    }
-
-    #[test]
-    fn rank_and_eval() {
-        assert!(matches!(
-            parse(["rank", "in.fa", "--p", "3"]).unwrap().command,
-            Command::Rank(RankArgs { p: 3, .. })
-        ));
-        assert!(matches!(
-            parse(["eval", "--cases", "4", "--p", "2"]).unwrap().command,
-            Command::Eval(EvalArgs { cases: 4, p: 2 })
-        ));
     }
 }

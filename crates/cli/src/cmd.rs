@@ -1,15 +1,14 @@
 //! Subcommand implementations.
 
 use crate::args::{
-    AlignArgs, Backend, BatchArgs, EvalArgs, GenerateArgs, PipelineFlags, RankArgs, ReadsArgs,
-    ScalingArgs, ServeArgs, SubmitArgs, TrimArgs,
+    AlignArgs, Backend, BatchArgs, GenerateArgs, PipelineFlags, ReadsArgs, ServeArgs, SubmitArgs,
+    TrimArgs,
 };
 use bioseq::{fasta, Sequence};
-use qbench::{evaluate_engine, evaluate_with, mean_read_pair_q, Benchmark, BenchmarkConfig};
+use qbench::mean_read_pair_q;
 use rosegen::{Family, FamilyConfig, ReadSet, ReadSimConfig};
 use sad_core::{
-    rank_experiment, Aligner, Backend as SadBackend, BatchJob, RunReport, SadConfig, TrimConfig,
-    VerticalConfig,
+    Aligner, Backend as SadBackend, BatchJob, RunReport, SadConfig, TrimConfig, VerticalConfig,
 };
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -396,80 +395,6 @@ pub fn generate(g: GenerateArgs, out: Out) -> Result<(), String> {
             .map_err(|e| format!("cannot write {path}: {e}"))?;
     }
     write!(out, "{}", fasta::write(&fam.seqs)).map_err(|e| e.to_string())
-}
-
-/// `sad scaling`
-pub fn scaling(s: ScalingArgs, out: Out) -> Result<(), String> {
-    let fam = Family::generate(&FamilyConfig {
-        n_seqs: s.n,
-        avg_len: 300,
-        relatedness: 800.0,
-        seed: 0,
-        ..Default::default()
-    });
-    let cfg = SadConfig::default();
-    writeln!(out, "{:>5} {:>12} {:>10} {:>12}", "p", "time(s)", "speedup", "max bucket").ok();
-    let mut t1: Option<f64> = None;
-    for &p in &s.procs {
-        let cluster = VirtualCluster::new(p, CostModel::beowulf_2008());
-        let run = Aligner::new(cfg.clone())
-            .backend(SadBackend::Distributed(cluster))
-            .run(&fam.seqs)
-            .map_err(|e| e.to_string())?;
-        let makespan = run.makespan().expect("distributed runs have a makespan");
-        let base = *t1.get_or_insert(makespan);
-        writeln!(
-            out,
-            "{:>5} {:>12.3} {:>10.2} {:>12}",
-            p,
-            makespan,
-            base / makespan,
-            run.bucket_sizes.iter().max().unwrap()
-        )
-        .ok();
-    }
-    Ok(())
-}
-
-/// `sad eval`
-pub fn eval(e: EvalArgs, out: Out) -> Result<(), String> {
-    let benchmark = Benchmark::generate(&BenchmarkConfig {
-        n_cases: e.cases,
-        seqs_per_case: 20,
-        avg_len: 100,
-        relatedness: (300.0, 1000.0),
-        seed: 0,
-    });
-    let cfg = SadConfig::default();
-    let reports = vec![
-        evaluate_engine(&align::MuscleLite::standard(), &benchmark),
-        evaluate_engine(&align::MuscleLite::fast(), &benchmark),
-        evaluate_engine(&align::ClustalLite::default(), &benchmark),
-        evaluate_with(format!("sample-align-d(p={})", e.p), &benchmark, |seqs| {
-            let cluster = VirtualCluster::new(e.p, CostModel::beowulf_2008());
-            let report = Aligner::new(cfg.clone())
-                .backend(SadBackend::Distributed(cluster))
-                .run(seqs)
-                .expect("benchmark cases are valid inputs");
-            (report.msa, report.work)
-        }),
-    ];
-    writeln!(out, "{:<24} {:>8} {:>8}", "method", "Q", "TC").ok();
-    for r in &reports {
-        writeln!(out, "{:<24} {:>8.3} {:>8.3}", r.name, r.mean_q, r.mean_tc).ok();
-    }
-    Ok(())
-}
-
-/// `sad rank`
-pub fn rank(r: RankArgs, out: Out) -> Result<(), String> {
-    let seqs = read_fasta(&r.input)?;
-    let exp = rank_experiment(&seqs, r.p, &SadConfig::default());
-    writeln!(out, "{:<24} {:>12} {:>12}", "id", "centralized", "globalized").ok();
-    for (i, s) in seqs.iter().enumerate() {
-        writeln!(out, "{:<24} {:>12.5} {:>12.5}", s.id, exp.centralized[i], exp.globalized[i]).ok();
-    }
-    Ok(())
 }
 
 /// `sad serve` — run the alignment daemon until SIGTERM/SIGINT or a
@@ -887,30 +812,6 @@ mod tests {
         let reference =
             fasta::parse_alignment(&std::fs::read_to_string(&refpath).unwrap()).unwrap();
         assert_eq!(reference.num_rows(), 6);
-    }
-
-    #[test]
-    fn scaling_table_has_all_rows() {
-        let out = run_str(&["scaling", "--n", "48", "--procs", "1,2,4"]);
-        assert_eq!(out.lines().count(), 4); // header + 3 rows
-        assert!(out.contains("speedup"));
-    }
-
-    #[test]
-    fn rank_lists_every_sequence() {
-        let dir = tmpdir();
-        let input = dir.join("rank.fa");
-        std::fs::write(&input, run_str(&["generate", "--n", "10", "--len", "40"])).unwrap();
-        let out = run_str(&["rank", input.to_str().unwrap(), "--p", "2"]);
-        assert_eq!(out.lines().count(), 11);
-    }
-
-    #[test]
-    fn eval_reports_all_methods() {
-        let out = run_str(&["eval", "--cases", "2", "--p", "2"]);
-        assert!(out.contains("muscle-lite"));
-        assert!(out.contains("clustal-lite"));
-        assert!(out.contains("sample-align-d(p=2)"));
     }
 
     #[test]

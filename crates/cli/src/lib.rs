@@ -25,11 +25,6 @@
 //!   runs inside `sad align`/`sad batch`/`sad reads` via `--trim`;
 //! * `sad generate` — emit a rose-style synthetic family as FASTA
 //!   (`--n`, `--len`, `--relatedness`, `--seed`, `--reference <path>`);
-//! * `sad scaling` — print a Fig. 4/5-style scaling table (`--n`,
-//!   `--procs 1,4,8,16`);
-//! * `sad eval` — PREFAB-like quality table (`--cases`, `--p`);
-//! * `sad rank <in.fasta>` — print per-sequence k-mer ranks
-//!   (centralized and globalized);
 //! * `sad serve` — run the journaled alignment daemon: TCP job
 //!   submission, write-ahead journal with crash recovery, result cache,
 //!   drain on SIGTERM or client `SHUTDOWN` (`--host`, `--port`,
@@ -38,6 +33,9 @@
 //! * `sad submit <files...>` — send FASTA files to a running server and
 //!   stream back results (`--host`, `--port`, `--out`, `--priority`,
 //!   `--cancel ID`, `--shutdown`).
+//!
+//! The paper's tables and figures are not subcommands: the `sad-bench`
+//! `paper` target computes them and commits `BENCH_paper.json`.
 //!
 //! Argument parsing is hand-rolled (no external CLI dependency) and lives
 //! in [`args`]; command implementations live in [`cmd`].
@@ -59,9 +57,6 @@ pub fn run(args: Args, out: &mut dyn std::io::Write) -> Result<(), String> {
         Command::Reads(r) => cmd::reads(r, out),
         Command::Trim(t) => cmd::trim(t, out),
         Command::Generate(g) => cmd::generate(g, out),
-        Command::Scaling(s) => cmd::scaling(s, out),
-        Command::Eval(e) => cmd::eval(e, out),
-        Command::Rank(r) => cmd::rank(r, out),
         Command::Serve(s) => cmd::serve(s, out),
         Command::Submit(s) => cmd::submit(s, out),
         Command::Help => write!(out, "{}", args::USAGE).map_err(|e| e.to_string()),
