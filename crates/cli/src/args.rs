@@ -58,10 +58,10 @@ pub struct PipelineFlags {
     /// Virtual cluster size (`--nodes`), overriding `--p`.
     pub nodes: Option<usize>,
     /// Execution backend (`--backend`). The default is per command:
-    /// `align` decomposes on `distributed` (`rayon` under `--vertical`),
-    /// `reads` on `rayon`, while `batch` and `serve` default to
-    /// `sequential` — their throughput comes from concurrent jobs
-    /// (`--jobs` / `--workers`), not from decomposing each job.
+    /// `align` decomposes on `distributed`, `reads` on `rayon`, while
+    /// `batch` and `serve` default to `sequential` — their throughput
+    /// comes from concurrent jobs (`--jobs` / `--workers`), not from
+    /// decomposing each job.
     pub backend: Backend,
     /// Engine selection (`--engine`).
     pub engine: EngineChoice,
@@ -89,96 +89,83 @@ impl PipelineFlags {
             Backend::Distributed => self.nodes.unwrap_or(self.p),
         }
     }
-}
 
-/// Parse state of the shared block: the flags so far, plus `--backend`
-/// only if it was given, so each command's default (which for `align`
-/// depends on `--vertical`) is resolved once the whole line is read.
-struct PipelineParser {
-    flags: PipelineFlags,
-    backend: Option<Backend>,
-}
-
-impl PipelineParser {
-    fn new() -> Self {
-        let flags = PipelineFlags {
+    /// The flags before parsing: every default, on the command's own
+    /// default backend.
+    fn defaults(backend: Backend) -> Self {
+        PipelineFlags {
             p: 4,
             threads: None,
             nodes: None,
-            backend: Backend::Sequential,
+            backend,
             engine: EngineChoice::MuscleFast,
             no_fine_tune: false,
             kmer: None,
             band: BandPolicy::default(),
             kernel: DpKernel::default(),
             trim: false,
-        };
-        PipelineParser { flags, backend: None }
+        }
     }
 
     /// Consume `tok` (and its value) if it is a pipeline flag; `false`
     /// leaves it to the command.
     fn take(&mut self, tok: &str, it: Tokens) -> Result<bool, ParseError> {
-        let f = &mut self.flags;
         match tok {
-            "--p" => f.p = take_num(tok, it)?,
-            "--threads" => f.threads = Some(take_num(tok, it)?),
-            "--nodes" => f.nodes = Some(take_num(tok, it)?),
+            "--p" => self.p = take_num(tok, it)?,
+            "--threads" => self.threads = Some(take_num(tok, it)?),
+            "--nodes" => self.nodes = Some(take_num(tok, it)?),
             "--backend" => {
-                self.backend = Some(match take_value(tok, it)? {
+                self.backend = match take_value(tok, it)? {
                     "sequential" => Backend::Sequential,
                     "rayon" => Backend::Rayon,
                     // "cluster" kept as a pre-0.2 alias.
                     "distributed" | "cluster" => Backend::Distributed,
                     other => return Err(ParseError(format!("unknown backend {other:?}"))),
-                })
+                }
             }
             "--engine" => {
                 let v = take_value(tok, it)?;
-                f.engine = EngineChoice::from_label(v)
+                self.engine = EngineChoice::from_label(v)
                     .ok_or_else(|| ParseError(format!("unknown engine {v:?}")))?;
             }
-            "--no-fine-tune" => f.no_fine_tune = true,
-            "--kmer" => f.kmer = Some(take_num(tok, it)?),
+            "--no-fine-tune" => self.no_fine_tune = true,
+            "--kmer" => self.kmer = Some(take_num(tok, it)?),
             "--band" => {
                 let v = take_value(tok, it)?;
-                f.band = BandPolicy::parse(v).ok_or_else(|| {
+                self.band = BandPolicy::parse(v).ok_or_else(|| {
                     ParseError(format!("--band takes auto, full or a positive width, not {v:?}"))
                 })?;
             }
             "--kernel" => {
                 let v = take_value(tok, it)?;
-                f.kernel = DpKernel::parse(v).ok_or_else(|| {
+                self.kernel = DpKernel::parse(v).ok_or_else(|| {
                     ParseError(format!("--kernel takes scalar, striped or auto, not {v:?}"))
                 })?;
             }
-            "--trim" => f.trim = true,
+            "--trim" => self.trim = true,
             _ => return Ok(false),
         }
         Ok(true)
     }
 
-    /// The one post-parse check. The effective backend (`--backend`, else
-    /// the command's `default_backend`) is settled first, so the width
-    /// rule judges the backend that will actually run: `--threads` and
-    /// `--nodes` each name one backend's width and are rejected anywhere
-    /// else instead of being silently ignored.
-    fn finish(self, default_backend: Backend) -> Result<PipelineFlags, ParseError> {
-        let mut f = self.flags;
-        f.backend = self.backend.unwrap_or(default_backend);
-        if f.p == 0 || f.threads == Some(0) || f.nodes == Some(0) {
+    /// The one post-parse check, once the whole line is read, so the
+    /// width rule judges the backend that will actually run: `--threads`
+    /// and `--nodes` each name one backend's width and are rejected
+    /// anywhere else instead of being silently ignored.
+    fn check(&self) -> Result<(), ParseError> {
+        if self.p == 0 || self.threads == Some(0) || self.nodes == Some(0) {
             return Err(ParseError("--p/--threads/--nodes must be at least 1".into()));
         }
-        if f.kmer == Some(0) {
+        if self.kmer == Some(0) {
             return Err(ParseError("--kmer must be at least 1".into()));
         }
-        if f.threads.is_some() && f.backend != Backend::Rayon {
+        if self.threads.is_some() && self.backend != Backend::Rayon {
             return Err(ParseError("--threads only applies to --backend rayon".into()));
         }
-        if f.nodes.is_some() && f.backend != Backend::Distributed {
+        if self.nodes.is_some() && self.backend != Backend::Distributed {
             return Err(ParseError("--nodes only applies to --backend distributed".into()));
         }
-        Ok(f)
+        Ok(())
     }
 }
 
@@ -208,7 +195,7 @@ pub struct AlignArgs {
     pub progress: bool,
     /// Vertical (length-wise) decomposition (`--vertical`): cut the
     /// family at conserved anchors, align the blocks in parallel, glue
-    /// and seam-polish. Sequential and rayon backends only.
+    /// and seam-polish. Runs on every backend.
     pub vertical: bool,
     /// Vertical block-length cap (`--max-block N`; requires `--vertical`).
     pub max_block: Option<usize>,
@@ -380,7 +367,6 @@ pub const USAGE: &str = "\
 usage: sad <command> [options]
   align <in.fasta> [pipeline flags] [--progress]
                    [--vertical [--max-block N] [--seam-window W]]
-                   (--vertical needs sequential or rayon; defaults to rayon)
   batch <dir|manifest> [--out DIR] [--jobs N] [pipeline flags] [--progress]
   reads [in.fasta] [--reads N] [--coverage C] [--read-len L] [--error-rate E]
                    [--sources N] [--source-len L] [--seed S]
@@ -427,11 +413,10 @@ pub fn parse<'a>(argv: impl IntoIterator<Item = &'a str>) -> Result<Args, ParseE
     let cmd = it.next().ok_or_else(|| ParseError("missing command".into()))?;
     match cmd {
         "align" => {
-            let mut pipeline = PipelineParser::new();
             let mut input = None;
             let mut a = AlignArgs {
                 input: String::new(),
-                pipeline: pipeline.flags.clone(),
+                pipeline: PipelineFlags::defaults(Backend::Distributed),
                 progress: false,
                 vertical: false,
                 max_block: None,
@@ -443,7 +428,7 @@ pub fn parse<'a>(argv: impl IntoIterator<Item = &'a str>) -> Result<Args, ParseE
                     "--max-block" => a.max_block = Some(take_num(tok, &mut it)?),
                     "--seam-window" => a.seam_window = Some(take_num(tok, &mut it)?),
                     "--progress" => a.progress = true,
-                    tok if pipeline.take(tok, &mut it)? => {}
+                    tok if a.pipeline.take(tok, &mut it)? => {}
                     tok if !tok.starts_with("--") && input.is_none() => {
                         input = Some(tok.to_string())
                     }
@@ -451,33 +436,22 @@ pub fn parse<'a>(argv: impl IntoIterator<Item = &'a str>) -> Result<Args, ParseE
                 }
             }
             a.input = input.ok_or_else(|| ParseError("align needs an input file".into()))?;
-            // The distributed default rejects vertical mode; run the
-            // blocks on the shared-memory pool instead.
-            a.pipeline =
-                pipeline.finish(if a.vertical { Backend::Rayon } else { Backend::Distributed })?;
+            a.pipeline.check()?;
             if !a.vertical && (a.max_block.is_some() || a.seam_window.is_some()) {
                 return Err(ParseError("--max-block/--seam-window require --vertical".into()));
             }
             if a.max_block == Some(0) {
                 return Err(ParseError("--max-block must be at least 1".into()));
             }
-            if a.vertical && a.backend == Backend::Distributed {
-                return Err(ParseError(
-                    "--vertical is not supported on the distributed backend \
-                     (use --backend sequential or rayon)"
-                        .into(),
-                ));
-            }
             Ok(Args { command: Command::Align(a) })
         }
         "batch" => {
-            let mut pipeline = PipelineParser::new();
             let mut input = None;
             let mut b = BatchArgs {
                 input: String::new(),
                 out_dir: ".".into(),
                 jobs: None,
-                pipeline: pipeline.flags.clone(),
+                pipeline: PipelineFlags::defaults(Backend::Sequential),
                 progress: false,
             };
             while let Some(tok) = it.next() {
@@ -485,7 +459,7 @@ pub fn parse<'a>(argv: impl IntoIterator<Item = &'a str>) -> Result<Args, ParseE
                     "--out" => b.out_dir = take_value(tok, &mut it)?.to_string(),
                     "--jobs" => b.jobs = Some(take_num(tok, &mut it)?),
                     "--progress" => b.progress = true,
-                    tok if pipeline.take(tok, &mut it)? => {}
+                    tok if b.pipeline.take(tok, &mut it)? => {}
                     tok if !tok.starts_with("--") && input.is_none() => {
                         input = Some(tok.to_string())
                     }
@@ -494,14 +468,13 @@ pub fn parse<'a>(argv: impl IntoIterator<Item = &'a str>) -> Result<Args, ParseE
             }
             b.input =
                 input.ok_or_else(|| ParseError("batch needs a directory or manifest".into()))?;
-            b.pipeline = pipeline.finish(Backend::Sequential)?;
+            b.pipeline.check()?;
             if b.jobs == Some(0) {
                 return Err(ParseError("--jobs must be at least 1".into()));
             }
             Ok(Args { command: Command::Batch(b) })
         }
         "reads" => {
-            let mut pipeline = PipelineParser::new();
             let mut r = ReadsArgs {
                 input: None,
                 max_bucket: Some(512),
@@ -514,7 +487,7 @@ pub fn parse<'a>(argv: impl IntoIterator<Item = &'a str>) -> Result<Args, ParseE
                 seed: 0,
                 min_q: None,
                 out: None,
-                pipeline: pipeline.flags.clone(),
+                pipeline: PipelineFlags::defaults(Backend::Rayon),
                 progress: false,
             };
             while let Some(tok) = it.next() {
@@ -535,14 +508,14 @@ pub fn parse<'a>(argv: impl IntoIterator<Item = &'a str>) -> Result<Args, ParseE
                     "--min-q" => r.min_q = Some(take_num(tok, &mut it)?),
                     "--out" => r.out = Some(take_value(tok, &mut it)?.to_string()),
                     "--progress" => r.progress = true,
-                    tok if pipeline.take(tok, &mut it)? => {}
+                    tok if r.pipeline.take(tok, &mut it)? => {}
                     tok if !tok.starts_with("--") && r.input.is_none() => {
                         r.input = Some(tok.to_string())
                     }
                     tok => return Err(unexpected(tok)),
                 }
             }
-            r.pipeline = pipeline.finish(Backend::Rayon)?;
+            r.pipeline.check()?;
             if r.max_bucket == Some(0) {
                 return Err(ParseError("--max-bucket must be at least 1 (or none)".into()));
             }
@@ -610,7 +583,6 @@ pub fn parse<'a>(argv: impl IntoIterator<Item = &'a str>) -> Result<Args, ParseE
             Ok(Args { command: Command::Generate(g) })
         }
         "serve" => {
-            let mut pipeline = PipelineParser::new();
             let mut s = ServeArgs {
                 host: "127.0.0.1".into(),
                 port: 7401,
@@ -619,7 +591,7 @@ pub fn parse<'a>(argv: impl IntoIterator<Item = &'a str>) -> Result<Args, ParseE
                 workers: None,
                 queue: 32,
                 cache_mb: 64,
-                pipeline: pipeline.flags.clone(),
+                pipeline: PipelineFlags::defaults(Backend::Sequential),
             };
             while let Some(tok) = it.next() {
                 match tok {
@@ -630,11 +602,11 @@ pub fn parse<'a>(argv: impl IntoIterator<Item = &'a str>) -> Result<Args, ParseE
                     "--workers" => s.workers = Some(take_num(tok, &mut it)?),
                     "--queue" => s.queue = take_num(tok, &mut it)?,
                     "--cache-mb" => s.cache_mb = take_num(tok, &mut it)?,
-                    tok if pipeline.take(tok, &mut it)? => {}
+                    tok if s.pipeline.take(tok, &mut it)? => {}
                     tok => return Err(unexpected(tok)),
                 }
             }
-            s.pipeline = pipeline.finish(Backend::Sequential)?;
+            s.pipeline.check()?;
             if s.workers == Some(0) {
                 return Err(ParseError("--workers must be at least 1".into()));
             }
@@ -866,19 +838,21 @@ mod tests {
         assert!(a.vertical);
         assert_eq!(a.max_block, Some(256));
         assert_eq!(a.seam_window, Some(8));
-        assert_eq!(a.backend, Backend::Rayon, "vertical defaults to rayon");
-        let a = parsed!(Align, ["align", "x.fa", "--vertical", "--backend", "sequential"]);
-        assert_eq!(a.backend, Backend::Sequential);
+        assert_eq!(a.backend, Backend::Distributed, "vertical keeps align's default backend");
+        for (name, backend) in [
+            ("sequential", Backend::Sequential),
+            ("rayon", Backend::Rayon),
+            ("distributed", Backend::Distributed),
+        ] {
+            let a = parsed!(Align, ["align", "x.fa", "--vertical", "--backend", name]);
+            assert_eq!(a.backend, backend, "vertical runs on every backend");
+        }
         // A zero half-window disables seam refinement but still parses.
         let a = parsed!(Align, ["align", "x.fa", "--vertical", "--seam-window", "0"]);
         assert_eq!(a.seam_window, Some(0));
         assert!(parse(["align", "x.fa", "--max-block", "256"]).is_err(), "needs --vertical");
         assert!(parse(["align", "x.fa", "--seam-window", "4"]).is_err(), "needs --vertical");
         assert!(parse(["align", "x.fa", "--vertical", "--max-block", "0"]).is_err());
-        assert!(
-            parse(["align", "x.fa", "--vertical", "--backend", "distributed"]).is_err(),
-            "vertical is rejected on the virtual cluster"
-        );
     }
 
     #[test]
@@ -887,13 +861,12 @@ mod tests {
         assert!(parse(["align", "x.fa", "--backend", "rayon", "--nodes", "4"]).is_err());
         assert!(parse(["align", "x.fa", "--backend", "rayon", "--threads", "0"]).is_err());
         assert!(parse(["align", "x.fa", "--nodes", "0"]).is_err());
-        // The rule judges the backend that will run: `--vertical` moves
-        // align's default to rayon, so `--nodes` has no cluster to size
-        // (and must not be silently ignored) while `--threads` has a pool.
-        let err = parse(["align", "x.fa", "--vertical", "--nodes", "2"]).unwrap_err();
-        assert_eq!(err.0, "--nodes only applies to --backend distributed");
-        let a = parsed!(Align, ["align", "x.fa", "--vertical", "--threads", "2"]);
-        assert_eq!((a.backend, a.parallelism()), (Backend::Rayon, 2));
+        // `--vertical` does not move align's default backend, so the rule
+        // judges it exactly as it judges plain `align`.
+        let a = parsed!(Align, ["align", "x.fa", "--vertical", "--nodes", "2"]);
+        assert_eq!((a.backend, a.parallelism()), (Backend::Distributed, 2));
+        let err = parse(["align", "x.fa", "--vertical", "--threads", "2"]).unwrap_err();
+        assert_eq!(err.0, "--threads only applies to --backend rayon");
     }
 
     #[test]

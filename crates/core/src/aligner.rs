@@ -229,14 +229,7 @@ impl Aligner {
                 }
                 *threads
             }
-            Backend::Distributed(cluster) => {
-                // No block-scheduling collective for vertical
-                // decomposition yet (see SadConfig::vertical).
-                if self.cfg.vertical.is_some() {
-                    return Err(SadError::VerticalUnsupported { backend: "distributed" });
-                }
-                cluster.p()
-            }
+            Backend::Distributed(cluster) => cluster.p(),
         };
         if let Some(requested) = self.ranks {
             if requested != width {
@@ -245,19 +238,14 @@ impl Aligner {
         }
         let ctx = PipelineCtx::new(backend.name(), width, self.observer.clone(), cancel, budget);
         ctx.run_started(seqs.len());
-        let mut result = match (backend, &self.cfg.vertical) {
-            (Backend::Sequential | Backend::Rayon { .. }, Some(vertical)) => {
-                crate::decomp::vertical_pipeline(
-                    seqs, &self.cfg, vertical, backend, width, &ctx, scratch,
-                )
-            }
-            (Backend::Sequential, None) => {
+        let mut result = match backend {
+            Backend::Sequential => {
                 crate::sequential::sequential_pipeline(seqs, &self.cfg, &ctx, scratch)
             }
-            (Backend::Rayon { threads }, None) => {
+            Backend::Rayon { threads } => {
                 crate::rayon_impl::shared_memory_pipeline(seqs, *threads, &self.cfg, &ctx)
             }
-            (Backend::Distributed(cluster), _) => {
+            Backend::Distributed(cluster) => {
                 crate::distributed::distributed_pipeline(cluster, seqs, &self.cfg, &ctx)
             }
         };

@@ -202,9 +202,8 @@ fn default_workers() -> usize {
 }
 
 /// Run `n` indexed tasks on a self-scheduling worker pool — the shared
-/// scheduling substrate of [`run_batch`], of the vertical block
-/// dispatch ([`crate::decomp`]) and of the shared-memory executor's
-/// per-rank steps. Idle workers steal the next unclaimed
+/// scheduling substrate of [`run_batch`] and of the shared-memory
+/// executor's per-rank steps. Idle workers steal the next unclaimed
 /// index, each worker owns one long-lived [`DpArena`] of DP scratch, and
 /// results come back in index order. `workers == 1` runs inline on the
 /// caller's thread (no pool, deterministic event order).
@@ -271,7 +270,7 @@ fn run_job(
     // `RunFinished`, no cluster spin-up) and report the same error the
     // first phase boundary would have produced.
     let outcome = if cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-        Err(SadError::Cancelled { phase: first_phase(aligner.backend_ref()) })
+        Err(SadError::Cancelled { phase: first_phase(aligner) })
     } else {
         aligner.run_inner(&job.seqs, cancel, budget, arena)
     };
@@ -287,13 +286,17 @@ fn run_job(
     JobReport { id: job.id.clone(), n_seqs: job.seqs.len(), seconds, outcome }
 }
 
-/// The phase a backend's pipeline would check first — what
+/// The phase an aligner's pipeline would check first — what
 /// [`SadError::Cancelled`] reports when a run is cancelled before any
-/// work happens. The sequential pipeline has no k-mer ranking stage, so
-/// its first boundary is the local alignment itself.
-fn first_phase(backend: &Backend) -> crate::pipeline::Phase {
+/// work happens. Vertical mode opens with its anchor scan on every
+/// backend; otherwise the sequential pipeline has no k-mer ranking
+/// stage, so its first boundary is the local alignment itself.
+fn first_phase(aligner: &Aligner) -> crate::pipeline::Phase {
     use crate::pipeline::Phase;
-    match backend {
+    if aligner.config().vertical.is_some() {
+        return Phase::AnchorScan;
+    }
+    match aligner.backend_ref() {
         Backend::Sequential => Phase::LocalAlign,
         Backend::Rayon { .. } | Backend::Distributed(_) => Phase::LocalKmerRank,
     }
@@ -432,45 +435,43 @@ mod tests {
         let events = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&events);
         let all = vec![
-            BatchJob::new("poisoned", family(6, 2)).with_cancel(poison),
+            BatchJob::new("poisoned", family(6, 2)).with_cancel(poison.clone()),
             BatchJob::new("ok", family(6, 1)),
         ];
+        let vertical = SadConfig::default().with_vertical(crate::VerticalConfig::default());
         for backend in [
             Backend::Sequential,
             Backend::Rayon { threads: 2 },
             Backend::Distributed(VirtualCluster::new(2, CostModel::beowulf_2008())),
         ] {
-            events.lock().unwrap().clear();
-            let recorder = Arc::new({
-                let sink = Arc::clone(&sink);
-                move |e: &Event| sink.lock().unwrap().push(e.clone())
-            });
-            let batch = Aligner::new(SadConfig::default())
-                .backend(backend.clone())
-                .observer(recorder)
-                .run_batch_with(&all, 1);
-            let expected_phase = first_phase(&backend);
-            assert_eq!(
-                batch.job("poisoned").unwrap().outcome,
-                Err(SadError::Cancelled { phase: expected_phase }),
-                "{}",
-                backend.name()
-            );
-            assert_eq!(batch.succeeded(), 1, "{}", backend.name());
-            let log = events.lock().unwrap();
-            // Workers run jobs in order: the poisoned job's started/
-            // finished pair comes first, and the only RunStarted in the
-            // stream belongs to the healthy job.
-            let runs = log.iter().filter(|e| matches!(e, Event::RunStarted { .. })).count();
-            assert_eq!(runs, 1, "{}: poisoned job must not enter the pipeline", backend.name());
-            let poisoned_finish = log
-                .iter()
-                .find_map(|e| match e {
-                    Event::JobFinished { id, ok, .. } if id == "poisoned" => Some(*ok),
-                    _ => None,
-                })
-                .expect("poisoned job reports JobFinished");
-            assert!(!poisoned_finish, "{}", backend.name());
+            for cfg in [SadConfig::default(), vertical.clone()] {
+                let what = format!("{} vertical={}", backend.name(), cfg.vertical.is_some());
+                events.lock().unwrap().clear();
+                let recorder = Arc::new({
+                    let sink = Arc::clone(&sink);
+                    move |e: &Event| sink.lock().unwrap().push(e.clone())
+                });
+                let aligner = Aligner::new(cfg).backend(backend.clone());
+                // The batch reports the phase a single run stops at.
+                let single = aligner.clone().cancel_token(poison.clone()).run(&all[0].seqs);
+                let batch = aligner.observer(recorder).run_batch_with(&all, 1);
+                assert_eq!(batch.job("poisoned").unwrap().outcome, single, "{what}");
+                assert_eq!(batch.succeeded(), 1, "{what}");
+                let log = events.lock().unwrap();
+                // Workers run jobs in order: the poisoned job's started/
+                // finished pair comes first, and the only RunStarted in the
+                // stream belongs to the healthy job.
+                let runs = log.iter().filter(|e| matches!(e, Event::RunStarted { .. })).count();
+                assert_eq!(runs, 1, "{what}: poisoned job must not enter the pipeline");
+                let poisoned_finish = log
+                    .iter()
+                    .find_map(|e| match e {
+                        Event::JobFinished { id, ok, .. } if id == "poisoned" => Some(*ok),
+                        _ => None,
+                    })
+                    .expect("poisoned job reports JobFinished");
+                assert!(!poisoned_finish, "{what}");
+            }
         }
     }
 

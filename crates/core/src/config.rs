@@ -51,15 +51,14 @@ pub struct SadConfig {
     /// pipeline. Honoured identically by the rayon and distributed
     /// backends; the sequential backend has no buckets and ignores it.
     pub max_bucket: Option<usize>,
-    /// Vertical (length-wise) domain decomposition: when set, the run
-    /// scans for conserved anchors ([`crate::Phase::AnchorScan`]), slices
-    /// every sequence at the chained anchors into consistent blocks,
-    /// aligns each block as an independent job on the worker pool
-    /// ([`crate::Phase::BlockAlign`]), and glues the block alignments
-    /// with seam-window refinement ([`crate::Phase::Glue`]). `None` (the
-    /// default) aligns whole sequences. Supported on the sequential and
-    /// rayon backends; the distributed backend rejects it with
-    /// [`SadError::VerticalUnsupported`].
+    /// Vertical (length-wise) domain decomposition: when set, the root
+    /// scans for conserved anchors ([`crate::Phase::AnchorScan`]), every
+    /// sequence is sliced at the chained anchors into consistent blocks,
+    /// the blocks are dealt over the ranks and aligned independently
+    /// ([`crate::Phase::BlockAlign`]), and the root glues the block
+    /// alignments with seam-window refinement ([`crate::Phase::Glue`]).
+    /// `None` (the default) aligns whole sequences. Runs on every
+    /// backend, with the same output bytes on each.
     pub vertical: Option<VerticalConfig>,
     /// Seed profile merges in the capped-bucket read path with the
     /// conserved-anchor scan (pinning agreeing consensus columns and

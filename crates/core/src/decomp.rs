@@ -11,26 +11,26 @@
 //! The payoff is the DP bill: a whole-length progressive alignment fills
 //! `O(L²)` cells per profile merge, while `B` anchored blocks fill
 //! `O(B·(L/B)²) = O(L²/B)` — and the blocks are embarrassingly parallel,
-//! so they ride the same self-scheduling worker pool as batch jobs.
+//! so they are dealt over the ranks.
 //!
-//! Wire-up: [`crate::SadConfig::with_vertical`] turns the mode on;
-//! [`crate::Aligner::run`] then routes through `vertical_pipeline`,
-//! which records [`crate::Phase::AnchorScan`] /
-//! [`crate::Phase::BlockAlign`] / [`crate::Phase::Glue`] and degrades
-//! gracefully to the ordinary whole-length pipeline when no reliable
-//! anchors exist.
+//! Wire-up: [`crate::SadConfig::with_vertical`] turns the mode on, on
+//! every backend. The pipeline body then runs [`Phase::AnchorScan`] /
+//! [`Phase::BlockAlign`] / [`Phase::Glue`] over the same communication
+//! trait as the twelve steps, and degrades gracefully to the ordinary
+//! whole-length pipeline when no reliable anchors exist.
 
-use crate::aligner::Backend;
 use crate::config::SadConfig;
 use crate::error::SadError;
+use crate::messages::MsaBlockMsg;
 use crate::pipeline::{Phase, PipelineCtx};
-use crate::report::RunReport;
+use crate::spmd::{Comm, Outcome};
 use align::anchor::{scan_anchors, Anchor, AnchorSpec};
 use align::refine::leave_one_out_with;
 use align::DpArena;
 use bioseq::alphabet::GAP_CODE;
 use bioseq::{Msa, Sequence, Work};
 use serde::Serialize;
+use std::ops::Range;
 use std::time::Instant;
 
 /// Knobs of the vertical decomposition, set via
@@ -145,26 +145,30 @@ pub struct VerticalPlan {
 /// k-mer opens its block; with no reliable anchors the plan is one
 /// whole-length block. Scanning cost lands in `work.kmer_ops`.
 pub fn plan_blocks(seqs: &[Sequence], vcfg: &VerticalConfig, work: &mut Work) -> VerticalPlan {
-    let rows: Vec<&[u8]> = seqs.iter().map(Sequence::codes).collect();
-    let chained = scan_anchors(&rows, &vcfg.anchor_spec(), work);
-    let anchors = thin_anchors(chained, &rows, vcfg);
-
-    let mut blocks = Vec::with_capacity(anchors.len() + 1);
-    let mut starts = vec![0usize; seqs.len()];
-    for anchor in &anchors {
-        blocks.push(cut(seqs, &starts, &anchor.positions));
-        starts.clone_from(&anchor.positions);
-    }
-    let ends: Vec<usize> = rows.iter().map(|r| r.len()).collect();
-    blocks.push(cut(seqs, &starts, &ends));
+    let anchors = chain_anchors(seqs, vcfg, work);
+    let cuts: Vec<Vec<usize>> = anchors.iter().map(|a| a.positions.clone()).collect();
+    let blocks = (0..=cuts.len()).map(|b| cut(seqs, &cuts, b)).collect();
     VerticalPlan { anchors, blocks }
 }
 
-/// One block: every sequence sliced `starts[i]..ends[i]`.
-fn cut(seqs: &[Sequence], starts: &[usize], ends: &[usize]) -> Vec<Sequence> {
+/// The anchor chain of `seqs`, thinned to the block-length cap.
+fn chain_anchors(seqs: &[Sequence], vcfg: &VerticalConfig, work: &mut Work) -> Vec<Anchor> {
+    let rows: Vec<&[u8]> = seqs.iter().map(Sequence::codes).collect();
+    let chained = scan_anchors(&rows, &vcfg.anchor_spec(), work);
+    thin_anchors(chained, &rows, vcfg)
+}
+
+/// Block `b` of the cut at `cuts` (one start position per sequence for
+/// each anchor): every sequence sliced from cut `b − 1` (its start, for
+/// the first block) to cut `b` (its end, for the last).
+fn cut(seqs: &[Sequence], cuts: &[Vec<usize>], b: usize) -> Vec<Sequence> {
     seqs.iter()
-        .zip(starts.iter().zip(ends))
-        .map(|(s, (&lo, &hi))| Sequence::from_codes(s.id.clone(), s.codes()[lo..hi].to_vec()))
+        .enumerate()
+        .map(|(i, s)| {
+            let lo = b.checked_sub(1).map_or(0, |prev| cuts[prev][i]);
+            let hi = cuts.get(b).map_or(s.len(), |next| next[i]);
+            Sequence::from_codes(s.id.clone(), s.codes()[lo..hi].to_vec())
+        })
         .collect()
 }
 
@@ -188,102 +192,109 @@ fn thin_anchors(anchors: Vec<Anchor>, rows: &[&[u8]], vcfg: &VerticalConfig) -> 
     kept
 }
 
-/// The vertical pipeline: anchor scan → parallel block alignment → glue
-/// with seam refinement. Entered from [`crate::Aligner::run`] when
-/// [`crate::SadConfig::vertical`] is set on a non-distributed backend;
-/// `width` is the worker count (1 for sequential, `threads` for rayon).
-pub(crate) fn vertical_pipeline(
+/// Vertical mode as steps of the one pipeline body, run first on every
+/// backend when [`SadConfig::vertical`] is set:
+///
+/// * step 0 — the root scans and thins the anchor chain and broadcasts
+///   the cut positions;
+/// * step 8 — the blocks are dealt over the ranks in contiguous runs of
+///   about equal residue count; each rank cuts its own blocks from the
+///   staged input and runs the engine on each;
+/// * step 12 — the root gathers the block alignments in rank order,
+///   which is block order, concatenates them and polishes the seams.
+///
+/// `None` when vertical mode is off or the scan found no cut: the caller
+/// then runs the whole-length pipeline, byte-identical to vertical mode
+/// off.
+pub(crate) fn vertical<C: Comm>(
+    c: &mut C,
+    ctx: &PipelineCtx,
     seqs: &[Sequence],
     cfg: &SadConfig,
-    vcfg: &VerticalConfig,
-    backend: &Backend,
-    width: usize,
-    ctx: &PipelineCtx,
-    scratch: &mut DpArena,
-) -> Result<RunReport, SadError> {
-    let plan = ctx.phase(Phase::AnchorScan, || {
-        let mut work = Work::ZERO;
-        let plan = plan_blocks(seqs, vcfg, &mut work);
-        for (i, anchor) in plan.anchors.iter().enumerate() {
-            ctx.anchor_found(i, anchor.positions[0], anchor.confidence);
-        }
-        (plan, work)
-    })?;
-
-    if plan.blocks.len() < 2 {
-        // Graceful degradation: no reliable anchors, so run the ordinary
-        // whole-length pipeline — byte-identical output — and record the
-        // attempted decomposition in the report.
-        let mut report = match backend {
-            Backend::Sequential => crate::sequential::sequential_pipeline(seqs, cfg, ctx, scratch)?,
-            Backend::Rayon { threads } => {
-                crate::rayon_impl::shared_memory_pipeline(seqs, *threads, cfg, ctx)?
-            }
-            Backend::Distributed(_) => {
-                unreachable!("Aligner::run rejects vertical mode on the distributed backend")
-            }
-        };
-        report.vertical = Some(VerticalReport {
-            anchors: 0,
-            block_cols: vec![report.msa.num_cols()],
-            seam_windows: 0,
+) -> Result<Option<Outcome>, SadError> {
+    let Some(vcfg) = &cfg.vertical else {
+        return Ok(None);
+    };
+    let cuts: Vec<Vec<usize>> = c.phase(Phase::AnchorScan, |c| {
+        let root_cuts = c.is_root().then(|| {
+            let mut work = Work::ZERO;
+            let anchors = chain_anchors(seqs, vcfg, &mut work);
+            c.charge(work);
+            let cuts = anchors.into_iter().enumerate().map(|(i, anchor)| {
+                ctx.anchor_found(i, anchor.positions[0], anchor.confidence);
+                anchor.positions
+            });
+            cuts.collect()
         });
-        return Ok(report);
+        c.broadcast(root_cuts)
+    })?;
+    if cuts.is_empty() {
+        return Ok(None);
     }
 
-    // Block alignment: every block is an independent job on the same
-    // self-scheduling pool the batch runner uses, each worker owning its
-    // own DpArena, each block running the full configured engine.
-    let blocks = &plan.blocks;
-    let aligned: Vec<(Msa, Work)> = ctx.phase(Phase::BlockAlign, || {
-        let results: Vec<(Msa, Work)> = crate::batch::pool_map(blocks.len(), width, |b, arena| {
-            let t0 = Instant::now();
+    let p = c.size();
+    let aligned = c.phase(Phase::BlockAlign, |c| {
+        let dealt = c.owned().map(|rank| dealt_blocks(seqs, &cuts, p, rank)).collect();
+        c.each(dealt, |_, mine: Range<usize>| {
             let engine = cfg.engine.build_with(cfg.dp());
-            let (msa, work) = engine.align_with_work_in(&blocks[b], arena);
-            ctx.block_aligned(b, msa.num_rows(), msa.num_cols(), t0.elapsed().as_secs_f64());
-            (msa, work)
-        });
-        let work = results.iter().map(|(_, w)| *w).sum();
-        (results, work)
+            let mut arena = DpArena::new();
+            let mut work = Work::ZERO;
+            let msas: Vec<MsaBlockMsg> = mine
+                .map(|b| {
+                    let t0 = Instant::now();
+                    let (msa, w) = engine.align_with_work_in(&cut(seqs, &cuts, b), &mut arena);
+                    let seconds = t0.elapsed().as_secs_f64();
+                    work += w;
+                    ctx.block_aligned(b, msa.num_rows(), msa.num_cols(), seconds);
+                    MsaBlockMsg(msa)
+                })
+                .collect();
+            (msas, work)
+        })
     })?;
 
-    let block_cols: Vec<usize> = aligned.iter().map(|(m, _)| m.num_cols()).collect();
-    let (msa, seam_windows) = ctx.phase(Phase::Glue, || {
-        let mut work = Work::ZERO;
-        let mut glued = concat_blocks(seqs, &aligned, &mut work);
-        let seams = refine_seams(&mut glued, &block_cols, cfg, vcfg, scratch, &mut work);
-        ((glued, seams), work)
+    let glued = c.phase(Phase::Glue, |c| {
+        c.gather(aligned).map(|per_rank| {
+            let msas: Vec<Msa> = per_rank.into_iter().flatten().map(|block| block.0).collect();
+            let block_cols: Vec<usize> = msas.iter().map(Msa::num_cols).collect();
+            let mut work = Work::ZERO;
+            let mut msa = concat_blocks(seqs, &msas, &mut work);
+            let seam_windows =
+                refine_seams(&mut msa, &block_cols, cfg, vcfg, &mut DpArena::new(), &mut work);
+            c.charge(work);
+            (msa, VerticalReport { anchors: cuts.len(), block_cols, seam_windows })
+        })
     })?;
+    // Every block holds every sequence: one bucket, reported by the root.
+    let bucket_sizes = glued.iter().map(|_| seqs.len()).collect();
+    let (msa, vertical) = glued.unzip();
+    Ok(Some(Outcome { msa, bucket_sizes, depth: 0, vertical }))
+}
 
-    let (phases, work) = ctx.drain();
-    let extras = match backend {
-        Backend::Sequential => crate::report::BackendExtras::Sequential,
-        Backend::Rayon { threads } => crate::report::BackendExtras::Rayon { threads: *threads },
-        Backend::Distributed(_) => unreachable!("vertical mode rejected on distributed"),
-    };
-    Ok(RunReport {
-        msa,
-        work,
-        phases,
-        bucket_sizes: vec![seqs.len()],
-        ranks: width,
-        samples_per_rank: cfg.samples_for(width),
-        decomposition_depth: 0,
-        kernel: cfg.dp_kernel.label(),
-        vertical: Some(VerticalReport { anchors: plan.anchors.len(), block_cols, seam_windows }),
-        trim: None,
-        extras,
-    })
+/// The blocks rank `rank` aligns: blocks are dealt in contiguous runs by
+/// residue count, each to the rank whose equal share of all residues
+/// holds the block's middle residue.
+fn dealt_blocks(seqs: &[Sequence], cuts: &[Vec<usize>], p: usize, rank: usize) -> Range<usize> {
+    let total: usize = seqs.iter().map(Sequence::len).sum();
+    // Residues before each cut, bracketed by the start and the end.
+    let bounds: Vec<usize> = std::iter::once(0)
+        .chain(cuts.iter().map(|cut| cut.iter().sum()))
+        .chain(std::iter::once(total))
+        .collect();
+    let owner = |b: usize| ((bounds[b] + bounds[b + 1]) * p / (2 * total)).min(p - 1);
+    let blocks = cuts.len() + 1;
+    let first = (0..blocks).filter(|&b| owner(b) < rank).count();
+    first..(0..blocks).filter(|&b| owner(b) <= rank).count()
 }
 
 /// Concatenate the block alignments row-wise. Every engine returns rows
 /// in input order with input ids, so block `b`'s row `i` continues input
 /// sequence `i`.
-fn concat_blocks(seqs: &[Sequence], aligned: &[(Msa, Work)], work: &mut Work) -> Msa {
+fn concat_blocks(seqs: &[Sequence], aligned: &[Msa], work: &mut Work) -> Msa {
     let n = seqs.len();
-    let total: usize = aligned.iter().map(|(m, _)| m.num_cols()).sum();
+    let total: usize = aligned.iter().map(Msa::num_cols).sum();
     let mut rows: Vec<Vec<u8>> = (0..n).map(|_| Vec::with_capacity(total)).collect();
-    for (msa, _) in aligned {
+    for msa in aligned {
         debug_assert_eq!(msa.num_rows(), n, "engine must keep every input row");
         for (r, row) in rows.iter_mut().enumerate() {
             debug_assert_eq!(msa.ids()[r], seqs[r].id, "engine must keep input row order");
@@ -405,9 +416,10 @@ fn splice_window(glued: &mut Msa, lo: usize, hi: usize, window: Vec<Vec<u8>>, wo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Aligner, Backend, Event, SadConfig};
+    use crate::{Aligner, Backend, CancelToken, Event, SadConfig};
     use rosegen::{Family, FamilyConfig};
     use std::sync::{Arc, Mutex};
+    use vcluster::{CostModel, VirtualCluster};
 
     /// A family long and related enough to anchor reliably (low rose
     /// relatedness = few substitutions per site).
@@ -451,6 +463,26 @@ mod tests {
         for block in &plan.blocks {
             assert!(block.iter().all(|s| !s.is_empty()), "blocks are never empty");
         }
+    }
+
+    #[test]
+    fn blocks_are_dealt_in_order_by_residue_count() {
+        let seqs = vec![Sequence::from_codes("a", vec![1; 100]); 2];
+        let deal = |cuts: &[Vec<usize>], p| -> Vec<Range<usize>> {
+            (0..p).map(|rank| dealt_blocks(&seqs, cuts, p, rank)).collect()
+        };
+        // Contiguous runs that tile the blocks in rank order.
+        let even: Vec<Vec<usize>> = (1..8).map(|k| vec![k * 12; 2]).collect();
+        let runs = deal(&even, 3);
+        assert_eq!(
+            runs.iter().flat_map(Range::clone).collect::<Vec<_>>(),
+            (0..8).collect::<Vec<_>>()
+        );
+        assert!(runs.iter().all(|r| (2..=3).contains(&r.len())), "{runs:?}");
+        // Two equal blocks over four ranks go to ranks 1 and 3, one in
+        // each half of the rank range (a per-block-count deal gives them
+        // to ranks 0 and 1); the other ranks stay idle.
+        assert_eq!(deal(&[vec![50, 50]], 4), vec![0..0, 0..1, 1..1, 1..2]);
     }
 
     #[test]
@@ -499,16 +531,71 @@ mod tests {
         assert!(table.contains("8-block-align"), "{table}");
     }
 
+    fn cluster(p: usize) -> Backend {
+        Backend::Distributed(VirtualCluster::new(p, CostModel::beowulf_2008()))
+    }
+
     #[test]
-    fn sequential_and_rayon_vertical_are_byte_identical() {
+    fn vertical_is_byte_identical_on_every_backend() {
         let seqs = anchored_family(8, 500, 14);
         let cfg = SadConfig::default().with_vertical(vcfg_small());
         let seq = Aligner::new(cfg.clone()).run(&seqs).unwrap();
-        let ray = Aligner::new(cfg).backend(Backend::Rayon { threads: 4 }).run(&seqs).unwrap();
-        assert_eq!(seq.msa, ray.msa, "vertical output is backend-independent");
-        assert_eq!(seq.work, ray.work);
-        assert_eq!(seq.vertical, ray.vertical);
-        assert_eq!(ray.ranks, 4);
+        assert!(seq.vertical.as_ref().unwrap().blocks() >= 3, "enough blocks to deal");
+        // More ranks than blocks leaves trailing ranks idle.
+        for backend in [Backend::Rayon { threads: 4 }, cluster(3), cluster(16)] {
+            let name = backend.name();
+            let run = Aligner::new(cfg.clone()).backend(backend).run(&seqs).unwrap();
+            assert_eq!(seq.msa, run.msa, "{name}: vertical output is backend-independent");
+            assert_eq!(seq.work, run.work, "{name}");
+            assert_eq!(seq.vertical, run.vertical, "{name}");
+            assert_eq!(seq.bucket_sizes, run.bucket_sizes, "{name}");
+            assert_eq!(seq.phase_sequence(), run.phase_sequence(), "{name}");
+            for (s, r) in seq.phases.iter().zip(&run.phases) {
+                assert_eq!(s.work, r.work, "{name}: {}", s.name());
+            }
+            let distributed = run.makespan().is_some();
+            assert!(run.phases.iter().all(|p| p.virtual_seconds.is_some() == distributed));
+        }
+    }
+
+    #[test]
+    fn cancelled_distributed_vertical_run_stops_every_rank_at_one_boundary() {
+        // Cancel on the first aligned block: here the root is dealt
+        // block 0 and aligns it before it polls the glue boundary, so
+        // every rank must stop there, with every phase any rank entered
+        // left by all of them.
+        let events: Arc<Mutex<Vec<Event>>> = Arc::default();
+        let sink = Arc::clone(&events);
+        let token = CancelToken::new();
+        let trigger = token.clone();
+        let result = Aligner::new(SadConfig::default().with_vertical(vcfg_small()))
+            .backend(cluster(3))
+            .cancel_token(token)
+            .observer(Arc::new(move |e: &Event| {
+                sink.lock().unwrap().push(e.clone());
+                if matches!(e, Event::BlockAligned { .. }) {
+                    trigger.cancel();
+                }
+            }))
+            .run(&anchored_family(6, 500, 18));
+        assert_eq!(result, Err(SadError::Cancelled { phase: Phase::Glue }));
+        let evs = events.lock().unwrap();
+        let started: Vec<Phase> = evs
+            .iter()
+            .filter_map(|e| match e {
+                Event::PhaseStarted { phase } => Some(*phase),
+                _ => None,
+            })
+            .collect();
+        let finished: Vec<Phase> = evs
+            .iter()
+            .filter_map(|e| match e {
+                Event::PhaseFinished { phase, .. } => Some(*phase),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(started, vec![Phase::AnchorScan, Phase::BlockAlign]);
+        assert_eq!(started, finished);
     }
 
     #[test]
@@ -534,17 +621,6 @@ mod tests {
         let v = vertical.vertical.as_ref().unwrap();
         assert_eq!((v.anchors, v.blocks()), (0, 1));
         assert!(vertical.phase(Phase::AnchorScan).is_some(), "scan is still recorded");
-    }
-
-    #[test]
-    fn vertical_rejected_on_distributed() {
-        use vcluster::{CostModel, VirtualCluster};
-        let seqs = anchored_family(4, 100, 16);
-        let cfg = SadConfig::default().with_vertical(VerticalConfig::default());
-        let err = Aligner::new(cfg)
-            .backend(Backend::Distributed(VirtualCluster::new(2, CostModel::beowulf_2008())))
-            .run(&seqs);
-        assert_eq!(err, Err(SadError::VerticalUnsupported { backend: "distributed" }));
     }
 
     #[test]

@@ -38,13 +38,14 @@ pub(crate) fn distributed_pipeline(
         "sequence ids must be unique"
     );
     let run = cluster.run(|node| sample_align_d(&mut ClusterRank::new(node, ctx), ctx, seqs, cfg));
-    let mut whole = Outcome { msa: None, bucket_sizes: Vec::new(), depth: 0 };
+    let mut whole = Outcome::default();
     for outcome in run.results {
         match outcome {
             Ok(rank) => {
                 whole.msa = whole.msa.or(rank.msa);
                 whole.bucket_sizes.extend(rank.bucket_sizes);
                 whole.depth = whole.depth.max(rank.depth);
+                whole.vertical = whole.vertical.or(rank.vertical);
             }
             Err(cancelled) => {
                 // Every rank stopped at the same boundary, so no phase is

@@ -62,14 +62,6 @@ pub enum SadError {
         /// The offending field, by name.
         what: &'static str,
     },
-    /// `SadConfig::vertical` was set on a backend without vertical
-    /// (length-wise) decomposition support. The virtual cluster's SPMD
-    /// protocol has no block-scheduling collective yet, so only the
-    /// sequential and rayon backends run vertical mode.
-    VerticalUnsupported {
-        /// Stable name of the rejecting backend.
-        backend: &'static str,
-    },
     /// The run was stopped at a phase boundary — the
     /// [`crate::CancelToken`] supplied via [`crate::Aligner::cancel_token`]
     /// was cancelled, or the [`crate::Aligner::deadline`] budget ran out.
@@ -106,9 +98,6 @@ impl std::fmt::Display for SadError {
             SadError::InvalidVertical { what } => {
                 write!(f, "vertical: {what} must be at least 1")
             }
-            SadError::VerticalUnsupported { backend } => {
-                write!(f, "vertical: length-wise decomposition is not supported on the {backend} backend (use sequential or rayon)")
-            }
             SadError::Cancelled { phase } => {
                 write!(f, "run cancelled before phase {phase}")
             }
@@ -133,7 +122,6 @@ mod tests {
             (SadError::ZeroParallelism, "thread"),
             (SadError::ZeroMaxBucket, "max_bucket"),
             (SadError::InvalidVertical { what: "min_anchor_len" }, "min_anchor_len"),
-            (SadError::VerticalUnsupported { backend: "distributed" }, "distributed backend"),
             (
                 SadError::Cancelled { phase: crate::pipeline::Phase::LocalAlign },
                 "cancelled before phase 8-local-align",

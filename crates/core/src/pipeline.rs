@@ -41,9 +41,10 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[non_exhaustive]
 pub enum Phase {
-    /// Step 0: vertical decomposition's conserved-anchor scan — colinear
-    /// k-mer chaining across all sequences, before any rank/sort work.
-    /// Only recorded when [`crate::SadConfig::vertical`] is configured.
+    /// Step 0: vertical decomposition's conserved-anchor scan at the
+    /// root — colinear k-mer chaining across all sequences, before any
+    /// rank/sort work. Only recorded when [`crate::SadConfig::vertical`]
+    /// is configured.
     AnchorScan,
     /// Step 1: each rank computes local k-mer ranks for its block.
     LocalKmerRank,
@@ -60,10 +61,10 @@ pub enum Phase {
     /// re-partitioned until every leaf bucket fits the cap. Only recorded
     /// when a cap is configured (the Pyro-Align large-N read mode).
     SubPartition,
-    /// Step 8 (vertical mode): each anchor-delimited block aligned as an
-    /// independent job on the worker pool. Replaces the whole-length
-    /// engine run of [`Phase::LocalAlign`] when vertical decomposition
-    /// produced more than one block.
+    /// Step 8 (vertical mode): the anchor-delimited blocks, dealt over
+    /// the ranks, each aligned independently by the engine. Replaces
+    /// steps 1–11 when vertical decomposition produced more than one
+    /// block.
     BlockAlign,
     /// Step 8: the sequential MSA engine on each bucket.
     LocalAlign,
@@ -214,8 +215,8 @@ pub enum Event {
         confidence: f64,
     },
     /// One vertical block finished its alignment (inside
-    /// [`Phase::BlockAlign`]). Blocks run on worker threads, so arrival
-    /// order between blocks is not deterministic.
+    /// [`Phase::BlockAlign`]). Ranks align their blocks concurrently, so
+    /// arrival order between blocks is not deterministic.
     BlockAligned {
         /// Block index along the sequence length (0-based).
         block: usize,

@@ -2,15 +2,20 @@
 //! (what "MUSCLE on a single cluster node" is to the paper's Fig. 6).
 
 use crate::config::SadConfig;
+use crate::decomp::vertical;
 use crate::error::SadError;
 use crate::pipeline::{Phase, PipelineCtx};
+use crate::rayon_impl::SharedMemory;
 use crate::report::{BackendExtras, RunReport};
+use crate::spmd::Outcome;
 use align::DpArena;
 use bioseq::{Msa, Sequence};
 use std::time::Instant;
 
 /// The whole-set engine run: a one-phase pipeline through the shared
 /// recorder. Input validation happens in [`crate::Aligner::run`].
+/// Vertical mode runs its steps over one shared-memory rank first and
+/// falls through to the engine run when it finds no cut.
 ///
 /// `arena` is the engine's DP scratch: single runs pass a fresh one, the
 /// batch runner threads each worker's long-lived arena through so
@@ -22,26 +27,17 @@ pub(crate) fn sequential_pipeline(
     arena: &mut DpArena,
 ) -> Result<RunReport, SadError> {
     debug_assert!(!seqs.is_empty(), "Aligner::run rejects empty input");
+    let report = |outcome: Outcome| outcome.into_report(1, cfg, ctx, BackendExtras::Sequential);
+    if let Some(outcome) = vertical(&mut SharedMemory::new(1, ctx), ctx, seqs, cfg)? {
+        return Ok(report(outcome));
+    }
     let msa = ctx.phase(Phase::LocalAlign, || {
         let t0 = Instant::now();
         let (msa, work) = cfg.engine.build_with(cfg.dp()).align_with_work_in(seqs, arena);
         ctx.bucket_aligned(0, msa.num_rows(), t0.elapsed().as_secs_f64());
         (msa, work)
     })?;
-    let (phases, work) = ctx.drain();
-    Ok(RunReport {
-        msa,
-        work,
-        phases,
-        bucket_sizes: vec![seqs.len()],
-        ranks: 1,
-        samples_per_rank: cfg.samples_for(1),
-        decomposition_depth: 0,
-        kernel: cfg.dp_kernel.label(),
-        vertical: None,
-        trim: None,
-        extras: BackendExtras::Sequential,
-    })
+    Ok(report(Outcome { msa: Some(msa), bucket_sizes: vec![seqs.len()], ..Outcome::default() }))
 }
 
 /// Virtual seconds the sequential baseline would take on the given cost

@@ -23,6 +23,7 @@ use crate::ancestor::{
     anchor_to_ancestor, anchor_to_ancestor_seeded, glue_anchored, glue_block_diagonal,
 };
 use crate::config::SadConfig;
+use crate::decomp::VerticalReport;
 use crate::error::SadError;
 use crate::messages::{AnchoredBlockMsg, MsaBlockMsg, RankedSeq, SeqBatch};
 use crate::pipeline::{Phase, PipelineCtx};
@@ -86,9 +87,15 @@ pub(crate) trait Comm {
         let gathered = self.gather(mine);
         self.broadcast(gathered)
     }
+
+    /// Whether this executor owns the root (rank 0).
+    fn is_root(&self) -> bool {
+        self.owned().start == 0
+    }
 }
 
 /// What one executor hands back: its owned ranks' share of the report.
+#[derive(Default)]
 pub(crate) struct Outcome {
     /// The assembled alignment, on the executor that owns the root.
     pub msa: Option<Msa>,
@@ -96,6 +103,8 @@ pub(crate) struct Outcome {
     pub bucket_sizes: Vec<usize>,
     /// Deepest sub-partition split among the owned ranks.
     pub depth: usize,
+    /// The vertical census, on the root of a run that cut blocks.
+    pub vertical: Option<VerticalReport>,
 }
 
 impl Outcome {
@@ -109,8 +118,17 @@ impl Outcome {
         extras: BackendExtras,
     ) -> RunReport {
         let (phases, work) = ctx.drain();
+        let msa = self.msa.expect("the root assembled the alignment");
+        // Vertical mode without a cut ran whole-length: one block.
+        let vertical = self.vertical.or_else(|| {
+            cfg.vertical.is_some().then(|| VerticalReport {
+                anchors: 0,
+                block_cols: vec![msa.num_cols()],
+                seam_windows: 0,
+            })
+        });
         RunReport {
-            msa: self.msa.expect("the root assembled the alignment"),
+            msa,
             work,
             phases,
             bucket_sizes: self.bucket_sizes,
@@ -118,7 +136,7 @@ impl Outcome {
             samples_per_rank: cfg.samples_for(p),
             decomposition_depth: self.depth,
             kernel: cfg.dp_kernel.label(),
-            vertical: None,
+            vertical,
             trim: None,
             extras,
         }
@@ -163,7 +181,9 @@ pub(crate) fn sorted_order(ranks: &[f64]) -> (Vec<usize>, Work) {
 /// Steps 1–12 on the ranks `c` owns. `seqs` plays the pre-staged input
 /// files (the paper stages shards on each node's disk before timing
 /// starts, so reading a rank's block is free). Input validation happens
-/// in [`crate::Aligner::run`].
+/// in [`crate::Aligner::run`]. Vertical mode ([`SadConfig::vertical`])
+/// runs its own steps 0, 8 and 12 first ([`crate::decomp`]) and falls
+/// through to these only when it finds no cut.
 pub(crate) fn sample_align_d<C: Comm>(
     c: &mut C,
     ctx: &PipelineCtx,
@@ -171,6 +191,9 @@ pub(crate) fn sample_align_d<C: Comm>(
     cfg: &SadConfig,
 ) -> Result<Outcome, SadError> {
     debug_assert!(!seqs.is_empty(), "Aligner::run rejects empty input");
+    if let Some(outcome) = crate::decomp::vertical(c, ctx, seqs, cfg)? {
+        return Ok(outcome);
+    }
     let p = c.size();
     let blocks: Vec<&[Sequence]> =
         c.owned().map(|rank| &seqs[block_range(seqs.len(), p, rank)]).collect();
@@ -251,7 +274,7 @@ pub(crate) fn sample_align_d<C: Comm>(
         None => (buckets.into_iter().map(|bucket| vec![bucket]).collect(), 0),
     };
     let bucket_sizes: Vec<usize> = leaves.iter().flatten().map(Vec::len).collect();
-    let outcome = |msa| Outcome { msa, bucket_sizes, depth };
+    let outcome = |msa| Outcome { msa, bucket_sizes, depth, vertical: None };
 
     // Step 8: the sequential engine on every non-empty leaf.
     let mut local_msas: Vec<Vec<Msa>> = c.phase(Phase::LocalAlign, |c| {

@@ -223,20 +223,24 @@ fn capped_read_run_at_paper_scale() {
 #[test]
 fn pre_cancelled_token_stops_every_backend_at_the_first_boundary() {
     let seqs = family(12, 3);
+    let vertical = SadConfig::default().with_vertical(VerticalConfig::default());
     for backend in backends(3) {
         let name = backend.name();
         let first = match backend {
             Backend::Sequential => Phase::LocalAlign,
             _ => Phase::LocalKmerRank,
         };
-        let token = CancelToken::new();
-        token.cancel();
-        let err = Aligner::new(SadConfig::default())
-            .backend(backend)
-            .cancel_token(token)
-            .run(&seqs)
-            .unwrap_err();
-        assert_eq!(err, SadError::Cancelled { phase: first }, "{name}");
+        // Vertical mode opens with the anchor scan on every backend.
+        for (cfg, first) in [(SadConfig::default(), first), (vertical.clone(), Phase::AnchorScan)] {
+            let token = CancelToken::new();
+            token.cancel();
+            let err = Aligner::new(cfg)
+                .backend(backend.clone())
+                .cancel_token(token)
+                .run(&seqs)
+                .unwrap_err();
+            assert_eq!(err, SadError::Cancelled { phase: first }, "{name}");
+        }
     }
 }
 

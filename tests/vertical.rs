@@ -101,29 +101,27 @@ proptest! {
     }
 
     /// (c) Vertical mode with zero anchors is byte-identical to vertical
-    /// off, on both the sequential and the rayon backend.
+    /// off, on every backend.
     #[test]
     fn zero_anchors_mean_byte_parity(seqs in arb_any_family(), threads in 1usize..4) {
         // An anchor k-mer longer than every sequence can never match.
         let unanchorable =
             VerticalConfig { min_anchor_len: 512, ..VerticalConfig::default() };
-        let plain_seq = Aligner::new(SadConfig::default()).run(&seqs).expect("valid input");
-        let vert_seq = Aligner::new(SadConfig::default().with_vertical(unanchorable))
-            .run(&seqs)
-            .expect("valid input");
-        prop_assert_eq!(&plain_seq.msa, &vert_seq.msa);
-        let v = vert_seq.vertical.expect("census recorded even when degraded");
-        prop_assert_eq!((v.anchors, v.blocks(), v.seam_windows), (0, 1, 0));
-
-        let plain_ray = Aligner::new(SadConfig::default())
-            .backend(Backend::Rayon { threads })
-            .run(&seqs)
-            .expect("valid input");
-        let vert_ray = Aligner::new(SadConfig::default().with_vertical(unanchorable))
-            .backend(Backend::Rayon { threads })
-            .run(&seqs)
-            .expect("valid input");
-        prop_assert_eq!(&plain_ray.msa, &vert_ray.msa);
+        for backend in [
+            Backend::Sequential,
+            Backend::Rayon { threads },
+            Backend::Distributed(VirtualCluster::new(threads, CostModel::beowulf_2008())),
+        ] {
+            let aligner = |cfg: SadConfig| Aligner::new(cfg).backend(backend.clone());
+            let plain = aligner(SadConfig::default()).run(&seqs).expect("valid input");
+            let vert = aligner(SadConfig::default().with_vertical(unanchorable))
+                .run(&seqs)
+                .expect("valid input");
+            prop_assert_eq!(&plain.msa, &vert.msa, "{}", backend.name());
+            let v = vert.vertical.expect("census recorded even when degraded");
+            prop_assert_eq!((v.anchors, v.blocks(), v.seam_windows), (0, 1, 0));
+            prop_assert_eq!(v.block_cols, vec![vert.msa.num_cols()]);
+        }
     }
 }
 
