@@ -1,4 +1,4 @@
-//! The one Gotoh dynamic-programming kernel under every alignment path.
+//! The one global Gotoh dynamic-programming kernel under every alignment path.
 //!
 //! Sample-Align-D's speed rests on each processor running its sequential
 //! aligner over small domains, which makes the affine-gap DP the hot path
@@ -137,8 +137,7 @@ pub const AUTO_MIN_BAND: usize = 32;
 ///
 /// Both kernels produce identical traceback ops whenever the scorer is
 /// [`ColumnScorer::f32_compatible`]; see the module docs for the epsilon
-/// contract when it is not. Semiglobal and local alignments always use
-/// the scalar fill regardless of this setting.
+/// contract when it is not.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum DpKernel {
     /// The one-cell-at-a-time `f64` fill: the property-test oracle.
@@ -541,20 +540,17 @@ impl ColumnScorer for PspScorer<'_> {
 }
 
 // Packed traceback layout: one byte per in-band cell.
-// bits 0–1: M's diagonal predecessor layer (0 = M, 1 = X, 2 = Y,
-//           3 = fresh start — local/semiglobal modes only);
+// bits 0–1: M's diagonal predecessor layer (0 = M, 1 = X, 2 = Y);
 // bit 2: X extended (vs opened); bit 3: X opened from Y (vs M);
 // bit 4: Y extended (vs opened); bit 5: Y opened from X (vs M).
 const TB_M_MASK: u8 = 0b0000_0011;
-const TB_M_START: u8 = 3;
 const TB_X_EXT: u8 = 0b0000_0100;
 const TB_X_FROM_Y: u8 = 0b0000_1000;
 const TB_Y_EXT: u8 = 0b0001_0000;
 const TB_Y_FROM_X: u8 = 0b0010_0000;
 
 /// Number of traceback bit-planes the striped kernel stores (bits 0–5 of
-/// the byte layout above; [`TB_M_START`] only occurs in scalar-only
-/// modes, so two M bits suffice).
+/// the byte layout above).
 const TB_PLANES: usize = 6;
 
 /// Gather the low bit of each byte of `x` into one byte (result bit `k` =
@@ -625,8 +621,6 @@ pub struct DpArena {
     /// Per-row band bounds (inclusive) for edge detection.
     row_lo: Vec<usize>,
     row_hi: Vec<usize>,
-    /// Last-column layer scores per row (semiglobal end-cell scan).
-    lastcol: Vec<(f64, f64, f64)>,
     // Rolling `f32` score rows for the striped kernel.
     mp32: Vec<f32>,
     xp32: Vec<f32>,
@@ -683,18 +677,7 @@ impl DpArena {
     }
 }
 
-/// What alignment variant the fill computes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    /// End-to-end alignment, terminal gaps charged.
-    Global,
-    /// Overlap alignment: terminal gaps of either side are free.
-    Semiglobal,
-    /// Smith–Waterman: best-scoring local segment.
-    Local,
-}
-
-/// The outcome of one global or semiglobal kernel run.
+/// The outcome of one kernel run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DpResult {
     /// Column merge script (length = aligned width).
@@ -718,47 +701,19 @@ impl DpResult {
     }
 }
 
-/// The outcome of a local (Smith–Waterman) kernel run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LocalDpResult {
-    /// Merge script of the aligned segment only.
-    pub ops: Vec<ColOp>,
-    /// Best local score (≥ 0).
-    pub score: f64,
-    /// Start of the segment in A (0-based column index).
-    pub start_a: usize,
-    /// Start of the segment in B.
-    pub start_b: usize,
-    /// One past the end of the segment in A.
-    pub end_a: usize,
-    /// One past the end of the segment in B.
-    pub end_b: usize,
-    /// Matrix cells filled (single-layer count; always the full matrix).
-    pub cells: u64,
-}
-
-impl LocalDpResult {
-    /// The [`Work`] this run performed.
-    pub fn work(&self) -> Work {
-        Work::dp(3 * self.cells)
-    }
-}
-
 struct FillOutcome {
     cells: u64,
     /// End-cell layer scores (M, X, Y) at `(n, m)`.
     end: (f64, f64, f64),
-    /// Best interior M cell (local mode).
-    best: (f64, usize, usize),
 }
 
-/// Fill the matrix within half-width `hw` (`hw ≥ len_b` means full).
-/// Returns the per-layer end values; traceback state stays in the arena.
-fn fill<S: ColumnScorer>(s: &S, mode: Mode, hw: usize, arena: &mut DpArena) -> FillOutcome {
+/// The scalar global Gotoh fill within half-width `hw` (`hw ≥ len_b`
+/// means full): the exact oracle of [`fill_striped`]. Returns the
+/// per-layer end values; traceback state stays in the arena.
+fn fill<S: ColumnScorer>(s: &S, hw: usize, arena: &mut DpArena) -> FillOutcome {
     let n = s.len_a();
     let m = s.len_b();
     let w = m + 1;
-    debug_assert!(mode == Mode::Global || hw >= m, "banding is a global-mode feature");
 
     // Band geometry: row i is allowed columns [lo(i), hi(i)] around the
     // rescaled diagonal j ≈ i·m/n.
@@ -783,29 +738,13 @@ fn fill<S: ColumnScorer>(s: &S, mode: Mode, hw: usize, arena: &mut DpArena) -> F
     arena.row_hi.resize(n + 1, 0);
     arena.tb.clear();
     arena.packed = false;
-    if mode == Mode::Semiglobal {
-        arena.lastcol.clear();
-        arena.lastcol.resize(n + 1, (NEG_INF, NEG_INF, NEG_INF));
-    }
 
-    // Row 0.
-    match mode {
-        Mode::Global => {
-            arena.mp[0] = 0.0;
-            let mut by = 0.0;
-            for j in 1..=hi(0) {
-                by -= if j == 1 { s.gap_open_b(0) } else { s.gap_extend_b(j - 1) };
-                arena.yp[j] = by;
-            }
-        }
-        Mode::Semiglobal | Mode::Local => {
-            for v in arena.mp.iter_mut() {
-                *v = 0.0;
-            }
-        }
-    }
-    if mode == Mode::Semiglobal {
-        arena.lastcol[0] = (arena.mp[m], arena.xp[m], arena.yp[m]);
+    // Row 0: M origin and the Y run along the top edge.
+    arena.mp[0] = 0.0;
+    let mut by = 0.0;
+    for j in 1..=hi(0) {
+        by -= if j == 1 { s.gap_open_b(0) } else { s.gap_extend_b(j - 1) };
+        arena.yp[j] = by;
     }
 
     // Column-0 boundary (the X run down the left edge), maintained while
@@ -813,7 +752,6 @@ fn fill<S: ColumnScorer>(s: &S, mode: Mode, hw: usize, arena: &mut DpArena) -> F
     let mut bx = 0.0;
 
     let mut cells = 0u64;
-    let mut best = (0.0f64, 0usize, 0usize);
     let mut tb_len = 0usize;
     for i in 1..=n {
         let (rlo, rhi) = (lo(i), hi(i));
@@ -839,13 +777,8 @@ fn fill<S: ColumnScorer>(s: &S, mode: Mode, hw: usize, arena: &mut DpArena) -> F
 
         // Cell (i, 0): the left-edge boundary.
         if rlo == 0 {
-            match mode {
-                Mode::Global => {
-                    bx -= if i == 1 { s.gap_open_a(0) } else { s.gap_extend_a(i - 1) };
-                    arena.xc[0] = bx;
-                }
-                Mode::Semiglobal | Mode::Local => arena.mc[0] = 0.0,
-            }
+            bx -= if i == 1 { s.gap_open_a(0) } else { s.gap_extend_a(i - 1) };
+            arena.xc[0] = bx;
         }
 
         let row_tb = &mut arena.tb[arena.row_off[i]..tb_len];
@@ -853,11 +786,7 @@ fn fill<S: ColumnScorer>(s: &S, mode: Mode, hw: usize, arena: &mut DpArena) -> F
             cells += 1;
             let sub = s.substitution(i - 1, j - 1);
             // M: consume both columns.
-            let (mut bprev, mut from) = best3(arena.mp[j - 1], arena.xp[j - 1], arena.yp[j - 1]);
-            if mode == Mode::Local && 0.0 >= bprev {
-                bprev = 0.0;
-                from = TB_M_START;
-            }
+            let (bprev, from) = best3(arena.mp[j - 1], arena.xp[j - 1], arena.yp[j - 1]);
             let mval = bprev + sub;
             // X: consume from A (gap in B). Open from M/Y above or extend.
             let (um, ux, uy) = (arena.mp[j], arena.xp[j], arena.yp[j]);
@@ -882,12 +811,6 @@ fn fill<S: ColumnScorer>(s: &S, mode: Mode, hw: usize, arena: &mut DpArena) -> F
             arena.mc[j] = mval;
             arena.xc[j] = xval;
             arena.yc[j] = yval;
-            if mode == Mode::Local && mval > best.0 {
-                best = (mval, i, j);
-            }
-        }
-        if mode == Mode::Semiglobal {
-            arena.lastcol[i] = (arena.mc[m], arena.xc[m], arena.yc[m]);
         }
         std::mem::swap(&mut arena.mp, &mut arena.mc);
         std::mem::swap(&mut arena.xp, &mut arena.xc);
@@ -895,13 +818,13 @@ fn fill<S: ColumnScorer>(s: &S, mode: Mode, hw: usize, arena: &mut DpArena) -> F
     }
     // After the final swap the last filled row sits in the "previous"
     // buffers (row 0 included, when n == 0).
-    FillOutcome { cells, end: (arena.mp[m], arena.xp[m], arena.yp[m]), best }
+    FillOutcome { cells, end: (arena.mp[m], arena.xp[m], arena.yp[m]) }
 }
 
 /// The striped fill: the scalar recurrence split into two vectorizable
 /// row passes plus one serial suffix scan, over `f32` lanes, with the
-/// traceback packed into u64 bit-planes. Global mode only; band geometry,
-/// tie-breaking and cell accounting match [`fill`] exactly.
+/// traceback packed into u64 bit-planes. Band geometry, tie-breaking and
+/// cell accounting match [`fill`] exactly.
 ///
 /// Pass 1 computes M (diagonal predecessor) and X (vertical) for the
 /// whole row — both read only the previous row, so the loop carries no
@@ -1133,47 +1056,28 @@ fn fill_striped<S: ColumnScorer>(
     arena.sub_valid = cache_rows;
     // After the final swap the last filled row sits in the "previous"
     // buffers (row 0 included, when n == 0).
-    FillOutcome {
-        cells,
-        end: (arena.mp32[m] as f64, arena.xp32[m] as f64, arena.yp32[m] as f64),
-        best: (0.0, 0, 0),
-    }
+    FillOutcome { cells, end: (arena.mp32[m] as f64, arena.xp32[m] as f64, arena.yp32[m] as f64) }
 }
 
 /// Walk of the packed traceback from `(i, j, layer)` back to the origin:
-/// the recovered ops, whether the path touched a (clipped) band edge, and
-/// the first cell of the path. `stop_start` ends the walk at a fresh-start
-/// cell instead of padding to the origin (local mode).
+/// the recovered ops and whether the path touched a (clipped) band edge.
 struct Traceback {
     ops_rev: Vec<ColOp>,
     touched_edge: bool,
-    pos: (usize, usize),
 }
 
 impl Traceback {
-    fn walk(
-        arena: &DpArena,
-        m: usize,
-        start: (usize, usize),
-        mut layer: u8,
-        stop_start: bool,
-    ) -> Self {
+    fn walk(arena: &DpArena, m: usize, start: (usize, usize), mut layer: u8) -> Self {
         let (mut i, mut j) = start;
         let mut ops_rev = Vec::with_capacity(i + j);
         let mut touched = false;
         while i > 0 || j > 0 {
             if i == 0 {
-                if stop_start {
-                    break;
-                }
                 ops_rev.push(ColOp::FromB);
                 j -= 1;
                 continue;
             }
             if j == 0 {
-                if stop_start {
-                    break;
-                }
                 ops_rev.push(ColOp::FromA);
                 i -= 1;
                 continue;
@@ -1189,24 +1093,9 @@ impl Traceback {
             match layer {
                 0 => {
                     ops_rev.push(ColOp::Both);
-                    let src = byte & TB_M_MASK;
+                    layer = byte & TB_M_MASK;
                     i -= 1;
                     j -= 1;
-                    if src == TB_M_START {
-                        if stop_start {
-                            break;
-                        }
-                        // Semiglobal fresh start: the rest of the prefix
-                        // is free terminal gaps, emitted by the boundary
-                        // arms above.
-                        layer = 0;
-                        debug_assert!(
-                            i == 0 || j == 0,
-                            "fresh starts only occur on the boundary in semiglobal mode"
-                        );
-                    } else {
-                        layer = src;
-                    }
                 }
                 1 => {
                     ops_rev.push(ColOp::FromA);
@@ -1227,7 +1116,7 @@ impl Traceback {
             }
         }
         ops_rev.reverse();
-        Traceback { ops_rev, touched_edge: touched, pos: (i, j) }
+        Traceback { ops_rev, touched_edge: touched }
     }
 }
 
@@ -1269,13 +1158,9 @@ pub fn gotoh_global_with<S: ColumnScorer>(
     let full_hw = m;
     let feasible = n.abs_diff(m) + 1;
     let run = |hw: usize, arena: &mut DpArena| -> (FillOutcome, Traceback, f64) {
-        let out = if striped {
-            fill_striped(s, hw, cache, arena)
-        } else {
-            fill(s, Mode::Global, hw, arena)
-        };
+        let out = if striped { fill_striped(s, hw, cache, arena) } else { fill(s, hw, arena) };
         let (score, layer) = best3(out.end.0, out.end.1, out.end.2);
-        let tb = Traceback::walk(arena, m, (n, m), layer, false);
+        let tb = Traceback::walk(arena, m, (n, m), layer);
         (out, tb, score)
     };
     match policy {
@@ -1325,73 +1210,6 @@ pub fn gotoh_global_with<S: ColumnScorer>(
                 }
             }
         }
-    }
-}
-
-/// Overlap (semiglobal) alignment: terminal gaps on either side are free,
-/// so the score rewards the best end-to-end overlap of the two column
-/// streams. The returned ops cover both inputs completely (free terminal
-/// gaps included). Always a full fill.
-pub fn gotoh_semiglobal<S: ColumnScorer>(s: &S, arena: &mut DpArena) -> DpResult {
-    let n = s.len_a();
-    let m = s.len_b();
-    let full_cells = (n as u64) * (m as u64);
-    let out = fill(s, Mode::Semiglobal, m, arena);
-    // Best end anchored on the last row or last column; earlier rows win
-    // ties (deterministic).
-    let (mut score, mut layer, mut end) = (NEG_INF, 0u8, (n, m));
-    for (i, &(em, ex, ey)) in arena.lastcol.iter().enumerate() {
-        let (v, l) = best3(em, ex, ey);
-        if v > score {
-            score = v;
-            layer = l;
-            end = (i, m);
-        }
-    }
-    // The final fill row (row n) sits in the "previous" buffers.
-    for j in 0..=m {
-        let (v, l) = best3(arena.mp[j], arena.xp[j], arena.yp[j]);
-        if v > score {
-            score = v;
-            layer = l;
-            end = (n, j);
-        }
-    }
-    let trailing_a = n - end.0;
-    let trailing_b = m - end.1;
-    let tb = Traceback::walk(arena, m, end, layer, false);
-    let mut ops = tb.ops_rev;
-    ops.extend(std::iter::repeat_n(ColOp::FromA, trailing_a));
-    ops.extend(std::iter::repeat_n(ColOp::FromB, trailing_b));
-    DpResult { ops, score, cells: out.cells, full_cells, band: None }
-}
-
-/// Local (Smith–Waterman) alignment: the best-scoring segment pair. Empty
-/// result (score 0) when nothing scores positively. Always a full fill.
-pub fn gotoh_local<S: ColumnScorer>(s: &S, arena: &mut DpArena) -> LocalDpResult {
-    let m = s.len_b();
-    let out = fill(s, Mode::Local, m, arena);
-    let (score, bi, bj) = out.best;
-    if score <= 0.0 {
-        return LocalDpResult {
-            ops: Vec::new(),
-            score: 0.0,
-            start_a: 0,
-            start_b: 0,
-            end_a: 0,
-            end_b: 0,
-            cells: out.cells,
-        };
-    }
-    let tb = Traceback::walk(arena, m, (bi, bj), 0, true);
-    LocalDpResult {
-        ops: tb.ops_rev,
-        score,
-        start_a: tb.pos.0,
-        start_b: tb.pos.1,
-        end_a: bi,
-        end_b: bj,
-        cells: out.cells,
     }
 }
 
@@ -1561,55 +1379,6 @@ mod tests {
         let reused = gotoh_global_with(&s, BandPolicy::Auto, DpKernel::Auto, &mut shared);
         let fresh = gotoh_global_with(&s, BandPolicy::Auto, DpKernel::Auto, &mut DpArena::new());
         assert_eq!(reused, fresh);
-    }
-
-    #[test]
-    fn semiglobal_overlap_is_free_at_the_ends() {
-        let matrix = SubstMatrix::blosum62();
-        let gaps = GapPenalties::default();
-        // a's suffix equals b's prefix.
-        let motif = [12u8, 9, 17, 10, 0, 19, 5, 8];
-        let mut a = vec![14u8; 6];
-        a.extend_from_slice(&motif);
-        let mut b = motif.to_vec();
-        b.extend(vec![3u8; 6]);
-        let s = scorer(&a, &b, &matrix, gaps);
-        let out = gotoh_semiglobal(&s, &mut DpArena::new());
-        let want: f64 = motif.iter().map(|&c| matrix.score(c, c) as f64).sum();
-        assert!(out.score >= want, "overlap score {} below motif score {want}", out.score);
-        // Ops consume both inputs fully.
-        let used_a = out.ops.iter().filter(|&&op| op != ColOp::FromB).count();
-        let used_b = out.ops.iter().filter(|&&op| op != ColOp::FromA).count();
-        assert_eq!(used_a, a.len());
-        assert_eq!(used_b, b.len());
-    }
-
-    #[test]
-    fn local_finds_the_embedded_motif() {
-        let matrix = SubstMatrix::blosum62();
-        let gaps = GapPenalties::default();
-        let motif = [12u8, 9, 17, 10, 0, 19];
-        let mut a = vec![13u8; 5];
-        a.extend_from_slice(&motif);
-        a.extend(vec![13u8; 5]);
-        let mut b = vec![5u8; 2];
-        b.extend_from_slice(&motif);
-        let s = scorer(&a, &b, &matrix, gaps);
-        let out = gotoh_local(&s, &mut DpArena::new());
-        assert!(out.score > 0.0);
-        assert_eq!(out.start_a, 5);
-        assert_eq!(out.start_b, 2);
-        assert_eq!(out.end_a - out.start_a, motif.len());
-    }
-
-    #[test]
-    fn local_on_hopeless_inputs_is_empty_or_nonnegative() {
-        let matrix = SubstMatrix::blosum62();
-        let gaps = GapPenalties::default();
-        let a = [0u8; 4];
-        let b = [18u8; 4];
-        let out = gotoh_local(&scorer(&a, &b, &matrix, gaps), &mut DpArena::new());
-        assert!(out.score >= 0.0);
     }
 
     #[test]

@@ -6,9 +6,8 @@
 //! * [`dp`] — **the** Gotoh kernel: one banded, arena-backed affine-gap
 //!   DP, generic over a column scorer, shared by every alignment path in
 //!   the crate (see [`dp::DpOptions`] and [`dp::DpArena`]);
-//! * [`pairwise`] — global alignment with affine gaps (Gotoh), semiglobal
-//!   overlap alignment, and local alignment (Smith–Waterman), with full
-//!   tracebacks;
+//! * [`pairwise`] — global alignment with affine gaps (Gotoh), full or
+//!   banded, with full tracebacks;
 //! * [`profile`] — weighted profile columns (sparse PSSMs) and the
 //!   profile–profile substitution score (PSP);
 //! * [`papro`] — profile–profile alignment: affine-gap DP over columns that

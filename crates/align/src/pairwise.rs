@@ -1,6 +1,5 @@
 //! Pairwise sequence alignment: Needleman–Wunsch/Gotoh global alignment
-//! with affine gaps (full or banded), semiglobal overlap alignment, and
-//! Smith–Waterman local alignment.
+//! with affine gaps, full or banded.
 //!
 //! Every entry point is a thin wrapper over the shared [`crate::dp`]
 //! kernel — this module owns no DP recurrence of its own.
@@ -103,84 +102,6 @@ pub fn global_align_with(
     let (row_a, row_b) = rows_from_ops(ac, bc, &out.ops);
     // Integer matrix + integer gaps keep every intermediate exact in f64
     // (and in f32 lanes whenever Auto selects the striped kernel).
-    PairAlignment { row_a, row_b, score: out.score as i64, work: out.work() }
-}
-
-/// Result of a local alignment: the aligned segment plus its coordinates.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LocalAlignment {
-    /// Gapped row for the aligned segment of the first sequence.
-    pub row_a: Vec<u8>,
-    /// Gapped row for the aligned segment of the second sequence.
-    pub row_b: Vec<u8>,
-    /// Start offset (0-based residue index) of the segment in `a`.
-    pub start_a: usize,
-    /// Start offset of the segment in `b`.
-    pub start_b: usize,
-    /// Smith–Waterman score (≥ 0).
-    pub score: i64,
-    /// Work performed.
-    pub work: Work,
-}
-
-/// Smith–Waterman local alignment with affine gaps.
-pub fn local_align(
-    a: &Sequence,
-    b: &Sequence,
-    matrix: &SubstMatrix,
-    gaps: GapPenalties,
-) -> LocalAlignment {
-    local_align_with(a, b, matrix, gaps, &mut DpArena::new())
-}
-
-/// Smith–Waterman local alignment reusing the caller's [`DpArena`].
-pub fn local_align_with(
-    a: &Sequence,
-    b: &Sequence,
-    matrix: &SubstMatrix,
-    gaps: GapPenalties,
-    arena: &mut DpArena,
-) -> LocalAlignment {
-    let (ac, bc) = (a.codes(), b.codes());
-    let scorer = SubstScorer::new(ac, bc, matrix, gaps);
-    let out = dp::gotoh_local(&scorer, arena);
-    let (row_a, row_b) =
-        rows_from_ops(&ac[out.start_a..out.end_a], &bc[out.start_b..out.end_b], &out.ops);
-    LocalAlignment {
-        row_a,
-        row_b,
-        start_a: out.start_a,
-        start_b: out.start_b,
-        score: out.score as i64,
-        work: out.work(),
-    }
-}
-
-/// Semiglobal (overlap) alignment: terminal gaps on either sequence are
-/// free, so the score rewards the best dovetail overlap — the natural
-/// mode for stitching adjacent domains. Rows cover both inputs fully,
-/// terminal gaps included.
-pub fn semiglobal_align(
-    a: &Sequence,
-    b: &Sequence,
-    matrix: &SubstMatrix,
-    gaps: GapPenalties,
-) -> PairAlignment {
-    semiglobal_align_with(a, b, matrix, gaps, &mut DpArena::new())
-}
-
-/// Semiglobal (overlap) alignment reusing the caller's [`DpArena`].
-pub fn semiglobal_align_with(
-    a: &Sequence,
-    b: &Sequence,
-    matrix: &SubstMatrix,
-    gaps: GapPenalties,
-    arena: &mut DpArena,
-) -> PairAlignment {
-    let (ac, bc) = (a.codes(), b.codes());
-    let scorer = SubstScorer::new(ac, bc, matrix, gaps);
-    let out = dp::gotoh_semiglobal(&scorer, arena);
-    let (row_a, row_b) = rows_from_ops(ac, bc, &out.ops);
     PairAlignment { row_a, row_b, score: out.score as i64, work: out.work() }
 }
 
@@ -394,58 +315,6 @@ mod tests {
             full.work.dp_cells
         );
         assert_eq!(auto.work.dp_cells_full, full.work.dp_cells);
-    }
-
-    #[test]
-    fn local_alignment_finds_embedded_motif() {
-        let (m, g) = setup();
-        let a = seq("a", "PPPPPMKVLAWPPPPP");
-        let b = seq("b", "GGMKVLAWGG");
-        let loc = local_align(&a, &b, &m, g);
-        assert!(loc.score > 0);
-        let seg: String = loc.row_a.iter().map(|&c| bioseq::alphabet::code_to_char(c)).collect();
-        assert!(seg.contains("MKVLAW"), "segment {seg}");
-        assert_eq!(loc.start_a, 5);
-        assert_eq!(loc.start_b, 2);
-    }
-
-    #[test]
-    fn local_score_nonnegative_even_for_unrelated() {
-        let (m, g) = setup();
-        let a = seq("a", "AAAA");
-        let b = seq("b", "WWWW");
-        let loc = local_align(&a, &b, &m, g);
-        assert!(loc.score >= 0);
-    }
-
-    #[test]
-    fn local_score_matches_segment_rescoring() {
-        let (m, g) = setup();
-        let a = seq("a", "PPPPPMKVLAWGKPPPP");
-        let b = seq("b", "GGMKVLAWGKGG");
-        let loc = local_align(&a, &b, &m, g);
-        let rescored = bioseq::msa::pairwise_row_score(&loc.row_a, &loc.row_b, &m, g);
-        assert_eq!(loc.score, rescored);
-    }
-
-    #[test]
-    fn semiglobal_overlap_is_free_at_ends() {
-        let (m, g) = setup();
-        // a's suffix overlaps b's prefix.
-        let a = seq("a", "PPPPMKVLAWGK");
-        let b = seq("b", "MKVLAWGKDDDD");
-        let aln = semiglobal_align(&a, &b, &m, g);
-        // Rows reconstruct both inputs completely.
-        let ung_a: Vec<u8> = aln.row_a.iter().copied().filter(|&c| c != GAP_CODE).collect();
-        let ung_b: Vec<u8> = aln.row_b.iter().copied().filter(|&c| c != GAP_CODE).collect();
-        assert_eq!(ung_a, a.codes());
-        assert_eq!(ung_b, b.codes());
-        // The overlap scores at least the motif; global alignment would
-        // have to pay for the unmatched flanks.
-        let motif_score: i64 =
-            seq("m", "MKVLAWGK").codes().iter().map(|&c| m.score(c, c) as i64).sum();
-        assert!(aln.score >= motif_score);
-        assert!(aln.score > global_align(&a, &b, &m, g).score);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! plus backend in one place in [`crate::cmd`].
 
 use align::{BandPolicy, DpKernel, EngineChoice};
+use rosegen::{family::MIN_LEN, ReadSimConfig};
 
 /// Parsed command line.
 #[derive(Debug, Clone, PartialEq)]
@@ -522,16 +523,21 @@ pub fn parse<'a>(argv: impl IntoIterator<Item = &'a str>) -> Result<Args, ParseE
             if r.reads == Some(0) {
                 return Err(ParseError("--reads must be at least 1".into()));
             }
-            if r.read_len == 0 || r.sources == 0 || r.source_len == 0 {
-                return Err(ParseError(
-                    "--read-len/--sources/--source-len must be at least 1".into(),
-                ));
+            if r.sources == 0 {
+                return Err(ParseError("--sources must be at least 1".into()));
+            }
+            if r.source_len < MIN_LEN {
+                return Err(ParseError(format!("--source-len must be at least {MIN_LEN}")));
+            }
+            let min_read = ReadSimConfig::default().min_len;
+            if r.read_len < min_read {
+                return Err(ParseError(format!("--read-len must be at least {min_read}")));
             }
             if !(0.0..1.0).contains(&r.error_rate) {
                 return Err(ParseError("--error-rate must be in [0, 1)".into()));
             }
-            if r.coverage <= 0.0 {
-                return Err(ParseError("--coverage must be positive".into()));
+            if !(r.coverage.is_finite() && r.coverage > 0.0) {
+                return Err(ParseError("--coverage must be positive and finite".into()));
             }
             if let Some(q) = r.min_q {
                 if !(0.0..=1.0).contains(&q) {
@@ -579,6 +585,15 @@ pub fn parse<'a>(argv: impl IntoIterator<Item = &'a str>) -> Result<Args, ParseE
                     "--reference" => g.reference = Some(take_value(tok, &mut it)?.to_string()),
                     tok => return Err(unexpected(tok)),
                 }
+            }
+            if g.n == 0 {
+                return Err(ParseError("--n must be at least 1".into()));
+            }
+            if g.len < MIN_LEN {
+                return Err(ParseError(format!("--len must be at least {MIN_LEN}")));
+            }
+            if !(g.relatedness.is_finite() && g.relatedness >= 0.0) {
+                return Err(ParseError("--relatedness must be non-negative and finite".into()));
             }
             Ok(Args { command: Command::Generate(g) })
         }
@@ -944,6 +959,19 @@ mod tests {
     fn errors_carry_usage() {
         let err = parse(["bogus"]).unwrap_err();
         assert!(format!("{err}").contains("usage: sad"));
+        // Simulation flags the generator cannot honour (it would panic or
+        // never finish) are usage errors too.
+        for bad in [
+            ["generate", "--n", "0"],
+            ["generate", "--len", "7"],
+            ["generate", "--relatedness", "-1"],
+            ["generate", "--relatedness", "nan"],
+            ["generate", "--relatedness", "inf"],
+        ] {
+            let err = parse(bad).unwrap_err();
+            assert!(format!("{err}").contains("usage: sad"), "{bad:?}");
+        }
+        assert!(parse(["generate", "--len", "8", "--relatedness", "0"]).is_ok());
         // The paper's tables and figures live in the `paper` bench target.
         for gone in ["scaling", "eval", "rank"] {
             assert_eq!(parse([gone]), Err(ParseError(format!("unknown command {gone:?}"))));
@@ -1103,7 +1131,14 @@ mod tests {
         assert!(parse(["reads", "--reads", "0"]).is_err());
         assert!(parse(["reads", "--error-rate", "1.5"]).is_err());
         assert!(parse(["reads", "--coverage", "0"]).is_err());
+        assert!(parse(["reads", "--coverage", "inf"]).is_err(), "would never finish");
+        assert!(parse(["reads", "--coverage", "nan"]).is_err());
         assert!(parse(["reads", "--read-len", "0"]).is_err());
+        assert!(parse(["reads", "--read-len", "29"]).is_err(), "below the simulator's min_len");
+        assert!(parse(["reads", "--read-len", "30"]).is_ok());
+        assert!(parse(["reads", "--source-len", "7"]).is_err(), "below rosegen's MIN_LEN");
+        assert!(parse(["reads", "--source-len", "8"]).is_ok());
+        assert!(parse(["reads", "--sources", "0"]).is_err());
         assert!(parse(["reads", "--min-q", "2"]).is_err());
         assert!(parse(["reads", "in.fa", "--min-q", "0.9"]).is_err(), "gate needs the truth");
         assert!(parse(["reads", "--nodes", "4"]).is_err(), "nodes need distributed");

@@ -47,9 +47,12 @@ pub struct SadConfig {
     /// when set, every rank recursively re-samples and re-partitions its
     /// own post-redistribution bucket ([`crate::Phase::SubPartition`])
     /// until each leaf fits, so no single engine run ever centralises an
-    /// oversized bucket. `None` (the default) keeps the flat paper
-    /// pipeline. Honoured identically by the rayon and distributed
-    /// backends; the sequential backend has no buckets and ignores it.
+    /// oversized bucket. Capped runs always seed the fine-tune profile
+    /// merge with the conserved-anchor scan (pinning agreeing consensus
+    /// columns and aligning only the stretches in between). `None` (the
+    /// default) keeps the flat paper pipeline. Honoured identically by
+    /// the rayon and distributed backends; the sequential backend has no
+    /// buckets and ignores it.
     pub max_bucket: Option<usize>,
     /// Vertical (length-wise) domain decomposition: when set, the root
     /// scans for conserved anchors ([`crate::Phase::AnchorScan`]), every
@@ -60,11 +63,6 @@ pub struct SadConfig {
     /// `None` (the default) aligns whole sequences. Runs on every
     /// backend, with the same output bytes on each.
     pub vertical: Option<VerticalConfig>,
-    /// Seed profile merges in the capped-bucket read path with the
-    /// conserved-anchor scan (pinning agreeing consensus columns and
-    /// aligning only the stretches in between). On by default; only
-    /// takes effect when [`SadConfig::max_bucket`] is set.
-    pub anchored_merge: bool,
     /// MaxAlign-style alignment-area trim ([`crate::Phase::Trim`]): when
     /// set, the finished root alignment is post-processed by
     /// [`align::trim::trim_msa`] — rows are greedily excluded (with
@@ -91,7 +89,6 @@ impl Default for SadConfig {
             dp_kernel: DpKernel::default(),
             max_bucket: None,
             vertical: None,
-            anchored_merge: true,
             trim: None,
         }
     }
@@ -177,13 +174,6 @@ impl SadConfig {
     /// Disable vertical decomposition (the default).
     pub fn without_vertical(mut self) -> Self {
         self.vertical = None;
-        self
-    }
-
-    /// Enable or disable anchor-seeded profile merges in the
-    /// capped-bucket read path.
-    pub fn with_anchored_merge(mut self, anchored: bool) -> Self {
-        self.anchored_merge = anchored;
         self
     }
 
@@ -287,7 +277,6 @@ mod tests {
             .with_dp_kernel(DpKernel::Striped)
             .with_max_bucket(Some(256))
             .with_vertical(VerticalConfig { seam_window: 8, ..Default::default() })
-            .with_anchored_merge(false)
             .with_trim(TrimConfig { max_dropped: Some(2), branch_bound: true });
         assert_eq!(cfg.kmer_k, 4);
         assert_eq!(cfg.samples_per_rank, Some(3));
@@ -297,7 +286,6 @@ mod tests {
         assert_eq!(cfg.dp_kernel, DpKernel::Striped);
         assert_eq!(cfg.max_bucket, Some(256));
         assert_eq!(cfg.vertical.as_ref().map(|v| v.seam_window), Some(8));
-        assert!(!cfg.anchored_merge);
         assert_eq!(cfg.trim, Some(TrimConfig { max_dropped: Some(2), branch_bound: true }));
         let cfg = cfg.without_vertical();
         assert_eq!(cfg.vertical, None);

@@ -99,7 +99,7 @@ impl VerticalConfig {
     }
 }
 
-/// Census of one vertical run, recorded in [`RunReport::vertical`].
+/// Census of one vertical run, recorded in [`RunReport::vertical`](crate::RunReport::vertical).
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub struct VerticalReport {

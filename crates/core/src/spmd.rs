@@ -359,7 +359,7 @@ pub(crate) fn sample_align_d<C: Comm>(
     // wastes most of its bill on conserved stretches — seed it with the
     // anchor scan so shared consensus k-mers are pinned and only the gaps
     // in between are aligned.
-    let seeded = cfg.max_bucket.is_some() && cfg.anchored_merge;
+    let seeded = cfg.max_bucket.is_some();
     let anchored = c.phase(Phase::FineTune, |c| {
         c.each(local_msas, |_, msas| {
             let mut work = Work::ZERO;

@@ -6,17 +6,15 @@
 //! * [`tree`] — an arena-allocated rooted binary tree with branch lengths,
 //!   post-order traversal, leaf sets and edge bipartitions;
 //! * [`distmat`] — a compact symmetric distance matrix;
-//! * [`mod@upgma`] — UPGMA/WPGMA agglomerative clustering in `O(n²)` expected
+//! * [`mod@upgma`] — UPGMA agglomerative clustering in `O(n²)` expected
 //!   time using nearest-neighbour arrays;
 //! * [`nj`] — canonical neighbor joining (`O(n³)`), used by the
-//!   CLUSTALW-like engine;
-//! * [`newick`] — Newick serialisation and parsing for interop/debugging.
+//!   CLUSTALW-like engine.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod distmat;
-pub mod newick;
 pub mod nj;
 pub mod tree;
 pub mod upgma;
@@ -24,4 +22,4 @@ pub mod upgma;
 pub use distmat::DistMatrix;
 pub use nj::neighbor_joining;
 pub use tree::{NodeId, Tree};
-pub use upgma::{upgma, wpgma, Linkage};
+pub use upgma::upgma;

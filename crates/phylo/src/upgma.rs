@@ -1,4 +1,4 @@
-//! UPGMA / WPGMA agglomerative clustering.
+//! UPGMA agglomerative clustering.
 //!
 //! Uses the nearest-neighbour-array technique: each active cluster caches
 //! its current nearest neighbour, so a merge only rescans rows whose cached
@@ -9,28 +9,10 @@
 use crate::distmat::DistMatrix;
 use crate::tree::{NodeId, Tree};
 
-/// Linkage rule for merging cluster distances.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Linkage {
-    /// Unweighted pair group method: sizes weight the average (UPGMA).
-    Unweighted,
-    /// Weighted pair group method: plain average of the two rows (WPGMA).
-    Weighted,
-}
-
-/// Cluster with UPGMA linkage. See [`cluster`].
+/// UPGMA clustering of a distance matrix into a rooted ultrametric tree:
+/// merged rows are averaged weighted by cluster size. Leaf `i` of the
+/// result corresponds to index `i` of the matrix.
 pub fn upgma(dist: &DistMatrix) -> Tree {
-    cluster(dist, Linkage::Unweighted)
-}
-
-/// Cluster with WPGMA linkage. See [`cluster`].
-pub fn wpgma(dist: &DistMatrix) -> Tree {
-    cluster(dist, Linkage::Weighted)
-}
-
-/// Agglomerative clustering of a distance matrix into a rooted ultrametric
-/// tree. Leaf `i` of the result corresponds to index `i` of the matrix.
-pub fn cluster(dist: &DistMatrix, linkage: Linkage) -> Tree {
     let n = dist.len();
     if n == 1 {
         return Tree::singleton();
@@ -92,10 +74,7 @@ pub fn cluster(dist: &DistMatrix, linkage: Linkage) -> Tree {
             if k != i && k != j && active[k] {
                 let dik = d[i * n + k];
                 let djk = d[j * n + k];
-                let merged = match linkage {
-                    Linkage::Unweighted => (si * dik + sj * djk) / (si + sj),
-                    Linkage::Weighted => 0.5 * (dik + djk),
-                };
+                let merged = (si * dik + sj * djk) / (si + sj);
                 d[i * n + k] = merged;
                 d[k * n + i] = merged;
             }
@@ -188,27 +167,6 @@ mod tests {
                 assert!((t.path_length(li, lj) - m.get(i, j)).abs() < 1e-9, "pair {i},{j}");
             }
         }
-    }
-
-    #[test]
-    fn wpgma_differs_from_upgma_on_skewed_sizes() {
-        // A matrix engineered so the linkage rule changes the root height:
-        // cluster {0,1,2} forms first; WPGMA then averages rows without
-        // size weights.
-        let m = DistMatrix::from_fn(4, |i, j| match (i, j) {
-            (1, 0) => 1.0,
-            (2, 0) => 1.2,
-            (2, 1) => 1.2,
-            (3, 0) => 10.0,
-            (3, 1) => 10.0,
-            (3, 2) => 2.0,
-            _ => unreachable!(),
-        });
-        let tu = upgma(&m);
-        let tw = wpgma(&m);
-        let hu = tu.node(tu.root()).height;
-        let hw = tw.node(tw.root()).height;
-        assert!((hu - hw).abs() > 1e-9, "hu={hu} hw={hw}");
     }
 
     #[test]

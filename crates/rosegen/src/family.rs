@@ -74,14 +74,15 @@ pub struct Family {
 }
 
 /// Minimum residues a lineage may shrink to (deletions that would go below
-/// this are skipped so sequences never vanish).
-const MIN_LEN: usize = 8;
+/// this are skipped so sequences never vanish), and the smallest
+/// [`FamilyConfig::avg_len`] [`Family::generate`] accepts.
+pub const MIN_LEN: usize = 8;
 
 impl Family {
     /// Generate a family.
     ///
     /// # Panics
-    /// Panics if `n_seqs == 0` or `avg_len == 0`.
+    /// Panics if `n_seqs == 0` or `avg_len < MIN_LEN`.
     pub fn generate(cfg: &FamilyConfig) -> Family {
         assert!(cfg.n_seqs >= 1, "need at least one sequence");
         assert!(cfg.avg_len >= MIN_LEN, "avg_len too small");

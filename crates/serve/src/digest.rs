@@ -86,8 +86,8 @@ mod tests {
     fn fingerprint_covers_every_post_pr6_knob() {
         // The cache key must change whenever any knob added since the
         // serve daemon landed changes: `max_bucket`, `dp_kernel`, the
-        // vertical mode and each of its fields, the anchored-merge
-        // toggle, and the trim stage and each of its fields. Configs
+        // vertical mode and each of its fields, and the trim stage and
+        // each of its fields. Configs
         // differing only in one of these must never share a cache key
         // (stale hits would silently serve wrong alignments).
         use align::DpKernel;
@@ -99,7 +99,6 @@ mod tests {
             base.clone().with_max_bucket(Some(256)),
             base.clone().with_dp_kernel(DpKernel::Scalar),
             base.clone().with_dp_kernel(DpKernel::Striped),
-            base.clone().with_anchored_merge(false),
             base.clone().with_vertical(VerticalConfig::default()),
             base.clone().with_vertical(VerticalConfig { seam_window: 8, ..Default::default() }),
             base.clone().with_vertical(VerticalConfig { max_block_len: 256, ..Default::default() }),

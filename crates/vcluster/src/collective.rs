@@ -7,9 +7,9 @@
 //!
 //! Algorithm choices mirror the assumptions in the paper's cost analysis:
 //! `broadcast` uses a binomial tree (`O(log p)` rounds, the paper's
-//! `O(p log p)` term for broadcasting `p` pivots), while `gather` and
-//! `scatter` are linear at the root (the paper charges `O(p²·L)` for
-//! collecting `p(p−1)` samples of length `L`). `all_to_allv` uses the
+//! `O(p log p)` term for broadcasting `p` pivots), while `gather` is
+//! linear at the root (the paper charges `O(p²·L)` for collecting
+//! `p(p−1)` samples of length `L`). `all_to_allv` uses the
 //! classic `p−1`-round pairwise exchange, giving the `O(N/p · L)`
 //! redistribution cost derived in Section 3.
 
@@ -22,9 +22,7 @@ use crate::wire::WireSize;
 enum Op {
     Broadcast = 1,
     Gather = 2,
-    Scatter = 3,
     AllToAllV = 4,
-    Reduce = 5,
     Barrier = 6,
 }
 
@@ -92,28 +90,6 @@ impl Node {
         }
     }
 
-    /// Linear scatter from `root`: rank `i` receives `items[i]`. The root
-    /// passes `Some(items)` with exactly `size()` entries.
-    pub fn scatter<M: WireSize + Send + 'static>(&self, root: usize, items: Option<Vec<M>>) -> M {
-        let tag = self.coll_tag(Op::Scatter);
-        if self.rank() == root {
-            let items = items.expect("scatter root must supply items");
-            assert_eq!(items.len(), self.size(), "scatter needs one item per rank");
-            let mut own: Option<M> = None;
-            for (dst, item) in items.into_iter().enumerate() {
-                if dst == root {
-                    own = Some(item);
-                } else {
-                    self.send(dst, tag, item);
-                }
-            }
-            own.expect("root keeps its own item")
-        } else {
-            assert!(items.is_none(), "non-root rank {} supplied items", self.rank());
-            self.recv::<M>(root, tag)
-        }
-    }
-
     /// All-gather: every rank ends up with every rank's value, indexed by
     /// source rank. Implemented as gather-to-0 plus broadcast.
     pub fn all_gather<M: WireSize + Clone + Send + 'static>(&self, value: M) -> Vec<M> {
@@ -141,29 +117,6 @@ impl Node {
             out[src] = self.recv::<Vec<M>>(src, tag);
         }
         out
-    }
-
-    /// Sum-reduce `value` to `root` (linear). Returns `Some(sum)` at root.
-    pub fn reduce_sum(&self, root: usize, value: f64) -> Option<f64> {
-        let tag = self.coll_tag(Op::Reduce);
-        if self.rank() == root {
-            let mut acc = value;
-            for src in 0..self.size() {
-                if src != root {
-                    acc += self.recv::<f64>(src, tag);
-                }
-            }
-            Some(acc)
-        } else {
-            self.send(root, tag, value);
-            None
-        }
-    }
-
-    /// Max-allreduce: every rank learns the maximum of all values.
-    pub fn allreduce_max(&self, value: f64) -> f64 {
-        let all = self.all_gather(value);
-        all.into_iter().fold(f64::NEG_INFINITY, f64::max)
     }
 
     /// Synchronisation barrier (gather + broadcast of a unit token). In
@@ -221,15 +174,6 @@ mod tests {
     }
 
     #[test]
-    fn scatter_routes_items() {
-        let run = cluster(4).run(|node| {
-            let items = (node.rank() == 1).then(|| vec![10u32, 11, 12, 13]);
-            node.scatter(1, items)
-        });
-        assert_eq!(run.results, vec![10, 11, 12, 13]);
-    }
-
-    #[test]
     fn all_gather_everyone_sees_everything() {
         let run = cluster(6).run(|node| node.all_gather(node.rank() as u32 * 2));
         for r in run.results {
@@ -251,21 +195,6 @@ mod tests {
                 assert_eq!(block.len(), s + 1, "dst {d} src {s}");
                 assert!(block.iter().all(|&v| v == (s * 10 + d) as u32));
             }
-        }
-    }
-
-    #[test]
-    fn reduce_sums() {
-        let run = cluster(4).run(|node| node.reduce_sum(0, node.rank() as f64 + 1.0));
-        assert_eq!(run.results[0], Some(10.0));
-        assert!(run.results[1..].iter().all(|r| r.is_none()));
-    }
-
-    #[test]
-    fn allreduce_max_agrees() {
-        let run = cluster(7).run(|node| node.allreduce_max((node.rank() as f64) * 1.5));
-        for r in run.results {
-            assert_eq!(r, 9.0);
         }
     }
 

@@ -21,10 +21,11 @@
 //!
 //! ## Collectives
 //!
-//! [`Node`] offers MPI-flavoured collectives built from point-to-point
-//! sends: binomial-tree `broadcast`, linear `gather`/`scatter` (matching
-//! the `O(p²·L)` sample-collection cost the paper's analysis assumes),
-//! `all_gather`, pairwise-exchange `all_to_allv`, `reduce` and `barrier`.
+//! [`Node`] offers the four MPI-flavoured collectives the paper's program
+//! uses, built from point-to-point sends: binomial-tree `broadcast`,
+//! linear `gather` (matching the `O(p²·L)` sample-collection cost the
+//! paper's analysis assumes), `all_gather` (gather plus broadcast) and
+//! pairwise-exchange `all_to_allv`, plus a `barrier`.
 //!
 //! ## Example
 //!

@@ -164,9 +164,13 @@ fn vertical_fills_fewer_cells_than_whole_length_at_reference_quality() {
 
 /// The anchored read-bucket merge (seeding the fine-tune profile DP with
 /// the decomp anchor scan) must not regress read-recovery quality at the
-/// recorded cap-128 operating point.
+/// recorded cap-128 operating point. Capped runs always seed the merge
+/// now; when the seeding could still be switched off, this setup measured
+/// a mean pair Q of 0.517440 with it off and 0.517440 with it on, so the
+/// gate keeps the old bound: no more than 0.02 below the unseeded figure.
 #[test]
 fn anchored_merge_does_not_regress_read_quality_at_cap_128() {
+    const Q_UNSEEDED: f64 = 0.517440;
     let sources = Family::generate(&FamilyConfig {
         n_seqs: 4,
         avg_len: 300,
@@ -178,18 +182,14 @@ fn anchored_merge_does_not_regress_read_quality_at_cap_128() {
         &sources,
         &ReadSimConfig { total_reads: Some(300), seed: 7, ..Default::default() },
     );
-    let run = |anchored: bool| {
-        let cfg = SadConfig::default().with_max_bucket(Some(128)).with_anchored_merge(anchored);
-        let report = Aligner::new(cfg)
-            .backend(Backend::Rayon { threads: 4 })
-            .run(&set.reads)
-            .expect("valid read set");
-        mean_read_pair_q(&set, &report.msa, 200).expect("overlapping read pairs exist")
-    };
-    let q_off = run(false);
-    let q_on = run(true);
+    let cfg = SadConfig::default().with_max_bucket(Some(128));
+    let report = Aligner::new(cfg)
+        .backend(Backend::Rayon { threads: 4 })
+        .run(&set.reads)
+        .expect("valid read set");
+    let q = mean_read_pair_q(&set, &report.msa, 200).expect("overlapping read pairs exist");
     assert!(
-        q_on >= q_off - 0.02,
-        "anchored merge regressed mean pair Q: {q_on:.4} (on) vs {q_off:.4} (off)"
+        q >= Q_UNSEEDED - 0.02,
+        "anchored merge regressed mean pair Q: {q:.4} vs {Q_UNSEEDED:.4} unseeded"
     );
 }
