@@ -9,37 +9,22 @@ use crate::progressive::{progressive_align_with, ProgressiveConfig, WeightScheme
 use bioseq::{CompressedAlphabet, GapPenalties, Msa, Sequence, SubstMatrix, Work};
 use phylo::{neighbor_joining, Tree};
 
-/// Configuration of the CLUSTALW-like engine.
-#[derive(Debug, Clone)]
+/// Use accurate `O(n²L²)` pairwise-alignment distances when the input has
+/// at most this many sequences; fall back to k-mer distances above it
+/// (CLUSTALW's own fast/accurate switch).
+const FULL_PAIRWISE_THRESHOLD: usize = 60;
+/// k-mer length for the fast distance fallback.
+const KMER_K: usize = 3;
+/// Compressed alphabet for the fast distance fallback.
+const ALPHABET: CompressedAlphabet = CompressedAlphabet::Identity;
+
+/// The CLUSTALW-like engine. It scores with BLOSUM62 (CLUSTALW uses a
+/// matrix series; we fix one) and the default gap penalties.
+#[derive(Debug, Clone, Default)]
 pub struct ClustalLite {
-    /// Substitution matrix (CLUSTALW uses a matrix series; we fix one).
-    pub matrix: SubstMatrix,
-    /// Affine gap penalties.
-    pub gaps: GapPenalties,
-    /// Use accurate `O(n²L²)` pairwise-alignment distances when the input
-    /// has at most this many sequences; fall back to k-mer distances above
-    /// it (CLUSTALW's own fast/accurate switch).
-    pub full_pairwise_threshold: usize,
-    /// k-mer length for the fast distance fallback.
-    pub kmer_k: usize,
-    /// Compressed alphabet for the fast distance fallback.
-    pub alphabet: CompressedAlphabet,
     /// Band policy and kernel of every DP instance (pairwise distances
     /// and progressive merging).
     pub dp: DpOptions,
-}
-
-impl Default for ClustalLite {
-    fn default() -> Self {
-        ClustalLite {
-            matrix: SubstMatrix::blosum62(),
-            gaps: GapPenalties::default(),
-            full_pairwise_threshold: 60,
-            kmer_k: 3,
-            alphabet: CompressedAlphabet::Identity,
-            dp: DpOptions::default(),
-        }
-    }
 }
 
 impl ClustalLite {
@@ -106,20 +91,16 @@ impl MsaEngine for ClustalLite {
         if seqs.len() == 1 {
             return (Msa::from_sequence(&seqs[0]), work);
         }
-        let dist = if seqs.len() <= self.full_pairwise_threshold {
-            alignment_distance_matrix_with(seqs, &self.matrix, self.gaps, self.dp, &mut work)
+        let dist = if seqs.len() <= FULL_PAIRWISE_THRESHOLD {
+            let (matrix, gaps) = (SubstMatrix::blosum62(), GapPenalties::default());
+            alignment_distance_matrix_with(seqs, &matrix, gaps, self.dp, &mut work)
         } else {
-            kmer_distance_matrix(seqs, self.kmer_k, self.alphabet, &mut work)
+            kmer_distance_matrix(seqs, KMER_K, ALPHABET, &mut work)
         };
         work.tree_ops += (seqs.len() as u64).pow(3).min(1 << 40);
         let tree = neighbor_joining(&dist);
         let weights = clustal_tree_weights(&tree);
-        let cfg = ProgressiveConfig {
-            matrix: self.matrix.clone(),
-            gaps: self.gaps,
-            weights: WeightScheme::Fixed(weights),
-            dp: self.dp,
-        };
+        let cfg = ProgressiveConfig { weights: WeightScheme::Fixed(weights), dp: self.dp };
         let msa = progressive_align_with(seqs, &tree, &cfg, arena, &mut work);
         (msa, work)
     }
@@ -154,9 +135,12 @@ mod tests {
         let texts: Vec<String> =
             (0..65).map(|i| format!("MKVLAWGKVL{}", ["SS", "SD", "DD", "SE"][i % 4])).collect();
         let refs: Vec<&str> = texts.iter().map(|s| s.as_str()).collect();
-        let ss = seqs(&refs);
-        let engine = ClustalLite { full_pairwise_threshold: 10, ..Default::default() };
-        let (msa, work) = engine.align_with_work(&ss);
+        let engine = ClustalLite::default();
+        // At the threshold the accurate path runs; one more sequence
+        // crosses it.
+        let (_, work) = engine.align_with_work(&seqs(&refs[..FULL_PAIRWISE_THRESHOLD]));
+        assert_eq!(work.kmer_ops, 0, "accurate path at the threshold");
+        let (msa, work) = engine.align_with_work(&seqs(&refs));
         msa.validate().unwrap();
         assert!(work.kmer_ops > 0, "kmer path must be used");
     }

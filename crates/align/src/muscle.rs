@@ -2,9 +2,10 @@
 //!
 //! Stage 1 (draft): k-mer distances over a compressed alphabet → UPGMA
 //! guide tree → progressive alignment.
-//! Stage 2 (improved, optional): Kimura-corrected identity distances from
-//! the draft alignment → new tree → progressive re-alignment.
-//! Stage 3 (refinement, optional): tree-bipartition iterative refinement.
+//! Stage 2 (improved, standard mode): Kimura-corrected identity distances
+//! from the draft alignment → new tree → progressive re-alignment.
+//! Stage 3 (refinement, standard mode): tree-bipartition iterative
+//! refinement.
 //!
 //! Complexities match the original: stage 1 is `O(N²·L + N·L²)` (the
 //! `N²` distance term is what makes Sample-Align-D's bucketing pay off),
@@ -18,24 +19,21 @@ use crate::refine::refine_with;
 use bioseq::{CompressedAlphabet, GapPenalties, Msa, Sequence, SubstMatrix, Work};
 use phylo::upgma;
 
-/// Configuration of the MUSCLE-like engine.
+/// k-mer length for stage-1 distances (MUSCLE default 6).
+const KMER_K: usize = 6;
+/// MUSCLE's `kmer6_6` distance counts k-mers over the Dayhoff-6 groups.
+const ALPHABET: CompressedAlphabet = CompressedAlphabet::Dayhoff6;
+/// Stage-3 refinement passes of the standard mode.
+const REFINE_PASSES: usize = 2;
+
+/// The MUSCLE-like engine. It scores with BLOSUM62 and the default gap
+/// penalties; [`fast`](Self::fast) and [`standard`](Self::standard) pick
+/// which stages run.
 #[derive(Debug, Clone)]
 pub struct MuscleLite {
-    /// k-mer length for stage-1 distances (MUSCLE default 6).
-    pub kmer_k: usize,
-    /// Compressed alphabet for k-mer counting (MUSCLE's `kmer6_6` uses the
-    /// Dayhoff-6 groups).
-    pub alphabet: CompressedAlphabet,
-    /// Substitution matrix for profile alignment.
-    pub matrix: SubstMatrix,
-    /// Affine gap penalties.
-    pub gaps: GapPenalties,
-    /// Run stage 2 (tree re-estimation from Kimura distances).
-    pub reestimate: bool,
-    /// Maximum stage-3 refinement passes (0 disables refinement).
-    pub refine_passes: usize,
-    /// Use Henikoff position-based weights during progressive merging.
-    pub henikoff: bool,
+    /// Run stage 2 and stage 3 and weight sequences by Henikoff's
+    /// position-based scheme (the standard mode).
+    standard: bool,
     /// Band policy and kernel of every DP instance the engine runs.
     pub dp: DpOptions,
 }
@@ -43,21 +41,12 @@ pub struct MuscleLite {
 impl MuscleLite {
     /// `MUSCLE -maxiters 1`-style fast mode: stage 1 only.
     pub fn fast() -> Self {
-        MuscleLite {
-            kmer_k: 6,
-            alphabet: CompressedAlphabet::Dayhoff6,
-            matrix: SubstMatrix::blosum62(),
-            gaps: GapPenalties::default(),
-            reestimate: false,
-            refine_passes: 0,
-            henikoff: false,
-            dp: DpOptions::default(),
-        }
+        MuscleLite { standard: false, dp: DpOptions::default() }
     }
 
     /// Standard mode: stages 1 + 2 + two refinement passes.
     pub fn standard() -> Self {
-        MuscleLite { reestimate: true, refine_passes: 2, henikoff: true, ..Self::fast() }
+        MuscleLite { standard: true, ..Self::fast() }
     }
 
     /// Select the DP options (a bare band policy converts).
@@ -73,24 +62,10 @@ impl Default for MuscleLite {
     }
 }
 
-impl MuscleLite {
-    fn progressive_cfg(&self) -> ProgressiveConfig {
-        ProgressiveConfig {
-            matrix: self.matrix.clone(),
-            gaps: self.gaps,
-            weights: if self.henikoff { WeightScheme::Henikoff } else { WeightScheme::Uniform },
-            dp: self.dp,
-        }
-    }
-}
-
 impl MsaEngine for MuscleLite {
     fn name(&self) -> String {
-        let base = match (self.reestimate, self.refine_passes) {
-            (false, 0) => "muscle-lite-fast".to_string(),
-            _ => format!("muscle-lite(r{},p{})", u8::from(self.reestimate), self.refine_passes),
-        };
-        base + &self.dp.name_suffix()
+        let base = if self.standard { "muscle-lite(r1,p2)" } else { "muscle-lite-fast" };
+        base.to_string() + &self.dp.name_suffix()
     }
 
     fn align_with_work(&self, seqs: &[Sequence]) -> (Msa, Work) {
@@ -106,37 +81,26 @@ impl MsaEngine for MuscleLite {
         // One DP arena serves every stage of the run (and, when the caller
         // hands one in, every run of a batch worker).
         // Stage 1: draft.
-        let d1 = kmer_distance_matrix(seqs, self.kmer_k, self.alphabet, &mut work);
+        let d1 = kmer_distance_matrix(seqs, KMER_K, ALPHABET, &mut work);
         work.tree_ops += (seqs.len() * seqs.len()) as u64;
         let tree1 = upgma(&d1);
-        let cfg = self.progressive_cfg();
-        let mut msa = progressive_align_with(seqs, &tree1, &cfg, arena, &mut work);
-        let mut tree = tree1;
+        let weights = if self.standard { WeightScheme::Henikoff } else { WeightScheme::Uniform };
+        let cfg = ProgressiveConfig { weights, dp: self.dp };
+        let msa = progressive_align_with(seqs, &tree1, &cfg, arena, &mut work);
+        if !self.standard || seqs.len() <= 2 {
+            return (msa, work);
+        }
         // Stage 2: improved tree from the draft alignment.
-        if self.reestimate && seqs.len() > 2 {
-            let d2 = kimura_from_msa(&msa, &mut work);
-            work.tree_ops += (seqs.len() * seqs.len()) as u64;
-            let tree2 = upgma(&d2);
-            msa = progressive_align_with(seqs, &tree2, &cfg, arena, &mut work);
-            tree = tree2;
-        }
+        let d2 = kimura_from_msa(&msa, &mut work);
+        work.tree_ops += (seqs.len() * seqs.len()) as u64;
+        let tree = upgma(&d2);
+        let msa = progressive_align_with(seqs, &tree, &cfg, arena, &mut work);
         // Stage 3: refinement.
-        if self.refine_passes > 0 && seqs.len() > 2 {
-            let ids: Vec<String> = seqs.iter().map(|s| s.id.clone()).collect();
-            let out = refine_with(
-                &msa,
-                &tree,
-                &ids,
-                &self.matrix,
-                self.gaps,
-                self.refine_passes,
-                self.dp,
-                arena,
-            );
-            work += out.work;
-            msa = out.msa;
-        }
-        (msa, work)
+        let ids: Vec<String> = seqs.iter().map(|s| s.id.clone()).collect();
+        let (matrix, gaps) = (SubstMatrix::blosum62(), GapPenalties::default());
+        let out = refine_with(&msa, &tree, &ids, &matrix, gaps, REFINE_PASSES, self.dp, arena);
+        work += out.work;
+        (out.msa, work)
     }
 }
 

@@ -25,30 +25,16 @@ pub enum WeightScheme {
     Fixed(Vec<f64>),
 }
 
-/// Configuration for a progressive alignment pass.
-#[derive(Debug, Clone)]
+/// Configuration for a progressive alignment pass. Every profile–profile
+/// DP scores with BLOSUM62 and the default gap penalties.
+#[derive(Debug, Clone, Default)]
 pub struct ProgressiveConfig {
-    /// Substitution matrix.
-    pub matrix: SubstMatrix,
-    /// Affine gap penalties.
-    pub gaps: GapPenalties,
     /// Sequence weighting scheme.
     pub weights: WeightScheme,
     /// Band policy and kernel of every profile–profile DP along the tree
     /// (the default is auto/auto, unlike the full-band short forms of the
     /// per-pair functions — see [`DpOptions`]).
     pub dp: DpOptions,
-}
-
-impl Default for ProgressiveConfig {
-    fn default() -> Self {
-        ProgressiveConfig {
-            matrix: SubstMatrix::blosum62(),
-            gaps: GapPenalties::default(),
-            weights: WeightScheme::Uniform,
-            dp: DpOptions::default(),
-        }
-    }
 }
 
 /// Progressively align `seqs` guided by `tree` (leaf `i` of the tree is
@@ -83,6 +69,7 @@ pub fn progressive_align_with(
     if seqs.len() == 1 {
         return Msa::from_sequence(&seqs[0]);
     }
+    let (matrix, gaps) = (SubstMatrix::blosum62(), GapPenalties::default());
     // Per tree node: the sub-alignment plus the input indices of its rows
     // (row r of the Msa is seqs[rows[r]]).
     let mut state: Vec<Option<(Msa, Vec<usize>)>> = vec![None; tree.n_nodes()];
@@ -100,7 +87,7 @@ pub fn progressive_align_with(
                 let wb = row_weights(&msa_b, &rows_b, cfg, work);
                 let pa = Profile::from_msa_weighted(&msa_a, &wa, work);
                 let pb = Profile::from_msa_weighted(&msa_b, &wb, work);
-                let aln = align_profiles_with(&pa, &pb, &cfg.matrix, cfg.gaps, cfg.dp, arena);
+                let aln = align_profiles_with(&pa, &pb, &matrix, gaps, cfg.dp, arena);
                 *work += aln.work;
                 let merged = merge_msas(&msa_a, &msa_b, &aln.ops, work);
                 let mut rows = rows_a;

@@ -366,9 +366,8 @@ fn short_forms_equal_their_explicit_forms() {
     assert_eq!((&short, ws), (&explicit, we));
 
     let mut w = Work::ZERO;
-    let k = engine.kmer_k;
-    let tree =
-        phylo::upgma(&align::distance::kmer_distance_matrix(&seqs, k, engine.alphabet, &mut w));
+    let dayhoff = bioseq::CompressedAlphabet::Dayhoff6;
+    let tree = phylo::upgma(&align::distance::kmer_distance_matrix(&seqs, 6, dayhoff, &mut w));
     let cfg = ProgressiveConfig { dp: full, ..ProgressiveConfig::default() };
     let (mut ws, mut we) = (Work::ZERO, Work::ZERO);
     let draft = progressive_align(&seqs, &tree, &cfg, &mut ws);

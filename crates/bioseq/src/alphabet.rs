@@ -7,8 +7,7 @@
 //!
 //! The k-mer machinery of Edgar (2004) counts k-mers over *compressed*
 //! alphabets that merge chemically similar residues; [`CompressedAlphabet`]
-//! provides the published groupings (Dayhoff-6, the Murphy reductions, and
-//! the SE-B(14) alphabet) plus the identity mapping.
+//! provides the Dayhoff-6 grouping plus the identity mapping.
 
 use serde::{Deserialize, Serialize};
 
@@ -79,19 +78,9 @@ pub fn char_to_code(c: char) -> Option<u8> {
     })
 }
 
-/// A residue alphabet: a mapping from the 21 sequence codes onto a smaller
-/// symbol set used for k-mer counting.
-pub trait Alphabet {
-    /// Number of symbols in the target alphabet.
-    fn size(&self) -> usize;
-    /// Map a residue code (`0..=20`) to a symbol in `0..size()`.
-    fn map(&self, code: u8) -> u8;
-    /// Human-readable name.
-    fn name(&self) -> &'static str;
-}
-
-/// The published compressed amino-acid alphabets used for fast k-mer
-/// counting (Edgar 2004; Murphy, Wallqvist & Levy 2000).
+/// The compressed amino-acid alphabets used for k-mer counting (Edgar
+/// 2004): the identity mapping, which ClustalLite's fast distances use,
+/// and Dayhoff-6, which the k-mer rank and MuscleLite use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum CompressedAlphabet {
     /// Identity mapping: all 20 residues kept distinct (plus X).
@@ -100,38 +89,26 @@ pub enum CompressedAlphabet {
     /// This is the default alphabet for the k-mer rank, matching MUSCLE's
     /// `kmer6_6` distance.
     Dayhoff6,
-    /// Murphy 10-letter reduction: `LVIM / C / A / G / ST / P / FYW / EDNQ / KR / H`.
-    Murphy10,
-    /// Murphy 8-letter reduction: `LVIMC / AG / ST / P / FYW / EDNQ / KR / H`.
-    Murphy8,
-    /// Murphy 4-letter reduction: `LVIMC / AGSTP / FYW / EDNQKRH`.
-    Murphy4,
-    /// Edgar's SE-B(14): `A / C / D / EQ / FY / G / H / IV / KR / LM / N / P / ST / W`.
-    SeB14,
 }
 
 impl CompressedAlphabet {
-    /// The mapping table for this alphabet: `table[code] = symbol` for
-    /// `code` in `0..=20`. `X` always maps to its own extra symbol so that
-    /// unknown residues never spuriously match.
-    pub fn table(self) -> [u8; CODE_COUNT] {
-        // Group strings in canonical letter space; each group index is the
-        // compressed symbol.
-        let groups: &[&str] = match self {
+    /// Group strings in canonical letter space; each group index is the
+    /// compressed symbol.
+    fn groups(self) -> &'static [&'static str] {
+        match self {
             CompressedAlphabet::Identity => &[
                 "A", "R", "N", "D", "C", "Q", "E", "G", "H", "I", "L", "K", "M", "F", "P", "S",
                 "T", "W", "Y", "V",
             ],
             CompressedAlphabet::Dayhoff6 => &["AGPST", "C", "DENQ", "FWY", "HKR", "ILMV"],
-            CompressedAlphabet::Murphy10 => {
-                &["LVIM", "C", "A", "G", "ST", "P", "FYW", "EDNQ", "KR", "H"]
-            }
-            CompressedAlphabet::Murphy8 => &["LVIMC", "AG", "ST", "P", "FYW", "EDNQ", "KR", "H"],
-            CompressedAlphabet::Murphy4 => &["LVIMC", "AGSTP", "FYW", "EDNQKRH"],
-            CompressedAlphabet::SeB14 => {
-                &["A", "C", "D", "EQ", "FY", "G", "H", "IV", "KR", "LM", "N", "P", "ST", "W"]
-            }
-        };
+        }
+    }
+
+    /// The mapping table for this alphabet: `table[code] = symbol` for
+    /// `code` in `0..=20`. `X` always maps to its own extra symbol so that
+    /// unknown residues never spuriously match.
+    pub fn table(self) -> [u8; CODE_COUNT] {
+        let groups = self.groups();
         let mut table = [0u8; CODE_COUNT];
         for (symbol, group) in groups.iter().enumerate() {
             for ch in group.chars() {
@@ -146,48 +123,9 @@ impl CompressedAlphabet {
 
     /// Number of symbols (including the dedicated `X` symbol).
     pub fn symbol_count(self) -> usize {
-        (match self {
-            CompressedAlphabet::Identity => 20,
-            CompressedAlphabet::Dayhoff6 => 6,
-            CompressedAlphabet::Murphy10 => 10,
-            CompressedAlphabet::Murphy8 => 8,
-            CompressedAlphabet::Murphy4 => 4,
-            CompressedAlphabet::SeB14 => 14,
-        }) + 1
+        self.groups().len() + 1
     }
 }
-
-impl Alphabet for CompressedAlphabet {
-    fn size(&self) -> usize {
-        self.symbol_count()
-    }
-
-    fn map(&self, code: u8) -> u8 {
-        debug_assert!(code <= X_CODE, "cannot map gap codes through an alphabet");
-        self.table()[code as usize]
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            CompressedAlphabet::Identity => "identity20",
-            CompressedAlphabet::Dayhoff6 => "dayhoff6",
-            CompressedAlphabet::Murphy10 => "murphy10",
-            CompressedAlphabet::Murphy8 => "murphy8",
-            CompressedAlphabet::Murphy4 => "murphy4",
-            CompressedAlphabet::SeB14 => "se-b14",
-        }
-    }
-}
-
-/// All published alphabets, for sweeps/ablations.
-pub const ALL_ALPHABETS: [CompressedAlphabet; 6] = [
-    CompressedAlphabet::Identity,
-    CompressedAlphabet::Dayhoff6,
-    CompressedAlphabet::Murphy10,
-    CompressedAlphabet::Murphy8,
-    CompressedAlphabet::Murphy4,
-    CompressedAlphabet::SeB14,
-];
 
 #[cfg(test)]
 mod tests {
@@ -234,7 +172,7 @@ mod tests {
 
     #[test]
     fn every_alphabet_covers_all_residues() {
-        for alpha in ALL_ALPHABETS {
+        for alpha in [CompressedAlphabet::Identity, CompressedAlphabet::Dayhoff6] {
             let table = alpha.table();
             let n = alpha.symbol_count();
             for code in 0..=X_CODE {
@@ -255,7 +193,7 @@ mod tests {
 
     #[test]
     fn x_never_shares_a_symbol() {
-        for alpha in ALL_ALPHABETS {
+        for alpha in [CompressedAlphabet::Identity, CompressedAlphabet::Dayhoff6] {
             let table = alpha.table();
             let x_sym = table[X_CODE as usize];
             for code in 0..20u8 {

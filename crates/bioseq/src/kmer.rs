@@ -11,19 +11,17 @@
 //! where `τ` ranges over k-mers in a (possibly compressed) alphabet and
 //! `n_x(τ)` counts occurrences. The paper calls this quantity the *k-mer
 //! distance* even though it is a similarity; we expose it as
-//! [`KmerProfile::similarity`] and provide `1 − F` as
-//! [`KmerProfile::distance`] (the form MUSCLE uses for clustering).
+//! [`KmerProfile::similarity`].
 //!
 //! The **k-mer rank** of a sequence against a set is
 //! `R_i = log(0.1 + D_i)` with `D_i` the average of the pairwise measure
-//! over the set. [`RankTransform`] selects the exact transform and defaults
-//! to the formula as printed. The printed constants cannot be the ones the
-//! paper ran: its Table 1 ranks lie in [0, 1.46], while `ln(0.1 + D)` on
-//! `D ∈ [0, 1]` spans [−2.30, 0.095]. So [`RankTransform::PaperLog`] yields
-//! negative ranks, and the Table 1 claim in `BENCH_paper.json` records both
-//! sets of values.
+//! over the set, computed by [`RankTransform::PaperLog`] exactly as
+//! printed. The printed constants cannot be the ones the paper ran: its
+//! Table 1 ranks lie in [0, 1.46], while `ln(0.1 + D)` on `D ∈ [0, 1]`
+//! spans [−2.30, 0.095]. So the ranks here are negative, and the Table 1
+//! claim in `BENCH_paper.json` records both sets of values.
 
-use crate::alphabet::{Alphabet, CompressedAlphabet};
+use crate::alphabet::CompressedAlphabet;
 use crate::sequence::Sequence;
 use crate::work::Work;
 use serde::{Deserialize, Serialize};
@@ -46,11 +44,11 @@ impl KmerProfile {
     /// `k`.
     ///
     /// # Panics
-    /// Panics if the packed k-mer space `alphabet.size()^k` does not fit in
-    /// `u32` (choose a smaller `k` or a more compressed alphabet).
+    /// Panics if the packed k-mer space `alphabet.symbol_count()^k` does not
+    /// fit in `u32` (choose a smaller `k` or a more compressed alphabet).
     pub fn build(seq: &Sequence, k: usize, alphabet: CompressedAlphabet) -> Option<Self> {
         assert!(k >= 1, "k must be at least 1");
-        let s = alphabet.size() as u64;
+        let s = alphabet.symbol_count() as u64;
         let space = s.checked_pow(k as u32).expect("alphabet^k overflows u64");
         assert!(space <= u32::MAX as u64 + 1, "alphabet^k must fit in u32");
         let codes = seq.codes();
@@ -79,21 +77,6 @@ impl KmerProfile {
         Some(KmerProfile { k, alphabet, entries, total: packed.len() as u32 })
     }
 
-    /// The `k` this profile was built with.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// The alphabet this profile was built with.
-    pub fn alphabet(&self) -> CompressedAlphabet {
-        self.alphabet
-    }
-
-    /// Number of distinct k-mers.
-    pub fn distinct(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Total number of k-mers (`len − k + 1`).
     pub fn total(&self) -> u32 {
         self.total
@@ -116,26 +99,18 @@ impl KmerProfile {
         let mut shared: u64 = 0;
         let (a, b) = (&self.entries, &other.entries);
         let (mut i, mut j) = (0usize, 0usize);
+        // Branch-free merge step: a three-way compare mispredicts on
+        // nearly every entry, which also makes its speed depend on where
+        // the loop lands in the binary.
         while i < a.len() && j < b.len() {
-            match a[i].0.cmp(&b[j].0) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    shared += a[i].1.min(b[j].1) as u64;
-                    i += 1;
-                    j += 1;
-                }
-            }
+            let ((ka, ca), (kb, cb)) = (a[i], b[j]);
+            shared += u64::from(ka == kb) * u64::from(ca.min(cb));
+            i += usize::from(ka <= kb);
+            j += usize::from(kb <= ka);
         }
         work.kmer_ops += (a.len() + b.len()) as u64;
         let denom = self.total.min(other.total) as f64;
         shared as f64 / denom
-    }
-
-    /// `1 − F`, a proper dissimilarity in `[0, 1]` (MUSCLE's k-mer
-    /// clustering distance).
-    pub fn distance(&self, other: &KmerProfile) -> f64 {
-        1.0 - self.similarity(other)
     }
 }
 
@@ -146,11 +121,6 @@ pub enum RankTransform {
     /// The formula exactly as printed in the paper: `R = ln(0.1 + D)`.
     #[default]
     PaperLog,
-    /// `R = −ln(0.1 + D)`; monotone-decreasing variant that yields positive
-    /// values on `D ∈ [0, 1]` with a spread resembling the paper's Table 1.
-    NegLog,
-    /// No transform: `R = D`.
-    Linear,
 }
 
 impl RankTransform {
@@ -159,8 +129,6 @@ impl RankTransform {
     pub fn apply(self, d: f64) -> f64 {
         match self {
             RankTransform::PaperLog => (0.1 + d).ln(),
-            RankTransform::NegLog => -(0.1 + d).ln(),
-            RankTransform::Linear => d,
         }
     }
 }
@@ -286,17 +254,9 @@ mod tests {
     }
 
     #[test]
-    fn distance_complements_similarity() {
-        let a = prof("MKVLAWGKVL", 3);
-        let b = prof("MKILAWGKIL", 3);
-        assert!((a.distance(&b) + a.similarity(&b) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn rank_transforms() {
         assert!((RankTransform::PaperLog.apply(0.9) - 1.0f64.ln()).abs() < 1e-12);
-        assert!((RankTransform::NegLog.apply(0.0) - (-(0.1f64).ln())).abs() < 1e-12);
-        assert_eq!(RankTransform::Linear.apply(0.42), 0.42);
+        assert!((RankTransform::PaperLog.apply(0.0) - (0.1f64).ln()).abs() < 1e-12);
     }
 
     #[test]
@@ -332,11 +292,11 @@ mod tests {
         // Cross-check the rolling packing against a naive recomputation.
         let s = seq("MKVLAWGKVLMKIL");
         let k = 3;
-        let alpha = CompressedAlphabet::Murphy10;
+        let alpha = CompressedAlphabet::Dayhoff6;
         let prof_fast = KmerProfile::build(&s, k, alpha).unwrap();
         // Naive: pack each window independently.
         let table = alpha.table();
-        let size = alpha.size() as u32;
+        let size = alpha.symbol_count() as u32;
         let codes = s.codes();
         let mut packed: Vec<u32> = Vec::new();
         for w in codes.windows(k) {

@@ -4,9 +4,8 @@
 //! protein sequences without depending on any external bioinformatics
 //! tooling:
 //!
-//! * [`alphabet`] — the 20-letter amino-acid alphabet plus the *compressed*
-//!   alphabets of Edgar (2004) / Murphy et al. (2000) used for fast k-mer
-//!   counting;
+//! * [`alphabet`] — the 20-letter amino-acid alphabet plus the Dayhoff-6
+//!   *compressed* alphabet of Edgar (2004) used for fast k-mer counting;
 //! * [`sequence`] — owned, validated sequences and FASTA-style identifiers;
 //! * [`fasta`] — FASTA parsing and serialisation;
 //! * [`matrix`] — substitution matrices (BLOSUM62, PAM250), gap penalties and
@@ -37,7 +36,7 @@ pub mod sequence;
 pub mod stats;
 pub mod work;
 
-pub use alphabet::{Alphabet, CompressedAlphabet, AA_COUNT, GAP_CODE, X_CODE};
+pub use alphabet::{CompressedAlphabet, AA_COUNT, GAP_CODE, X_CODE};
 pub use kmer::{KmerProfile, RankTransform};
 pub use matrix::{GapPenalties, SubstMatrix};
 pub use msa::Msa;

@@ -54,9 +54,6 @@ pub fn align(a: AlignArgs, out: Out) -> Result<(), String> {
         }
         cfg = cfg.with_vertical(v);
     }
-    // Fail loudly (typed) rather than silently degrading short sequences;
-    // `--kmer` lowers k below the shortest sequence when inputs are short.
-    cfg.validate_for(&seqs).map_err(|e| e.to_string())?;
     let report = build_aligner(cfg, &a, a.parallelism(), a.progress)
         .run(&seqs)
         .map_err(|e| e.to_string())?;
@@ -164,7 +161,6 @@ pub fn reads(r: ReadsArgs, out: Out) -> Result<(), String> {
 
     // 2. Configure.
     let cfg = r.config().with_max_bucket(r.max_bucket);
-    cfg.validate_for(&seqs).map_err(|e| e.to_string())?;
 
     // 3. Width: with a cap, widen the first pass to ~cap-sized blocks so
     //    the O(w²) local rank never sees a giant block it would only

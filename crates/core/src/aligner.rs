@@ -89,7 +89,6 @@ impl Backend {
 pub struct Aligner {
     cfg: SadConfig,
     backend: Backend,
-    ranks: Option<usize>,
     observer: Option<Arc<dyn Observer>>,
     cancel: Option<CancelToken>,
     deadline: Option<Duration>,
@@ -100,7 +99,6 @@ impl std::fmt::Debug for Aligner {
         f.debug_struct("Aligner")
             .field("cfg", &self.cfg)
             .field("backend", &self.backend)
-            .field("ranks", &self.ranks)
             .field("observer", &self.observer.is_some())
             .field("cancel", &self.cancel.is_some())
             .field("deadline", &self.deadline)
@@ -118,15 +116,6 @@ impl Aligner {
     /// Select the execution backend.
     pub fn backend(mut self, backend: Backend) -> Self {
         self.backend = backend;
-        self
-    }
-
-    /// Assert the decomposition width. Optional: the distributed backend
-    /// takes its width from the cluster and the rayon backend from
-    /// `threads`; setting `ranks` to a disagreeing value turns a silent
-    /// misconfiguration into [`SadError::ClusterSizeMismatch`].
-    pub fn ranks(mut self, ranks: usize) -> Self {
-        self.ranks = Some(ranks);
         self
     }
 
@@ -167,8 +156,9 @@ impl Aligner {
         &self.cfg
     }
 
-    /// Validate configuration and input, then run the pipeline on the
-    /// selected backend.
+    /// Validate configuration and input with
+    /// [`SadConfig::validate_for`], then run the pipeline on the selected
+    /// backend.
     pub fn run(&self, seqs: &[Sequence]) -> Result<RunReport, SadError> {
         self.run_inner(seqs, self.cancel.clone(), self.deadline, &mut DpArena::new())
     }
@@ -217,10 +207,7 @@ impl Aligner {
         scratch: &mut DpArena,
     ) -> Result<RunReport, SadError> {
         let backend = &self.backend;
-        self.cfg.validate()?;
-        if seqs.len() < 2 {
-            return Err(SadError::TooFewSequences { found: seqs.len() });
-        }
+        self.cfg.validate_for(seqs)?;
         let width = match backend {
             Backend::Sequential => 1,
             Backend::Rayon { threads } => {
@@ -231,11 +218,6 @@ impl Aligner {
             }
             Backend::Distributed(cluster) => cluster.p(),
         };
-        if let Some(requested) = self.ranks {
-            if requested != width {
-                return Err(SadError::ClusterSizeMismatch { actual: width, requested });
-            }
-        }
         let ctx = PipelineCtx::new(backend.name(), width, self.observer.clone(), cancel, budget);
         ctx.run_started(seqs.len());
         let mut result = match backend {
@@ -387,34 +369,6 @@ mod tests {
         let zero_samples =
             Aligner::new(SadConfig::default().with_samples_per_rank(Some(0))).run(&seqs);
         assert_eq!(zero_samples, Err(SadError::ZeroSampleCount));
-    }
-
-    #[test]
-    fn rank_mismatch_is_caught() {
-        let seqs = family(8, 4);
-        let cluster = VirtualCluster::new(4, CostModel::beowulf_2008());
-        let err = Aligner::new(SadConfig::default())
-            .backend(Backend::Distributed(cluster))
-            .ranks(8)
-            .run(&seqs);
-        assert_eq!(err, Err(SadError::ClusterSizeMismatch { actual: 4, requested: 8 }));
-        let err = Aligner::new(SadConfig::default())
-            .backend(Backend::Rayon { threads: 2 })
-            .ranks(3)
-            .run(&seqs);
-        assert_eq!(err, Err(SadError::ClusterSizeMismatch { actual: 2, requested: 3 }));
-    }
-
-    #[test]
-    fn matching_ranks_pass() {
-        let seqs = family(8, 5);
-        let cluster = VirtualCluster::new(2, CostModel::beowulf_2008());
-        let report = Aligner::new(SadConfig::default())
-            .backend(Backend::Distributed(cluster))
-            .ranks(2)
-            .run(&seqs)
-            .unwrap();
-        assert_eq!(report.ranks, 2);
     }
 
     #[test]

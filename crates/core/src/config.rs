@@ -3,10 +3,14 @@
 use crate::decomp::VerticalConfig;
 use crate::error::SadError;
 use align::{BandPolicy, DpKernel, DpOptions, EngineChoice, TrimConfig};
-use bioseq::{CompressedAlphabet, GapPenalties, RankTransform, Sequence, SubstMatrix};
+use bioseq::{CompressedAlphabet, Sequence};
 use serde::Serialize;
 
-/// All knobs of the Sample-Align-D pipeline.
+/// The settings of the Sample-Align-D pipeline.
+///
+/// The scoring is fixed: the k-mer rank is `ln(0.1 + D)` as printed
+/// ([`bioseq::RankTransform::PaperLog`]), and ancestor alignment and
+/// fine-tuning score with BLOSUM62 and the default gap penalties.
 ///
 /// Marked `#[non_exhaustive]`: construct with [`SadConfig::default`] and
 /// customise through the `with_*` builder setters, so new knobs are not
@@ -18,8 +22,6 @@ pub struct SadConfig {
     pub kmer_k: usize,
     /// Compressed alphabet for k-mer counting.
     pub alphabet: CompressedAlphabet,
-    /// Transform from average k-mer measure to scalar rank.
-    pub rank_transform: RankTransform,
     /// Samples contributed per processor (`k` in the paper; defaults to
     /// `p − 1` when `None`).
     pub samples_per_rank: Option<usize>,
@@ -29,10 +31,6 @@ pub struct SadConfig {
     /// it leaves the buckets block-diagonal — the ablation showing why the
     /// global ancestor matters.
     pub fine_tune: bool,
-    /// Substitution matrix for ancestor alignment and fine-tuning.
-    pub matrix: SubstMatrix,
-    /// Gap penalties for ancestor alignment and fine-tuning.
-    pub gaps: GapPenalties,
     /// Band policy for every DP kernel instance in the pipeline: the
     /// per-bucket engines, the ancestor alignment and the fine-tuning.
     /// The default, [`BandPolicy::Auto`], fills only a diagonal band and
@@ -79,12 +77,9 @@ impl Default for SadConfig {
         SadConfig {
             kmer_k: 6,
             alphabet: CompressedAlphabet::Dayhoff6,
-            rank_transform: RankTransform::PaperLog,
             samples_per_rank: None,
             engine: EngineChoice::MuscleFast,
             fine_tune: true,
-            matrix: SubstMatrix::blosum62(),
-            gaps: GapPenalties::default(),
             band_policy: BandPolicy::default(),
             dp_kernel: DpKernel::default(),
             max_bucket: None,
@@ -107,12 +102,6 @@ impl SadConfig {
         self
     }
 
-    /// Set the rank transform.
-    pub fn with_rank_transform(mut self, transform: RankTransform) -> Self {
-        self.rank_transform = transform;
-        self
-    }
-
     /// Set an explicit per-rank sample count (`None` restores the
     /// paper's `p − 1` default).
     pub fn with_samples_per_rank(mut self, samples: Option<usize>) -> Self {
@@ -129,18 +118,6 @@ impl SadConfig {
     /// Enable or disable the ancestor-constrained fine-tuning + glue.
     pub fn with_fine_tune(mut self, fine_tune: bool) -> Self {
         self.fine_tune = fine_tune;
-        self
-    }
-
-    /// Set the substitution matrix for ancestor alignment and fine-tuning.
-    pub fn with_matrix(mut self, matrix: SubstMatrix) -> Self {
-        self.matrix = matrix;
-        self
-    }
-
-    /// Set the gap penalties for ancestor alignment and fine-tuning.
-    pub fn with_gaps(mut self, gaps: GapPenalties) -> Self {
-        self.gaps = gaps;
         self
     }
 
@@ -205,7 +182,7 @@ impl SadConfig {
 
     /// Check the configuration's internal consistency: `kmer_k` must be
     /// positive and an explicit `samples_per_rank` must be positive.
-    /// Called by [`crate::Aligner::run`] before the pipeline starts.
+    /// [`validate_for`](Self::validate_for) includes these checks.
     pub fn validate(&self) -> Result<(), SadError> {
         if self.kmer_k == 0 {
             return Err(SadError::ZeroKmerLen);
@@ -226,12 +203,10 @@ impl SadConfig {
     }
 
     /// [`validate`](Self::validate) plus input-dependent checks: at least
-    /// two sequences, and `kmer_k` shorter than the shortest sequence.
-    ///
-    /// The pipeline itself tolerates over-long `k` by degrading the
-    /// offending sequences to k = 1 profiles (they rank as outliers);
-    /// callers that would rather fail loudly — the CLI does — use this
-    /// strict form.
+    /// two sequences, and `kmer_k` shorter than the shortest sequence, so
+    /// every sequence has a k-mer profile of the one configured `k`.
+    /// [`crate::Aligner::run`] calls it before the pipeline starts, so a
+    /// caller only needs it to reject input without running it.
     pub fn validate_for(&self, seqs: &[Sequence]) -> Result<(), SadError> {
         self.validate()?;
         if seqs.len() < 2 {
@@ -267,12 +242,9 @@ mod tests {
         let cfg = SadConfig::default()
             .with_kmer_k(4)
             .with_alphabet(CompressedAlphabet::Identity)
-            .with_rank_transform(RankTransform::Linear)
             .with_samples_per_rank(Some(3))
             .with_engine(EngineChoice::Clustal)
             .with_fine_tune(false)
-            .with_matrix(SubstMatrix::blosum62())
-            .with_gaps(GapPenalties::default())
             .with_band_policy(BandPolicy::Fixed(48))
             .with_dp_kernel(DpKernel::Striped)
             .with_max_bucket(Some(256))

@@ -28,7 +28,7 @@ use align::anchor::{scan_anchors, Anchor, AnchorSpec};
 use align::refine::leave_one_out_with;
 use align::DpArena;
 use bioseq::alphabet::GAP_CODE;
-use bioseq::{Msa, Sequence, Work};
+use bioseq::{GapPenalties, Msa, Sequence, SubstMatrix, Work};
 use serde::Serialize;
 use std::ops::Range;
 use std::time::Instant;
@@ -371,8 +371,8 @@ fn refine_window(
         resident.iter().map(|&r| glued.ids()[r].clone()).collect(),
         resident.iter().map(|&r| glued.row(r)[lo..hi].to_vec()).collect(),
     );
-    let outcome =
-        leave_one_out_with(&sub, &cfg.matrix, cfg.gaps, vcfg.seam_passes, cfg.dp(), arena);
+    let (matrix, gaps) = (SubstMatrix::blosum62(), GapPenalties::default());
+    let outcome = leave_one_out_with(&sub, &matrix, gaps, vcfg.seam_passes, cfg.dp(), arena);
     *work += outcome.work;
     // leave_one_out may permute rows (ids are preserved); restore the
     // window's row order by consuming refined rows id-by-id.

@@ -225,8 +225,7 @@ mod tests {
         let off = run(4, &seqs, &cfg_off);
         check_complete(&on.msa, &seqs);
         check_complete(&off.msa, &seqs);
-        let m = &cfg_on.matrix;
-        let g = cfg_on.gaps;
+        let (m, g) = (&bioseq::SubstMatrix::blosum62(), bioseq::GapPenalties::default());
         assert!(
             on.msa.sp_score(m, g) > off.msa.sp_score(m, g),
             "ancestor fine-tuning must improve the glued SP score"

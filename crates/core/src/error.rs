@@ -28,24 +28,13 @@ pub enum SadError {
     /// needs at least one sample per rank.
     ZeroSampleCount,
     /// `SadConfig::kmer_k` is not shorter than the shortest input
-    /// sequence, so that sequence has no k-mer of the configured length.
-    /// (The pipeline itself degrades such sequences to k = 1 profiles;
-    /// this strict check is opt-in via [`crate::SadConfig::validate_for`].)
+    /// sequence, so that sequence has no k-mer profile comparable with
+    /// the others'.
     KmerExceedsShortest {
         /// The configured k-mer length.
         k: usize,
         /// Length of the shortest input sequence.
         shortest: usize,
-    },
-    /// The rank count requested via [`crate::Aligner::ranks`] disagrees
-    /// with the selected backend's actual width — the size of the
-    /// supplied [`vcluster::VirtualCluster`], the rayon `threads` count,
-    /// or 1 for the sequential backend.
-    ClusterSizeMismatch {
-        /// The backend's actual width in ranks.
-        actual: usize,
-        /// Ranks requested via [`crate::Aligner::ranks`].
-        requested: usize,
     },
     /// The rayon backend was configured with zero threads/buckets.
     ZeroParallelism,
@@ -85,9 +74,6 @@ impl std::fmt::Display for SadError {
             SadError::KmerExceedsShortest { k, shortest } => {
                 write!(f, "kmer_k = {k} is not shorter than the shortest sequence ({shortest})")
             }
-            SadError::ClusterSizeMismatch { actual, requested } => {
-                write!(f, "backend is {actual} ranks wide but {requested} were requested")
-            }
             SadError::ZeroParallelism => write!(f, "rayon backend needs at least one thread"),
             SadError::ZeroBandWidth => {
                 write!(f, "band_policy: a fixed band must be at least 1 column wide")
@@ -118,7 +104,6 @@ mod tests {
             (SadError::ZeroKmerLen, "kmer_k"),
             (SadError::ZeroSampleCount, "samples_per_rank"),
             (SadError::KmerExceedsShortest { k: 6, shortest: 4 }, "shortest"),
-            (SadError::ClusterSizeMismatch { actual: 4, requested: 8 }, "4 ranks"),
             (SadError::ZeroParallelism, "thread"),
             (SadError::ZeroMaxBucket, "max_bucket"),
             (SadError::InvalidVertical { what: "min_anchor_len" }, "min_anchor_len"),

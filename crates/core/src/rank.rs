@@ -3,7 +3,7 @@
 
 use crate::config::SadConfig;
 use crate::spmd::{block_range, local_ranks, profiles_of, sorted_order};
-use bioseq::kmer::{self, KmerProfile};
+use bioseq::kmer::{self, KmerProfile, RankTransform};
 use bioseq::{Sequence, Work};
 
 /// The two rank vectors for one sequence set.
@@ -24,13 +24,17 @@ pub struct RankExperiment {
 /// Compute globalized ranks with the pipeline's own steps 1–4 (blocks of
 /// `N/p`, local rank, local sort, regular sampling, pooled sample),
 /// alongside the centralized reference ranks.
+///
+/// # Panics
+/// Panics if `p` is zero, `seqs` is empty, or a sequence is shorter than
+/// `cfg.kmer_k`.
 pub fn rank_experiment(seqs: &[Sequence], p: usize, cfg: &SadConfig) -> RankExperiment {
     assert!(p >= 1 && !seqs.is_empty());
     let mut work = Work::ZERO;
     let profs = profiles_of(seqs, cfg);
 
     // Centralized: every sequence against all N.
-    let centralized = kmer::centralized_ranks(&profs, cfg.rank_transform, &mut work);
+    let centralized = kmer::centralized_ranks(&profs, RankTransform::PaperLog, &mut work);
 
     // Globalized: each block contributes k regular samples of its
     // locally sorted order.
@@ -47,7 +51,7 @@ pub fn rank_experiment(seqs: &[Sequence], p: usize, cfg: &SadConfig) -> RankExpe
     let sample_profiles: Vec<KmerProfile> =
         sample_indices.iter().map(|&i| profs[i].clone()).collect();
     let globalized =
-        kmer::globalized_ranks(&profs, &sample_profiles, cfg.rank_transform, &mut work);
+        kmer::globalized_ranks(&profs, &sample_profiles, RankTransform::PaperLog, &mut work);
 
     RankExperiment { centralized, globalized, sample_indices, work }
 }

@@ -31,8 +31,8 @@ use crate::report::{BackendExtras, RunReport};
 use align::anchor::AnchorSpec;
 use align::consensus::consensus_sequence;
 use align::DpArena;
-use bioseq::kmer::{self, KmerProfile};
-use bioseq::{Msa, Sequence, Work};
+use bioseq::kmer::{self, KmerProfile, RankTransform};
+use bioseq::{GapPenalties, Msa, Sequence, SubstMatrix, Work};
 use std::ops::Range;
 use std::time::Instant;
 use vcluster::WireSize;
@@ -150,14 +150,16 @@ pub(crate) fn block_range(n: usize, p: usize, rank: usize) -> Range<usize> {
     (rank * chunk).min(n)..((rank + 1) * chunk).min(n)
 }
 
-/// K-mer profiles of `seqs`, degrading to k = 1 for sequences shorter
-/// than the configured k (they rank as outliers, which is correct).
+/// K-mer profiles of `seqs`.
+///
+/// # Panics
+/// Panics if a sequence is shorter than `cfg.kmer_k`;
+/// [`SadConfig::validate_for`] rejects such input.
 pub(crate) fn profiles_of(seqs: &[Sequence], cfg: &SadConfig) -> Vec<KmerProfile> {
     seqs.iter()
         .map(|s| {
-            KmerProfile::build(s, cfg.kmer_k, cfg.alphabet).unwrap_or_else(|| {
-                KmerProfile::build(s, 1, cfg.alphabet).expect("k=1 always works")
-            })
+            KmerProfile::build(s, cfg.kmer_k, cfg.alphabet)
+                .expect("validate_for rejects sequences shorter than kmer_k")
         })
         .collect()
 }
@@ -166,7 +168,8 @@ pub(crate) fn profiles_of(seqs: &[Sequence], cfg: &SadConfig) -> Vec<KmerProfile
 pub(crate) fn local_ranks(block: &[Sequence], cfg: &SadConfig) -> (Vec<f64>, Work) {
     let mut work = Work::ZERO;
     work.seq_bytes += block.iter().map(|s| s.len() as u64).sum::<u64>();
-    let ranks = kmer::centralized_ranks(&profiles_of(block, cfg), cfg.rank_transform, &mut work);
+    let ranks =
+        kmer::centralized_ranks(&profiles_of(block, cfg), RankTransform::PaperLog, &mut work);
     (ranks, work)
 }
 
@@ -236,7 +239,7 @@ pub(crate) fn sample_align_d<C: Comm>(
             let globalized = kmer::globalized_ranks(
                 &profiles_of(&local, cfg),
                 &sample_profiles,
-                cfg.rank_transform,
+                RankTransform::PaperLog,
                 &mut work,
             );
             let items =
@@ -365,7 +368,7 @@ pub(crate) fn sample_align_d<C: Comm>(
             let mut work = Work::ZERO;
             // One DP arena per rank task, shared by all of its leaves.
             let mut arena = DpArena::new();
-            let (m, g, dp) = (&cfg.matrix, cfg.gaps, cfg.dp());
+            let (m, g, dp) = (&SubstMatrix::blosum62(), GapPenalties::default(), cfg.dp());
             let blocks: Vec<AnchoredBlockMsg> = msas
                 .iter()
                 .map(|msa| {

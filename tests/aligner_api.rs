@@ -79,14 +79,19 @@ fn invalid_configs_are_rejected_on_every_backend() {
 }
 
 #[test]
-fn cluster_size_mismatch_is_caught() {
-    let seqs = family(8, 4);
-    let cluster = VirtualCluster::new(4, CostModel::beowulf_2008());
-    let err = Aligner::new(SadConfig::default())
-        .backend(Backend::Distributed(cluster))
-        .ranks(16)
-        .run(&seqs);
-    assert_eq!(err, Err(SadError::ClusterSizeMismatch { actual: 4, requested: 16 }));
+fn run_rejects_sequences_shorter_than_k_on_every_backend() {
+    // A 4-residue sequence has no 6-mer profile. The decomposed backends
+    // used to compare a k = 1 stand-in against the 6-mer profiles.
+    let mut seqs = family(12, 4);
+    seqs.push(Sequence::from_str("short", "MKVL").unwrap());
+    for backend in all_backends(2) {
+        let name = backend.name();
+        let err = Aligner::new(SadConfig::default()).backend(backend.clone()).run(&seqs);
+        assert_eq!(err, Err(SadError::KmerExceedsShortest { k: 6, shortest: 4 }), "{name}");
+        let report =
+            Aligner::new(SadConfig::default().with_kmer_k(3)).backend(backend).run(&seqs).unwrap();
+        assert_eq!(row_set(&report.msa).len(), seqs.len(), "{name}");
+    }
 }
 
 #[test]
