@@ -4,7 +4,7 @@
 
 use crate::dp::{BandPolicy, DpArena, DpOptions};
 use crate::pairwise::alignment_distance_with;
-use bioseq::kmer::KmerProfile;
+use bioseq::kmer::{KmerProfile, Scatter};
 use bioseq::msa::row_identity;
 use bioseq::{CompressedAlphabet, GapPenalties, Msa, Sequence, SubstMatrix, Work};
 use phylo::DistMatrix;
@@ -12,7 +12,7 @@ use rayon::prelude::*;
 
 /// Build k-mer profiles for a set of sequences. Sequences shorter than `k`
 /// yield `None` (their distances default to the maximum, 1.0).
-pub fn kmer_profiles(
+fn kmer_profiles(
     seqs: &[Sequence],
     k: usize,
     alphabet: CompressedAlphabet,
@@ -24,8 +24,45 @@ pub fn kmer_profiles(
     profiles
 }
 
-/// Pairwise k-mer distance matrix (`1 − F`). `O(n²·L)` via sorted-profile
-/// merges, parallelised over rows.
+/// The strict lower triangle of an `n × n` matrix, row `i` holding
+/// `row(state, i, work)` = `d(i, 0..i)`. Rows `1..n` are dealt round-robin
+/// to one worker per core, each with its own `init()` state: row `i`
+/// costs `i` entries, so contiguous runs of rows would leave the last
+/// worker most of the triangle. Entries do not depend on which worker
+/// computed them, and the workers' `Work` is summed.
+fn lower_triangle<S>(
+    n: usize,
+    work: &mut Work,
+    init: impl Fn() -> S + Sync,
+    row: impl Fn(&mut S, usize, &mut Work) -> Vec<f64> + Sync,
+) -> DistMatrix {
+    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+    let workers = cores.min(n.saturating_sub(1)).max(1);
+    let rows_of = |worker: usize| (1 + worker..n).step_by(workers);
+    let dealt: Vec<(Vec<Vec<f64>>, Work)> = (0..workers)
+        .into_par_iter()
+        .map(|worker| {
+            let (mut state, mut w) = (init(), Work::ZERO);
+            let rows = rows_of(worker).map(|i| row(&mut state, i, &mut w)).collect();
+            (rows, w)
+        })
+        .collect();
+    let mut m = DistMatrix::zeros(n);
+    for (worker, (rows, w)) in dealt.into_iter().enumerate() {
+        for (i, values) in rows_of(worker).zip(rows) {
+            for (j, v) in values.into_iter().enumerate() {
+                m.set(i, j, v);
+            }
+        }
+        *work += w;
+    }
+    m
+}
+
+/// Pairwise k-mer distance matrix (`1 − F`), `O(n²·L)`. Row `i` loads
+/// sequence `i` into a [`Scatter`] (one per worker) and looks up every
+/// `j < i` against it, charging the nominal `|a| + |b|` of
+/// [`Work::kmer_ops`] per pair.
 pub fn kmer_distance_matrix(
     seqs: &[Sequence],
     k: usize,
@@ -33,30 +70,16 @@ pub fn kmer_distance_matrix(
     work: &mut Work,
 ) -> DistMatrix {
     let profiles = kmer_profiles(seqs, k, alphabet, work);
-    let n = seqs.len();
-    // Compute each strict-lower-triangle row in parallel; track work.
-    let rows: Vec<(Vec<f64>, Work)> = (1..n)
-        .into_par_iter()
-        .map(|i| {
-            let mut w = Work::ZERO;
-            let row: Vec<f64> = (0..i)
-                .map(|j| match (&profiles[i], &profiles[j]) {
-                    (Some(a), Some(b)) => 1.0 - a.similarity_counting(b, &mut w),
-                    _ => 1.0,
-                })
-                .collect();
-            (row, w)
-        })
-        .collect();
-    let mut m = DistMatrix::zeros(n);
-    for (i, (row, w)) in rows.into_iter().enumerate() {
-        let i = i + 1;
-        for (j, v) in row.into_iter().enumerate() {
-            m.set(i, j, v);
-        }
-        *work += w;
-    }
-    m
+    lower_triangle(seqs.len(), work, Scatter::new, |scatter, i, w| {
+        let Some(a) = &profiles[i] else { return vec![1.0; i] };
+        scatter.load(a);
+        let row = profiles[..i]
+            .iter()
+            .map(|b| b.as_ref().map_or(1.0, |b| 1.0 - scatter.similarity_counting(b, w)))
+            .collect();
+        scatter.unload();
+        row
+    })
 }
 
 /// Kimura (1983) correction of a fractional identity into an evolutionary
@@ -78,17 +101,12 @@ pub fn kimura_correction(fractional_identity: f64) -> f64 {
 /// existing alignment (MUSCLE's improved stage-2 distance).
 pub fn kimura_from_msa(msa: &Msa, work: &mut Work) -> DistMatrix {
     let n = msa.num_rows();
-    let rows: Vec<Vec<f64>> = (1..n)
-        .into_par_iter()
-        .map(|i| (0..i).map(|j| kimura_correction(row_identity(msa.row(i), msa.row(j)))).collect())
-        .collect();
-    let mut m = DistMatrix::zeros(n);
-    for (i, row) in rows.into_iter().enumerate() {
-        let i = i + 1;
-        for (j, v) in row.into_iter().enumerate() {
-            m.set(i, j, v);
-        }
-    }
+    let m = lower_triangle(
+        n,
+        work,
+        || (),
+        |_, i, _| (0..i).map(|j| kimura_correction(row_identity(msa.row(i), msa.row(j)))).collect(),
+    );
     work.col_ops += (n * n / 2) as u64 * msa.num_cols() as u64;
     m
 }
@@ -105,9 +123,9 @@ pub fn alignment_distance_matrix(
     alignment_distance_matrix_with(seqs, matrix, gaps, BandPolicy::Full, work)
 }
 
-/// [`alignment_distance_matrix`] under explicit [`DpOptions`]. The rows
-/// run in parallel, so instead of borrowing one arena each worker reuses
-/// its own [`DpArena`] across its whole row of pairwise alignments.
+/// [`alignment_distance_matrix`] under explicit [`DpOptions`]. Each
+/// worker reuses its own [`DpArena`] across all of its rows' pairwise
+/// alignments.
 pub fn alignment_distance_matrix_with(
     seqs: &[Sequence],
     matrix: &SubstMatrix,
@@ -116,36 +134,17 @@ pub fn alignment_distance_matrix_with(
     work: &mut Work,
 ) -> DistMatrix {
     let dp = dp.into();
-    let n = seqs.len();
-    let rows: Vec<(Vec<f64>, Work)> = (1..n)
-        .into_par_iter()
-        .map(|i| {
-            let mut w = Work::ZERO;
-            let mut arena = DpArena::new();
-            let row: Vec<f64> = (0..i)
-                .map(|j| {
-                    alignment_distance_with(
-                        &seqs[i], &seqs[j], matrix, gaps, dp, &mut arena, &mut w,
-                    )
-                })
-                .collect();
-            (row, w)
-        })
-        .collect();
-    let mut m = DistMatrix::zeros(n);
-    for (i, (row, w)) in rows.into_iter().enumerate() {
-        let i = i + 1;
-        for (j, v) in row.into_iter().enumerate() {
-            m.set(i, j, v);
-        }
-        *work += w;
-    }
-    m
+    lower_triangle(seqs.len(), work, DpArena::new, |arena, i, w| {
+        (0..i)
+            .map(|j| alignment_distance_with(&seqs[i], &seqs[j], matrix, gaps, dp, arena, w))
+            .collect()
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn seqs(texts: &[&str]) -> Vec<Sequence> {
         texts
@@ -171,6 +170,51 @@ mod tests {
         let mut w = Work::ZERO;
         let m = kmer_distance_matrix(&ss, 2, CompressedAlphabet::Identity, &mut w);
         assert_eq!(m.get(0, 2), m.get(2, 0));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// Every entry is `1 − similarity_counting` by `to_bits`, and the
+        /// work is the sum of the pairs' nominal charges, on the dense
+        /// shapes and on the merge fallback (Identity, k = 6), with more
+        /// rows than workers and some rows too short to profile.
+        #[test]
+        fn kmer_matrix_matches_pairwise_similarity_bit_for_bit(
+            rows in prop::collection::vec(prop::collection::vec(0usize..20, 2..80), 0..24),
+            letters in 2usize..21,
+        ) {
+            const AMINO: &[u8] = b"ACDEFGHIKLMNPQRSTVWY";
+            let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+            let texts: Vec<String> = (0..2 * cores + 3)
+                .map(|i| match rows.get(i) {
+                    Some(r) => r.iter().map(|&c| AMINO[c % letters] as char).collect(),
+                    None => "MKVLAWGKVL".into(),
+                })
+                .collect();
+            let ss = seqs(&texts.iter().map(String::as_str).collect::<Vec<_>>());
+            let shapes = [
+                (CompressedAlphabet::Dayhoff6, 6),
+                (CompressedAlphabet::Identity, 3),
+                (CompressedAlphabet::Identity, 6),
+            ];
+            for (alphabet, k) in shapes {
+                let mut work = Work::ZERO;
+                let m = kmer_distance_matrix(&ss, k, alphabet, &mut work);
+                let profiles: Vec<_> = ss.iter().map(|s| KmerProfile::build(s, k, alphabet)).collect();
+                let mut expected = Work { seq_bytes: work.seq_bytes, ..Work::ZERO };
+                for i in 1..ss.len() {
+                    for j in 0..i {
+                        let d = match (&profiles[i], &profiles[j]) {
+                            (Some(a), Some(b)) => 1.0 - a.similarity_counting(b, &mut expected),
+                            _ => 1.0,
+                        };
+                        prop_assert_eq!(m.get(i, j).to_bits(), d.to_bits());
+                    }
+                }
+                prop_assert_eq!(work, expected);
+            }
+        }
     }
 
     #[test]

@@ -20,6 +20,18 @@
 //! Table 1 ranks lie in [0, 1.46], while `ln(0.1 + D)` on `D ∈ [0, 1]`
 //! spans [−2.30, 0.095]. So the ranks here are negative, and the Table 1
 //! claim in `BENCH_paper.json` records both sets of values.
+//!
+//! The batch callers ([`centralized_ranks`], [`globalized_ranks`] and the
+//! guide-tree distance matrix) score pairs through one kernel,
+//! [`Scatter`]: one profile's counts are scattered into a dense `u16`
+//! table indexed by packed k-mer, and every other profile costs one table
+//! lookup per entry. When the k-mer space `symbol_count^k` exceeds 2²⁰
+//! (say `--kmer 8` over Dayhoff-6), the kernel falls back to the
+//! sorted-list merge of [`KmerProfile::similarity_counting`].
+//! The shared count is an integer sum, so both paths give the same bits.
+//!
+//! [`Work::kmer_ops`] is nominal on every path: `|a| + |b|` sparse entries
+//! per ordered pair scored, whatever the kernel actually touched.
 
 use crate::alphabet::CompressedAlphabet;
 use crate::sequence::Sequence;
@@ -28,8 +40,9 @@ use serde::{Deserialize, Serialize};
 
 /// A sparse, sorted k-mer count profile for one sequence.
 ///
-/// Entries are `(packed_kmer, count)` sorted by `packed_kmer`, so pairwise
-/// similarity is a linear merge of two sorted lists.
+/// Entries are `(packed_kmer, count)` sorted by `packed_kmer`: one pair
+/// is a linear merge of two sorted lists, and batches of pairs go through
+/// [`Scatter`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct KmerProfile {
     k: usize,
@@ -91,9 +104,15 @@ impl KmerProfile {
         self.similarity_counting(other, &mut scratch)
     }
 
-    /// [`Self::similarity`] with work accounting: one `kmer_op` per sparse
-    /// entry visited in the merge.
+    /// [`Self::similarity`] with work accounting: the nominal `|a| + |b|`
+    /// `kmer_op`s of [`Work::kmer_ops`], whatever the merge visited.
     pub fn similarity_counting(&self, other: &KmerProfile, work: &mut Work) -> f64 {
+        work.kmer_ops += (self.entries.len() + other.entries.len()) as u64;
+        self.fraction(self.shared_merge(other), other)
+    }
+
+    /// `Σ_τ min(n_self(τ), n_other(τ))` by a merge of the two sorted lists.
+    fn shared_merge(&self, other: &KmerProfile) -> u64 {
         debug_assert_eq!(self.k, other.k, "profiles must share k");
         debug_assert_eq!(self.alphabet, other.alphabet, "profiles must share alphabet");
         let mut shared: u64 = 0;
@@ -108,9 +127,103 @@ impl KmerProfile {
             i += usize::from(ka <= kb);
             j += usize::from(kb <= ka);
         }
-        work.kmer_ops += (a.len() + b.len()) as u64;
-        let denom = self.total.min(other.total) as f64;
-        shared as f64 / denom
+        shared
+    }
+
+    /// `F` from a shared count: `shared / min(total_self, total_other)`.
+    /// Symmetric in its profiles, so either order gives the same bits.
+    fn fraction(&self, shared: u64, other: &KmerProfile) -> f64 {
+        shared as f64 / self.total.min(other.total) as f64
+    }
+}
+
+/// The largest k-mer space [`Scatter`] holds as a dense table (2 MiB);
+/// above it the kernel merges sorted lists instead. Dayhoff-6 with k = 6
+/// is 117 649 entries; Identity with k = 3 is 9 261.
+const DENSE_SPACE_MAX: u64 = 1 << 20;
+
+/// The pair kernel: load one profile `a`, score any number of profiles
+/// against it, then unload it.
+///
+/// Loading scatters `a`'s counts into a dense `u16` table indexed by
+/// packed k-mer, so a lookup costs one table read per entry of the other
+/// profile and no branch on key order. Unloading zeroes only `a`'s own
+/// keys, so one table serves every load. A profile whose k-mer space
+/// exceeds 2²⁰ entries skips the table, and its lookups merge sorted
+/// lists. Both paths give the bits of
+/// [`KmerProfile::similarity_counting`].
+#[derive(Debug, Default)]
+pub struct Scatter<'p> {
+    table: Vec<u16>,
+    loaded: Option<&'p KmerProfile>,
+    /// Whether the loaded profile sits in `table`.
+    dense: bool,
+}
+
+impl<'p> Scatter<'p> {
+    /// An empty kernel; the table is allocated on the first dense load.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Load `a`, the profile every following lookup is scored against.
+    ///
+    /// # Panics
+    /// Panics if a profile is already loaded.
+    pub fn load(&mut self, a: &'p KmerProfile) {
+        assert!(self.loaded.is_none(), "unload the loaded profile first");
+        let space = (a.alphabet.symbol_count() as u64).pow(a.k as u32);
+        self.dense = space <= DENSE_SPACE_MAX;
+        if self.dense {
+            if self.table.len() as u64 != space {
+                self.table = vec![0; space as usize];
+            }
+            for &(key, count) in &a.entries {
+                self.table[key as usize] = count;
+            }
+        }
+        self.loaded = Some(a);
+    }
+
+    /// The shared k-mer count `Σ_τ min(n_a(τ), n_b(τ))` of the loaded `a`
+    /// and `b`. Charges no work.
+    ///
+    /// # Panics
+    /// Panics if no profile is loaded; panics (debug) if `a` and `b` use
+    /// different `k`/alphabets.
+    fn shared(&self, b: &KmerProfile) -> u64 {
+        let a = self.loaded.expect("load a profile before scoring against it");
+        if !self.dense {
+            return a.shared_merge(b);
+        }
+        debug_assert_eq!(a.k, b.k, "profiles must share k");
+        debug_assert_eq!(a.alphabet, b.alphabet, "profiles must share alphabet");
+        b.entries.iter().map(|&(key, count)| u64::from(self.table[key as usize].min(count))).sum()
+    }
+
+    /// `F(a, b)` for the loaded `a`, charging the nominal `|a| + |b|`
+    /// `kmer_op`s: bit-identical to `a.similarity_counting(b, work)`.
+    ///
+    /// # Panics
+    /// Panics if no profile is loaded; panics (debug) if `a` and `b` use
+    /// different `k`/alphabets.
+    pub fn similarity_counting(&self, b: &KmerProfile, work: &mut Work) -> f64 {
+        let a = self.loaded.expect("load a profile before scoring against it");
+        work.kmer_ops += (a.entries.len() + b.entries.len()) as u64;
+        a.fraction(self.shared(b), b)
+    }
+
+    /// Zero the loaded profile's keys and forget it.
+    ///
+    /// # Panics
+    /// Panics if no profile is loaded.
+    pub fn unload(&mut self) {
+        let a = self.loaded.take().expect("no profile is loaded");
+        if self.dense {
+            for &(key, _) in &a.entries {
+                self.table[key as usize] = 0;
+            }
+        }
     }
 }
 
@@ -133,53 +246,82 @@ impl RankTransform {
     }
 }
 
-/// Average pairwise similarity of `profile` against `others` (the paper's
-/// `D_i`). Profiles equal to `profile` itself (self-comparison) are
-/// included, matching the paper's `D_i = (1/N) Σ_j r_{i,j}` which sums over
-/// all `j`.
-pub fn average_measure(profile: &KmerProfile, others: &[KmerProfile], work: &mut Work) -> f64 {
-    if others.is_empty() {
-        return 0.0;
-    }
-    let sum: f64 = others.iter().map(|o| profile.similarity_counting(o, work)).sum();
-    sum / others.len() as f64
-}
-
-/// The k-mer rank of `profile` against `others`: `transform(D_i)`.
-pub fn kmer_rank(
-    profile: &KmerProfile,
-    others: &[KmerProfile],
-    transform: RankTransform,
-    work: &mut Work,
-) -> f64 {
-    transform.apply(average_measure(profile, others, work))
-}
-
 /// Compute the rank of every profile against the full set (the paper's
 /// *centralized* rank). `O(N² · L)` — this is exactly the cost the
 /// globalized scheme avoids.
+///
+/// Each unordered pair, self-pairs included, is scored once into a packed
+/// upper triangle of shared counts (`4·N(N+1)/2` bytes). Row `i` then
+/// sums `F(i, j)` over `j = 0..N` in order (the paper's
+/// `D_i = (1/N) Σ_j r_{i,j}`), so every rank has the bits of the
+/// all-ordered-pairs sum. `kmer_ops` is charged for all `N²` ordered
+/// pairs: `2·N·Σ|entries|`.
 pub fn centralized_ranks(
     profiles: &[KmerProfile],
     transform: RankTransform,
     work: &mut Work,
 ) -> Vec<f64> {
-    profiles.iter().map(|p| kmer_rank(p, profiles, transform, work)).collect()
+    let w = profiles.len();
+    let entries: usize = profiles.iter().map(|p| p.entries.len()).sum();
+    work.kmer_ops += 2 * (w * entries) as u64;
+    // Pair (i, j), i ≤ j, sits at row_start(i) + j − i.
+    let row_start = |i: usize| i * w - i * i.saturating_sub(1) / 2;
+    let mut upper = vec![0u32; w * (w + 1) / 2];
+    let mut scatter = Scatter::new();
+    for (i, a) in profiles.iter().enumerate() {
+        scatter.load(a);
+        for (slot, b) in upper[row_start(i)..].iter_mut().zip(&profiles[i..]) {
+            // At most `min(total_a, total_b)`, a `u32`.
+            *slot = scatter.shared(b) as u32;
+        }
+        scatter.unload();
+    }
+    profiles
+        .iter()
+        .enumerate()
+        .map(|(i, a)| {
+            let mut sum = 0.0;
+            for (j, b) in profiles.iter().enumerate() {
+                let shared = upper[row_start(i.min(j)) + i.abs_diff(j)];
+                sum += a.fraction(u64::from(shared), b);
+            }
+            transform.apply(sum / w as f64)
+        })
+        .collect()
 }
 
 /// Compute the rank of every profile against a sample (the paper's
-/// *globalized* rank). `O(N · |sample| · L)`.
+/// *globalized* rank). `O(N · |sample| · L)`. Each profile is loaded into
+/// one [`Scatter`] and scored against the sample in sample order. An
+/// empty sample ranks every profile at `transform(0)`.
 pub fn globalized_ranks(
     profiles: &[KmerProfile],
     sample: &[KmerProfile],
     transform: RankTransform,
     work: &mut Work,
 ) -> Vec<f64> {
-    profiles.iter().map(|p| kmer_rank(p, sample, transform, work)).collect()
+    if sample.is_empty() {
+        return vec![transform.apply(0.0); profiles.len()];
+    }
+    let mut scatter = Scatter::new();
+    profiles
+        .iter()
+        .map(|p| {
+            scatter.load(p);
+            let mut sum = 0.0;
+            for s in sample {
+                sum += scatter.similarity_counting(s, work);
+            }
+            scatter.unload();
+            transform.apply(sum / sample.len() as f64)
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn seq(text: &str) -> Sequence {
         Sequence::from_str("t", text).unwrap()
@@ -265,12 +407,10 @@ mod tests {
         // PaperLog rank) than an outlier.
         let set: Vec<KmerProfile> =
             ["MKVLAWGKVL", "MKVLAWGKIL", "MKVLCWGKVL"].iter().map(|t| prof(t, 3)).collect();
-        let insider = prof("MKVLAWGKVL", 3);
-        let outsider = prof("PPPPPPPPPP", 3);
+        let probes = [prof("MKVLAWGKVL", 3), prof("PPPPPPPPPP", 3)];
         let mut w = Work::ZERO;
-        let ri = kmer_rank(&insider, &set, RankTransform::PaperLog, &mut w);
-        let ro = kmer_rank(&outsider, &set, RankTransform::PaperLog, &mut w);
-        assert!(ri > ro, "insider {ri} should outrank outsider {ro}");
+        let r = globalized_ranks(&probes, &set, RankTransform::PaperLog, &mut w);
+        assert!(r[0] > r[1], "insider {} should outrank outsider {}", r[0], r[1]);
         assert!(w.kmer_ops > 0);
     }
 
@@ -282,8 +422,78 @@ mod tests {
         let mut w = Work::ZERO;
         let c = centralized_ranks(&profiles, RankTransform::PaperLog, &mut w);
         let g = globalized_ranks(&profiles, &profiles, RankTransform::PaperLog, &mut w);
-        for (a, b) in c.iter().zip(&g) {
-            assert!((a - b).abs() < 1e-12);
+        assert_eq!(c, g);
+    }
+
+    /// One dense shape per alphabet and one shape past `DENSE_SPACE_MAX`,
+    /// which takes the merge fallback.
+    const SHAPES: [(CompressedAlphabet, usize); 3] = [
+        (CompressedAlphabet::Dayhoff6, 6),
+        (CompressedAlphabet::Identity, 3),
+        (CompressedAlphabet::Identity, 6),
+    ];
+
+    /// The ranks the batch kernels must reproduce bit for bit: every
+    /// ordered pair through the merge, summed in `j` order.
+    fn reference_ranks(profiles: &[KmerProfile], set: &[KmerProfile], work: &mut Work) -> Vec<u64> {
+        profiles
+            .iter()
+            .map(|p| {
+                let sum: f64 = set.iter().map(|o| p.similarity_counting(o, work)).sum();
+                RankTransform::PaperLog.apply(sum / set.len() as f64).to_bits()
+            })
+            .collect()
+    }
+
+    fn bits(ranks: Vec<f64>) -> Vec<u64> {
+        ranks.into_iter().map(f64::to_bits).collect()
+    }
+
+    #[test]
+    fn shapes_cover_both_kernel_paths() {
+        let space = |(a, k): (CompressedAlphabet, usize)| (a.symbol_count() as u64).pow(k as u32);
+        assert_eq!(SHAPES.map(|s| space(s) <= DENSE_SPACE_MAX), [true, true, false]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Centralized and globalized ranks equal the pairwise reference
+        /// by `to_bits`, and charge the nominal `|a| + |b|` per ordered
+        /// pair. Rows draw from the first `letters` amino acids, so small
+        /// pools share many k-mers and repeat them within a row.
+        #[test]
+        fn batch_ranks_match_the_pairwise_sum_bit_for_bit(
+            rows in prop::collection::vec(prop::collection::vec(0usize..20, 1..90), 1..24),
+            letters in 2usize..21,
+            sample_step in 1usize..5,
+        ) {
+            const AMINO: &[u8] = b"ACDEFGHIKLMNPQRSTVWY";
+            let texts: Vec<String> = rows
+                .iter()
+                .map(|r| r.iter().map(|&c| AMINO[c % letters] as char).collect())
+                .collect();
+            for (alphabet, k) in SHAPES {
+                let profiles: Vec<KmerProfile> =
+                    texts.iter().filter_map(|t| KmerProfile::build(&seq(t), k, alphabet)).collect();
+                let entries: u64 = profiles.iter().map(|p| p.entries.len() as u64).sum();
+                let w = profiles.len() as u64;
+
+                let (mut work, mut reference) = (Work::ZERO, Work::ZERO);
+                let central = centralized_ranks(&profiles, RankTransform::PaperLog, &mut work);
+                let expected = reference_ranks(&profiles, &profiles, &mut reference);
+                prop_assert_eq!(bits(central), expected);
+                prop_assert_eq!(work.kmer_ops, 2 * w * entries);
+                prop_assert_eq!(work, reference);
+
+                let sample: Vec<KmerProfile> =
+                    profiles.iter().step_by(sample_step).cloned().collect();
+                let (mut work, mut reference) = (Work::ZERO, Work::ZERO);
+                let global =
+                    globalized_ranks(&profiles, &sample, RankTransform::PaperLog, &mut work);
+                prop_assert_eq!(bits(global), reference_ranks(&profiles, &sample, &mut reference));
+                prop_assert_eq!(work, reference);
+            }
         }
     }
 

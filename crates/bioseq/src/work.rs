@@ -1,7 +1,7 @@
 //! Abstract work accounting.
 //!
 //! Compute kernels report how much work they did in hardware-independent
-//! units (dynamic-programming cells, k-mer merge steps, …). The virtual
+//! units (dynamic-programming cells, nominal k-mer pair ops, …). The virtual
 //! cluster's deterministic cost model (see the `vcluster` crate) converts a
 //! [`Work`] into virtual seconds, which is how the reproduction obtains
 //! scheduling-noise-free per-processor timings on a single-core host.
@@ -23,7 +23,11 @@ pub struct Work {
     /// (excluded from [`total_units`](Self::total_units)); reports print
     /// the banded/full pair side by side.
     pub dp_cells_full: u64,
-    /// K-mer profile merge steps (one per sparse entry visited).
+    /// K-mer work, nominal: `|a| + |b|` sparse profile entries per
+    /// ordered pair scored, whichever kernel scored it (the dense table
+    /// of [`crate::kmer::Scatter`] or the merge, which may stop early),
+    /// and even when a symmetric pair is computed once for both orders.
+    /// The anchor scan charges one per k-mer window scanned.
     pub kmer_ops: u64,
     /// Comparison operations in sorting.
     pub sort_ops: u64,

@@ -21,7 +21,8 @@ pub struct CostModel {
     pub recv_overhead: f64,
     /// Seconds per dynamic-programming cell.
     pub dp_cell: f64,
-    /// Seconds per k-mer merge step.
+    /// Seconds per nominal k-mer op (`Work::kmer_ops`: `|a| + |b|`
+    /// profile entries per ordered pair scored).
     pub kmer_op: f64,
     /// Seconds per sorting comparison.
     pub sort_op: f64,
