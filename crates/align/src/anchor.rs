@@ -11,8 +11,8 @@
 //! pins conserved consensus columns of two alignments as [`ColOp::Both`]
 //! runs and runs the affine-gap DP only on the stretches in between.
 
-use crate::dp::{DpArena, DpOptions};
-use crate::papro::{align_profiles_with, ColOp};
+use crate::dp::{ColOp, DpArena, DpOptions};
+use crate::papro::align_profiles_with;
 use crate::profile::Profile;
 use bioseq::alphabet::GAP_CODE;
 use bioseq::{GapPenalties, Msa, SubstMatrix, Work};

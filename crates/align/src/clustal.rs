@@ -24,7 +24,7 @@ const ALPHABET: CompressedAlphabet = CompressedAlphabet::Identity;
 pub struct ClustalLite {
     /// Band policy and kernel of every DP instance (pairwise distances
     /// and progressive merging).
-    pub dp: DpOptions,
+    dp: DpOptions,
 }
 
 impl ClustalLite {
@@ -79,10 +79,6 @@ pub fn clustal_tree_weights(tree: &Tree) -> Vec<f64> {
 impl MsaEngine for ClustalLite {
     fn name(&self) -> String {
         format!("clustal-lite{}", self.dp.name_suffix())
-    }
-
-    fn align_with_work(&self, seqs: &[Sequence]) -> (Msa, Work) {
-        self.align_with_work_in(seqs, &mut DpArena::new())
     }
 
     fn align_with_work_in(&self, seqs: &[Sequence], arena: &mut DpArena) -> (Msa, Work) {

@@ -45,12 +45,6 @@ pub fn consensus_sequence(msa: &Msa, id: impl Into<String>, work: &mut Work) -> 
     Sequence::from_codes(id, codes)
 }
 
-/// The ancestor as a full profile (used when fine-tuning wants the residue
-/// distribution rather than a single representative).
-pub fn ancestor_profile(msa: &Msa, work: &mut Work) -> Profile {
-    Profile::from_msa(msa, work)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,14 +115,5 @@ mod tests {
         assert_eq!(c1, c2);
         // Lowest code wins the tie: A (code 0) beats W.
         assert_eq!(c1.to_letters(), "A");
-    }
-
-    #[test]
-    fn ancestor_profile_shape() {
-        let m = msa(">a\nMKVL\n>b\nMKIL\n");
-        let mut w = Work::ZERO;
-        let p = ancestor_profile(&m, &mut w);
-        assert_eq!(p.len(), 4);
-        assert_eq!(p.n_seqs, 2);
     }
 }

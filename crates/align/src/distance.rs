@@ -2,7 +2,7 @@
 //! stage 1), Kimura-corrected identity distances from an existing alignment
 //! (MUSCLE stage 2), and full pairwise-alignment distances (CLUSTALW).
 
-use crate::dp::{BandPolicy, DpArena, DpOptions};
+use crate::dp::{DpArena, DpOptions};
 use crate::pairwise::alignment_distance_with;
 use bioseq::kmer::{KmerProfile, Scatter};
 use bioseq::msa::row_identity;
@@ -112,20 +112,10 @@ pub fn kimura_from_msa(msa: &Msa, work: &mut Work) -> DistMatrix {
 }
 
 /// Full pairwise-global-alignment distance matrix (`1 − identity` after
-/// Gotoh alignment). `O(n²·L²)` — CLUSTALW's accurate-but-slow initial
-/// distances, only sensible for small `n`.
-pub fn alignment_distance_matrix(
-    seqs: &[Sequence],
-    matrix: &SubstMatrix,
-    gaps: GapPenalties,
-    work: &mut Work,
-) -> DistMatrix {
-    alignment_distance_matrix_with(seqs, matrix, gaps, BandPolicy::Full, work)
-}
-
-/// [`alignment_distance_matrix`] under explicit [`DpOptions`]. Each
-/// worker reuses its own [`DpArena`] across all of its rows' pairwise
-/// alignments.
+/// Gotoh alignment) under explicit [`DpOptions`]. `O(n²·L²)` —
+/// CLUSTALW's accurate-but-slow initial distances, only sensible for
+/// small `n`. Each worker reuses its own [`DpArena`] across all of its
+/// rows' pairwise alignments.
 pub fn alignment_distance_matrix_with(
     seqs: &[Sequence],
     matrix: &SubstMatrix,
@@ -144,6 +134,7 @@ pub fn alignment_distance_matrix_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dp::BandPolicy;
     use proptest::prelude::*;
 
     fn seqs(texts: &[&str]) -> Vec<Sequence> {
@@ -255,12 +246,8 @@ mod tests {
     fn alignment_distance_matrix_small() {
         let ss = seqs(&["MKVLAW", "MKVLAW", "MKILAW"]);
         let mut w = Work::ZERO;
-        let m = alignment_distance_matrix(
-            &ss,
-            &SubstMatrix::blosum62(),
-            GapPenalties::default(),
-            &mut w,
-        );
+        let (matrix, gaps) = (SubstMatrix::blosum62(), GapPenalties::default());
+        let m = alignment_distance_matrix_with(&ss, &matrix, gaps, BandPolicy::Full, &mut w);
         assert_eq!(m.get(0, 1), 0.0);
         assert!(m.get(0, 2) > 0.0 && m.get(0, 2) < 0.5);
         assert!(w.dp_cells > 0);

@@ -47,7 +47,6 @@
 use crate::profile::{Profile, ProfileColumn};
 use bioseq::alphabet::CODE_COUNT;
 use bioseq::{GapPenalties, SubstMatrix, Work};
-use serde::{Deserialize, Serialize};
 
 /// The "unreachable" score. Ordinary arithmetic keeps it absorbing
 /// (`NEG_INF + x == NEG_INF`), which is exactly what the recurrence needs.
@@ -68,8 +67,8 @@ pub fn best3(m: f64, x: f64, y: f64) -> (f64, u8) {
 }
 
 /// One traceback step of an alignment: which side(s) a merged column
-/// consumes. (Historically `papro::ColOp`; re-exported there.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// consumes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ColOp {
     /// Consume one column from each side (aligned columns).
     Both,
@@ -80,7 +79,7 @@ pub enum ColOp {
 }
 
 /// How the kernel restricts the DP to a diagonal band.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BandPolicy {
     /// Fill the whole matrix. Exact, `O(n·m)` cells.
     Full,
@@ -138,7 +137,7 @@ pub const AUTO_MIN_BAND: usize = 32;
 /// Both kernels produce identical traceback ops whenever the scorer is
 /// [`ColumnScorer::f32_compatible`]; see the module docs for the epsilon
 /// contract when it is not.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DpKernel {
     /// The one-cell-at-a-time `f64` fill: the property-test oracle.
     Scalar,
@@ -174,17 +173,14 @@ impl DpKernel {
 }
 
 /// The DP options of one alignment: how the matrix is banded and which
-/// fill runs. Every explicit (`*_with`) form in this crate and in
-/// `sad_core` takes this one value next to a `&mut` [`DpArena`].
+/// fill runs. Every DP-running operation in this crate and in `sad_core`
+/// has one form, `*_with`, which takes this one value (or a bare
+/// [`BandPolicy`], which converts) next to a `&mut` [`DpArena`].
 ///
-/// Two defaults are in play, and this is the one place they are written
-/// down: the **short forms** (`global_align`, `align_profiles`,
-/// `align_and_merge`, `refine`, `leave_one_out`, …) run the
-/// unconditionally exact **full band** with the auto kernel and a private
-/// arena — `DpOptions::from(BandPolicy::Full)` — while
-/// [`DpOptions::default`] is **auto band, auto kernel**, what the engines
-/// and the pipeline run unless told otherwise.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+/// [`DpOptions::default`] is **auto band, auto kernel**: what the engines
+/// and the pipeline run unless told otherwise. The unconditionally exact
+/// full DP is `DpOptions::from(BandPolicy::Full)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DpOptions {
     /// Band restriction of the matrix fill.
     pub band: BandPolicy,

@@ -6,7 +6,6 @@ use crate::clustal::ClustalLite;
 use crate::dp::{DpArena, DpOptions};
 use crate::muscle::MuscleLite;
 use bioseq::{Msa, Sequence, Work};
-use serde::{Deserialize, Serialize};
 
 /// A sequential multiple sequence alignment system.
 ///
@@ -16,33 +15,25 @@ pub trait MsaEngine: Send + Sync {
     /// Engine name for reports (e.g. `"muscle-lite-fast"`).
     fn name(&self) -> String;
 
-    /// Align the sequences and report the work performed.
+    /// Align the sequences using caller-provided DP scratch and report
+    /// the work performed, so consecutive runs (e.g. the jobs of a batch
+    /// worker) reuse one [`DpArena`]'s buffers instead of re-allocating per
+    /// run. The arena is pure scratch: results and work do not depend on
+    /// what it held before.
     ///
     /// The returned alignment contains exactly the input sequences (same
     /// ids, same residues once ungapped), rows in input order.
-    fn align_with_work(&self, seqs: &[Sequence]) -> (Msa, Work);
+    fn align_with_work_in(&self, seqs: &[Sequence], arena: &mut DpArena) -> (Msa, Work);
 
-    /// Align using caller-provided DP scratch, so consecutive runs (e.g.
-    /// the jobs of a batch worker) reuse one [`DpArena`]'s buffers instead
-    /// of re-allocating per run. The arena is pure scratch: results and
-    /// work are identical to [`align_with_work`](Self::align_with_work).
-    ///
-    /// The default implementation ignores the arena and delegates, so
-    /// third-party engines stay source-compatible.
-    fn align_with_work_in(&self, seqs: &[Sequence], arena: &mut DpArena) -> (Msa, Work) {
-        let _ = arena;
-        self.align_with_work(seqs)
-    }
-
-    /// Align without work accounting.
-    fn align(&self, seqs: &[Sequence]) -> Msa {
-        self.align_with_work(seqs).0
+    /// [`align_with_work_in`](Self::align_with_work_in) under a fresh arena.
+    fn align_with_work(&self, seqs: &[Sequence]) -> (Msa, Work) {
+        self.align_with_work_in(seqs, &mut DpArena::new())
     }
 }
 
-/// Serializable engine selector used by configuration surfaces (CLI,
-/// benches, the distributed system's config messages).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+/// Engine selector used by configuration surfaces (CLI, benches, the
+/// distributed system's config messages).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineChoice {
     /// MUSCLE-like, stage 1 only (fast draft).
     #[default]
@@ -54,12 +45,6 @@ pub enum EngineChoice {
 }
 
 impl EngineChoice {
-    /// Instantiate the engine with default parameters (and the default
-    /// adaptive band policy and kernel).
-    pub fn build(self) -> Box<dyn MsaEngine> {
-        self.build_with(DpOptions::default())
-    }
-
     /// Instantiate the engine with explicit [`DpOptions`].
     pub fn build_with(self, dp: DpOptions) -> Box<dyn MsaEngine> {
         match self {
@@ -105,7 +90,7 @@ mod tests {
     fn every_engine_satisfies_the_contract() {
         let ss = seqs(&["MKVLAWGKVL", "MKILAWKIL", "MKVLWGKVL", "MKILAWGKIL"]);
         for choice in EngineChoice::ALL {
-            let engine = choice.build();
+            let engine = choice.build_with(DpOptions::default());
             let (msa, work) = engine.align_with_work(&ss);
             msa.validate().unwrap();
             assert_eq!(msa.num_rows(), ss.len(), "{}", engine.name());
@@ -128,7 +113,7 @@ mod tests {
             seqs(&["MKVLAWGKVLSSDD", "MKVLAWGKVLSSD"]),
         ];
         for choice in EngineChoice::ALL {
-            let engine = choice.build();
+            let engine = choice.build_with(DpOptions::default());
             let mut arena = crate::dp::DpArena::new();
             for family in &families {
                 let fresh = engine.align_with_work(family);
@@ -136,13 +121,6 @@ mod tests {
                 assert_eq!(fresh, reused, "{}", engine.name());
             }
         }
-    }
-
-    #[test]
-    fn align_defaults_to_align_with_work() {
-        let ss = seqs(&["MKVL", "MKIL"]);
-        let engine = EngineChoice::MuscleFast.build();
-        assert_eq!(engine.align(&ss), engine.align_with_work(&ss).0);
     }
 
     #[test]

@@ -30,8 +30,12 @@
 //!   3.x) and [`clustal::ClustalLite`] (identity distance → neighbor
 //!   joining → weighted progressive; the CLUSTALW shape).
 //!
-//! Every kernel reports [`bioseq::Work`] so the virtual cluster can convert
-//! compute into deterministic virtual time.
+//! Every DP-running operation has one public form,
+//! `*_with(…, DpOptions, &mut DpArena)`: the caller names the band, the
+//! kernel and the scratch, and [`MsaEngine`] has one required method,
+//! [`MsaEngine::align_with_work_in`]. Every kernel reports
+//! [`bioseq::Work`] so the virtual cluster can convert compute into
+//! deterministic virtual time.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -35,7 +35,7 @@ pub struct MuscleLite {
     /// position-based scheme (the standard mode).
     standard: bool,
     /// Band policy and kernel of every DP instance the engine runs.
-    pub dp: DpOptions,
+    dp: DpOptions,
 }
 
 impl MuscleLite {
@@ -66,10 +66,6 @@ impl MsaEngine for MuscleLite {
     fn name(&self) -> String {
         let base = if self.standard { "muscle-lite(r1,p2)" } else { "muscle-lite-fast" };
         base.to_string() + &self.dp.name_suffix()
-    }
-
-    fn align_with_work(&self, seqs: &[Sequence]) -> (Msa, Work) {
-        self.align_with_work_in(seqs, &mut DpArena::new())
     }
 
     fn align_with_work_in(&self, seqs: &[Sequence], arena: &mut DpArena) -> (Msa, Work) {

@@ -1,12 +1,13 @@
 //! Pairwise sequence alignment: Needleman–Wunsch/Gotoh global alignment
 //! with affine gaps, full or banded.
 //!
-//! Every entry point is a thin wrapper over the shared [`crate::dp`]
-//! kernel — this module owns no DP recurrence of its own.
+//! Each operation has one form, which names its [`DpOptions`] and the
+//! caller's [`DpArena`] and runs the shared [`crate::dp`] kernel — this
+//! module owns no DP recurrence of its own.
 
-use crate::dp::{self, BandPolicy, ColOp, DpArena, DpOptions, SubstScorer};
+use crate::dp::{self, ColOp, DpArena, DpOptions, SubstScorer};
 use bioseq::alphabet::GAP_CODE;
-use bioseq::{GapPenalties, Msa, Sequence, SubstMatrix, Work};
+use bioseq::{GapPenalties, Sequence, SubstMatrix, Work};
 
 /// The outcome of a pairwise alignment.
 #[derive(Debug, Clone, PartialEq)]
@@ -22,11 +23,6 @@ pub struct PairAlignment {
 }
 
 impl PairAlignment {
-    /// Package the rows as a two-row [`Msa`].
-    pub fn into_msa(self, id_a: impl Into<String>, id_b: impl Into<String>) -> Msa {
-        Msa::from_rows(vec![id_a.into(), id_b.into()], vec![self.row_a, self.row_b])
-    }
-
     /// Fractional identity over aligned residue pairs.
     pub fn identity(&self) -> f64 {
         bioseq::msa::row_identity(&self.row_a, &self.row_b)
@@ -63,30 +59,23 @@ fn rows_from_ops(ac: &[u8], bc: &[u8], ops: &[ColOp]) -> (Vec<u8>, Vec<u8>) {
     (row_a, row_b)
 }
 
-/// Gotoh global alignment with affine gap penalties (full DP).
+/// Gotoh global alignment with affine gap penalties under explicit
+/// [`DpOptions`] (a bare [`BandPolicy`](dp::BandPolicy) converts: that
+/// band, auto kernel),
+/// reusing the caller's [`DpArena`] scratch so repeated alignments
+/// allocate nothing.
 ///
 /// Terminal gaps are charged like internal ones, matching
 /// [`bioseq::Msa::sp_score`]'s convention so that a pairwise alignment's
-/// score equals its SP score. Equivalent to
-/// [`global_align_with`]`(…, BandPolicy::Full, …)` with a private arena.
-pub fn global_align(
-    a: &Sequence,
-    b: &Sequence,
-    matrix: &SubstMatrix,
-    gaps: GapPenalties,
-) -> PairAlignment {
-    global_align_with(a, b, matrix, gaps, BandPolicy::Full, &mut DpArena::new())
-}
-
-/// Gotoh global alignment under explicit [`DpOptions`] (a bare
-/// [`BandPolicy`] converts: that band, auto kernel), reusing the caller's
-/// [`DpArena`] scratch so repeated alignments allocate nothing.
-///
-/// Under [`BandPolicy::Auto`] the band is widened until the score is
+/// score equals its SP score. [`BandPolicy::Full`](dp::BandPolicy::Full)
+/// is the exact full DP. Under [`BandPolicy::Auto`](dp::BandPolicy::Auto)
+/// the band is widened until the score is
 /// stable and the optimum clears the band edges, so the score matches the
-/// full DP (see [`crate::dp::gotoh_global_with`] for the acceptance rule);
-/// under [`BandPolicy::Fixed`] it may be band-constrained (see
-/// [`banded_global_align`]).
+/// full DP (see [`crate::dp::gotoh_global_with`] for the acceptance rule).
+/// [`BandPolicy::Fixed`](dp::BandPolicy::Fixed) is a fixed half-width band with no retry (the
+/// width is clamped up to the length difference): the classic
+/// speed/optimality trade-off for near-homologous sequences, which may
+/// return a band-constrained score when the optimum needs large shifts.
 pub fn global_align_with(
     a: &Sequence,
     b: &Sequence,
@@ -105,40 +94,9 @@ pub fn global_align_with(
     PairAlignment { row_a, row_b, score: out.score as i64, work: out.work() }
 }
 
-/// Banded Gotoh global alignment with a **fixed** half-width band and no
-/// adaptive retry: the classic speed/optimality trade-off for
-/// near-homologous sequences (MUSCLE's `-diags` spirit). With
-/// `band ≥ max(n, m)` the result equals [`global_align`]; narrow bands can
-/// miss alignments requiring large shifts. Prefer
-/// [`global_align_with`]`(…, BandPolicy::Auto, …)` when exactness matters.
-///
-/// # Panics
-/// Panics if `band == 0`.
-pub fn banded_global_align(
-    a: &Sequence,
-    b: &Sequence,
-    matrix: &SubstMatrix,
-    gaps: GapPenalties,
-    band: usize,
-) -> PairAlignment {
-    assert!(band >= 1, "band must be at least 1");
-    global_align_with(a, b, matrix, gaps, BandPolicy::Fixed(band), &mut DpArena::new())
-}
-
-/// Percent identity after a global alignment — the CLUSTALW initial
-/// distance (`1 − identity`).
-pub fn alignment_distance(
-    a: &Sequence,
-    b: &Sequence,
-    matrix: &SubstMatrix,
-    gaps: GapPenalties,
-    work: &mut Work,
-) -> f64 {
-    alignment_distance_with(a, b, matrix, gaps, BandPolicy::Full, &mut DpArena::new(), work)
-}
-
-/// [`alignment_distance`] under explicit [`DpOptions`], reusing the
-/// caller's [`DpArena`].
+/// Percent identity after a global alignment under explicit
+/// [`DpOptions`] — the CLUSTALW initial distance (`1 − identity`) —
+/// reusing the caller's [`DpArena`].
 pub fn alignment_distance_with(
     a: &Sequence,
     b: &Sequence,
@@ -156,6 +114,7 @@ pub fn alignment_distance_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dp::BandPolicy;
 
     fn seq(id: &str, t: &str) -> Sequence {
         Sequence::from_str(id, t).unwrap()
@@ -163,6 +122,22 @@ mod tests {
 
     fn setup() -> (SubstMatrix, GapPenalties) {
         (SubstMatrix::blosum62(), GapPenalties::default())
+    }
+
+    /// The exact full-DP alignment under a fresh arena.
+    fn global_align(a: &Sequence, b: &Sequence, m: &SubstMatrix, g: GapPenalties) -> PairAlignment {
+        global_align_with(a, b, m, g, BandPolicy::Full, &mut DpArena::new())
+    }
+
+    /// A fixed half-width `band` with no retry, under a fresh arena.
+    fn fixed_band(
+        a: &Sequence,
+        b: &Sequence,
+        m: &SubstMatrix,
+        g: GapPenalties,
+        band: usize,
+    ) -> PairAlignment {
+        global_align_with(a, b, m, g, BandPolicy::Fixed(band), &mut DpArena::new())
     }
 
     #[test]
@@ -330,7 +305,7 @@ mod tests {
             let a = seq("a", ta);
             let b = seq("b", tb);
             let full = global_align(&a, &b, &m, g);
-            let banded = banded_global_align(&a, &b, &m, g, 64);
+            let banded = fixed_band(&a, &b, &m, g, 64);
             assert_eq!(banded.score, full.score, "{ta} vs {tb}");
             let rescored = bioseq::msa::pairwise_row_score(&banded.row_a, &banded.row_b, &m, g);
             assert_eq!(banded.score, rescored, "{ta} vs {tb} rescoring");
@@ -344,7 +319,7 @@ mod tests {
         let a = seq("a", &long);
         let b = seq("b", &long);
         let full = global_align(&a, &b, &m, g);
-        let banded = banded_global_align(&a, &b, &m, g, 5);
+        let banded = fixed_band(&a, &b, &m, g, 5);
         assert!(banded.work.dp_cells < full.work.dp_cells / 3);
         // Identical sequences stay on the main diagonal: score preserved.
         assert_eq!(banded.score, full.score);
@@ -355,7 +330,7 @@ mod tests {
         let (m, g) = setup();
         let a = seq("a", "MKVLAWGKVLMMKK");
         let b = seq("b", "MKVLWGKVLMM");
-        let aln = banded_global_align(&a, &b, &m, g, 4);
+        let aln = fixed_band(&a, &b, &m, g, 4);
         let ung_a: Vec<u8> = aln.row_a.iter().copied().filter(|&c| c != GAP_CODE).collect();
         let ung_b: Vec<u8> = aln.row_b.iter().copied().filter(|&c| c != GAP_CODE).collect();
         assert_eq!(ung_a, a.codes());
@@ -369,7 +344,7 @@ mod tests {
         let b = seq("b", "GKVLMKVLAW");
         let full = global_align(&a, &b, &m, g);
         for band in [1usize, 2, 4, 8, 32] {
-            let banded = banded_global_align(&a, &b, &m, g, band);
+            let banded = fixed_band(&a, &b, &m, g, band);
             assert!(banded.score <= full.score, "band {band}");
         }
     }
@@ -379,7 +354,8 @@ mod tests {
         let (m, g) = setup();
         let a = seq("a", "MKVLAW");
         let mut w = Work::ZERO;
-        let d = alignment_distance(&a, &a, &m, g, &mut w);
+        let d =
+            alignment_distance_with(&a, &a, &m, g, BandPolicy::Full, &mut DpArena::new(), &mut w);
         assert_eq!(d, 0.0);
         assert!(w.dp_cells > 0);
     }

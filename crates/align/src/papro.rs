@@ -6,14 +6,10 @@
 //! being consumed and the total weight of the profile receiving the gap, so
 //! the objective stays in (weighted) sum-of-pairs units end to end.
 
-use crate::dp::{self, BandPolicy, DpArena, DpOptions, PspScorer};
+use crate::dp::{self, ColOp, DpArena, DpOptions, PspScorer};
 use crate::profile::Profile;
 use bioseq::alphabet::GAP_CODE;
 use bioseq::{GapPenalties, Msa, SubstMatrix, Work};
-
-// The merge-script op lives in the kernel now; re-exported here because
-// this is where every consumer historically imported it from.
-pub use crate::dp::ColOp;
 
 /// Result of a profile–profile alignment.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,18 +22,9 @@ pub struct ProfileAlignment {
     pub work: Work,
 }
 
-/// Align two profiles with affine gap penalties (full DP).
-pub fn align_profiles(
-    pa: &Profile,
-    pb: &Profile,
-    matrix: &SubstMatrix,
-    gaps: GapPenalties,
-) -> ProfileAlignment {
-    align_profiles_with(pa, pb, matrix, gaps, BandPolicy::Full, &mut DpArena::new())
-}
-
-/// Align two profiles under explicit [`DpOptions`] (a bare
-/// [`BandPolicy`] converts: that band, auto kernel — which picks the
+/// Align two profiles with affine gap penalties under explicit
+/// [`DpOptions`] (a bare [`BandPolicy`](crate::dp::BandPolicy) converts:
+/// that band, auto kernel — which picks the
 /// striped fill whenever the PSP arithmetic is provably f32-exact, i.e.
 /// uniform integral weights), reusing the caller's [`DpArena`] so the
 /// progressive/refinement loops allocate no DP scratch in steady state.
@@ -110,20 +97,8 @@ pub fn merge_msas(a: &Msa, b: &Msa, ops: &[ColOp], work: &mut Work) -> Msa {
     Msa::from_rows(ids, rows)
 }
 
-/// Convenience: profile-align two alignments with uniform weights and merge
-/// them (full DP).
-pub fn align_and_merge(
-    a: &Msa,
-    b: &Msa,
-    matrix: &SubstMatrix,
-    gaps: GapPenalties,
-    work: &mut Work,
-) -> Msa {
-    align_and_merge_with(a, b, matrix, gaps, BandPolicy::Full, &mut DpArena::new(), work)
-}
-
-/// [`align_and_merge`] under explicit [`DpOptions`], reusing the caller's
-/// [`DpArena`].
+/// Profile-align two alignments with uniform weights under explicit
+/// [`DpOptions`] and merge them, reusing the caller's [`DpArena`].
 pub fn align_and_merge_with(
     a: &Msa,
     b: &Msa,
@@ -153,6 +128,21 @@ mod tests {
 
     fn setup() -> (SubstMatrix, GapPenalties) {
         (SubstMatrix::blosum62(), GapPenalties::default())
+    }
+
+    /// The exact full-DP profile alignment under a fresh arena.
+    fn align_profiles(
+        pa: &Profile,
+        pb: &Profile,
+        mat: &SubstMatrix,
+        g: GapPenalties,
+    ) -> ProfileAlignment {
+        align_profiles_with(pa, pb, mat, g, BandPolicy::Full, &mut DpArena::new())
+    }
+
+    /// Full-DP [`align_and_merge_with`] under a fresh arena.
+    fn align_and_merge(a: &Msa, b: &Msa, mat: &SubstMatrix, g: GapPenalties, w: &mut Work) -> Msa {
+        align_and_merge_with(a, b, mat, g, BandPolicy::Full, &mut DpArena::new(), w)
     }
 
     #[test]
@@ -220,7 +210,9 @@ mod tests {
         let (mat, g) = setup();
         let a = Sequence::from_str("a", "MKVLAWGKVLPP").unwrap();
         let b = Sequence::from_str("b", "MKILWGKILGG").unwrap();
-        let pairwise = crate::pairwise::global_align(&a, &b, &mat, g);
+        let full = BandPolicy::Full;
+        let pairwise =
+            crate::pairwise::global_align_with(&a, &b, &mat, g, full, &mut DpArena::new());
         let mut w = Work::ZERO;
         let pa = Profile::from_msa(&Msa::from_sequence(&a), &mut w);
         let pb = Profile::from_msa(&Msa::from_sequence(&b), &mut w);
@@ -263,7 +255,7 @@ mod tests {
         let pa = Profile::from_msa(&a, &mut w);
         let pb = Profile::from_msa(&b, &mut w);
         let full = align_profiles(&pa, &pb, &mat, g);
-        let mut arena = crate::dp::DpArena::new();
+        let mut arena = DpArena::new();
         let auto = align_profiles_with(&pa, &pb, &mat, g, BandPolicy::Auto, &mut arena);
         assert_eq!(auto.ops, full.ops);
         assert!((auto.score - full.score).abs() < 1e-12);

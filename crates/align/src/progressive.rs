@@ -32,29 +32,21 @@ pub struct ProgressiveConfig {
     /// Sequence weighting scheme.
     pub weights: WeightScheme,
     /// Band policy and kernel of every profile–profile DP along the tree
-    /// (the default is auto/auto, unlike the full-band short forms of the
-    /// per-pair functions — see [`DpOptions`]).
+    /// (default: auto band, auto kernel — see [`DpOptions`]).
     pub dp: DpOptions,
 }
 
 /// Progressively align `seqs` guided by `tree` (leaf `i` of the tree is
-/// `seqs[i]`). Returns the alignment with rows restored to input order.
+/// `seqs[i]`) under `cfg`'s [`DpOptions`]. Returns the alignment with rows
+/// restored to input order.
+///
+/// The caller's [`DpArena`] serves every merge: engines thread one arena
+/// through every stage so the whole run allocates DP scratch only while
+/// the arena grows to its high-water mark.
 ///
 /// # Panics
 /// Panics if the tree's leaf count differs from `seqs.len()`, or if a
 /// `Fixed` weight vector has the wrong arity.
-pub fn progressive_align(
-    seqs: &[Sequence],
-    tree: &Tree,
-    cfg: &ProgressiveConfig,
-    work: &mut Work,
-) -> Msa {
-    progressive_align_with(seqs, tree, cfg, &mut DpArena::new(), work)
-}
-
-/// [`progressive_align`] reusing the caller's [`DpArena`]: engines thread
-/// one arena through every stage so the whole run allocates DP scratch
-/// only while the arena grows to its high-water mark.
 pub fn progressive_align_with(
     seqs: &[Sequence],
     tree: &Tree,
@@ -133,6 +125,16 @@ mod tests {
             .enumerate()
             .map(|(i, t)| Sequence::from_str(format!("s{i}"), t).unwrap())
             .collect()
+    }
+
+    /// [`progressive_align_with`] under a fresh arena.
+    fn progressive_align(
+        seqs: &[Sequence],
+        tree: &Tree,
+        cfg: &ProgressiveConfig,
+        w: &mut Work,
+    ) -> Msa {
+        progressive_align_with(seqs, tree, cfg, &mut DpArena::new(), w)
     }
 
     fn align(texts: &[&str], cfg: &ProgressiveConfig) -> Msa {

@@ -8,7 +8,7 @@
 //! construction, so scoring only cross pairs is an exact delta computation
 //! at a quarter of the cost.
 
-use crate::dp::{BandPolicy, DpArena, DpOptions};
+use crate::dp::{DpArena, DpOptions};
 use crate::papro::align_and_merge_with;
 use bioseq::msa::pairwise_row_score;
 use bioseq::{GapPenalties, Msa, SubstMatrix, Work};
@@ -30,25 +30,13 @@ pub struct RefineOutcome {
 }
 
 /// Refine `msa` along the bipartitions of `tree` for at most `max_passes`
-/// passes (stopping early once a pass yields no improvement). Tree leaf
-/// `i` corresponds to the row whose id equals `seq_ids[i]`.
+/// passes (stopping early once a pass yields no improvement), under
+/// explicit [`DpOptions`] and reusing the caller's [`DpArena`] across every
+/// bipartition realignment. Tree leaf `i` corresponds to the row whose id
+/// equals `seq_ids[i]`.
 ///
 /// # Panics
 /// Panics if any `seq_ids[i]` has no matching row.
-pub fn refine(
-    msa: &Msa,
-    tree: &Tree,
-    seq_ids: &[String],
-    matrix: &SubstMatrix,
-    gaps: GapPenalties,
-    max_passes: usize,
-) -> RefineOutcome {
-    let full = BandPolicy::Full.into();
-    refine_with(msa, tree, seq_ids, matrix, gaps, max_passes, full, &mut DpArena::new())
-}
-
-/// [`refine`] under explicit [`DpOptions`], reusing the caller's
-/// [`DpArena`] across every bipartition realignment.
 #[allow(clippy::too_many_arguments)]
 pub fn refine_with(
     msa: &Msa,
@@ -104,21 +92,12 @@ pub fn refine_with(
 /// Leave-one-out refinement: every sequence in turn is pulled out of the
 /// alignment and re-aligned against the profile of the rest; the move is
 /// kept iff the sequence's summed pair score against the others improves.
+/// Every realignment runs under explicit [`DpOptions`] and reuses the
+/// caller's [`DpArena`].
 ///
 /// This is the "sequential heuristic to improve the quality" the paper's
 /// future-work section sketches; it needs no guide tree, so Sample-Align-D
 /// can run it on the glued global alignment.
-pub fn leave_one_out(
-    msa: &Msa,
-    matrix: &SubstMatrix,
-    gaps: GapPenalties,
-    max_passes: usize,
-) -> RefineOutcome {
-    leave_one_out_with(msa, matrix, gaps, max_passes, BandPolicy::Full.into(), &mut DpArena::new())
-}
-
-/// [`leave_one_out`] under explicit [`DpOptions`], reusing the caller's
-/// [`DpArena`].
 pub fn leave_one_out_with(
     msa: &Msa,
     matrix: &SubstMatrix,
@@ -198,7 +177,8 @@ fn extract_rows(msa: &Msa, rows: &[usize], work: &mut Work) -> Msa {
 mod tests {
     use super::*;
     use crate::distance::kmer_distance_matrix;
-    use crate::progressive::{progressive_align, ProgressiveConfig};
+    use crate::dp::BandPolicy;
+    use crate::progressive::{progressive_align_with, ProgressiveConfig};
     use bioseq::{CompressedAlphabet, Sequence};
     use phylo::upgma;
 
@@ -211,8 +191,32 @@ mod tests {
         let mut w = Work::ZERO;
         let d = kmer_distance_matrix(&seqs, 2, CompressedAlphabet::Identity, &mut w);
         let tree = upgma(&d);
-        let msa = progressive_align(&seqs, &tree, &ProgressiveConfig::default(), &mut w);
+        let cfg = ProgressiveConfig::default();
+        let msa = progressive_align_with(&seqs, &tree, &cfg, &mut DpArena::new(), &mut w);
         (seqs, tree, msa)
+    }
+
+    /// Full-DP [`refine_with`] under a fresh arena.
+    fn refine(
+        msa: &Msa,
+        tree: &Tree,
+        ids: &[String],
+        matrix: &SubstMatrix,
+        gaps: GapPenalties,
+        passes: usize,
+    ) -> RefineOutcome {
+        let full = BandPolicy::Full.into();
+        refine_with(msa, tree, ids, matrix, gaps, passes, full, &mut DpArena::new())
+    }
+
+    /// Full-DP [`leave_one_out_with`] under a fresh arena.
+    fn leave_one_out(
+        msa: &Msa,
+        matrix: &SubstMatrix,
+        gaps: GapPenalties,
+        passes: usize,
+    ) -> RefineOutcome {
+        leave_one_out_with(msa, matrix, gaps, passes, BandPolicy::Full.into(), &mut DpArena::new())
     }
 
     fn ids(seqs: &[Sequence]) -> Vec<String> {

@@ -24,10 +24,9 @@
 //! always a valid [`Msa`].
 
 use bioseq::{Msa, Work, GAP_CODE};
-use serde::{Deserialize, Serialize};
 
 /// Knobs for the trim stage.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct TrimConfig {
     /// Upper bound on the number of rows the optimizer may drop.
     /// `None` allows up to `rows - 1` (at least one row is always kept).

@@ -2,7 +2,8 @@
 //! affine-gap global alignment score. For tiny sequences we can enumerate
 //! every possible alignment exhaustively and compare.
 
-use align::pairwise::{banded_global_align, global_align};
+use align::pairwise::{global_align_with, PairAlignment};
+use align::{BandPolicy, DpArena};
 use bioseq::alphabet::GAP_CODE;
 use bioseq::msa::pairwise_row_score;
 use bioseq::{GapPenalties, Sequence, SubstMatrix};
@@ -46,6 +47,11 @@ fn seq_of(codes: &[u8]) -> Sequence {
     Sequence::from_codes("t", codes.to_vec())
 }
 
+/// `band` under the auto kernel and a fresh arena.
+fn align(a: &[u8], b: &[u8], m: &SubstMatrix, g: GapPenalties, band: BandPolicy) -> PairAlignment {
+    global_align_with(&seq_of(a), &seq_of(b), m, g, band, &mut DpArena::new())
+}
+
 #[test]
 fn gotoh_matches_brute_force_on_fixed_cases() {
     let matrix = SubstMatrix::blosum62();
@@ -64,7 +70,7 @@ fn gotoh_matches_brute_force_on_fixed_cases() {
     ] {
         for (ca, cb) in cases {
             let want = brute_best(ca, cb, 0, 0, 0, &matrix, gaps);
-            let got = global_align(&seq_of(ca), &seq_of(cb), &matrix, gaps);
+            let got = align(ca, cb, &matrix, gaps, BandPolicy::Full);
             assert_eq!(got.score, want, "codes {ca:?} vs {cb:?} gaps {gaps:?}");
         }
     }
@@ -85,7 +91,7 @@ proptest! {
         let matrix = SubstMatrix::blosum62();
         let gaps = GapPenalties { open, extend };
         let want = brute_best(&a, &b, 0, 0, 0, &matrix, gaps);
-        let got = global_align(&seq_of(&a), &seq_of(&b), &matrix, gaps);
+        let got = align(&a, &b, &matrix, gaps, BandPolicy::Full);
         prop_assert_eq!(got.score, want);
         // And the emitted alignment really has that score.
         let rescored = pairwise_row_score(&got.row_a, &got.row_b, &matrix, gaps);
@@ -100,8 +106,8 @@ proptest! {
     ) {
         let matrix = SubstMatrix::blosum62();
         let gaps = GapPenalties::default();
-        let full = global_align(&seq_of(&a), &seq_of(&b), &matrix, gaps);
-        let banded = banded_global_align(&seq_of(&a), &seq_of(&b), &matrix, gaps, 16);
+        let full = align(&a, &b, &matrix, gaps, BandPolicy::Full);
+        let banded = align(&a, &b, &matrix, gaps, BandPolicy::Fixed(16));
         prop_assert_eq!(banded.score, full.score);
     }
 
@@ -113,7 +119,7 @@ proptest! {
     ) {
         let matrix = SubstMatrix::pam250();
         let gaps = GapPenalties { open: 7, extend: 2 };
-        let aln = global_align(&seq_of(&a), &seq_of(&b), &matrix, gaps);
+        let aln = align(&a, &b, &matrix, gaps, BandPolicy::Full);
         let ung_a: Vec<u8> = aln.row_a.iter().copied().filter(|&c| c != GAP_CODE).collect();
         let ung_b: Vec<u8> = aln.row_b.iter().copied().filter(|&c| c != GAP_CODE).collect();
         prop_assert_eq!(ung_a, a);

@@ -9,12 +9,12 @@
 //! * the striped f32 kernel is a pure implementation swap: identical
 //!   traceback ops (hence identical rows) to the scalar f64 oracle on
 //!   every input family, under every band policy;
-//! * every short form (`global_align`, `align_profiles`, `refine`, …) is
-//!   its explicit `*_with` form under the full band and the auto kernel.
+//! * the arena is pure scratch for every `*_with` form: a dirty, reused
+//!   arena gives exactly the fresh-arena result.
 
 use align::dp::{BandPolicy, DpArena, DpKernel, DpOptions};
-use align::pairwise::{global_align, global_align_with};
-use align::papro::{align_profiles, align_profiles_with};
+use align::pairwise::{global_align_with, PairAlignment};
+use align::papro::{align_profiles_with, ProfileAlignment};
 use align::Profile;
 use bioseq::{GapPenalties, Msa, Sequence, SubstMatrix, Work, GAP_CODE};
 use proptest::prelude::*;
@@ -23,6 +23,16 @@ use rosegen::{Family, FamilyConfig};
 fn family(n: usize, avg_len: usize, relatedness: f64, seed: u64) -> Vec<Sequence> {
     Family::generate(&FamilyConfig { n_seqs: n, avg_len, relatedness, seed, ..Default::default() })
         .seqs
+}
+
+/// The exact full-DP pairwise alignment under a fresh arena.
+fn full_align(a: &Sequence, b: &Sequence, m: &SubstMatrix, g: GapPenalties) -> PairAlignment {
+    global_align_with(a, b, m, g, BandPolicy::Full, &mut DpArena::new())
+}
+
+/// The exact full-DP profile alignment under a fresh arena.
+fn full_profiles(pa: &Profile, pb: &Profile, m: &SubstMatrix, g: GapPenalties) -> ProfileAlignment {
+    align_profiles_with(pa, pb, m, g, BandPolicy::Full, &mut DpArena::new())
 }
 
 /// Every band shape the kernel supports: unrestricted, adaptive
@@ -68,7 +78,7 @@ proptest! {
         let mut arena = DpArena::new();
         for pair in seqs.chunks(2) {
             let (a, b) = (&pair[0], &pair[1]);
-            let full = global_align(a, b, &matrix, gaps);
+            let full = full_align(a, b, &matrix, gaps);
             let huge = global_align_with(a, b, &matrix, gaps, BandPolicy::Fixed(4096), &mut arena);
             prop_assert_eq!(&huge.row_a, &full.row_a);
             prop_assert_eq!(&huge.row_b, &full.row_b);
@@ -87,7 +97,7 @@ proptest! {
         let gaps = GapPenalties::default();
         let seqs = family(2, 450, 700.0, seed);
         let (a, b) = (&seqs[0], &seqs[1]);
-        let full = global_align(a, b, &matrix, gaps);
+        let full = full_align(a, b, &matrix, gaps);
         let auto = global_align_with(a, b, &matrix, gaps, BandPolicy::Auto, &mut DpArena::new());
         prop_assert_eq!(auto.score, full.score);
         prop_assert!(auto.work.dp_cells <= full.work.dp_cells, "banding must not cost extra here");
@@ -108,7 +118,7 @@ proptest! {
         let gaps = GapPenalties { open, extend };
         let sa = Sequence::from_codes("a", a);
         let sb = Sequence::from_codes("b", b);
-        let full = global_align(&sa, &sb, &matrix, gaps);
+        let full = full_align(&sa, &sb, &matrix, gaps);
         let auto = global_align_with(&sa, &sb, &matrix, gaps, BandPolicy::Auto, &mut DpArena::new());
         prop_assert_eq!(auto.score, full.score);
     }
@@ -122,12 +132,12 @@ proptest! {
         let seqs = family(6, 150, 600.0, seed);
         let engine = align::MuscleLite::fast();
         use align::MsaEngine;
-        let msa_a = engine.align(&seqs[..3]);
-        let msa_b = engine.align(&seqs[3..]);
+        let msa_a = engine.align_with_work(&seqs[..3]).0;
+        let msa_b = engine.align_with_work(&seqs[3..]).0;
         let mut w = Work::ZERO;
         let pa = Profile::from_msa(&msa_a, &mut w);
         let pb = Profile::from_msa(&msa_b, &mut w);
-        let full = align_profiles(&pa, &pb, &matrix, gaps);
+        let full = full_profiles(&pa, &pb, &matrix, gaps);
         let auto =
             align_profiles_with(&pa, &pb, &matrix, gaps, BandPolicy::Auto, &mut DpArena::new());
         prop_assert!(
@@ -176,8 +186,8 @@ proptest! {
         let seqs = family(6, 120, 600.0, seed);
         let engine = align::MuscleLite::fast();
         use align::MsaEngine;
-        let msa_a = engine.align(&seqs[..3]);
-        let msa_b = engine.align(&seqs[3..]);
+        let msa_a = engine.align_with_work(&seqs[..3]).0;
+        let msa_b = engine.align_with_work(&seqs[3..]).0;
         let mut w = Work::ZERO;
         let pa = Profile::from_msa(&msa_a, &mut w);
         let pb = Profile::from_msa(&msa_b, &mut w);
@@ -273,7 +283,7 @@ fn adaptive_band_is_exact_on_transposed_blocks() {
     b.extend_from_slice(s1);
     let sa = Sequence::from_codes("a", a);
     let sb = Sequence::from_codes("b", b);
-    let full = global_align(&sa, &sb, &matrix, gaps);
+    let full = full_align(&sa, &sb, &matrix, gaps);
     let auto = global_align_with(&sa, &sb, &matrix, gaps, BandPolicy::Auto, &mut DpArena::new());
     assert_eq!(auto.score, full.score);
 }
@@ -290,7 +300,7 @@ fn adaptive_band_widens_for_large_shifts() {
     shifted.extend_from_slice(core.codes());
     let a = Sequence::from_codes("a", core.codes().to_vec());
     let b = Sequence::from_codes("b", shifted);
-    let full = global_align(&a, &b, &matrix, gaps);
+    let full = full_align(&a, &b, &matrix, gaps);
     let auto = global_align_with(&a, &b, &matrix, gaps, BandPolicy::Auto, &mut DpArena::new());
     assert_eq!(auto.score, full.score, "adaptive banding must find the shifted optimum");
 }
@@ -316,76 +326,99 @@ fn engines_agree_across_band_policies() {
     );
 }
 
-/// Every short form is its explicit form under the full band, the auto
-/// kernel and a throwaway arena: same ops, same score, same `Work`.
+/// A dirty arena is pure scratch for every `*_with` form: under one arena
+/// reused across every call (and first grown on a larger instance), each
+/// form returns exactly what it returns under a fresh arena — same ops,
+/// score, MSA and `Work` — under the full band, the default options and a
+/// narrow fixed band on the scalar kernel.
 #[test]
-fn short_forms_equal_their_explicit_forms() {
-    use align::distance::{alignment_distance_matrix, alignment_distance_matrix_with};
-    use align::pairwise::{alignment_distance, alignment_distance_with};
-    use align::papro::{align_and_merge, align_and_merge_with};
-    use align::progressive::{progressive_align, progressive_align_with, ProgressiveConfig};
-    use align::refine::{leave_one_out, leave_one_out_with, refine, refine_with};
+fn dirty_arena_is_pure_scratch_for_every_explicit_form() {
+    use align::distance::alignment_distance_matrix_with;
+    use align::pairwise::alignment_distance_with;
+    use align::papro::align_and_merge_with;
+    use align::progressive::{progressive_align_with, ProgressiveConfig};
+    use align::refine::{leave_one_out_with, refine_with};
     use align::MsaEngine;
     let matrix = SubstMatrix::blosum62();
     let gaps = GapPenalties::default();
     let full = DpOptions { band: BandPolicy::Full, kernel: DpKernel::Auto };
     assert_eq!(DpOptions::from(BandPolicy::Full), full);
     assert_eq!(DpOptions::default(), DpOptions { band: BandPolicy::Auto, kernel: DpKernel::Auto });
-    // One dirty arena throughout: it is scratch, never an input.
-    let mut arena = DpArena::new();
     let seqs = family(6, 120, 600.0, 5);
     let (a, b) = (&seqs[0], &seqs[1]);
-
-    assert_eq!(
-        global_align(a, b, &matrix, gaps),
-        global_align_with(a, b, &matrix, gaps, full, &mut arena)
-    );
-
-    let (mut ws, mut we) = (Work::ZERO, Work::ZERO);
-    let short = alignment_distance(a, b, &matrix, gaps, &mut ws);
-    let explicit = alignment_distance_with(a, b, &matrix, gaps, full, &mut arena, &mut we);
-    assert_eq!((short, ws), (explicit, we));
-
-    let (mut ws, mut we) = (Work::ZERO, Work::ZERO);
-    let short = alignment_distance_matrix(&seqs, &matrix, gaps, &mut ws);
-    let explicit = alignment_distance_matrix_with(&seqs, &matrix, gaps, full, &mut we);
-    assert_eq!((short, ws), (explicit, we));
-
-    let engine = align::MuscleLite::fast();
-    let (msa_a, msa_b) = (engine.align(&seqs[..3]), engine.align(&seqs[3..]));
-    let mut w = Work::ZERO;
-    let (pa, pb) = (Profile::from_msa(&msa_a, &mut w), Profile::from_msa(&msa_b, &mut w));
-    assert_eq!(
-        align_profiles(&pa, &pb, &matrix, gaps),
-        align_profiles_with(&pa, &pb, &matrix, gaps, full, &mut arena)
-    );
-
-    let (mut ws, mut we) = (Work::ZERO, Work::ZERO);
-    let short = align_and_merge(&msa_a, &msa_b, &matrix, gaps, &mut ws);
-    let explicit = align_and_merge_with(&msa_a, &msa_b, &matrix, gaps, full, &mut arena, &mut we);
-    assert_eq!((&short, ws), (&explicit, we));
-
+    let ids: Vec<String> = seqs.iter().map(|s| s.id.clone()).collect();
     let mut w = Work::ZERO;
     let dayhoff = bioseq::CompressedAlphabet::Dayhoff6;
     let tree = phylo::upgma(&align::distance::kmer_distance_matrix(&seqs, 6, dayhoff, &mut w));
-    let cfg = ProgressiveConfig { dp: full, ..ProgressiveConfig::default() };
-    let (mut ws, mut we) = (Work::ZERO, Work::ZERO);
-    let draft = progressive_align(&seqs, &tree, &cfg, &mut ws);
-    let explicit = progressive_align_with(&seqs, &tree, &cfg, &mut arena, &mut we);
-    assert_eq!((&draft, ws), (&explicit, we));
+    let mut arena = DpArena::new();
+    let big = family(2, 400, 300.0, 9);
+    global_align_with(&big[0], &big[1], &matrix, gaps, BandPolicy::Full, &mut arena);
+    let fresh = DpArena::new;
+    let options = [
+        full,
+        DpOptions::default(),
+        DpOptions { band: BandPolicy::Fixed(16), kernel: DpKernel::Scalar },
+    ];
+    for dp in options {
+        assert_eq!(
+            global_align_with(a, b, &matrix, gaps, dp, &mut arena),
+            global_align_with(a, b, &matrix, gaps, dp, &mut fresh()),
+            "{dp:?}"
+        );
 
-    let ids: Vec<String> = seqs.iter().map(|s| s.id.clone()).collect();
-    let short = refine(&draft, &tree, &ids, &matrix, gaps, 2);
-    let explicit = refine_with(&draft, &tree, &ids, &matrix, gaps, 2, full, &mut arena);
-    assert_eq!(
-        (&short.msa, short.passes, short.improvements, short.work),
-        (&explicit.msa, explicit.passes, explicit.improvements, explicit.work)
-    );
+        let (mut wd, mut wf) = (Work::ZERO, Work::ZERO);
+        let dirty = alignment_distance_with(a, b, &matrix, gaps, dp, &mut arena, &mut wd);
+        let clean = alignment_distance_with(a, b, &matrix, gaps, dp, &mut fresh(), &mut wf);
+        assert_eq!((dirty, wd), (clean, wf), "{dp:?}");
 
-    let short = leave_one_out(&draft, &matrix, gaps, 1);
-    let explicit = leave_one_out_with(&draft, &matrix, gaps, 1, full, &mut arena);
-    assert_eq!(
-        (&short.msa, short.improvements, short.work),
-        (&explicit.msa, explicit.improvements, explicit.work)
-    );
+        // The matrix form owns one arena per worker: every entry is its
+        // pair under the dirty arena, and its work is the pairs' sum.
+        let (mut wm, mut wp) = (Work::ZERO, Work::ZERO);
+        let m = alignment_distance_matrix_with(&seqs, &matrix, gaps, dp, &mut wm);
+        for i in 1..seqs.len() {
+            for j in 0..i {
+                let (si, sj) = (&seqs[i], &seqs[j]);
+                let d = alignment_distance_with(si, sj, &matrix, gaps, dp, &mut arena, &mut wp);
+                assert_eq!(m.get(i, j).to_bits(), d.to_bits(), "{dp:?} ({i}, {j})");
+            }
+        }
+        assert_eq!(wm, wp, "{dp:?}");
+
+        let engine = align::MuscleLite::fast().with_dp(dp);
+        let (msa_a, msa_b) =
+            (engine.align_with_work(&seqs[..3]).0, engine.align_with_work(&seqs[3..]).0);
+        let (pa, pb) = (Profile::from_msa(&msa_a, &mut w), Profile::from_msa(&msa_b, &mut w));
+        assert_eq!(
+            align_profiles_with(&pa, &pb, &matrix, gaps, dp, &mut arena),
+            align_profiles_with(&pa, &pb, &matrix, gaps, dp, &mut fresh()),
+            "{dp:?}"
+        );
+
+        let (mut wd, mut wf) = (Work::ZERO, Work::ZERO);
+        let dirty = align_and_merge_with(&msa_a, &msa_b, &matrix, gaps, dp, &mut arena, &mut wd);
+        let clean = align_and_merge_with(&msa_a, &msa_b, &matrix, gaps, dp, &mut fresh(), &mut wf);
+        assert_eq!((&dirty, wd), (&clean, wf), "{dp:?}");
+
+        let cfg = ProgressiveConfig { dp, ..ProgressiveConfig::default() };
+        let (mut wd, mut wf) = (Work::ZERO, Work::ZERO);
+        let draft = progressive_align_with(&seqs, &tree, &cfg, &mut arena, &mut wd);
+        let clean = progressive_align_with(&seqs, &tree, &cfg, &mut fresh(), &mut wf);
+        assert_eq!((&draft, wd), (&clean, wf), "{dp:?}");
+
+        let dirty = refine_with(&draft, &tree, &ids, &matrix, gaps, 2, dp, &mut arena);
+        let clean = refine_with(&draft, &tree, &ids, &matrix, gaps, 2, dp, &mut fresh());
+        assert_eq!(
+            (&dirty.msa, dirty.passes, dirty.improvements, dirty.work),
+            (&clean.msa, clean.passes, clean.improvements, clean.work),
+            "{dp:?}"
+        );
+
+        let dirty = leave_one_out_with(&draft, &matrix, gaps, 1, dp, &mut arena);
+        let clean = leave_one_out_with(&draft, &matrix, gaps, 1, dp, &mut fresh());
+        assert_eq!(
+            (&dirty.msa, dirty.passes, dirty.improvements, dirty.work),
+            (&clean.msa, clean.passes, clean.improvements, clean.work),
+            "{dp:?}"
+        );
+    }
 }

@@ -113,8 +113,8 @@ fn bench(c: &mut Criterion) {
     })
     .seqs;
     let engine = MuscleLite::fast();
-    let msa_a = engine.align(&fam[..8]);
-    let msa_b = engine.align(&fam[8..]);
+    let msa_a = engine.align_with_work(&fam[..8]).0;
+    let msa_b = engine.align_with_work(&fam[8..]).0;
     let mut w = Work::ZERO;
     let pa = Profile::from_msa(&msa_a, &mut w);
     let pb = Profile::from_msa(&msa_b, &mut w);

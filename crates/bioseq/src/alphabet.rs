@@ -9,8 +9,6 @@
 //! alphabets that merge chemically similar residues; [`CompressedAlphabet`]
 //! provides the Dayhoff-6 grouping plus the identity mapping.
 
-use serde::{Deserialize, Serialize};
-
 /// Number of canonical amino acids.
 pub const AA_COUNT: usize = 20;
 /// Code for an unknown/ambiguous residue (`X`).
@@ -81,7 +79,7 @@ pub fn char_to_code(c: char) -> Option<u8> {
 /// The compressed amino-acid alphabets used for k-mer counting (Edgar
 /// 2004): the identity mapping, which ClustalLite's fast distances use,
 /// and Dayhoff-6, which the k-mer rank and MuscleLite use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CompressedAlphabet {
     /// Identity mapping: all 20 residues kept distinct (plus X).
     Identity,

@@ -71,24 +71,17 @@ impl std::error::Error for FastaError {}
 
 /// Parse ungapped FASTA text into sequences. Gap characters are rejected.
 pub fn parse(text: &str) -> Result<Vec<Sequence>, FastaError> {
-    let records = split_records(text)?;
-    records
-        .into_iter()
-        .map(|(id, body)| {
-            Sequence::from_str(id.clone(), &body)
-                .map_err(|source| FastaError::BadSequence { id, source })
-        })
-        .collect()
+    Reader::new(text.as_bytes()).map(|r| r.map_err(text_error)).collect()
 }
 
 /// Parse gapped FASTA text into an alignment. All records must have the same
 /// number of columns.
 pub fn parse_alignment(text: &str) -> Result<Msa, FastaError> {
-    let records = split_records(text)?;
-    let mut ids = Vec::with_capacity(records.len());
-    let mut rows: Vec<Vec<u8>> = Vec::with_capacity(records.len());
+    let mut records = Records::new(text.as_bytes());
+    let mut ids = Vec::new();
+    let mut rows: Vec<Vec<u8>> = Vec::new();
     let mut width: Option<usize> = None;
-    for (id, body) in records {
+    while let Some((id, body)) = records.next_record().map_err(text_error)? {
         let mut row = Vec::with_capacity(body.len());
         for (pos, ch) in body.chars().enumerate() {
             if ch.is_whitespace() {
@@ -124,6 +117,15 @@ pub fn parse_alignment(text: &str) -> Result<Msa, FastaError> {
         return Err(FastaError::EmptyAlignment);
     }
     Ok(Msa::from_rows(ids, rows))
+}
+
+/// In-memory text cannot fail to read: a `&str` is UTF-8 and splitting it
+/// at `\n` keeps every line UTF-8.
+fn text_error(e: ReadError) -> FastaError {
+    match e {
+        ReadError::Parse(e) => e,
+        ReadError::Io(e) => unreachable!("reading in-memory text failed: {e}"),
+    }
 }
 
 /// Error from the streaming [`Reader`].
@@ -174,15 +176,67 @@ impl From<std::io::Error> for ReadError {
     }
 }
 
+/// The one FASTA record splitter, under [`Reader`], [`parse`] and
+/// [`parse_alignment`]: yields `(id, body)` one record at a time.
+/// Trailing whitespace (including CRLF endings) is trimmed per line, blank
+/// lines are skipped, the id is the first whitespace-delimited header
+/// token, data before the first header is an error, and a final record
+/// without a trailing newline still ends.
+#[derive(Debug)]
+struct Records<R> {
+    inner: R,
+    /// Record under construction: `(id, body-so-far)`.
+    pending: Option<(String, String)>,
+    /// The line being read, reused across lines.
+    line: String,
+    /// 1-based number of the last line read.
+    lineno: usize,
+}
+
+impl<R: std::io::BufRead> Records<R> {
+    fn new(inner: R) -> Records<R> {
+        Records { inner, pending: None, line: String::new(), lineno: 0 }
+    }
+
+    fn next_record(&mut self) -> Result<Option<(String, String)>, ReadError> {
+        loop {
+            self.line.clear();
+            if self.inner.read_line(&mut self.line)? == 0 {
+                return Ok(self.pending.take());
+            }
+            self.lineno += 1;
+            let trimmed = self.line.trim_end();
+            if trimmed.is_empty() {
+                continue;
+            }
+            if let Some(header) = trimmed.strip_prefix('>') {
+                let id = header.split_whitespace().next().unwrap_or("").to_string();
+                if let Some(record) = self.pending.replace((id, String::new())) {
+                    return Ok(Some(record));
+                }
+            } else {
+                match self.pending.as_mut() {
+                    Some((_, body)) => body.push_str(trimmed),
+                    None => {
+                        let line = self.lineno;
+                        return Err(ReadError::Parse(FastaError::DataBeforeHeader { line }));
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Streaming ungapped-FASTA reader over any [`std::io::BufRead`].
 ///
 /// Yields one [`Sequence`] per record, holding at most a single record in
 /// memory at a time — a 50k-read input never materialises as one giant
-/// `String` the way [`parse`] requires. Record semantics are byte-for-byte
-/// identical to [`parse`]: trailing whitespace (including CRLF endings) is
-/// trimmed per line, blank lines are skipped, the id is the first
-/// whitespace-delimited header token, data before the first header is an
-/// error, and a final record without a trailing newline still parses.
+/// `String` the way [`parse`] requires. [`parse`] and [`parse_alignment`]
+/// split records with the same code, so the record rules are shared:
+/// trailing whitespace (including CRLF endings) is trimmed per line, blank
+/// lines are skipped, the id is the first whitespace-delimited header
+/// token, data before the first header is an error, and a final record
+/// without a trailing newline still parses.
 ///
 /// After the first error the iterator fuses and yields nothing further.
 ///
@@ -196,56 +250,14 @@ impl From<std::io::Error> for ReadError {
 /// ```
 #[derive(Debug)]
 pub struct Reader<R> {
-    inner: R,
-    /// Record under construction: `(id, body-so-far)`.
-    pending: Option<(String, String)>,
-    /// 1-based number of the last line read.
-    lineno: usize,
+    records: Records<R>,
     done: bool,
 }
 
 impl<R: std::io::BufRead> Reader<R> {
     /// Wrap a buffered byte source.
     pub fn new(inner: R) -> Reader<R> {
-        Reader { inner, pending: None, lineno: 0, done: false }
-    }
-
-    fn finish(&mut self, id: String, body: String) -> Result<Sequence, ReadError> {
-        Sequence::from_str(id.clone(), &body)
-            .map_err(|source| ReadError::Parse(FastaError::BadSequence { id, source }))
-    }
-
-    fn next_record(&mut self) -> Result<Option<Sequence>, ReadError> {
-        let mut line = String::new();
-        loop {
-            line.clear();
-            if self.inner.read_line(&mut line)? == 0 {
-                return match self.pending.take() {
-                    Some((id, body)) => self.finish(id, body).map(Some),
-                    None => Ok(None),
-                };
-            }
-            self.lineno += 1;
-            let trimmed = line.trim_end();
-            if trimmed.is_empty() {
-                continue;
-            }
-            if let Some(header) = trimmed.strip_prefix('>') {
-                let id = header.split_whitespace().next().unwrap_or("").to_string();
-                if let Some((prev_id, prev_body)) = self.pending.replace((id, String::new())) {
-                    return self.finish(prev_id, prev_body).map(Some);
-                }
-            } else {
-                match self.pending.as_mut() {
-                    Some((_, body)) => body.push_str(trimmed),
-                    None => {
-                        return Err(ReadError::Parse(FastaError::DataBeforeHeader {
-                            line: self.lineno,
-                        }))
-                    }
-                }
-            }
-        }
+        Reader { records: Records::new(inner), done: false }
     }
 }
 
@@ -256,43 +268,23 @@ impl<R: std::io::BufRead> Iterator for Reader<R> {
         if self.done {
             return None;
         }
-        match self.next_record() {
-            Ok(Some(seq)) => Some(Ok(seq)),
+        let item = match self.records.next_record() {
+            Ok(Some((id, body))) => Sequence::from_str(id.clone(), &body)
+                .map_err(|source| ReadError::Parse(FastaError::BadSequence { id, source })),
             Ok(None) => {
                 self.done = true;
-                None
+                return None;
             }
-            Err(e) => {
-                self.done = true;
-                Some(Err(e))
-            }
-        }
+            Err(e) => Err(e),
+        };
+        self.done = item.is_err();
+        Some(item)
     }
 }
 
 /// Open a FASTA file for streaming: a [`Reader`] over a buffered file.
 pub fn open(path: &std::path::Path) -> std::io::Result<Reader<std::io::BufReader<std::fs::File>>> {
     Ok(Reader::new(std::io::BufReader::new(std::fs::File::open(path)?)))
-}
-
-fn split_records(text: &str) -> Result<Vec<(String, String)>, FastaError> {
-    let mut records: Vec<(String, String)> = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim_end();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(header) = line.strip_prefix('>') {
-            let id = header.split_whitespace().next().unwrap_or("").to_string();
-            records.push((id, String::new()));
-        } else {
-            match records.last_mut() {
-                Some((_, body)) => body.push_str(line),
-                None => return Err(FastaError::DataBeforeHeader { line: lineno + 1 }),
-            }
-        }
-    }
-    Ok(records)
 }
 
 /// Serialise sequences as FASTA with 60-column wrapping.
@@ -329,12 +321,6 @@ fn wrap_into(out: &mut String, letters: &str) {
         out.push_str(std::str::from_utf8(chunk).expect("ASCII"));
         out.push('\n');
     }
-}
-
-/// Convenience: whether a parsed alignment row code is a gap.
-#[inline]
-pub fn is_gap(code: u8) -> bool {
-    code == GAP_CODE
 }
 
 #[cfg(test)]

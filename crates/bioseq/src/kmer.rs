@@ -36,14 +36,13 @@
 use crate::alphabet::CompressedAlphabet;
 use crate::sequence::Sequence;
 use crate::work::Work;
-use serde::{Deserialize, Serialize};
 
 /// A sparse, sorted k-mer count profile for one sequence.
 ///
 /// Entries are `(packed_kmer, count)` sorted by `packed_kmer`: one pair
 /// is a linear merge of two sorted lists, and batches of pairs go through
 /// [`Scatter`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KmerProfile {
     k: usize,
     alphabet: CompressedAlphabet,
@@ -229,7 +228,7 @@ impl<'p> Scatter<'p> {
 
 /// The transform applied to the average pairwise measure `D` to obtain the
 /// scalar rank `R`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum RankTransform {
     /// The formula exactly as printed in the paper: `R = ln(0.1 + D)`.
     #[default]

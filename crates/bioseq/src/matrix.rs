@@ -5,10 +5,9 @@
 //! (the BLAST convention of "no information").
 
 use crate::alphabet::CODE_COUNT;
-use serde::{Deserialize, Serialize};
 
 /// A symmetric residue substitution matrix in integer half-bit style units.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct SubstMatrix {
     /// Human-readable name, e.g. `"BLOSUM62"`.
     pub name: &'static str,
@@ -153,7 +152,7 @@ pub const BACKGROUND_FREQS: [f64; 20] = [
 
 /// Affine gap penalties, expressed as non-negative costs in the same units
 /// as the substitution matrix. A gap of length `g` costs `open + extend·(g-1)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GapPenalties {
     /// Cost of opening a gap (first gap position).
     pub open: i32,

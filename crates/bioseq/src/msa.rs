@@ -3,7 +3,6 @@
 use crate::alphabet::{code_to_char, GAP_CODE};
 use crate::matrix::{GapPenalties, SubstMatrix};
 use crate::sequence::Sequence;
-use serde::{Deserialize, Serialize};
 
 /// A multiple sequence alignment: a rectangular matrix of residue/gap codes.
 ///
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// * all rows have the same number of columns;
 /// * no row is entirely gaps;
 /// * there is at least one row.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct Msa {
     ids: Vec<String>,
     rows: Vec<Vec<u8>>,

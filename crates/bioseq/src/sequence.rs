@@ -1,14 +1,13 @@
 //! Owned, validated protein sequences.
 
 use crate::alphabet::{char_to_code, code_to_char, GAP_CODE, X_CODE};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An ungapped protein sequence with an identifier.
 ///
 /// Residues are stored as codes `0..=20` (see [`crate::alphabet`]); gaps are
 /// *not* representable here — gapped rows live in [`crate::msa::Msa`].
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Sequence {
     /// FASTA-style identifier (without the leading `>`).
     pub id: String,

@@ -1,10 +1,8 @@
 //! Tiny statistics helpers for the evaluation harness (Table 1, Fig. 1,
 //! Fig. 3 of the paper).
 
-use serde::{Deserialize, Serialize};
-
 /// Five-number-ish summary of a sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of observations.
     pub n: usize,
@@ -65,7 +63,7 @@ pub fn variance_wrt(a: &[f64], b: &[f64]) -> Option<(f64, f64)> {
 
 /// A fixed-width histogram over `[lo, hi)` with `bins` buckets; values
 /// outside the range are clamped into the terminal buckets.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     /// Inclusive lower bound of the first bin.
     pub lo: f64,

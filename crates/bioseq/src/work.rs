@@ -6,11 +6,10 @@
 //! [`Work`] into virtual seconds, which is how the reproduction obtains
 //! scheduling-noise-free per-processor timings on a single-core host.
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign};
 
 /// Counters for the work performed by a computation.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct Work {
     /// Dynamic-programming matrix cells **actually filled** (pairwise or
     /// profile DP). Banded kernels report only the in-band cells they

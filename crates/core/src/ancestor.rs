@@ -11,7 +11,8 @@
 
 use crate::messages::AnchoredBlockMsg;
 use align::anchor::{anchored_profile_ops, AnchorSpec};
-use align::papro::{align_profiles_with, ColOp};
+use align::dp::ColOp;
+use align::papro::align_profiles_with;
 use align::{DpArena, DpOptions, Profile};
 use bioseq::alphabet::GAP_CODE;
 use bioseq::{GapPenalties, Msa, Sequence, SubstMatrix, Work};

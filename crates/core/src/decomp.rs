@@ -29,7 +29,6 @@ use align::refine::leave_one_out_with;
 use align::DpArena;
 use bioseq::alphabet::GAP_CODE;
 use bioseq::{GapPenalties, Msa, Sequence, SubstMatrix, Work};
-use serde::Serialize;
 use std::ops::Range;
 use std::time::Instant;
 
@@ -38,7 +37,7 @@ use std::time::Instant;
 ///
 /// Construct with struct-update syntax over the default:
 /// `VerticalConfig { max_block_len: 256, ..Default::default() }`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VerticalConfig {
     /// Anchor k-mer length: an anchor is an exact `min_anchor_len`-mer
     /// occurring exactly once in every sequence.

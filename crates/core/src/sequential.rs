@@ -82,7 +82,7 @@ mod tests {
         let seqs = family(6, 40, 2);
         let cfg = SadConfig::default();
         let report = Aligner::new(cfg.clone()).run(&seqs).unwrap();
-        assert_eq!(report.msa, cfg.engine.build_with(cfg.dp()).align(&seqs));
+        assert_eq!(report.msa, cfg.engine.build_with(cfg.dp()).align_with_work(&seqs).0);
         assert_eq!(report.bucket_sizes, vec![6]);
         assert_eq!(report.ranks, 1);
         assert_eq!(report.work, report.phases.iter().map(|p| p.work).sum());

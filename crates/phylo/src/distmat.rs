@@ -1,10 +1,8 @@
 //! Compact symmetric distance matrices.
 
-use serde::{Deserialize, Serialize};
-
 /// A symmetric `n × n` distance matrix storing only the strict lower
 /// triangle (`d(i,i) = 0` implicitly).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DistMatrix {
     n: usize,
     /// Lower-triangle entries: row i (i>0) holds `d(i,0..i)` at offset

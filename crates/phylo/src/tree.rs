@@ -1,12 +1,10 @@
 //! Arena-allocated rooted binary trees with branch lengths.
 
-use serde::{Deserialize, Serialize};
-
 /// Index of a node within a [`Tree`] arena.
 pub type NodeId = usize;
 
 /// One node of a rooted binary tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Node {
     /// Parent node, `None` for the root.
     pub parent: Option<NodeId>,
@@ -27,7 +25,7 @@ pub struct Node {
 /// Invariants: exactly `n` leaves carrying leaf indices `0..n` (each exactly
 /// once) and `n − 1` internal nodes; every internal node has exactly two
 /// children.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tree {
     nodes: Vec<Node>,
     root: NodeId,

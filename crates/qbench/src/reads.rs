@@ -109,7 +109,7 @@ mod tests {
         // homopolymer error rate grows.
         for (error_rate, floor) in [(0.0, 0.7), (0.02, 0.6), (0.05, 0.5)] {
             let set = read_set(error_rate, 30);
-            let msa = MuscleLite::fast().align(&set.reads);
+            let msa = MuscleLite::fast().align_with_work(&set.reads).0;
             let q = mean_read_pair_q(&set, &msa, 50)
                 .unwrap_or_else(|| panic!("no scorable pairs at error rate {error_rate}"));
             assert!(q >= floor, "error rate {error_rate}: mean pair Q {q:.3} under floor {floor}");
@@ -120,7 +120,7 @@ mod tests {
     fn shuffled_rows_score_identically() {
         // Row order must not matter: ids, not positions, match reads.
         let set = read_set(0.01, 24);
-        let msa = MuscleLite::fast().align(&set.reads);
+        let msa = MuscleLite::fast().align_with_work(&set.reads).0;
         let rev_ids: Vec<String> = msa.ids().iter().rev().cloned().collect();
         let rev_rows: Vec<Vec<u8>> =
             (0..msa.num_rows()).rev().map(|i| msa.row(i).to_vec()).collect();

@@ -1,8 +1,7 @@
 //! A minimal JSON value type with parser and writer.
 //!
 //! The wire protocol and the job journal are line-delimited JSON, but the
-//! dependency set has no serde *format* crate (the vendored `serde` is a
-//! marker-trait stand-in). This module is the small, fully-owned JSON
+//! dependency set has no serializer. This module is the small, fully-owned JSON
 //! subset both sides share: objects, arrays, strings with escapes,
 //! numbers, booleans and null. Object keys keep insertion order so encoded
 //! lines are deterministic — the golden session transcript depends on it.

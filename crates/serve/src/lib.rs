@@ -17,8 +17,8 @@
 //!
 //! Module map:
 //!
-//! - [`json`] — hand-rolled JSON value/parser/writer (the vendored
-//!   `serde` is marker-traits only).
+//! - [`json`] — hand-rolled JSON value/parser/writer (the dependency
+//!   set has no serializer).
 //! - [`digest`] — FNV-1a content digests and config fingerprints.
 //! - [`protocol`] — wire grammar: requests, event lines, line framing.
 //! - [`journal`] — the write-ahead journal and its torn-tail-tolerant

@@ -53,8 +53,3 @@ pub fn install_shutdown_handler() {
 pub fn shutdown_requested() -> bool {
     REQUESTED.load(Ordering::SeqCst)
 }
-
-/// Reset the flag (tests only; real servers exit instead).
-pub fn reset_shutdown_flag() {
-    REQUESTED.store(false, Ordering::SeqCst);
-}

@@ -115,11 +115,6 @@ impl<R> ClusterRun<R> {
         self.traces.iter().map(|t| t.bytes_sent).sum()
     }
 
-    /// Total messages sent by all ranks.
-    pub fn total_messages(&self) -> u64 {
-        self.traces.iter().map(|t| t.msgs_sent).sum()
-    }
-
     /// Aggregate compute seconds over all ranks (the "work" in
     /// work/critical-path analyses).
     pub fn total_compute(&self) -> f64 {

@@ -2,14 +2,13 @@
 //! into virtual seconds.
 
 use bioseq::Work;
-use serde::{Deserialize, Serialize};
 
 /// Conversion rates from work units and wire bytes to virtual seconds.
 ///
 /// Presets model the paper's 2008 Beowulf node (550 MHz Pentium III,
 /// gigabit Ethernet) and a modern core, but every coefficient is public so
 /// experiments can recalibrate or ablate (e.g. zero communication cost).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// One-way message latency in seconds (per message, any size).
     pub latency: f64,

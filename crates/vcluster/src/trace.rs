@@ -1,9 +1,7 @@
 //! Per-rank execution traces: clocks, byte counts and named phases.
 
-use serde::{Deserialize, Serialize};
-
 /// One named phase on one rank: `[start, end)` in virtual seconds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhaseRecord {
     /// Phase label (e.g. `"step7-local-align"`).
     pub name: String,
@@ -21,7 +19,7 @@ impl PhaseRecord {
 }
 
 /// Everything a rank recorded during a run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RankTrace {
     /// The rank this trace belongs to.
     pub rank: usize,

@@ -24,8 +24,8 @@ fn main() {
         ..Default::default()
     });
     let engine = MuscleLite::fast();
-    let bucket_a = engine.align(&family.seqs[..4]);
-    let bucket_b = engine.align(&family.seqs[4..]);
+    let bucket_a = engine.align_with_work(&family.seqs[..4]).0;
+    let bucket_b = engine.align_with_work(&family.seqs[4..]).0;
     println!("bucket A ({} cols):", bucket_a.num_cols());
     print!("{}", bucket_a.snapshot(4, 72));
     println!("\nbucket B ({} cols):", bucket_b.num_cols());
@@ -34,7 +34,7 @@ fn main() {
     // Local ancestors -> global ancestor (aligned at the root processor).
     let anc_a = consensus_sequence(&bucket_a, "anc-A", &mut work);
     let anc_b = consensus_sequence(&bucket_b, "anc-B", &mut work);
-    let anc_msa = engine.align(&[anc_a, anc_b]);
+    let anc_msa = engine.align_with_work(&[anc_a, anc_b]).0;
     let global_ancestor = consensus_sequence(&anc_msa, "global-ancestor", &mut work);
     println!("\nglobal ancestor: {}", global_ancestor.to_letters());
 

@@ -166,13 +166,105 @@ proptest! {
     }
 }
 
+/// What no record may hold: invalid residues, multi-byte UTF-8 and bytes
+/// that are never UTF-8.
+const JUNK: &[&[u8]] = &[b"*1.", "é".as_bytes(), b"\xff", b"\xc3"];
+
+/// FASTA-shaped bytes from a stream of random picks, one line per pick:
+/// headers, body lines of residues, gaps, blanks and stray CRs, and blank
+/// lines, each ended by LF, CRLF, two LFs or nothing (which glues it to
+/// the next line). One pick in 32 is junk instead: one of [`JUNK`] or one
+/// uniformly random byte. Unless `lead` is 0 the bytes start with a
+/// header, so most inputs get past the first line.
+fn fasta_bytes(lead: u8, picks: &[usize]) -> Vec<u8> {
+    const HEADERS: &[&[u8]] = &[b">", b">id", b">id desc"];
+    const BODY: &[&[u8]] = &[b"MKVLAW", b"G", b"-", b"--", b" ", b"\t", b"\r"];
+    const EOL: &[&[u8]] = &[b"\n", b"\n", b"\r\n", b"\n\n", b""];
+    let mut bytes = if lead == 0 { Vec::new() } else { b">lead\n".to_vec() };
+    for &pick in picks {
+        let mut rest = pick / 32;
+        let mut take = |n: usize| {
+            let digit = rest % n;
+            rest /= n;
+            digit
+        };
+        match pick % 32 {
+            0 => {
+                match take(JUNK.len() + 1) {
+                    j if j < JUNK.len() => bytes.extend_from_slice(JUNK[j]),
+                    _ => bytes.push(take(256) as u8),
+                }
+                continue;
+            }
+            1..=6 => bytes.extend_from_slice(HEADERS[take(HEADERS.len())]),
+            7..=29 => {
+                for _ in 0..=take(3) {
+                    bytes.extend_from_slice(BODY[take(BODY.len())]);
+                }
+            }
+            _ => {}
+        }
+        bytes.extend_from_slice(EOL[take(EOL.len())]);
+    }
+    bytes
+}
+
+/// What a parser must make of any input: records, or one typed error.
+fn check_text(text: &str) -> Result<(), prop::TestCaseError> {
+    if let Ok(seqs) = fasta::parse(text) {
+        prop_assert!(seqs.iter().all(|s| !s.is_empty()), "parse kept an empty record");
+    }
+    if let Ok(msa) = fasta::parse_alignment(text) {
+        prop_assert!(msa.num_rows() > 0 && msa.rows().iter().all(|r| r.len() == msa.num_cols()));
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// `fasta::Reader`, `fasta::parse` and `fasta::parse_alignment`
+    /// survive arbitrary bytes: no panic, and every outcome is records or
+    /// a typed error. The reader yields at most one error and stops after
+    /// it; an I/O error from in-memory bytes only ever means "not UTF-8";
+    /// on UTF-8 input the reader equals `parse`. Non-UTF-8 input reaches
+    /// the text parsers through its lossy decoding.
+    #[test]
+    fn fasta_parsers_survive_arbitrary_bytes(
+        lead in 0u8..4,
+        picks in prop::collection::vec(0usize..1 << 20, 0..16),
+    ) {
+        let bytes = fasta_bytes(lead, &picks);
+        let items: Vec<_> = fasta::Reader::new(&bytes[..]).collect();
+        let errors = items.iter().filter(|r| r.is_err()).count();
+        prop_assert!(errors <= 1, "the reader fuses after its first error");
+        if let Some(Err(e)) = items.last() {
+            prop_assert!(matches!(e, fasta::ReadError::Parse(_)) || e.is_not_utf8(), "{e:?}");
+        }
+        match std::str::from_utf8(&bytes) {
+            Ok(text) => {
+                let streamed: Result<Vec<Sequence>, _> = items
+                    .into_iter()
+                    .collect::<Result<_, _>>()
+                    .map_err(|e| match e {
+                        fasta::ReadError::Parse(e) => Some(e),
+                        fasta::ReadError::Io(_) => None,
+                    });
+                prop_assert_eq!(streamed, fasta::parse(text).map_err(Some));
+                check_text(text)?;
+            }
+            Err(_) => check_text(&String::from_utf8_lossy(&bytes))?,
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
     fn engines_are_total_on_arbitrary_inputs(seqs in arb_sequences()) {
         for engine in EngineChoice::ALL {
-            let msa = engine.build().align(&seqs);
+            let msa = engine.build_with(DpOptions::default()).align_with_work(&seqs).0;
             prop_assert!(msa.validate().is_ok(), "{:?}", engine);
             prop_assert_eq!(msa.num_rows(), seqs.len());
         }
