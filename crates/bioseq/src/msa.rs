@@ -119,8 +119,13 @@ impl Msa {
     /// sub-alignments).
     pub fn drop_all_gap_columns(&mut self) {
         let ncols = self.num_cols();
-        let keep: Vec<bool> =
-            (0..ncols).map(|c| self.rows.iter().any(|r| r[c] != GAP_CODE)).collect();
+        // Row by row: each row ORs its residue flags into the mask.
+        let mut keep = vec![false; ncols];
+        for row in &self.rows {
+            for (k, &c) in keep.iter_mut().zip(row) {
+                *k |= c != GAP_CODE;
+            }
+        }
         if keep.iter().all(|&k| k) {
             return;
         }
@@ -260,6 +265,7 @@ pub fn row_identity(a: &[u8], b: &[u8]) -> f64 {
 mod tests {
     use super::*;
     use crate::fasta;
+    use proptest::prelude::*;
 
     fn msa(text: &str) -> Msa {
         fasta::parse_alignment(text).unwrap()
@@ -298,6 +304,33 @@ mod tests {
         assert_eq!(m.num_cols(), 2);
         assert_eq!(m.row(0), &[0, 1]);
         assert_eq!(m.row(1), &[2, GAP_CODE]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The row-major keep mask drops exactly the columns the
+        /// column-major definition ("no row has a residue here") drops.
+        #[test]
+        fn drop_all_gap_columns_matches_column_major(
+            ncols in 1usize..24,
+            raw in prop::collection::vec(prop::collection::vec(0u8..40, 24..25), 1..6),
+        ) {
+            // About 1 in 2 cells is a gap, so all-gap columns are common.
+            let cells: Vec<Vec<u8>> = raw
+                .iter()
+                .map(|r| r[..ncols].iter().map(|&v| if v < 20 { v } else { GAP_CODE }).collect())
+                .collect();
+            let keep: Vec<bool> =
+                (0..ncols).map(|c| cells.iter().any(|r| r[c] != GAP_CODE)).collect();
+            let want: Vec<Vec<u8>> = cells
+                .iter()
+                .map(|r| (0..ncols).filter(|&c| keep[c]).map(|c| r[c]).collect())
+                .collect();
+            let mut m = Msa { ids: (0..cells.len()).map(|i| i.to_string()).collect(), rows: cells };
+            m.drop_all_gap_columns();
+            prop_assert_eq!(m.rows, want);
+        }
     }
 
     #[test]

@@ -4,10 +4,14 @@
 //! Every bucket's alignment is profile-aligned against the global ancestor
 //! sequence, putting all buckets into a shared coordinate system: the
 //! ancestor's columns are the anchors, and whatever a bucket inserts
-//! relative to the ancestor becomes a bucket-private column. The glue step
-//! interleaves the anchored blocks, padding other buckets with gaps across
-//! private columns — PSI-BLAST-style master–slave stacking, which is what
-//! lets the paper "just join" the tweaked sub-alignments.
+//! relative to the ancestor falls into the insert slot before the next
+//! anchor (or after the last one). The glue step interleaves the anchored
+//! blocks: anchor columns are shared, and every slot is shared too, as
+//! wide as the longest insert run any bucket has there, each run
+//! left-justified and padded with gaps. That is what lets the paper "just
+//! join" the tweaked sub-alignments, and it keeps the width at the
+//! ancestor plus one slot's worth of inserts per ancestor column however
+//! many buckets there are.
 
 use crate::messages::AnchoredBlockMsg;
 use align::anchor::{anchored_profile_ops, AnchorSpec};
@@ -19,7 +23,7 @@ use bioseq::{GapPenalties, Msa, Sequence, SubstMatrix, Work};
 
 /// Anchor one bucket's alignment to the global ancestor.
 ///
-/// Returns the bucket's rows rewritten into "ancestor + private inserts"
+/// Returns the bucket's rows rewritten into "ancestor + inserts"
 /// coordinates: the result has exactly `ancestor.len()` anchor columns (in
 /// order) plus the bucket's insert columns. The profile DP runs under
 /// `dp` (see [`DpOptions`]) in the caller's `arena`.
@@ -63,7 +67,7 @@ pub fn anchor_to_ancestor_seeded(
 }
 
 /// Rewrite `local`'s rows along a merge script against the ancestor:
-/// `Both`/`FromA` columns carry the bucket's residues (anchored/private),
+/// `Both`/`FromA` columns carry the bucket's residues (anchor/insert),
 /// `FromB` columns are ancestor-only and get gaps.
 fn apply_anchor_ops(
     local: &Msa,
@@ -85,7 +89,7 @@ fn apply_anchor_ops(
                 col += 1;
                 is_anchor.push(true);
             }
-            // Bucket-private insert relative to the ancestor.
+            // Insert relative to the ancestor.
             ColOp::FromA => {
                 for (r, row) in rows.iter_mut().enumerate() {
                     row.push(local.row(r)[col]);
@@ -112,77 +116,88 @@ fn apply_anchor_ops(
     AnchoredBlockMsg { ids: local.ids().to_vec(), rows, is_anchor }
 }
 
-/// Glue anchored blocks into one alignment: anchor columns are shared
-/// across blocks, private insert columns get gaps in every other block.
+/// Glue anchored blocks into one alignment. Anchor columns are shared
+/// across blocks, and so are the insert slots between them: slot `g`
+/// (before ancestor column `g`, or after the last one for
+/// `g == ancestor_len`) is as wide as the longest run of insert columns
+/// any block has there. Each block's run is copied left-justified into the
+/// slot and padded with gaps, so within a block columns keep their order
+/// and one-to-one mapping; only blocks that insert at the same slot meet
+/// in its columns. The width before all-gap columns are dropped is
+/// `ancestor_len + Σ_g max_b ins(b, g)`. Residue pairs within a block and
+/// pairs across blocks at anchor columns are exactly the blocks' own; a
+/// shared slot only adds cross-block pairs, so a reference pair score (Q)
+/// cannot fall for sharing.
 ///
 /// # Panics
 /// Panics if blocks disagree on the number of anchor columns.
 pub fn glue_anchored(ancestor_len: usize, blocks: &[AnchoredBlockMsg], work: &mut Work) -> Msa {
     assert!(!blocks.is_empty(), "nothing to glue");
-    for (i, b) in blocks.iter().enumerate() {
-        assert_eq!(
-            b.is_anchor.iter().filter(|&&a| a).count(),
-            ancestor_len,
-            "block {i} has the wrong anchor count"
-        );
-    }
-    let total_rows: usize = blocks.iter().map(|b| b.rows.len()).sum();
-    // Per block: positions split into runs between anchors.
-    // cursor[b] walks the block's columns.
-    let mut cursors = vec![0usize; blocks.len()];
-    let mut ids = Vec::with_capacity(total_rows);
-    for b in blocks {
-        ids.extend(b.ids.iter().cloned());
-    }
-    let mut rows: Vec<Vec<u8>> = (0..total_rows).map(|_| Vec::new()).collect();
-    let row_offset: Vec<usize> = blocks
+    // Pass 1: every block's anchor positions, and every slot's width.
+    let mut slots = vec![0usize; ancestor_len + 1];
+    let anchors: Vec<Vec<usize>> = blocks
         .iter()
-        .scan(0usize, |acc, b| {
-            let at = *acc;
-            *acc += b.rows.len();
-            Some(at)
+        .enumerate()
+        .map(|(i, b)| {
+            let at: Vec<usize> = (0..b.is_anchor.len()).filter(|&c| b.is_anchor[c]).collect();
+            assert_eq!(at.len(), ancestor_len, "block {i} has the wrong anchor count");
+            let mut start = 0;
+            for (slot, &c) in slots.iter_mut().zip(&at) {
+                *slot = (*slot).max(c - start);
+                start = c + 1;
+            }
+            slots[ancestor_len] = slots[ancestor_len].max(b.is_anchor.len() - start);
+            at
         })
         .collect();
+    let width = ancestor_len + slots.iter().sum::<usize>();
 
-    // Emit: for each anchor index g, first every block's private columns
-    // pending before its next anchor, then the shared anchor column. After
-    // the last anchor, flush trailing private columns.
-    let emit_private = |rows: &mut Vec<Vec<u8>>, cursors: &mut Vec<usize>| {
-        for (bi, block) in blocks.iter().enumerate() {
-            while cursors[bi] < block.is_anchor.len() && !block.is_anchor[cursors[bi]] {
-                for (r, row) in rows.iter_mut().enumerate() {
-                    let in_block = r >= row_offset[bi] && r < row_offset[bi] + block.rows.len();
-                    row.push(if in_block {
-                        block.rows[r - row_offset[bi]][cursors[bi]]
-                    } else {
-                        GAP_CODE
-                    });
-                }
-                cursors[bi] += 1;
+    // Pass 2: one copy plan per block, run on each of its rows.
+    let total_rows: usize = blocks.iter().map(|b| b.rows.len()).sum();
+    let mut ids = Vec::with_capacity(total_rows);
+    let mut rows = Vec::with_capacity(total_rows);
+    for (block, at) in blocks.iter().zip(&anchors) {
+        let plan = copy_plan(at, block.is_anchor.len(), &slots);
+        for (id, src) in block.ids.iter().zip(&block.rows) {
+            let mut row = Vec::with_capacity(width);
+            for &(from, to, gaps) in &plan {
+                row.extend_from_slice(&src[from..to]);
+                row.resize(row.len() + gaps, GAP_CODE);
             }
-        }
-    };
-    for _g in 0..ancestor_len {
-        emit_private(&mut rows, &mut cursors);
-        // Shared anchor column.
-        for (bi, block) in blocks.iter().enumerate() {
-            debug_assert!(block.is_anchor[cursors[bi]]);
-            for r in 0..block.rows.len() {
-                rows[row_offset[bi] + r].push(block.rows[r][cursors[bi]]);
-            }
-            cursors[bi] += 1;
+            debug_assert_eq!(row.len(), width);
+            ids.push(id.clone());
+            rows.push(row);
         }
     }
-    emit_private(&mut rows, &mut cursors);
-    for (bi, block) in blocks.iter().enumerate() {
-        debug_assert_eq!(cursors[bi], block.is_anchor.len(), "block {bi} fully consumed");
-    }
-    let width: usize = rows[0].len();
     work.col_ops += (width * total_rows) as u64;
     let mut msa = Msa::from_rows(ids, rows);
     // Anchor columns where every bucket was gapped can be all-gap.
     msa.drop_all_gap_columns();
     msa
+}
+
+/// A block's row layout in the glued alignment, as `(from, to, gaps)`
+/// steps: copy source columns `from..to`, then append `gaps` gap cells.
+/// `anchors` are the block's anchor columns out of `ncols`; each insert run
+/// is padded to its slot width. Adjacent copies merge, so a block without
+/// inserts against slots that are all empty is a single step.
+fn copy_plan(anchors: &[usize], ncols: usize, slots: &[usize]) -> Vec<(usize, usize, usize)> {
+    let mut plan: Vec<(usize, usize, usize)> = Vec::new();
+    let mut push = |from: usize, to: usize, gaps: usize| match plan.last_mut() {
+        Some(last) if last.1 == from && last.2 == 0 => {
+            last.1 = to;
+            last.2 = gaps;
+        }
+        _ => plan.push((from, to, gaps)),
+    };
+    let mut start = 0;
+    for (&c, &slot) in anchors.iter().zip(slots) {
+        push(start, c, slot - (c - start));
+        push(c, c + 1, 0);
+        start = c + 1;
+    }
+    push(start, ncols, slots[anchors.len()] - (ncols - start));
+    plan
 }
 
 /// The no-fine-tune glue: stack buckets block-diagonally (each bucket's
@@ -211,7 +226,9 @@ pub fn glue_block_diagonal(blocks: &[Msa], work: &mut Work) -> Msa {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bioseq::compare::aligned_pairs;
     use bioseq::fasta;
+    use proptest::prelude::*;
 
     fn msa(text: &str) -> Msa {
         fasta::parse_alignment(text).unwrap()
@@ -278,6 +295,154 @@ mod tests {
         assert_eq!(glued.ungapped(1).to_letters(), "MKVLAW");
         // The shared residues align: M with M in column 0.
         assert_eq!(glued.row(0)[0], glued.row(1)[0]);
+    }
+
+    /// A hand-built anchored block: `mask` marks anchor (`A`) and insert
+    /// (`i`) columns of the gapped `rows`.
+    fn block(rows: &str, mask: &str) -> AnchoredBlockMsg {
+        let m = msa(rows);
+        AnchoredBlockMsg {
+            ids: m.ids().to_vec(),
+            rows: (0..m.num_rows()).map(|r| m.row(r).to_vec()).collect(),
+            is_anchor: mask.chars().map(|c| c == 'A').collect(),
+        }
+    }
+
+    #[test]
+    fn glue_shares_insert_slots() {
+        // Both buckets insert before ancestor column 3 (3 and 2 residues):
+        // one shared slot as wide as the longer run, runs left-justified.
+        let b1 = block(">a\nMKVWWWLAW\n", "AAAiiiAAA");
+        let b2 = block(">b\nMKVGGLAW\n>c\nMKV--LAW\n", "AAAiiAAA");
+        let mut w = Work::ZERO;
+        let glued = glue_anchored(6, &[b1, b2], &mut w);
+        glued.validate().unwrap();
+        assert_eq!(glued.num_cols(), 6 + 3);
+        let letters = |r: usize| -> String {
+            glued.row(r).iter().map(|&c| bioseq::alphabet::code_to_char(c)).collect()
+        };
+        assert_eq!(letters(0), "MKVWWWLAW");
+        assert_eq!(letters(1), "MKVGG-LAW");
+        assert_eq!(letters(2), "MKV---LAW");
+        assert_eq!(w.col_ops, 9 * 3);
+    }
+
+    /// An anchored block over an ancestor of `anc_len` columns, drawn from
+    /// the byte stream `raw`: a row count, an insert-run length for every
+    /// slot, then the cells (about 2 in 5 gaps).
+    fn random_block(anc_len: usize, raw: &[u8]) -> AnchoredBlockMsg {
+        let mut raw = raw.iter().cycle().copied();
+        let mut next = || raw.next().unwrap() as usize;
+        let nrows = 1 + next() % 3;
+        let ins: Vec<usize> = (0..=anc_len).map(|_| next() % 4).collect();
+        let mut is_anchor = Vec::new();
+        for (g, &n) in ins.iter().enumerate() {
+            is_anchor.extend(std::iter::repeat_n(false, n));
+            if g < anc_len {
+                is_anchor.push(true);
+            }
+        }
+        let rows: Vec<Vec<u8>> = (0..nrows)
+            .map(|_| {
+                let mut row: Vec<u8> = (0..is_anchor.len())
+                    .map(|_| match next() {
+                        v if v % 5 < 2 => GAP_CODE,
+                        v => (v % 20) as u8,
+                    })
+                    .collect();
+                if row.iter().all(|&c| c == GAP_CODE) {
+                    row[0] = 0; // rows keep at least one residue
+                }
+                row
+            })
+            .collect();
+        let ids = (0..nrows).map(|r| format!("r{r}")).collect();
+        AnchoredBlockMsg { ids, rows, is_anchor }
+    }
+
+    /// Insert-run lengths of a block, one per slot.
+    fn insert_runs(b: &AnchoredBlockMsg) -> Vec<usize> {
+        let mut runs = vec![0];
+        for &a in &b.is_anchor {
+            if a {
+                runs.push(0);
+            } else {
+                *runs.last_mut().unwrap() += 1;
+            }
+        }
+        runs
+    }
+
+    /// For each anchor column of `b`, the index of row `r`'s residue
+    /// there (`None` for a gap).
+    fn anchor_residues(b: &AnchoredBlockMsg, r: usize) -> Vec<Option<u32>> {
+        let mut next = 0u32;
+        let mut out = Vec::new();
+        for (&cell, &is_anchor) in b.rows[r].iter().zip(&b.is_anchor) {
+            let residue = (cell != GAP_CODE).then_some(next);
+            next += u32::from(residue.is_some());
+            if is_anchor {
+                out.push(residue);
+            }
+        }
+        out
+    }
+
+    fn ungap(row: &[u8]) -> Vec<u8> {
+        row.iter().copied().filter(|&c| c != GAP_CODE).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn glue_keeps_block_pairs_and_adds_cross_block_pairs(
+            anc_len in 1usize..7,
+            raw in prop::collection::vec(prop::collection::vec(0u8..255, 64..65), 1..4),
+        ) {
+            let blocks: Vec<AnchoredBlockMsg> =
+                raw.iter().map(|r| random_block(anc_len, r)).collect();
+            let mut w = Work::ZERO;
+            let glued = glue_anchored(anc_len, &blocks, &mut w);
+            glued.validate().unwrap();
+            let total_rows: usize = blocks.iter().map(|b| b.rows.len()).sum();
+            prop_assert_eq!(glued.num_rows(), total_rows);
+
+            // Pre-drop width: the ancestor plus each slot's longest run.
+            let runs: Vec<Vec<usize>> = blocks.iter().map(insert_runs).collect();
+            let slots: usize =
+                (0..=anc_len).map(|g| runs.iter().map(|r| r[g]).max().unwrap()).sum();
+            prop_assert_eq!(w.col_ops, ((anc_len + slots) * total_rows) as u64);
+            prop_assert!(glued.num_cols() <= anc_len + slots);
+
+            // (block, row in block, row in the glued alignment)
+            let mut at = Vec::new();
+            for (bi, b) in blocks.iter().enumerate() {
+                for r in 0..b.rows.len() {
+                    at.push((bi, r, at.len()));
+                }
+            }
+            for &(bi, r, x) in &at {
+                prop_assert_eq!(glued.ungapped(x).codes().to_vec(), ungap(&blocks[bi].rows[r]));
+            }
+            for &(bi, r, x) in &at {
+                for &(bj, s, y) in &at {
+                    let got = aligned_pairs(glued.row(x), glued.row(y));
+                    let (a, b) = (&blocks[bi], &blocks[bj]);
+                    if bi == bj {
+                        prop_assert_eq!(got, aligned_pairs(&a.rows[r], &a.rows[s]));
+                        continue;
+                    }
+                    // Residues sharing an anchor column stay paired.
+                    let anchored = anchor_residues(a, r).into_iter().zip(anchor_residues(b, s));
+                    for pair in anchored {
+                        if let (Some(p), Some(q)) = pair {
+                            prop_assert!(got.contains(&(p, q)), "anchor pair {:?} lost", (p, q));
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

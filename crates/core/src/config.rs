@@ -5,6 +5,10 @@ use crate::error::SadError;
 use align::{BandPolicy, DpKernel, DpOptions, EngineChoice, TrimConfig};
 use bioseq::{CompressedAlphabet, Sequence};
 
+/// The largest pooled sample the default per-rank count allows: the
+/// paper's `p = 16` processors with `k = p − 1` samples each pool 240.
+pub const POOLED_SAMPLE_CAP: usize = 240;
+
 /// The settings of the Sample-Align-D pipeline.
 ///
 /// The scoring is fixed: the k-mer rank is `ln(0.1 + D)` as printed
@@ -21,8 +25,9 @@ pub struct SadConfig {
     pub kmer_k: usize,
     /// Compressed alphabet for k-mer counting.
     pub alphabet: CompressedAlphabet,
-    /// Samples contributed per processor (`k` in the paper; defaults to
-    /// `p − 1` when `None`).
+    /// Samples contributed per processor (`k` in the paper; when `None`,
+    /// `p − 1` up to a pooled sample of [`POOLED_SAMPLE_CAP`], see
+    /// [`samples_for`](Self::samples_for)).
     pub samples_per_rank: Option<usize>,
     /// The sequential MSA engine run inside each processor.
     pub engine: EngineChoice,
@@ -174,9 +179,23 @@ impl SadConfig {
         DpOptions { band: self.band_policy, kernel: self.dp_kernel }
     }
 
-    /// Effective sample count per rank for a cluster of `p`.
+    /// Effective sample count per rank for a cluster of `p`. An explicit
+    /// `samples_per_rank` wins. Otherwise it is the paper's `p − 1` while
+    /// the pooled sample `p(p − 1)` fits in [`POOLED_SAMPLE_CAP`], and
+    /// `⌈POOLED_SAMPLE_CAP / p⌉` beyond that, so step 5 scores every
+    /// sequence against at most `POOLED_SAMPLE_CAP + p` samples however
+    /// many buckets a read cap asks for.
     pub fn samples_for(&self, p: usize) -> usize {
-        self.samples_per_rank.unwrap_or_else(|| p.saturating_sub(1)).max(1)
+        self.samples_per_rank
+            .unwrap_or_else(|| {
+                let k = p.saturating_sub(1);
+                if p * k <= POOLED_SAMPLE_CAP {
+                    k
+                } else {
+                    POOLED_SAMPLE_CAP.div_ceil(p)
+                }
+            })
+            .max(1)
     }
 
     /// Check the configuration's internal consistency: `kmer_k` must be
@@ -228,6 +247,21 @@ mod tests {
         let cfg = SadConfig::default();
         assert_eq!(cfg.samples_for(16), 15);
         assert_eq!(cfg.samples_for(1), 1); // never zero samples
+    }
+
+    #[test]
+    fn default_pooled_sample_is_bounded() {
+        let cfg = SadConfig::default();
+        // The paper's regime (Figs. 4/5, p <= 16) keeps k = p - 1.
+        for p in 2..=16 {
+            assert_eq!(cfg.samples_for(p), p - 1, "p = {p}");
+        }
+        // Beyond it the pool reaches the cap and overshoots by under p.
+        for p in 17..=1024 {
+            let k = cfg.samples_for(p);
+            assert!(k >= 1 && p * k <= POOLED_SAMPLE_CAP + p, "p = {p}, k = {k}");
+            assert!(p * k >= POOLED_SAMPLE_CAP, "p = {p}, k = {k}");
+        }
     }
 
     #[test]

@@ -32,8 +32,10 @@ impl WireSize for SeqBatch {
 }
 
 /// An anchored alignment block shipped to the root for gluing: the rows of
-/// one bucket in "global ancestor + private inserts" coordinates, plus the
-/// per-column kind marker.
+/// one bucket in "global ancestor + inserts" coordinates, plus the
+/// per-column kind marker. The run of insert columns before each anchor
+/// (and after the last) is the bucket's share of that insert slot, which
+/// glue pads to the longest run any bucket has there.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AnchoredBlockMsg {
     /// Row ids.
@@ -41,7 +43,7 @@ pub struct AnchoredBlockMsg {
     /// Gapped rows (all the same width).
     pub rows: Vec<Vec<u8>>,
     /// For every column: `true` if it corresponds to a global-ancestor
-    /// column, `false` for a bucket-private insert column.
+    /// column, `false` for an insert column.
     pub is_anchor: Vec<bool>,
 }
 
