@@ -119,8 +119,7 @@ impl PipelineFlags {
                 self.backend = match take_value(tok, it)? {
                     "sequential" => Backend::Sequential,
                     "rayon" => Backend::Rayon,
-                    // "cluster" kept as a pre-0.2 alias.
-                    "distributed" | "cluster" => Backend::Distributed,
+                    "distributed" => Backend::Distributed,
                     other => return Err(ParseError(format!("unknown backend {other:?}"))),
                 }
             }
@@ -719,9 +718,8 @@ mod tests {
         assert_eq!((a.threads, a.parallelism()), (Some(6), 6));
         let a = parsed!(Align, ["align", "x.fa", "--backend", "distributed", "--nodes", "8"]);
         assert_eq!((a.nodes, a.parallelism()), (Some(8), 8));
-        // "cluster" stays as a pre-0.2 alias for distributed.
-        let a = parsed!(Align, ["align", "x.fa", "--backend", "cluster"]);
-        assert_eq!(a.backend, Backend::Distributed);
+        let e = parse(["align", "x.fa", "--backend", "cluster"]).unwrap_err();
+        assert_eq!(e.0, "unknown backend \"cluster\"");
     }
 
     #[test]
@@ -765,7 +763,7 @@ mod tests {
         // Accepted: flags, the parse, and — when the row names a backend —
         // that backend and the `parallelism()` it yields.
         type Accepted<'a> = (&'a [&'a str], PipelineFlags, Option<(Backend, usize)>);
-        let accepted: [Accepted; 16] = [
+        let accepted: [Accepted; 15] = [
             (&[], defaults.clone(), None),
             (&["--band", "auto"], with(|f| f.band = BandPolicy::Auto), None),
             (&["--band", "full"], with(|f| f.band = BandPolicy::Full), None),
@@ -789,8 +787,6 @@ mod tests {
                 with(|f| f.nodes = Some(8)),
                 Some((Distributed, 8)),
             ),
-            // "cluster" stays as a pre-0.2 alias for distributed.
-            (&["--backend", "cluster"], defaults.clone(), Some((Distributed, 4))),
         ];
         for (flags, want, named) in &accepted {
             for (prefix, default_backend) in commands {
@@ -809,7 +805,7 @@ mod tests {
         const ZERO: &str = "--p/--threads/--nodes must be at least 1";
         const THREADS: &str = "--threads only applies to --backend rayon";
         const NODES: &str = "--nodes only applies to --backend distributed";
-        let rejected: [(&[&str], String); 16] = [
+        let rejected: [(&[&str], String); 17] = [
             (&["--band", "0"], format!("{BAND} \"0\"")),
             (&["--band", "wavefront"], format!("{BAND} \"wavefront\"")),
             (&["--band"], "--band needs a value".into()),
@@ -825,6 +821,7 @@ mod tests {
             (&["--backend", "rayon", "--nodes", "4"], NODES.into()),
             (&["--backend", "sequential", "--nodes", "4"], NODES.into()),
             (&["--backend", "warp"], "unknown backend \"warp\"".into()),
+            (&["--backend", "cluster"], "unknown backend \"cluster\"".into()),
             (&["--engine", "t-coffee"], "unknown engine \"t-coffee\"".into()),
         ];
         for (flags, message) in &rejected {

@@ -5,8 +5,9 @@
 //! ([`sample_align_d`]) through a [`ClusterRank`], which owns that rank:
 //! collectives are real messages priced by the cost model, charged work
 //! advances the rank's virtual clock, and each phase is bracketed on the
-//! rank's trace and on the shared [`PipelineCtx`], which stamps the
-//! phase's real wall-clock footprint (first rank in → last rank out).
+//! shared [`PipelineCtx`], which stamps the phase's real wall-clock
+//! footprint (first rank in → last rank out) and its virtual seconds (the
+//! largest advance of any rank's clock inside the phase).
 //!
 //! Cancellation is cooperative *and collective*: an SPMD program cannot
 //! have one rank bail while its peers block on a collective, so at every
@@ -24,8 +25,9 @@ use std::ops::Range;
 use vcluster::{Node, VirtualCluster, WireSize};
 
 /// Run the pipeline body on every rank of `cluster` and assemble the
-/// ranks' outcomes into one report, with the per-phase virtual maxima
-/// from the rank traces next to the recorder's wall-clock seconds.
+/// ranks' outcomes into one report. The recorder stamped every phase with
+/// its wall-clock and virtual seconds; the rank traces ride along as
+/// [`BackendExtras::Distributed`].
 pub(crate) fn distributed_pipeline(
     cluster: &VirtualCluster,
     seqs: &[Sequence],
@@ -55,15 +57,8 @@ pub(crate) fn distributed_pipeline(
             }
         }
     }
-    let virtual_phases = vcluster::trace::phase_summary(&run.traces);
     let extras = BackendExtras::Distributed { makespan: run.makespan, traces: run.traces };
-    let mut report = whole.into_report(cluster.p(), cfg, ctx, extras);
-    for (name, max, _mean) in virtual_phases {
-        if let Some(stat) = report.phases.iter_mut().find(|s| s.name() == name) {
-            stat.virtual_seconds = Some(max);
-        }
-    }
-    Ok(report)
+    Ok(whole.into_report(cluster.p(), cfg, ctx, extras))
 }
 
 /// One rank of the virtual cluster as a [`Comm`]: it owns exactly that
@@ -104,10 +99,10 @@ impl Comm for ClusterRank<'_> {
             return Err(SadError::Cancelled { phase });
         }
         self.ctx.rank_enter(phase);
-        self.node.phase_start(phase.name());
+        let entered = self.node.clock();
         let out = f(self);
-        self.node.phase_end();
-        self.ctx.rank_exit(phase, std::mem::replace(&mut self.work, Work::ZERO));
+        let advance = self.node.clock() - entered;
+        self.ctx.rank_exit(phase, std::mem::replace(&mut self.work, Work::ZERO), advance);
         Ok(out)
     }
 
@@ -279,6 +274,31 @@ mod tests {
         for p in &report.phases {
             assert!(p.seconds.is_some(), "{} lost its wall clock", p.name());
             assert!(p.virtual_seconds.is_some(), "{} lost its virtual clock", p.name());
+        }
+    }
+
+    #[test]
+    fn phase_virtual_seconds_reconcile_with_rank_traces() {
+        let seqs = family(60, 60, 8);
+        for cfg in [SadConfig::default(), SadConfig::default().with_max_bucket(Some(8))] {
+            let report = run(3, &seqs, &cfg);
+            let makespan = report.makespan().unwrap();
+            let mut phases_sum = 0.0;
+            for p in &report.phases {
+                let v = p.virtual_seconds.unwrap_or_else(|| panic!("{} is untimed", p.name()));
+                assert!((0.0..=makespan).contains(&v), "{}: {v} outside [0, {makespan}]", p.name());
+                phases_sum += v;
+            }
+            // Every charge happens inside a phase, so no rank computes for
+            // longer than the per-phase maxima add up to.
+            for t in report.traces().unwrap() {
+                assert!(
+                    t.compute_s <= phases_sum * (1.0 + 1e-9),
+                    "rank {}: compute {} > phase sum {phases_sum}",
+                    t.rank,
+                    t.compute_s
+                );
+            }
         }
     }
 

@@ -22,7 +22,9 @@
 //! sequence on its own thread — so each rank brackets its phases with
 //! `PipelineCtx::rank_enter`/`rank_exit`: the phase starts when the first
 //! rank enters and finishes when the last rank leaves, which is exactly
-//! the phase's wall-clock footprint.
+//! the phase's wall-clock footprint. Each exiting rank also reports how
+//! far its virtual clock advanced inside the phase, and the phase keeps
+//! the maximum over ranks as its `virtual_seconds`.
 
 use crate::error::SadError;
 use crate::report::PhaseStat;
@@ -102,7 +104,7 @@ impl Phase {
         Phase::Trim,
     ];
 
-    /// The stable label used in tables, traces and logs (the pre-0.3
+    /// The stable label used in tables, events and logs (the pre-0.3
     /// magic strings, e.g. `"8-local-align"`).
     pub fn name(self) -> &'static str {
         match self {
@@ -368,6 +370,8 @@ impl CancelToken {
 struct OpenPhase {
     started: Instant,
     work: Work,
+    /// The largest virtual-clock advance any exited rank reported.
+    virtual_max: f64,
     entered: usize,
     exited: usize,
 }
@@ -499,18 +503,19 @@ impl PipelineCtx {
             open.entered += 1;
             return;
         }
-        inner
-            .open
-            .push((phase, OpenPhase { started: now, work: Work::ZERO, entered: 1, exited: 0 }));
+        let open =
+            OpenPhase { started: now, work: Work::ZERO, virtual_max: 0.0, entered: 1, exited: 0 };
+        inner.open.push((phase, open));
         // Emitted under the lock so observers see phases in entry order.
         self.emit(Event::PhaseStarted { phase });
     }
 
     /// SPMD exit: one rank leaves `phase`, contributing its share of the
-    /// phase's work. The last rank to leave closes the phase: its
-    /// wall-clock footprint is first-enter → last-exit, its work the sum
-    /// over ranks.
-    pub(crate) fn rank_exit(&self, phase: Phase, work: Work) {
+    /// phase's work and its virtual-clock advance inside the phase. The
+    /// last rank to leave closes the phase: its wall-clock footprint is
+    /// first-enter → last-exit, its work the sum over ranks, its virtual
+    /// seconds the maximum over ranks.
+    pub(crate) fn rank_exit(&self, phase: Phase, work: Work, virtual_seconds: f64) {
         let now = Instant::now();
         let mut inner = self.inner.lock().expect("pipeline recorder poisoned");
         let idx = inner
@@ -520,15 +525,16 @@ impl PipelineCtx {
             .unwrap_or_else(|| panic!("rank_exit({phase}) without rank_enter"));
         let open = &mut inner.open[idx].1;
         open.work += work;
+        open.virtual_max = open.virtual_max.max(virtual_seconds);
         open.exited += 1;
         if open.exited < self.ranks {
             return;
         }
         debug_assert_eq!(open.entered, self.ranks, "{phase}: exits outran enters");
         let seconds = now.duration_since(open.started).as_secs_f64();
-        let work = open.work;
+        let (work, virtual_seconds) = (open.work, Some(open.virtual_max));
         inner.open.remove(idx);
-        inner.stats.push(PhaseStat { phase, work, seconds: Some(seconds), virtual_seconds: None });
+        inner.stats.push(PhaseStat { phase, work, seconds: Some(seconds), virtual_seconds });
         self.emit(Event::PhaseFinished { phase, work, seconds });
     }
 
@@ -613,6 +619,7 @@ mod tests {
         assert_eq!(stats[0].phase, Phase::LocalAlign);
         assert_eq!(total, Work::dp(10));
         assert!(stats[0].seconds.unwrap() >= 0.0);
+        assert_eq!(stats[0].virtual_seconds, None, "no virtual clock off-cluster");
         let evs = collect(&events);
         assert_eq!(evs.len(), 2);
         assert_eq!(evs[0], Event::PhaseStarted { phase: Phase::LocalAlign });
@@ -624,16 +631,30 @@ mod tests {
         let (ctx, events) = recording_ctx(3);
         ctx.rank_enter(Phase::LocalSort);
         ctx.rank_enter(Phase::LocalSort);
-        ctx.rank_exit(Phase::LocalSort, Work::sort(5));
+        ctx.rank_exit(Phase::LocalSort, Work::sort(5), 0.5);
         assert!(collect(&events).len() == 1, "still open after 1 of 3 exits");
         ctx.rank_enter(Phase::LocalSort);
-        ctx.rank_exit(Phase::LocalSort, Work::sort(5));
-        ctx.rank_exit(Phase::LocalSort, Work::sort(5));
+        ctx.rank_exit(Phase::LocalSort, Work::sort(5), 2.0);
+        ctx.rank_exit(Phase::LocalSort, Work::sort(5), 1.0);
         let (stats, total) = ctx.drain();
         assert_eq!(stats.len(), 1);
         assert_eq!(total, Work::sort(15), "work sums over ranks");
         let evs = collect(&events);
         assert!(matches!(evs.last(), Some(Event::PhaseFinished { work, .. }) if *work == total));
+    }
+
+    #[test]
+    fn rank_phases_keep_max_virtual_seconds_over_ranks() {
+        let (ctx, _) = recording_ctx(2);
+        for (a, b) in [(1.0, 1.0), (3.0, 0.5)] {
+            ctx.rank_enter(Phase::LocalSort);
+            ctx.rank_exit(Phase::LocalSort, Work::ZERO, a);
+            ctx.rank_enter(Phase::LocalAlign);
+            ctx.rank_exit(Phase::LocalAlign, Work::ZERO, b);
+        }
+        let (stats, _) = ctx.drain();
+        let got: Vec<_> = stats.iter().map(|s| (s.phase, s.virtual_seconds)).collect();
+        assert_eq!(got, vec![(Phase::LocalSort, Some(3.0)), (Phase::LocalAlign, Some(1.0))]);
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub(crate) fn shared_memory_pipeline(
 ) -> Result<RunReport, SadError> {
     debug_assert!(p >= 1, "Aligner::run rejects zero threads");
     let outcome = sample_align_d(&mut SharedMemory::new(p, ctx), ctx, seqs, cfg)?;
-    Ok(outcome.into_report(p, cfg, ctx, BackendExtras::Rayon { threads: p }))
+    Ok(outcome.into_report(p, cfg, ctx, BackendExtras::Rayon))
 }
 
 /// All `p` ranks of a run as one [`Comm`].

@@ -28,9 +28,10 @@ pub struct PhaseStat {
     /// out on the decomposed backends). Populated for every phase of a
     /// completed run.
     pub seconds: Option<f64>,
-    /// Maximum *virtual* seconds across ranks under the cluster's cost
-    /// model — only the distributed backend models virtual time, so this
-    /// is `None` elsewhere.
+    /// *Virtual* seconds under the cluster's cost model: the maximum over
+    /// ranks of how far the rank's clock advanced inside the phase. `None`
+    /// off-cluster (only the distributed backend models virtual time) and
+    /// for the root-side [`Phase::Trim`] post-pass.
     pub virtual_seconds: Option<f64>,
 }
 
@@ -71,16 +72,14 @@ impl TrimReport {
 pub enum BackendExtras {
     /// The engine ran directly on the whole set; nothing extra.
     Sequential,
-    /// Shared-memory run on the rayon pool.
-    Rayon {
-        /// Logical buckets (threads) used.
-        threads: usize,
-    },
+    /// Shared-memory run on the rayon pool ([`RunReport::ranks`] holds
+    /// the bucket count).
+    Rayon,
     /// Message-passing run on the virtual cluster.
     Distributed {
         /// Virtual wall-clock of the run (seconds).
         makespan: f64,
-        /// Per-rank execution traces (phases, bytes, clocks).
+        /// Per-rank execution traces (clocks, compute/comm split, bytes).
         traces: Vec<RankTrace>,
     },
 }
@@ -131,7 +130,7 @@ impl RunReport {
     pub fn backend_name(&self) -> &'static str {
         match self.extras {
             BackendExtras::Sequential => "sequential",
-            BackendExtras::Rayon { .. } => "rayon",
+            BackendExtras::Rayon => "rayon",
             BackendExtras::Distributed { .. } => "distributed",
         }
     }
@@ -263,7 +262,7 @@ mod tests {
             kernel: "auto",
             vertical: None,
             trim: None,
-            extras: BackendExtras::Rayon { threads: 2 },
+            extras: BackendExtras::Rayon,
         }
     }
 

@@ -3,7 +3,7 @@
 
 use crate::cost::CostModel;
 use crate::node::{Envelope, Node};
-use crate::trace::{phase_table, RankTrace};
+use crate::trace::RankTrace;
 use crossbeam::channel::unbounded;
 
 /// A virtual cluster of `p` ranks sharing a [`CostModel`].
@@ -104,24 +104,6 @@ impl VirtualCluster {
     }
 }
 
-impl<R> ClusterRun<R> {
-    /// Human-readable per-phase timing table (max/mean across ranks).
-    pub fn phase_table(&self) -> String {
-        phase_table(&self.traces)
-    }
-
-    /// Total bytes sent by all ranks.
-    pub fn total_bytes(&self) -> u64 {
-        self.traces.iter().map(|t| t.bytes_sent).sum()
-    }
-
-    /// Aggregate compute seconds over all ranks (the "work" in
-    /// work/critical-path analyses).
-    pub fn total_compute(&self) -> f64 {
-        self.traces.iter().map(|t| t.compute_s).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,19 +147,16 @@ mod tests {
         let go = || {
             c.run(|node| {
                 node.compute(Work::dp((node.rank() as u64 + 1) * 1000));
-                let all = node.all_gather(node.rank() as u64);
-                node.barrier();
-                (all, node.clock())
+                let all = node.broadcast(0, node.gather(0, node.rank() as u64));
+                let spread = node.all_to_allv(vec![vec![node.rank() as u32]; node.size()]);
+                (all, spread, node.clock())
             })
         };
         let a = go();
         let b = go();
         assert_eq!(a.results, b.results);
         assert_eq!(a.makespan, b.makespan);
-        for (ta, tb) in a.traces.iter().zip(&b.traces) {
-            assert_eq!(ta.final_clock, tb.final_clock);
-            assert_eq!(ta.bytes_sent, tb.bytes_sent);
-        }
+        assert_eq!(a.traces, b.traces);
     }
 
     #[test]
@@ -185,7 +164,7 @@ mod tests {
         let c = VirtualCluster::new(3, CostModel::modern());
         let run = c.run(|node| {
             let t0 = node.clock();
-            node.barrier();
+            node.broadcast(0, node.gather(0, 0u8));
             let t1 = node.clock();
             node.compute(Work::kmer(500));
             let t2 = node.clock();
@@ -193,20 +172,6 @@ mod tests {
             t2
         });
         assert!(run.results.iter().all(|&t| t >= 0.0));
-    }
-
-    #[test]
-    fn phases_recorded() {
-        let c = VirtualCluster::new(2, CostModel::beowulf_2008());
-        let run = c.run(|node| {
-            node.phase("compute", || node.compute(Work::dp(10_000)));
-            node.phase("sync", || node.barrier());
-        });
-        let table = run.phase_table();
-        assert!(table.contains("compute"));
-        assert!(table.contains("sync"));
-        assert_eq!(run.traces[0].phases.len(), 2);
-        assert!(run.traces[0].phases[0].duration() > 0.0);
     }
 
     #[test]
@@ -222,7 +187,7 @@ mod tests {
         assert_eq!(run.traces[0].bytes_sent, 108);
         assert_eq!(run.traces[0].msgs_sent, 1);
         assert_eq!(run.traces[1].msgs_received, 1);
-        assert_eq!(run.total_bytes(), 108);
+        assert_eq!(run.traces.iter().map(|t| t.bytes_sent).sum::<u64>(), 108);
     }
 
     #[test]
@@ -242,8 +207,7 @@ mod tests {
     fn free_network_makes_comm_free() {
         let c = VirtualCluster::new(4, CostModel::free_network());
         let run = c.run(|node| {
-            node.barrier();
-            let _ = node.all_gather(vec![0u8; 10_000]);
+            node.broadcast(0, node.gather(0, vec![0u8; 10_000]));
             node.clock()
         });
         for t in run.results {
@@ -253,10 +217,14 @@ mod tests {
 
     #[test]
     fn compute_seconds_attributed() {
-        let c = VirtualCluster::new(1, CostModel::beowulf_2008());
-        let run = c.run(|node| node.compute(Work::sort(1000)));
-        assert!(run.traces[0].compute_s > 0.0);
-        assert_eq!(run.traces[0].comm_s, 0.0);
-        assert!((run.total_compute() - run.traces[0].compute_s).abs() < 1e-15);
+        let c = VirtualCluster::new(3, CostModel::beowulf_2008());
+        let run = c.run(|node| node.compute(Work::sort(1000 * (node.rank() as u64 + 1))));
+        let one = CostModel::beowulf_2008().work_seconds(&Work::sort(1000));
+        for t in &run.traces {
+            assert!((t.compute_s - one * (t.rank + 1) as f64).abs() < 1e-15);
+            assert_eq!(t.comm_s, 0.0);
+        }
+        let total: f64 = run.traces.iter().map(|t| t.compute_s).sum();
+        assert!((total - 6.0 * one).abs() < 1e-12);
     }
 }

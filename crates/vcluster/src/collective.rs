@@ -11,7 +11,8 @@
 //! linear at the root (the paper charges `O(p²·L)` for collecting
 //! `p(p−1)` samples of length `L`). `all_to_allv` uses the
 //! classic `p−1`-round pairwise exchange, giving the `O(N/p · L)`
-//! redistribution cost derived in Section 3.
+//! redistribution cost derived in Section 3. An all-gather is a `gather`
+//! followed by a `broadcast` of the gathered vector.
 
 use crate::node::Node;
 use crate::wire::WireSize;
@@ -23,7 +24,6 @@ enum Op {
     Broadcast = 1,
     Gather = 2,
     AllToAllV = 4,
-    Barrier = 6,
 }
 
 const COLL_BIT: u64 = 1 << 63;
@@ -90,13 +90,6 @@ impl Node {
         }
     }
 
-    /// All-gather: every rank ends up with every rank's value, indexed by
-    /// source rank. Implemented as gather-to-0 plus broadcast.
-    pub fn all_gather<M: WireSize + Clone + Send + 'static>(&self, value: M) -> Vec<M> {
-        let gathered = self.gather(0, value);
-        self.broadcast(0, gathered)
-    }
-
     /// Personalised all-to-all with variable block sizes: `blocks[d]` is
     /// sent to rank `d`; the result's entry `s` is the block received from
     /// rank `s`. Uses the `p−1`-round pairwise exchange schedule.
@@ -117,25 +110,6 @@ impl Node {
             out[src] = self.recv::<Vec<M>>(src, tag);
         }
         out
-    }
-
-    /// Synchronisation barrier (gather + broadcast of a unit token). In
-    /// virtual time, every rank leaves the barrier no earlier than the
-    /// token round-trip allows.
-    pub fn barrier(&self) {
-        let tag_up = self.coll_tag(Op::Barrier);
-        // Inline linear gather/bcast of a zero-byte token.
-        if self.rank() == 0 {
-            for src in 1..self.size() {
-                let _: u8 = self.recv(src, tag_up);
-            }
-            for dst in 1..self.size() {
-                self.send(dst, tag_up, 0u8);
-            }
-        } else {
-            self.send(0, tag_up, 0u8);
-            let _: u8 = self.recv(0, tag_up);
-        }
     }
 }
 
@@ -174,14 +148,6 @@ mod tests {
     }
 
     #[test]
-    fn all_gather_everyone_sees_everything() {
-        let run = cluster(6).run(|node| node.all_gather(node.rank() as u32 * 2));
-        for r in run.results {
-            assert_eq!(r, vec![0, 2, 4, 6, 8, 10]);
-        }
-    }
-
-    #[test]
     fn all_to_allv_conserves_and_routes() {
         let p = 5;
         let run = cluster(p).run(move |node| {
@@ -195,22 +161,6 @@ mod tests {
                 assert_eq!(block.len(), s + 1, "dst {d} src {s}");
                 assert!(block.iter().all(|&v| v == (s * 10 + d) as u32));
             }
-        }
-    }
-
-    #[test]
-    fn barrier_aligns_clocks_forward() {
-        let run = cluster(4).run(|node| {
-            // Rank 2 does heavy compute before the barrier.
-            if node.rank() == 2 {
-                node.advance(1.0);
-            }
-            node.barrier();
-            node.clock()
-        });
-        // Every rank's post-barrier clock must be at least rank 2's 1.0s.
-        for c in run.results {
-            assert!(c >= 1.0, "clock {c} escaped the barrier early");
         }
     }
 
@@ -235,8 +185,8 @@ mod tests {
     #[test]
     fn sequential_collectives_do_not_cross_talk() {
         let run = cluster(3).run(|node| {
-            let a = node.all_gather(node.rank() as u32);
-            let b = node.all_gather((node.rank() * 7) as u32);
+            let a = node.broadcast(0, node.gather(0, node.rank() as u32));
+            let b = node.broadcast(0, node.gather(0, (node.rank() * 7) as u32));
             (a, b)
         });
         for (a, b) in run.results {

@@ -13,19 +13,18 @@
 //!   LogGP-style postal model (`arrival = departure + latency`, with the
 //!   per-byte serialisation charged to the sender).
 //!
-//! The result: per-rank timings, phase breakdowns, scaling curves and
-//! speedups that are bit-for-bit reproducible on any host — including the
-//! single-core container this reproduction runs in — while the *code paths*
+//! The result: per-rank clocks, scaling curves and speedups that are
+//! bit-for-bit reproducible on any host, while the *code paths*
 //! (redistribution, collectives, gather/broadcast trees) remain the real
 //! distributed ones.
 //!
 //! ## Collectives
 //!
-//! [`Node`] offers the four MPI-flavoured collectives the paper's program
+//! [`Node`] offers the three MPI-flavoured collectives the paper's program
 //! uses, built from point-to-point sends: binomial-tree `broadcast`,
 //! linear `gather` (matching the `O(p²·L)` sample-collection cost the
-//! paper's analysis assumes), `all_gather` (gather plus broadcast) and
-//! pairwise-exchange `all_to_allv`, plus a `barrier`.
+//! paper's analysis assumes) and pairwise-exchange `all_to_allv`. An
+//! all-gather is a `gather` followed by a `broadcast`.
 //!
 //! ## Example
 //!
@@ -35,7 +34,8 @@
 //! let cluster = VirtualCluster::new(4, CostModel::beowulf_2008());
 //! let run = cluster.run(|node| {
 //!     let msg = node.rank() * 10;
-//!     let all = node.all_gather(msg);
+//!     let gathered = node.gather(0, msg);
+//!     let all = node.broadcast(0, gathered);
 //!     all.into_iter().sum::<usize>()
 //! });
 //! assert_eq!(run.results, vec![60, 60, 60, 60]);
@@ -55,5 +55,5 @@ pub mod wire;
 pub use cluster::{ClusterRun, VirtualCluster};
 pub use cost::CostModel;
 pub use node::Node;
-pub use trace::{PhaseRecord, RankTrace};
+pub use trace::RankTrace;
 pub use wire::WireSize;

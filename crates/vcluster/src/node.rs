@@ -2,19 +2,17 @@
 //! work accounting.
 
 use crate::cost::CostModel;
-use crate::trace::{PhaseRecord, RankTrace};
+use crate::trace::RankTrace;
 use crate::wire::WireSize;
 use bioseq::Work;
 use crossbeam::channel::{Receiver, Sender};
 use std::any::Any;
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 
 /// A typed message envelope with virtual-time metadata.
 pub(crate) struct Envelope {
     /// Sender's virtual clock when the last payload byte left its NIC.
     pub depart: f64,
-    /// Payload size used for cost accounting.
-    pub bytes: usize,
     /// Message tag; receives assert tag agreement to catch protocol bugs.
     pub tag: u64,
     /// The payload itself (never serialised — same process).
@@ -23,8 +21,8 @@ pub(crate) struct Envelope {
 
 /// One rank of the virtual cluster.
 ///
-/// All methods take `&self`; per-rank state lives in `Cell`/`RefCell`
-/// because a `Node` is owned by exactly one thread.
+/// All methods take `&self`; per-rank state lives in `Cell`s because a
+/// `Node` is owned by exactly one thread.
 pub struct Node {
     rank: usize,
     size: usize,
@@ -35,8 +33,6 @@ pub struct Node {
     bytes_sent: Cell<u64>,
     msgs_sent: Cell<u64>,
     msgs_received: Cell<u64>,
-    phases: RefCell<Vec<PhaseRecord>>,
-    open_phases: RefCell<Vec<(String, f64)>>,
     pub(crate) coll_seq: Cell<u64>,
     senders: Vec<Sender<Envelope>>,
     receivers: Vec<Receiver<Envelope>>,
@@ -62,8 +58,6 @@ impl Node {
             bytes_sent: Cell::new(0),
             msgs_sent: Cell::new(0),
             msgs_received: Cell::new(0),
-            phases: RefCell::new(Vec::new()),
-            open_phases: RefCell::new(Vec::new()),
             coll_seq: Cell::new(0),
             senders,
             receivers,
@@ -121,7 +115,7 @@ impl Node {
         assert!(dst < self.size, "send to rank {dst} of {}", self.size);
         let bytes = msg.wire_bytes();
         self.advance_comm(self.cost.send_seconds(bytes));
-        let env = Envelope { depart: self.clock.get(), bytes, tag, payload: Box::new(msg) };
+        let env = Envelope { depart: self.clock.get(), tag, payload: Box::new(msg) };
         self.bytes_sent.set(self.bytes_sent.get() + bytes as u64);
         self.msgs_sent.set(self.msgs_sent.get() + 1);
         self.senders[dst].send(env).expect("peer rank hung up");
@@ -149,42 +143,13 @@ impl Node {
         let wait = (arrival - now).max(0.0);
         self.advance_comm(wait + self.cost.recv_overhead);
         self.msgs_received.set(self.msgs_received.get() + 1);
-        let _ = env.bytes;
         *env.payload.downcast::<M>().unwrap_or_else(|_| {
             panic!("rank {}: type mismatch receiving tag {tag} from {src}", self.rank)
         })
     }
 
-    /// Begin a named phase (phases may nest).
-    pub fn phase_start(&self, name: &str) {
-        self.open_phases.borrow_mut().push((name.to_string(), self.clock.get()));
-    }
-
-    /// End the innermost open phase.
-    ///
-    /// # Panics
-    /// Panics if no phase is open.
-    pub fn phase_end(&self) {
-        let (name, start) =
-            self.open_phases.borrow_mut().pop().expect("phase_end without phase_start");
-        self.phases.borrow_mut().push(PhaseRecord { name, start, end: self.clock.get() });
-    }
-
-    /// Run `f` inside a named phase.
-    pub fn phase<R>(&self, name: &str, f: impl FnOnce() -> R) -> R {
-        self.phase_start(name);
-        let out = f();
-        self.phase_end();
-        out
-    }
-
     /// Finalise this rank's trace (called by the cluster runner).
     pub(crate) fn finish(self) -> RankTrace {
-        assert!(
-            self.open_phases.borrow().is_empty(),
-            "rank {} finished with unclosed phases",
-            self.rank
-        );
         RankTrace {
             rank: self.rank,
             compute_s: self.compute_s.get(),
@@ -192,7 +157,6 @@ impl Node {
             bytes_sent: self.bytes_sent.get(),
             msgs_sent: self.msgs_sent.get(),
             msgs_received: self.msgs_received.get(),
-            phases: self.phases.into_inner(),
             final_clock: self.clock.get(),
         }
     }
