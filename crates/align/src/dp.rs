@@ -11,9 +11,10 @@
 //!   four near-identical matrix fills the crate used to carry.
 //! * **Packed traceback + rolling rows.** Scores live in two rolling rows
 //!   (three layers each); the traceback stores all three layer choices in
-//!   a single byte per cell. A full Gotoh instance used to keep six
-//!   `O(n·m)` arrays of 8-byte scores — roughly 48 bytes per cell; the
-//!   kernel keeps 1 byte per *in-band* cell plus `O(m)` score storage.
+//!   a single byte per cell, in one store both kernels write. A full Gotoh
+//!   instance used to keep six `O(n·m)` arrays of 8-byte scores — roughly
+//!   48 bytes per cell; the kernel keeps 1 byte per *in-band* cell plus
+//!   `O(m)` score storage.
 //! * **Reusable scratch.** All storage lives in a [`DpArena`] that callers
 //!   thread through progressive alignment and refinement, so steady-state
 //!   alignment performs no per-call heap allocation once the arena has
@@ -30,9 +31,9 @@
 //! * **Two interchangeable kernels.** The classic scalar `f64` fill and a
 //!   striped `f32` fill (selected by [`DpKernel`]) that scores whole rows
 //!   through the batched [`ColumnScorer`] API, splits the recurrence into
-//!   two vectorizable passes plus one serial suffix scan, and bit-packs
-//!   the traceback into u64 planes. The scalar kernel is the
-//!   property-test oracle: when the scorer reports
+//!   two vectorizable passes plus one serial suffix scan, and writes the
+//!   same one-byte-per-cell traceback as the scalar fill. The scalar
+//!   kernel is the property-test oracle: when the scorer reports
 //!   [`ColumnScorer::f32_compatible`] (integral scores whose running sums
 //!   stay below 2²⁴) every striped decision is provably identical and
 //!   [`DpKernel::Auto`] selects the striped path; otherwise scores may
@@ -141,7 +142,8 @@ pub const AUTO_MIN_BAND: usize = 32;
 pub enum DpKernel {
     /// The one-cell-at-a-time `f64` fill: the property-test oracle.
     Scalar,
-    /// The data-parallel `f32` row fill with bit-packed traceback.
+    /// The data-parallel `f32` row fill; writes the same one-byte-per-cell
+    /// traceback as `Scalar`.
     Striped,
     /// Per-instance choice: striped whenever the scorer guarantees
     /// f32-exact decisions, scalar otherwise.
@@ -545,20 +547,6 @@ const TB_X_FROM_Y: u8 = 0b0000_1000;
 const TB_Y_EXT: u8 = 0b0001_0000;
 const TB_Y_FROM_X: u8 = 0b0010_0000;
 
-/// Number of traceback bit-planes the striped kernel stores (bits 0–5 of
-/// the byte layout above).
-const TB_PLANES: usize = 6;
-
-/// Gather the low bit of each byte of `x` into one byte (result bit `k` =
-/// LSB of byte `k`, little-endian). Each byte's bit is scattered by the
-/// multiply to a distinct position of the top byte — positions `56 + k`
-/// are hit exactly once and every cross term lands strictly below bit 56,
-/// each at its own position, so no carry can reach the result.
-#[inline]
-fn gather_lsb(x: u64) -> u8 {
-    (((x & 0x0101_0101_0101_0101).wrapping_mul(0x0102_0408_1020_4080)) >> 56) as u8
-}
-
 /// Substitution rows cached across [`BandPolicy::Auto`]'s confirmation
 /// refills (striped kernel): per row, the scored column range and values,
 /// so a doubled band rescores only the fresh flanks.
@@ -608,7 +596,8 @@ pub struct DpArena {
     mc: Vec<f64>,
     xc: Vec<f64>,
     yc: Vec<f64>,
-    /// Packed traceback bytes, rows concatenated.
+    /// Packed traceback bytes, one per in-band cell, rows concatenated;
+    /// written by both kernels.
     tb: Vec<u8>,
     /// Per-row offset of the row's first stored byte in `tb`.
     row_off: Vec<usize>,
@@ -624,21 +613,11 @@ pub struct DpArena {
     mc32: Vec<f32>,
     xc32: Vec<f32>,
     yc32: Vec<f32>,
-    /// Striped traceback: [`TB_PLANES`] u64 bit-planes per row (one per
-    /// traceback bit), rows concatenated. 6 bits per in-band cell instead
-    /// of the scalar byte store's 8.
-    tbw: Vec<u64>,
-    /// Per-row offset of the row's first word in `tbw`.
-    row_woff: Vec<usize>,
-    /// Whether the last fill wrote the bit-plane store (`tbw`) instead of
-    /// the byte store (`tb`).
-    packed: bool,
     // Striped per-row scratch: scored substitution row, Y open
-    // candidates + their origin bit, unpacked traceback bytes.
+    // candidates + their origin bit.
     srow: Vec<f32>,
     oy: Vec<f32>,
     yfrom: Vec<u8>,
-    tbrow: Vec<u8>,
     // Per-column B gap costs, scored once per fill.
     gob32: Vec<f32>,
     geb32: Vec<f32>,
@@ -658,18 +637,7 @@ impl DpArena {
 
     #[inline]
     fn tb_at(&self, i: usize, j: usize) -> u8 {
-        let k = j - self.row_jlo[i];
-        if !self.packed {
-            return self.tb[self.row_off[i] + k];
-        }
-        let wpp = (self.row_hi[i] + 1 - self.row_jlo[i]).div_ceil(64);
-        let base = self.row_woff[i];
-        let (word, bit) = (k / 64, k % 64);
-        let mut byte = 0u8;
-        for p in 0..TB_PLANES {
-            byte |= (((self.tbw[base + p * wpp + word] >> bit) & 1) as u8) << p;
-        }
-        byte
+        self.tb[self.row_off[i] + j - self.row_jlo[i]]
     }
 }
 
@@ -733,7 +701,6 @@ fn fill<S: ColumnScorer>(s: &S, hw: usize, arena: &mut DpArena) -> FillOutcome {
     arena.row_hi.clear();
     arena.row_hi.resize(n + 1, 0);
     arena.tb.clear();
-    arena.packed = false;
 
     // Row 0: M origin and the Y run along the top edge.
     arena.mp[0] = 0.0;
@@ -818,16 +785,17 @@ fn fill<S: ColumnScorer>(s: &S, hw: usize, arena: &mut DpArena) -> FillOutcome {
 }
 
 /// The striped fill: the scalar recurrence split into two vectorizable
-/// row passes plus one serial suffix scan, over `f32` lanes, with the
-/// traceback packed into u64 bit-planes. Band geometry, tie-breaking and
-/// cell accounting match [`fill`] exactly.
+/// row passes plus one serial suffix scan, over `f32` lanes. Band
+/// geometry, tie-breaking, cell accounting and the traceback store (one
+/// byte per in-band cell in `DpArena::tb`) match [`fill`] exactly.
 ///
 /// Pass 1 computes M (diagonal predecessor) and X (vertical) for the
 /// whole row — both read only the previous row, so the loop carries no
-/// dependency and autovectorizes. Pass 2 computes each cell's best
-/// gap-*open* candidate for Y from the now-final M/X row. Pass 3 is the
-/// lazy-F-style serial scan resolving Y's row-carried extension chain —
-/// the only serial work left per row.
+/// dependency and autovectorizes; it assigns the M and X traceback bits.
+/// Pass 2 computes each cell's best gap-*open* candidate for Y from the
+/// now-final M/X row. Pass 3 is the lazy-F-style serial scan resolving
+/// Y's row-carried extension chain — the only serial work left per row —
+/// and ORs in the Y bits.
 ///
 /// With `cache_rows`, scored substitution rows are recorded in the arena
 /// and the next (wider) fill of the same instance copies the overlap
@@ -857,12 +825,11 @@ fn fill_striped<S: ColumnScorer>(
         v.clear();
         v.resize(w, f32::NEG_INFINITY);
     }
-    for v in [&mut arena.row_jlo, &mut arena.row_lo, &mut arena.row_hi, &mut arena.row_woff] {
+    for v in [&mut arena.row_off, &mut arena.row_jlo, &mut arena.row_lo, &mut arena.row_hi] {
         v.clear();
         v.resize(n + 1, 0);
     }
-    arena.tbw.clear();
-    arena.packed = true;
+    arena.tb.clear();
 
     // Per-column B gap costs, scored once for the whole fill.
     arena.gob32.clear();
@@ -894,10 +861,11 @@ fn fill_striped<S: ColumnScorer>(
         arena.row_lo[i] = rlo;
         arena.row_hi[i] = rhi;
         arena.row_jlo[i] = jstart;
-        arena.row_woff[i] = arena.tbw.len();
+        let off = arena.tb.len();
+        arena.row_off[i] = off;
         let width = rhi + 1 - jstart;
         cells += width as u64;
-        let wpp = width.div_ceil(64);
+        arena.tb.resize(off + width, 0);
 
         // Clear the current row across every cell rows i and i+1 can
         // read, so values from two rows ago never leak through.
@@ -949,8 +917,6 @@ fn fill_striped<S: ColumnScorer>(
 
         let goa = s.gap_open_a(i - 1) as f32;
         let gea = s.gap_extend_a(i - 1) as f32;
-        arena.tbrow.clear();
-        arena.tbrow.resize(width, 0);
 
         // Pass 1: M and X, no carried dependency.
         {
@@ -960,7 +926,7 @@ fn fill_striped<S: ColumnScorer>(
             let mc = &mut arena.mc32[jstart..=rhi];
             let xc = &mut arena.xc32[jstart..=rhi];
             let srow = &arena.srow[..width];
-            let tbrow = &mut arena.tbrow[..width];
+            let tb = &mut arena.tb[off..off + width];
             for k in 0..width {
                 // M from the best diagonal predecessor, ties M ≥ X ≥ Y
                 // (strict `>` replacements keep the earlier layer).
@@ -989,7 +955,7 @@ fn fill_striped<S: ColumnScorer>(
                 } else {
                     TB_X_FROM_Y
                 };
-                tbrow[k] = bf | xbits;
+                tb[k] = bf | xbits;
             }
         }
 
@@ -1016,7 +982,7 @@ fn fill_striped<S: ColumnScorer>(
             let geb = &arena.geb32[jstart - 1..rhi];
             let oy = &arena.oy[..width];
             let yfrom = &arena.yfrom[..width];
-            let tbrow = &mut arena.tbrow[..width];
+            let tb = &mut arena.tb[off..off + width];
             let yc = &mut arena.yc32;
             let mut yprev = yc[jstart - 1];
             for k in 0..width {
@@ -1025,23 +991,7 @@ fn fill_striped<S: ColumnScorer>(
                 let (v, bits) = if ext >= open { (ext, TB_Y_EXT) } else { (open, yfrom[k]) };
                 yc[jstart + k] = v;
                 yprev = v;
-                tbrow[k] |= bits;
-            }
-        }
-
-        // Pack the row's traceback bytes into bit-planes: SWAR gathers
-        // 8 cells' worth of one bit per multiply.
-        let base = arena.tbw.len();
-        arena.tbw.resize(base + TB_PLANES * wpp, 0);
-        let words = &mut arena.tbw[base..];
-        for (wi, block) in arena.tbrow.chunks(64).enumerate() {
-            for (ci, chunk) in block.chunks(8).enumerate() {
-                let mut buf = [0u8; 8];
-                buf[..chunk.len()].copy_from_slice(chunk);
-                let x = u64::from_le_bytes(buf);
-                for (p, plane) in words.chunks_mut(wpp).enumerate() {
-                    plane[wi] |= (gather_lsb(x >> p) as u64) << (8 * ci);
-                }
+                tb[k] |= bits;
             }
         }
 
@@ -1240,25 +1190,6 @@ mod tests {
     }
 
     #[test]
-    fn gather_lsb_matches_naive() {
-        let cases = [
-            0u64,
-            u64::MAX,
-            0x0101_0101_0101_0101,
-            0x8000_0000_0000_0001,
-            0xdead_beef_cafe_f00d,
-            0x0123_4567_89ab_cdef,
-        ];
-        for x in cases {
-            let mut want = 0u8;
-            for k in 0..8 {
-                want |= (((x >> (8 * k)) & 1) as u8) << k;
-            }
-            assert_eq!(gather_lsb(x), want, "{x:#018x}");
-        }
-    }
-
-    #[test]
     fn striped_matches_scalar_on_every_policy() {
         let matrix = SubstMatrix::blosum62();
         let gaps = GapPenalties::default();
@@ -1301,6 +1232,91 @@ mod tests {
             );
             assert_eq!(out.ops, vec![ColOp::FromB; 3], "{policy:?}");
         }
+    }
+
+    /// The half-widths the controller can fill `n × m` at: full,
+    /// `Fixed(8)` (clamped to the length difference), and every rung of
+    /// `Auto`'s doubling ladder, stepped as [`gotoh_global_with`] steps it.
+    fn fill_widths(n: usize, m: usize) -> Vec<usize> {
+        let feasible = n.abs_diff(m) + 1;
+        let mut widths = vec![m, 8.max(feasible)];
+        let mut hw = feasible.max(AUTO_MIN_BAND).min(m.max(1));
+        if 6 * hw + 2 >= m {
+            hw = m;
+        }
+        loop {
+            widths.push(hw);
+            if hw >= m {
+                return widths;
+            }
+            hw = (hw * 2).min(m);
+            if 2 * hw + 1 >= m {
+                hw = m;
+            }
+        }
+    }
+
+    /// Run both fills at every width of [`fill_widths`] and require the
+    /// same traceback store: band geometry per row and every byte, so a
+    /// dropped bit fails even where the walked path never reads it.
+    fn assert_same_traceback<S: ColumnScorer>(s: &S, what: &str) {
+        let (mut scalar, mut striped) = (DpArena::new(), DpArena::new());
+        for hw in fill_widths(s.len_a(), s.len_b()) {
+            let want = fill(s, hw, &mut scalar);
+            let got = fill_striped(s, hw, s.cache_substitution_rows(), &mut striped);
+            assert_eq!(want.cells, got.cells, "{what} at hw {hw}");
+            assert_eq!(scalar.row_off, striped.row_off, "{what} row_off at hw {hw}");
+            assert_eq!(scalar.row_jlo, striped.row_jlo, "{what} row_jlo at hw {hw}");
+            assert_eq!(scalar.row_lo, striped.row_lo, "{what} row_lo at hw {hw}");
+            assert_eq!(scalar.row_hi, striped.row_hi, "{what} row_hi at hw {hw}");
+            assert_eq!(scalar.tb.len() as u64, want.cells, "{what} at hw {hw}");
+            assert_eq!(striped.tb.len() as u64, got.cells, "{what} at hw {hw}");
+            let diff = scalar.tb.iter().zip(&striped.tb).position(|(a, b)| a != b);
+            assert_eq!(diff, None, "{what}: first differing tb byte at hw {hw}");
+        }
+    }
+
+    #[test]
+    fn striped_and_scalar_write_the_same_traceback() {
+        use bioseq::{Msa, GAP_CODE};
+        let matrix = SubstMatrix::blosum62();
+        let gaps = GapPenalties::default();
+
+        // Indel-riddled pair, long enough that Auto starts banded.
+        let a: Vec<u8> = (0..400).map(|i| ((i * 7) % 20) as u8).collect();
+        let mut b = a.clone();
+        b.drain(30..40);
+        b.insert(50, 3);
+        b.drain(200..204);
+        b.splice(300..300, [5, 5, 9]);
+        let s = scorer(&a, &b, &matrix, gaps);
+        assert!(s.f32_compatible());
+        assert_same_traceback(&s, "pairwise");
+
+        // Uniform-weight profiles; A carries an all-gap column.
+        let row = |len: usize, step: usize, shift: usize| -> Vec<u8> {
+            (0..len).map(|i| ((i * step + shift) % 20) as u8).collect()
+        };
+        let mut rows_a = vec![row(260, 7, 0), row(260, 7, 1), row(260, 11, 3)];
+        for r in &mut rows_a {
+            r[120] = GAP_CODE;
+        }
+        rows_a[1][40] = GAP_CODE;
+        let msa_a = Msa::from_rows(vec!["x".into(), "y".into(), "z".into()], rows_a);
+        let msa_b =
+            Msa::from_rows(vec!["u".into(), "v".into()], vec![row(230, 7, 0), row(230, 13, 2)]);
+        let mut work = Work::ZERO;
+        let pa = Profile::from_msa(&msa_a, &mut work);
+        let pb = Profile::from_msa(&msa_b, &mut work);
+        assert!(pa.cols[120].residues.is_empty(), "column 120 is all gaps");
+        let s = PspScorer::new(&pa, &pb, &matrix, gaps, &mut work);
+        assert!(s.f32_compatible(), "uniform weights keep PSP f32-exact");
+        assert_same_traceback(&s, "profile");
+
+        // Both empty-side cases.
+        let short = [12u8, 9, 17];
+        assert_same_traceback(&scorer(&short, &[], &matrix, gaps), "empty B");
+        assert_same_traceback(&scorer(&[], &short, &matrix, gaps), "empty A");
     }
 
     #[test]
