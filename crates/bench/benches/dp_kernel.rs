@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the `align::dp` Gotoh kernel: scalar vs striped
 //! fills, banded vs full, on pairwise and profile–profile shapes.
 //!
-//! Beyond wall-clock timings, the bench asserts the kernel contract:
+//! Beyond the timings, the bench asserts the kernel contract:
 //!
 //! * the adaptive band fills strictly fewer cells than the full matrix on
 //!   length-500+ pairs, at the same score;
@@ -20,7 +20,6 @@ use align::pairwise::global_align_with;
 use align::papro::align_profiles_with;
 use align::{MsaEngine, MuscleLite, Profile};
 use bioseq::{GapPenalties, Sequence, SubstMatrix, Work};
-use criterion::{criterion_group, criterion_main, Criterion};
 use rosegen::{Family, FamilyConfig};
 use sad_bench::{median_seconds, BenchFile};
 use sad_serve::Json;
@@ -69,7 +68,7 @@ const BANDS: [(&str, BandPolicy); 2] = [("full", BandPolicy::Full), ("auto", Ban
 const KERNELS: [(&str, DpKernel); 2] =
     [("scalar", DpKernel::Scalar), ("striped", DpKernel::Striped)];
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let matrix = SubstMatrix::blosum62();
     let gaps = GapPenalties::default();
     let (short_a, short_b) = pair(100, 0x51);
@@ -118,36 +117,6 @@ fn bench(c: &mut Criterion) {
     let mut w = Work::ZERO;
     let pa = Profile::from_msa(&msa_a, &mut w);
     let pb = Profile::from_msa(&msa_b, &mut w);
-
-    // Criterion timings for the headline shapes.
-    for (kernel_label, kernel) in KERNELS {
-        for (band_label, band) in BANDS {
-            c.bench_function(&format!("dp_kernel/global_600_{band_label}_{kernel_label}"), |bch| {
-                bch.iter(|| {
-                    global_align_with(
-                        std::hint::black_box(&long_a),
-                        &long_b,
-                        &matrix,
-                        gaps,
-                        DpOptions { band, kernel },
-                        &mut arena,
-                    )
-                })
-            });
-        }
-        c.bench_function(&format!("dp_kernel/profile_8x8_L300_auto_{kernel_label}"), |bch| {
-            bch.iter(|| {
-                align_profiles_with(
-                    std::hint::black_box(&pa),
-                    &pb,
-                    &matrix,
-                    gaps,
-                    DpOptions { band: BandPolicy::Auto, kernel },
-                    &mut arena,
-                )
-            })
-        });
-    }
 
     // The JSON baseline: every (case, band, kernel) point, median of a few
     // timed repeats.
@@ -236,10 +205,3 @@ fn bench(c: &mut Criterion) {
     let path = BenchFile::new("dp_kernel", entries.iter().map(Entry::json).collect()).write();
     println!("wrote {}", path.display());
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench
-}
-criterion_main!(benches);

@@ -22,7 +22,6 @@
 use align::trim::{alignment_area, trim_msa, TrimConfig};
 use bioseq::alphabet::GAP_CODE;
 use bioseq::Msa;
-use criterion::{criterion_group, criterion_main, Criterion};
 use rosegen::{Family, FamilyConfig, ReadSet, ReadSimConfig};
 use sad_bench::{median_seconds, BenchFile};
 use sad_core::{Aligner, Backend, SadConfig};
@@ -140,7 +139,7 @@ fn measure(case: &str, mode: &'static str, msa: &Msa, cfg: &TrimConfig) -> Entry
     }
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let mut entries: Vec<Entry> = Vec::new();
 
     // Fragment fixtures: the guaranteed-gain shape, greedy and
@@ -199,20 +198,6 @@ fn bench(c: &mut Criterion) {
         );
     }
 
-    // Criterion tracking on the larger fragment fixture.
-    let msa = fragment_fixture(16, 400, 4, 0x72);
-    let cfg = TrimConfig::default();
-    c.bench_function("trim_quality/greedy_16x400+4", |b| {
-        b.iter(|| trim_msa(std::hint::black_box(&msa), &cfg))
-    });
-
     let path = BenchFile::new("trim", entries.iter().map(Entry::json).collect()).write();
     println!("wrote {}", path.display());
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench
-}
-criterion_main!(benches);

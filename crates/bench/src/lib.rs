@@ -241,8 +241,8 @@ pub fn bench_path(name: &str) -> PathBuf {
 
 /// A committed bench baseline, `BENCH_<name>.json` at the workspace root:
 /// one [`Json`] document stamped with the provenance a number needs to be
-/// read on another machine — `bench`, `commit`, `host_cores`,
-/// `paper_scale` — around the bench's `entries`.
+/// read on another machine — `bench`, `commit` (`-dirty` for a modified
+/// tree), `host_cores`, `paper_scale` — around the bench's `entries`.
 pub struct BenchFile {
     name: &'static str,
     entries: Vec<Json>,
@@ -280,16 +280,35 @@ fn workspace_root() -> &'static Path {
     Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
 }
 
-/// `git rev-parse --short HEAD` of the workspace, or `"unknown"`.
+/// `git rev-parse --short HEAD` of the workspace plus `-dirty` when the
+/// tree differs from it ([`dirty`]), or `"unknown"` outside a checkout.
 fn commit() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .current_dir(workspace_root())
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map_or_else(|| "unknown".to_string(), |s| s.trim().to_string())
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .current_dir(workspace_root())
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .and_then(|out| String::from_utf8(out.stdout).ok())
+    };
+    let Some(head) = git(&["rev-parse", "--short", "HEAD"]) else {
+        return "unknown".to_string();
+    };
+    let head = head.trim();
+    match git(&["status", "--porcelain", "--untracked-files=no"]) {
+        Some(status) if !dirty(&status) => head.to_string(),
+        _ => format!("{head}-dirty"),
+    }
+}
+
+/// Whether `git status --porcelain` output shows a tracked change outside
+/// the `BENCH_*.json` baselines at the workspace root, which the benches
+/// rewrite themselves: a number measured in such a tree is not `HEAD`'s.
+fn dirty(porcelain: &str) -> bool {
+    let baseline =
+        |path: &str| path.starts_with("BENCH_") && path.ends_with(".json") && !path.contains('/');
+    porcelain.lines().any(|line| !line.get(3..).unwrap_or("").split(" -> ").all(baseline))
 }
 
 #[cfg(test)]
@@ -309,6 +328,18 @@ mod tests {
         assert!(doc.get("host_cores").and_then(Json::as_u64).is_some_and(|n| n >= 1));
         assert_eq!(doc.get("paper_scale").and_then(Json::as_bool), Some(paper_scale()));
         assert_eq!(doc.get("entries"), Some(&Json::Arr(vec![entry])));
+    }
+
+    #[test]
+    fn dirty_ignores_only_the_bench_baselines() {
+        assert!(!dirty(""));
+        assert!(!dirty(" M BENCH_paper.json\nM  BENCH_dp_kernel.json\n"));
+        assert!(dirty(" M BENCH_paper.json\n M crates/psrs/src/lib.rs\n"));
+        assert!(dirty("D  vendor/rand/src/lib.rs\n"));
+        assert!(dirty(" M benchmark/BENCH_x.json\n"));
+        assert!(dirty(" M BENCH_paper.json.orig\n"));
+        assert!(dirty("R  BENCH_a.json -> src/a.json\n"));
+        assert!(!dirty("R  BENCH_a.json -> BENCH_b.json\n"));
     }
 
     #[test]

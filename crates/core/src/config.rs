@@ -11,9 +11,11 @@ pub const POOLED_SAMPLE_CAP: usize = 240;
 
 /// The settings of the Sample-Align-D pipeline.
 ///
-/// The scoring is fixed: the k-mer rank is `ln(0.1 + D)` as printed
-/// ([`bioseq::RankTransform::PaperLog`]), and ancestor alignment and
-/// fine-tuning score with BLOSUM62 and the default gap penalties.
+/// The scoring is fixed: k-mers are counted over the Dayhoff(6) compressed
+/// alphabet ([`alphabet`](Self::alphabet), which has no setter), the k-mer
+/// rank is `ln(0.1 + D)` as printed ([`bioseq::RankTransform::PaperLog`]),
+/// and ancestor alignment and fine-tuning score with BLOSUM62 and the
+/// default gap penalties.
 ///
 /// Marked `#[non_exhaustive]`: construct with [`SadConfig::default`] and
 /// customise through the `with_*` builder setters, so new knobs are not
@@ -23,7 +25,8 @@ pub const POOLED_SAMPLE_CAP: usize = 240;
 pub struct SadConfig {
     /// k-mer length for rank computation (paper/MUSCLE default 6).
     pub kmer_k: usize,
-    /// Compressed alphabet for k-mer counting.
+    /// Compressed alphabet for k-mer counting: always
+    /// [`CompressedAlphabet::Dayhoff6`].
     pub alphabet: CompressedAlphabet,
     /// Samples contributed per processor (`k` in the paper; when `None`,
     /// `p − 1` up to a pooled sample of [`POOLED_SAMPLE_CAP`], see
@@ -100,12 +103,6 @@ impl SadConfig {
         self
     }
 
-    /// Set the compressed alphabet for k-mer counting.
-    pub fn with_alphabet(mut self, alphabet: CompressedAlphabet) -> Self {
-        self.alphabet = alphabet;
-        self
-    }
-
     /// Set an explicit per-rank sample count (`None` restores the
     /// paper's `p − 1` default).
     pub fn with_samples_per_rank(mut self, samples: Option<usize>) -> Self {
@@ -145,30 +142,16 @@ impl SadConfig {
     }
 
     /// Enable vertical (length-wise) domain decomposition with the given
-    /// knobs. Use [`SadConfig::without_vertical`] to restore whole-length
-    /// alignment.
+    /// knobs.
     pub fn with_vertical(mut self, vertical: VerticalConfig) -> Self {
         self.vertical = Some(vertical);
         self
     }
 
-    /// Disable vertical decomposition (the default).
-    pub fn without_vertical(mut self) -> Self {
-        self.vertical = None;
-        self
-    }
-
     /// Post-process the finished alignment with the MaxAlign-style
-    /// area trim. Use [`SadConfig::without_trim`] to restore the
-    /// untouched output (the default).
+    /// area trim.
     pub fn with_trim(mut self, trim: TrimConfig) -> Self {
         self.trim = Some(trim);
-        self
-    }
-
-    /// Disable the trim stage (the default).
-    pub fn without_trim(mut self) -> Self {
-        self.trim = None;
         self
     }
 
@@ -274,7 +257,6 @@ mod tests {
     fn builder_setters_cover_every_knob() {
         let cfg = SadConfig::default()
             .with_kmer_k(4)
-            .with_alphabet(CompressedAlphabet::Identity)
             .with_samples_per_rank(Some(3))
             .with_engine(EngineChoice::Clustal)
             .with_fine_tune(false)
@@ -292,9 +274,6 @@ mod tests {
         assert_eq!(cfg.max_bucket, Some(256));
         assert_eq!(cfg.vertical.as_ref().map(|v| v.seam_window), Some(8));
         assert_eq!(cfg.trim, Some(TrimConfig { max_dropped: Some(2), branch_bound: true }));
-        let cfg = cfg.without_vertical();
-        assert_eq!(cfg.vertical, None);
-        assert_eq!(cfg.clone().without_trim().trim, None);
     }
 
     #[test]

@@ -399,43 +399,29 @@ pub(crate) fn sample_align_d<C: Comm>(
 
 /// Step 6, the PSRS protocol: sort locally, gather `p − 1` regular sample
 /// keys per rank at the root, broadcast the `p − 1` pivots it selects,
-/// exchange all-to-all, merge. Only the sample *keys* travel to the root.
-/// The same steps as the reference [`psrs::psrs`], over [`Comm`].
+/// exchange all-to-all, merge. The stages are [`psrs::sampling`]'s; this
+/// adds only the collectives between them. Only the sample *keys* travel
+/// to the root.
 fn redistribute<C: Comm>(c: &mut C, ranked: Vec<Vec<RankedSeq>>) -> Vec<Vec<RankedSeq>> {
     let p = c.size();
-    let by_rank = |a: &RankedSeq, b: &RankedSeq| a.rank.total_cmp(&b.rank);
-    let sorted = c.each(ranked, |_, mut items| {
-        items.sort_by(by_rank);
+    let key = |r: &RankedSeq| r.rank;
+    let sort = |mut items: Vec<RankedSeq>| {
+        items.sort_by(|a, b| a.rank.total_cmp(&b.rank));
         let work = psrs::sort_work(items.len());
         (items, work)
-    });
-    let samples: Vec<Vec<f64>> = sorted
-        .iter()
-        .map(|items| psrs::regular_positions(items.len(), p - 1).map(|i| items[i].rank).collect())
-        .collect();
+    };
+    let sorted = c.each(ranked, |_, items| sort(items));
+    let samples = sorted.iter().map(|items| psrs::sample_keys(items, p - 1, key)).collect();
     let pivots = c.gather(samples).map(|rows| {
-        let flat: Vec<f64> = rows.into_iter().flatten().collect();
-        c.charge(psrs::sort_work(flat.len()));
-        psrs::select_pivots(flat, p)
+        let (pivots, work) = psrs::pivots_of(rows, p);
+        c.charge(work);
+        pivots
     });
     let pivots = c.broadcast(pivots);
-    let outgoing = sorted
-        .into_iter()
-        .map(|items| {
-            let mut blocks: Vec<Vec<RankedSeq>> = (0..p).map(|_| Vec::new()).collect();
-            for item in items {
-                blocks[psrs::bucket_of(item.rank, &pivots)].push(item);
-            }
-            blocks
-        })
-        .collect();
+    let outgoing =
+        sorted.into_iter().map(|items| psrs::split_at_pivots(items, &pivots, key)).collect();
     let incoming = c.all_to_allv(outgoing);
-    c.each(incoming, |_, runs| {
-        let mut items: Vec<RankedSeq> = runs.into_iter().flatten().collect();
-        items.sort_by(by_rank);
-        let work = psrs::sort_work(items.len());
-        (items, work)
-    })
+    c.each(incoming, |_, runs| sort(runs.into_iter().flatten().collect()))
 }
 
 /// One rank's recursive bucket decomposition for [`Phase::SubPartition`]:
@@ -498,17 +484,78 @@ mod tests {
     use crate::rayon_impl::SharedMemory;
     use vcluster::{CostModel, VirtualCluster};
 
-    fn ranked(n: usize) -> Vec<RankedSeq> {
-        (0..n)
-            .map(|i| RankedSeq {
+    /// One item per key, named by its input position.
+    fn keyed(keys: impl IntoIterator<Item = f64>) -> Vec<RankedSeq> {
+        keys.into_iter()
+            .enumerate()
+            .map(|(i, rank)| RankedSeq {
                 seq: Sequence::from_codes(format!("s{i}"), vec![1, 2, 3]),
-                rank: ((i * 7919) % 13) as f64,
+                rank,
             })
             .collect()
     }
 
-    fn ids(buckets: Vec<Vec<RankedSeq>>) -> Vec<Vec<String>> {
-        buckets.into_iter().map(|b| b.into_iter().map(|r| r.seq.id).collect()).collect()
+    fn ranked(n: usize) -> Vec<RankedSeq> {
+        keyed((0..n).map(|i| ((i * 7919) % 13) as f64))
+    }
+
+    /// Deterministic pseudo-random keys (LCG), distinct per index.
+    fn synth_keys(n: usize, seed: u64) -> Vec<f64> {
+        let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
+        (0..n)
+            .map(|i| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                ((state >> 11) as f64) / ((1u64 << 53) as f64) + i as f64 * 1e-15
+            })
+            .collect()
+    }
+
+    /// `all` under the block distribution over `p` ranks.
+    fn blocks_of(all: &[RankedSeq], p: usize) -> Vec<Vec<RankedSeq>> {
+        (0..p).map(|rank| all[block_range(all.len(), p, rank)].to_vec()).collect()
+    }
+
+    fn ids(buckets: &[Vec<RankedSeq>]) -> Vec<Vec<String>> {
+        buckets.iter().map(|b| b.iter().map(|r| r.seq.id.clone()).collect()).collect()
+    }
+
+    fn keys(buckets: &[Vec<RankedSeq>]) -> Vec<Vec<f64>> {
+        buckets.iter().map(|b| b.iter().map(|r| r.rank).collect()).collect()
+    }
+
+    /// The stable global sort by rank.
+    fn stable_sort(mut items: Vec<RankedSeq>) -> Vec<RankedSeq> {
+        items.sort_by(|a, b| a.rank.total_cmp(&b.rank));
+        items
+    }
+
+    /// Step 6 with one block per rank, on a cluster and in shared memory:
+    /// asserts the two substrates bucket identically and returns the
+    /// buckets, in rank order.
+    fn redistribute_on_both(blocks: Vec<Vec<RankedSeq>>) -> Vec<Vec<RankedSeq>> {
+        let p = blocks.len();
+        let cluster = VirtualCluster::new(p, CostModel::beowulf_2008());
+        let ctx = PipelineCtx::new("test", p, None, None, None);
+        let on_cluster = cluster.run(|node| {
+            let mut c = ClusterRank::new(node, &ctx);
+            redistribute(&mut c, vec![blocks[node.rank()].clone()]).remove(0)
+        });
+        let in_memory = redistribute(&mut SharedMemory::new(p, &ctx), blocks);
+        assert_eq!(ids(&on_cluster.results), ids(&in_memory), "the substrates disagree");
+        in_memory
+    }
+
+    /// Sequential PSRS over the same blocks: the pivots of every sorted
+    /// block's regular samples, cut into the stable global sort.
+    fn reference_psrs(blocks: &[Vec<RankedSeq>]) -> Vec<Vec<RankedSeq>> {
+        let p = blocks.len();
+        let key = |r: &RankedSeq| r.rank;
+        let samples = blocks
+            .iter()
+            .map(|block| psrs::sample_keys(&stable_sort(block.clone()), p - 1, key))
+            .collect();
+        let (pivots, _) = psrs::pivots_of(samples, p);
+        psrs::split_at_pivots(stable_sort(blocks.concat()), &pivots, key)
     }
 
     #[test]
@@ -521,26 +568,105 @@ mod tests {
 
     #[test]
     fn redistribution_matches_the_reference_psrs_on_both_substrates() {
-        // The generic step 6 against psrs::psrs over a raw node — for
-        // N > p and for the N <= p inputs the old shared-memory shortcut
-        // bucketed differently.
+        // N > p, and the N <= p inputs where some ranks start empty.
         for (n, p) in [(40, 4), (3, 4), (5, 8), (2, 4), (7, 1)] {
-            let all = ranked(n);
-            let cluster = VirtualCluster::new(p, CostModel::beowulf_2008());
-            let ctx = PipelineCtx::new("test", p, None, None, None);
-            let block = |rank| all[block_range(n, p, rank)].to_vec();
-            let reference =
-                cluster.run(|node| psrs::psrs(node, block(node.rank()), |r| r.rank).items);
-            let on_cluster = cluster.run(|node| {
-                let mut c = ClusterRank::new(node, &ctx);
-                redistribute(&mut c, vec![block(node.rank())]).remove(0)
-            });
-            let mut shared = SharedMemory::new(p, &ctx);
-            let in_memory = redistribute(&mut shared, (0..p).map(block).collect());
-            let want = ids(reference.results);
-            assert_eq!(ids(on_cluster.results), want, "cluster n={n} p={p}");
-            assert_eq!(ids(in_memory), want, "shared memory n={n} p={p}");
+            let blocks = blocks_of(&ranked(n), p);
+            let want = ids(&reference_psrs(&blocks));
+            assert_eq!(ids(&redistribute_on_both(blocks)), want, "n={n} p={p}");
         }
+    }
+
+    #[test]
+    fn global_order_reconstructed() {
+        for (p, n) in [(2, 50), (4, 1000), (8, 1024), (3, 17)] {
+            let all = keyed(synth_keys(n, 42));
+            let buckets = redistribute_on_both(blocks_of(&all, p));
+            assert_eq!(ids(&[buckets.concat()]), ids(&[stable_sort(all)]), "p={p} n={n}");
+        }
+    }
+
+    #[test]
+    fn buckets_are_locally_sorted_and_disjoint() {
+        let buckets = keys(&redistribute_on_both(blocks_of(&keyed(synth_keys(400, 7)), 4)));
+        for b in &buckets {
+            assert!(b.windows(2).all(|w| w[0] <= w[1]));
+        }
+        for w in buckets.windows(2) {
+            if let (Some(&last), Some(&first)) = (w[0].last(), w[1].first()) {
+                assert!(last <= first);
+            }
+        }
+    }
+
+    #[test]
+    fn load_bound_respected_on_uniform_keys() {
+        let (p, n) = (8, 4096); // n > p³, as the theorem requires
+        let buckets = redistribute_on_both(blocks_of(&keyed(synth_keys(n, 3)), p));
+        let bound = psrs::max_partition_bound(n, p);
+        for (i, b) in buckets.iter().enumerate() {
+            assert!(b.len() <= bound, "bucket {i} holds {} > bound {bound}", b.len());
+        }
+    }
+
+    #[test]
+    fn single_rank_degenerates_to_sort() {
+        let all = keyed(synth_keys(100, 9));
+        let buckets = redistribute_on_both(blocks_of(&all, 1));
+        assert_eq!(ids(&buckets), ids(&[stable_sort(all)]));
+    }
+
+    #[test]
+    fn empty_and_tiny_inputs() {
+        // 2 items across 4 ranks: most ranks start empty.
+        let items = keyed([5.0, 1.0]);
+        let blocks = vec![vec![items[0].clone()], vec![], vec![items[1].clone()], vec![]];
+        assert_eq!(keys(&[redistribute_on_both(blocks).concat()]), vec![vec![1.0, 5.0]]);
+    }
+
+    #[test]
+    fn duplicate_keys_survive() {
+        let all = keyed([1.0; 30]);
+        let buckets = redistribute_on_both(blocks_of(&all, 3));
+        assert_eq!(ids(&[buckets.concat()]), ids(&[all]));
+    }
+
+    #[test]
+    fn deterministic_across_runs() {
+        let blocks = blocks_of(&keyed(synth_keys(512, 11)), 4);
+        assert_eq!(ids(&redistribute_on_both(blocks.clone())), ids(&redistribute_on_both(blocks)));
+    }
+
+    #[test]
+    fn sort_work_reported_per_rank() {
+        // Every rank is charged its local sort and its merge; the root also
+        // the sort of the pooled sample keys it picks the pivots from.
+        let p = 4;
+        let blocks: Vec<Vec<RankedSeq>> = (0..p)
+            .map(|rank| keyed((0..50).map(|i| ((i * 37 + rank * 13) % 400) as f64)))
+            .collect();
+        let held: Vec<usize> = blocks.iter().map(Vec::len).collect();
+        let cost = CostModel::beowulf_2008();
+        let cluster = VirtualCluster::new(p, cost);
+        let ctx = PipelineCtx::new("test", p, None, None, None);
+        let run = cluster.run(|node| {
+            let mut c = ClusterRank::new(node, &ctx);
+            redistribute(&mut c, vec![blocks[node.rank()].clone()]).remove(0).len()
+        });
+        let pooled = psrs::sort_work(p * (p - 1));
+        let sorts = |rank: usize| psrs::sort_work(held[rank]) + psrs::sort_work(run.results[rank]);
+        for (rank, trace) in run.traces.iter().enumerate() {
+            let want = if rank == 0 { sorts(rank) + pooled } else { sorts(rank) };
+            let want = cost.work_seconds(&want);
+            assert!((trace.compute_s - want).abs() <= 1e-9 * want, "rank {rank} charged");
+        }
+        assert!(run.traces[0].compute_s > run.traces[1].compute_s);
+
+        let ctx = PipelineCtx::new("test", p, None, None, None);
+        let mut shared = SharedMemory::new(p, &ctx);
+        let buckets = shared.phase(Phase::Redistribute, |c| redistribute(c, blocks)).unwrap();
+        assert_eq!(buckets.iter().map(Vec::len).collect::<Vec<_>>(), run.results);
+        let (_, work) = ctx.drain();
+        assert_eq!(work, (0..p).map(sorts).sum::<Work>() + pooled);
     }
 
     #[test]

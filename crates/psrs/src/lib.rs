@@ -9,21 +9,21 @@
 //! `2N/p` items as long as `N > p³` — the paper leans on this bound for
 //! load balancing, and [`max_partition_bound`] restates it.
 //!
-//! Two implementations share the sampling/pivot code:
-//! * [`cluster::psrs`] — the distributed protocol over a raw
-//!   [`vcluster::Node`]: the reference Sample-Align-D's own step 6 (the
-//!   same protocol over its communication trait) is tested against;
-//! * [`shared::sample_sort_by`] — a rayon shared-memory partitioner, which
-//!   Sample-Align-D uses to split one rank's over-cap bucket locally.
+//! This crate holds the stages of that round once, in [`sampling`]:
+//! [`sample_keys`], [`pivots_of`] and [`split_at_pivots`]. Two callers run
+//! them:
+//! * step 6 of the pipeline (`sad_core`'s redistribution), which adds only
+//!   the collectives between the stages, on every substrate;
+//! * [`shared::sample_partition_by`] — a rayon shared-memory partitioner,
+//!   which step 7 uses to split one rank's over-cap bucket locally.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cluster;
 pub mod sampling;
 pub mod shared;
 
-pub use cluster::{psrs, PsrsOutcome};
 pub use sampling::{
-    bucket_of, max_partition_bound, regular_positions, regular_samples, select_pivots, sort_work,
+    bucket_of, max_partition_bound, pivots_of, regular_positions, sample_keys, select_pivots,
+    sort_work, split_at_pivots,
 };

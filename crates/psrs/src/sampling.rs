@@ -1,12 +1,15 @@
-//! Regular sampling and pivot selection (shared by the distributed and
-//! shared-memory sorters).
+//! The three stages of one PSRS round, written once: regular-sample each
+//! sorted run ([`sample_keys`]), pick the pivots at the root
+//! ([`pivots_of`]), and cut every run at them ([`split_at_pivots`]).
+//! Step 6's redistribution over `Comm` and step 7's shared-memory
+//! partitioner both run exactly these.
 
 use bioseq::Work;
 
 /// The `n log₂ n` comparison work of one sort pass, zero below two items.
-/// Every sorter in the workspace (distributed PSRS, the shared-memory
-/// partitioner, the pipeline backends) charges this one formula so the
-/// unified per-phase reports stay comparable across substrates.
+/// Every sorter in the workspace (the pipeline's step 6 on both
+/// substrates, the shared-memory partitioner, the local sorts) charges
+/// this one formula so the per-phase reports stay comparable.
 pub fn sort_work(n: usize) -> Work {
     if n > 1 {
         Work::sort((n as f64 * (n as f64).log2()).ceil() as u64)
@@ -18,24 +21,49 @@ pub fn sort_work(n: usize) -> Work {
 /// Positions of `k` evenly spaced interior samples in a sorted run of `n`
 /// items (regular sampling): `(i+1)·n/(k+1)` for `i < k`. Yields fewer than
 /// `k` positions when the run is shorter than `k`, none when it is empty.
-/// The one copy of the formula: key sampling below and the pipeline's
+/// The one copy of the formula: [`sample_keys`] and the pipeline's
 /// sequence sampling (step 3) both draw from it.
 pub fn regular_positions(n: usize, k: usize) -> impl Iterator<Item = usize> {
     let k = k.min(n);
     (0..k).map(move |i| (((i + 1) * n) / (k + 1)).min(n - 1))
 }
 
-/// Choose `k` evenly spaced sample keys from a **sorted** slice (regular
-/// sampling). Returns fewer than `k` samples when the slice is shorter
-/// than `k`.
-pub fn regular_samples(sorted_keys: &[f64], k: usize) -> Vec<f64> {
-    regular_positions(sorted_keys.len(), k).map(|i| sorted_keys[i]).collect()
+/// The keys of `k` regular samples of one run **sorted** by `key`. Returns
+/// fewer than `k` keys when the run is shorter than `k`. Only these keys
+/// travel to the root (the paper: "send only their ranks to a root
+/// processor").
+pub fn sample_keys<T>(sorted: &[T], k: usize, key: impl Fn(&T) -> f64) -> Vec<f64> {
+    regular_positions(sorted.len(), k).map(|i| key(&sorted[i])).collect()
+}
+
+/// The root's stage: pool every run's [`sample_keys`], sort them and pick
+/// `p − 1` pivots ([`select_pivots`]). Also returns the [`Work`] of that
+/// sort, which the root alone is charged.
+pub fn pivots_of(samples: Vec<Vec<f64>>, p: usize) -> (Vec<f64>, Work) {
+    let pooled: Vec<f64> = samples.into_iter().flatten().collect();
+    let work = sort_work(pooled.len());
+    (select_pivots(pooled, p), work)
+}
+
+/// Cut `run` into `pivots.len() + 1` runs by [`bucket_of`], keeping the
+/// input order inside each. A run sorted by `key` comes back as sorted,
+/// contiguous pieces.
+pub fn split_at_pivots<T>(run: Vec<T>, pivots: &[f64], key: impl Fn(&T) -> f64) -> Vec<Vec<T>> {
+    let mut parts: Vec<Vec<T>> = (0..=pivots.len()).map(|_| Vec::new()).collect();
+    for item in run {
+        parts[bucket_of(key(&item), pivots)].push(item);
+    }
+    parts
 }
 
 /// Select `p − 1` pivots from the gathered sample (unsorted input; sorted
-/// internally). Matches the paper's rule of taking every `p`-th element of
-/// the sorted sample offset by `p/2` when the sample has the canonical
-/// `p(p−1)` size, and degrades gracefully for other sizes.
+/// internally): pivot `i` is the sorted sample at `i·m/p − ⌊m/(2p)⌋`,
+/// clamped into range, for a sample of `m` keys.
+///
+/// This is **not** the paper's `Y_{p/2 + (i−1)p}`: for the canonical
+/// `m = p(p−1)` it takes index `i(p−1) − ⌊(p−1)/2⌋`, about one sample row
+/// (≈ `p` positions) low, so the last bucket expects close to `2N/p`
+/// (ROADMAP item 2 carries the fix).
 pub fn select_pivots(mut samples: Vec<f64>, p: usize) -> Vec<f64> {
     assert!(p >= 1, "need at least one partition");
     if p == 1 || samples.is_empty() {
@@ -45,8 +73,6 @@ pub fn select_pivots(mut samples: Vec<f64>, p: usize) -> Vec<f64> {
     let m = samples.len();
     (1..p)
         .map(|i| {
-            // Position i·m/p shifted half a stride back: the paper's
-            // Y_{p/2 + (i−1)p} for m = p(p−1).
             let idx = (i * m) / p;
             let idx = idx.saturating_sub(m / (2 * p)).min(m - 1);
             samples[idx]
@@ -89,18 +115,44 @@ mod tests {
     use super::*;
 
     #[test]
-    fn regular_samples_even_spacing() {
+    fn sample_keys_even_spacing() {
         let keys: Vec<f64> = (0..100).map(|i| i as f64).collect();
-        let s = regular_samples(&keys, 3);
-        assert_eq!(s, vec![25.0, 50.0, 75.0]);
+        assert_eq!(sample_keys(&keys, 3, |&x| x), vec![25.0, 50.0, 75.0]);
+        let items: Vec<(u32, f64)> = (0..100).map(|i| (i, 2.0 * i as f64)).collect();
+        assert_eq!(sample_keys(&items, 3, |it| it.1), vec![50.0, 100.0, 150.0]);
     }
 
     #[test]
-    fn regular_samples_short_input() {
+    fn sample_keys_short_input() {
         let keys = [1.0, 2.0];
-        assert_eq!(regular_samples(&keys, 5).len(), 2);
-        assert!(regular_samples(&[], 3).is_empty());
-        assert!(regular_samples(&keys, 0).is_empty());
+        assert_eq!(sample_keys(&keys, 5, |&x| x).len(), 2);
+        assert!(sample_keys(&[], 3, |&x: &f64| x).is_empty());
+        assert!(sample_keys(&keys, 0, |&x| x).is_empty());
+    }
+
+    #[test]
+    fn pivots_of_pools_the_runs_and_charges_one_sort() {
+        let runs = vec![
+            vec![30.0, 60.0, 90.0],
+            vec![],
+            vec![0.0, 119.0],
+            (0..115).map(f64::from).collect(),
+        ];
+        let pooled: Vec<f64> = runs.concat();
+        let (pivots, work) = pivots_of(runs, 4);
+        assert_eq!(pivots, select_pivots(pooled, 4));
+        assert_eq!(work, sort_work(120));
+        assert_eq!(pivots_of(vec![vec![], vec![]], 3), (Vec::new(), Work::ZERO));
+    }
+
+    #[test]
+    fn split_at_pivots_cuts_like_bucket_of() {
+        let pivots = [10.0, 20.0];
+        let run = vec![25.0, 5.0, 10.0, 20.0, 15.0, 31.0, 1.0];
+        let parts = split_at_pivots(run, &pivots, |&x| x);
+        assert_eq!(parts, vec![vec![5.0, 10.0, 1.0], vec![20.0, 15.0], vec![25.0, 31.0]]);
+        assert_eq!(split_at_pivots(vec![3.0, 1.0], &[], |&x| x), vec![vec![3.0, 1.0]]);
+        assert_eq!(split_at_pivots(Vec::<f64>::new(), &pivots, |&x| x).len(), 3);
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! Shared-memory SampleSort using rayon (the multithreaded counterpart of
-//! the distributed protocol; Sample-Align-D's rank-local sub-partition
-//! step uses it).
+//! Shared-memory SampleSort using rayon: one PSRS round over chunks of a
+//! single in-memory input. Sample-Align-D's rank-local sub-partition step
+//! (step 7) uses it.
 
-use crate::sampling::{bucket_of, regular_samples, select_pivots, sort_work};
+use crate::sampling::{pivots_of, sample_keys, sort_work, split_at_pivots};
 use bioseq::Work;
 use rayon::prelude::*;
 
@@ -19,9 +19,8 @@ where
 }
 
 /// [`sample_partition_by`], also reporting the sorting [`Work`] performed
-/// (accounted with the distributed protocol's formulas, so shared-memory
-/// callers can attribute redistribution work the same way cluster ranks
-/// do).
+/// (charged with step 6's formulas, so sub-partition work reads the same
+/// way as redistribution work).
 pub fn sample_partition_by_with_work<T, F>(
     items: Vec<T>,
     parts: usize,
@@ -51,7 +50,7 @@ where
         return (out, work);
     }
     // Emulate p local sorts: chunk the data, sort chunks in parallel,
-    // sample each chunk.
+    // then run the PSRS stages over the sorted chunks.
     let n = items.len();
     let chunk_size = n.div_ceil(parts);
     let mut chunks: Vec<Vec<T>> = Vec::with_capacity(parts);
@@ -62,19 +61,13 @@ where
     }
     chunks.par_iter_mut().for_each(|c| c.sort_by(|a, b| key(a).total_cmp(&key(b))));
     work += chunks.iter().map(|c| sort_work(c.len())).sum::<Work>();
-    let samples: Vec<f64> = chunks
-        .iter()
-        .flat_map(|c| {
-            let keys: Vec<f64> = c.iter().map(&key).collect();
-            regular_samples(&keys, parts - 1)
-        })
-        .collect();
-    work += sort_work(samples.len());
-    let pivots = select_pivots(samples, parts);
+    let samples = chunks.iter().map(|c| sample_keys(c, parts - 1, &key)).collect();
+    let (pivots, pivot_work) = pivots_of(samples, parts);
+    work += pivot_work;
     let mut buckets: Vec<Vec<T>> = (0..parts).map(|_| Vec::new()).collect();
     for chunk in chunks {
-        for item in chunk {
-            buckets[bucket_of(key(&item), &pivots)].push(item);
+        for (bucket, run) in buckets.iter_mut().zip(split_at_pivots(chunk, &pivots, &key)) {
+            bucket.extend(run);
         }
     }
     buckets.par_iter_mut().for_each(|b| b.sort_by(|a, b| key(a).total_cmp(&key(b))));
@@ -82,26 +75,26 @@ where
     (buckets, work)
 }
 
-/// Fully sort `items` by `key` via sample partitioning.
-pub fn sample_sort_by<T, F>(items: Vec<T>, parts: usize, key: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(&T) -> f64 + Sync + Send,
-{
-    sample_partition_by(items, parts, key).into_iter().flatten().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The concatenated buckets: a full sort by sample partitioning.
+    fn sample_sort<T: Send>(
+        items: Vec<T>,
+        parts: usize,
+        key: impl Fn(&T) -> f64 + Sync + Send,
+    ) -> Vec<T> {
+        sample_partition_by(items, parts, key).into_iter().flatten().collect()
+    }
 
     #[test]
     fn sorts_like_std() {
         let items: Vec<f64> = (0..1000).map(|i| ((i * 7919) % 1000) as f64).collect();
         let mut expect = items.clone();
         expect.sort_by(f64::total_cmp);
-        assert_eq!(sample_sort_by(items, 8, |&x| x), expect);
+        assert_eq!(sample_sort(items, 8, |&x| x), expect);
     }
 
     #[test]
@@ -118,9 +111,9 @@ mod tests {
 
     #[test]
     fn tiny_inputs() {
-        assert_eq!(sample_sort_by(Vec::<f64>::new(), 4, |&x| x), Vec::<f64>::new());
-        assert_eq!(sample_sort_by(vec![3.0, 1.0], 4, |&x| x), vec![1.0, 3.0]);
-        assert_eq!(sample_sort_by(vec![2.0], 1, |&x| x), vec![2.0]);
+        assert_eq!(sample_sort(Vec::<f64>::new(), 4, |&x| x), Vec::<f64>::new());
+        assert_eq!(sample_sort(vec![3.0, 1.0], 4, |&x| x), vec![1.0, 3.0]);
+        assert_eq!(sample_sort(vec![2.0], 1, |&x| x), vec![2.0]);
     }
 
     #[test]
@@ -140,7 +133,7 @@ mod tests {
         #[derive(Debug, PartialEq)]
         struct Item(u32, f64);
         let items: Vec<Item> = (0..100).map(|i| Item(i, ((i * 13) % 50) as f64)).collect();
-        let sorted = sample_sort_by(items, 3, |it| it.1);
+        let sorted = sample_sort(items, 3, |it| it.1);
         assert!(sorted.windows(2).all(|w| w[0].1 <= w[1].1));
         assert_eq!(sorted.len(), 100);
     }
@@ -149,7 +142,7 @@ mod tests {
         #[test]
         fn prop_matches_std_sort(mut keys in prop::collection::vec(-1e6f64..1e6, 0..400),
                                  parts in 1usize..9) {
-            let sorted = sample_sort_by(keys.clone(), parts, |&x| x);
+            let sorted = sample_sort(keys.clone(), parts, |&x| x);
             keys.sort_by(f64::total_cmp);
             prop_assert_eq!(sorted, keys);
         }
