@@ -21,11 +21,13 @@
 //!   grown to the workload's high-water mark.
 //! * **Banded mode with adaptive doubling.** Under [`BandPolicy::Auto`]
 //!   the DP is restricted to a diagonal band sized by the length
-//!   difference, and the band is doubled and the instance re-run until
-//!   the traced optimum clears the band edges **and** doubling no longer
-//!   changes the score (edge clearance alone is not evidence of
-//!   optimality — see [`gotoh_global_with`]). The fallback of the doubling is
-//!   the full fill, so results converge to the full-DP optimum while
+//!   difference, and the band is doubled until the traced optimum clears
+//!   the band edges **and** doubling no longer changes the score (edge
+//!   clearance alone is not evidence of optimality — see
+//!   [`gotoh_global_with`]). The doubled band is filled first: when its
+//!   path stays inside the narrower band, that proves the narrower score,
+//!   which is then never filled. The fallback of the doubling is the full
+//!   fill, so results converge to the full-DP optimum while
 //!   [`bioseq::Work::dp_cells`] records only the cells actually filled.
 //!
 //! * **Two interchangeable kernels.** The classic scalar `f64` fill and a
@@ -87,7 +89,9 @@ pub enum BandPolicy {
     /// Start from a band sized by the sequence length difference (at
     /// least [`AUTO_MIN_BAND`]), and double it until the traced optimum
     /// clears the band edges and doubling leaves the score unchanged
-    /// (falling back to the full fill). Matches the full-DP optimum on
+    /// (falling back to the full fill). Each rung fills the doubled band
+    /// first and fills the narrower one only when the doubled fill's path
+    /// leaves it (see [`gotoh_global_with`]). Matches the full-DP optimum on
     /// every input we can construct — including shifted and transposed
     /// blocks — while filling only near-diagonal cells on homologous
     /// ones; the acceptance test is a (strong) heuristic, not a proof.
@@ -282,9 +286,10 @@ pub trait ColumnScorer {
         false
     }
 
-    /// Whether [`BandPolicy::Auto`]'s confirmation refills should cache
-    /// scored substitution rows in the arena and reuse the overlap
-    /// instead of rescoring. Worth it when
+    /// Whether [`BandPolicy::Auto`]'s repeated fills of one instance (a
+    /// narrower fallback fill, a wider rung) should cache scored
+    /// substitution rows in the arena and reuse the overlap instead of
+    /// rescoring. Worth it when
     /// [`fill_substitution_row`](Self::fill_substitution_row) does real
     /// per-cell work (PSP dot products); pointless when it is already a
     /// table copy.
@@ -547,9 +552,10 @@ const TB_X_FROM_Y: u8 = 0b0000_1000;
 const TB_Y_EXT: u8 = 0b0001_0000;
 const TB_Y_FROM_X: u8 = 0b0010_0000;
 
-/// Substitution rows cached across [`BandPolicy::Auto`]'s confirmation
-/// refills (striped kernel): per row, the scored column range and values,
-/// so a doubled band rescores only the fresh flanks.
+/// Substitution rows cached across [`BandPolicy::Auto`]'s fills of one
+/// instance (striped kernel): per row, the scored column range and values,
+/// so a narrower fallback fill rescores nothing and a doubled band only
+/// the fresh flanks.
 #[derive(Debug, Default)]
 struct SubRows {
     vals: Vec<f32>,
@@ -621,7 +627,7 @@ pub struct DpArena {
     // Per-column B gap costs, scored once per fill.
     gob32: Vec<f32>,
     geb32: Vec<f32>,
-    // Substitution-row cache across Auto confirmation refills
+    // Substitution-row cache across Auto's fills of one instance
     // (double-buffered: last fill's rows are read while the current
     // fill's are recorded).
     sub_cur: SubRows,
@@ -648,8 +654,9 @@ pub struct DpResult {
     pub ops: Vec<ColOp>,
     /// The DP objective value.
     pub score: f64,
-    /// Matrix cells actually filled, summed over adaptive retries
-    /// (single-layer count; one "cell" fills all three layers).
+    /// Matrix cells actually filled, summed over every fill
+    /// [`BandPolicy::Auto`] ran (single-layer count; one "cell" fills all
+    /// three layers).
     pub cells: u64,
     /// Cells a full `n·m` fill would have touched (single-layer count).
     pub full_cells: u64,
@@ -798,9 +805,9 @@ fn fill<S: ColumnScorer>(s: &S, hw: usize, arena: &mut DpArena) -> FillOutcome {
 /// and ORs in the Y bits.
 ///
 /// With `cache_rows`, scored substitution rows are recorded in the arena
-/// and the next (wider) fill of the same instance copies the overlap
-/// instead of rescoring — [`BandPolicy::Auto`]'s confirmation pass then
-/// pays only for the fresh band flanks.
+/// and the next fill of the same instance copies the overlap instead of
+/// rescoring — [`BandPolicy::Auto`]'s narrower fallback fill then scores
+/// nothing, and a wider rung pays only for the fresh band flanks.
 fn fill_striped<S: ColumnScorer>(
     s: &S,
     hw: usize,
@@ -1005,19 +1012,26 @@ fn fill_striped<S: ColumnScorer>(
     FillOutcome { cells, end: (arena.mp32[m] as f64, arena.xp32[m] as f64, arena.yp32[m] as f64) }
 }
 
-/// Walk of the packed traceback from `(i, j, layer)` back to the origin:
-/// the recovered ops and whether the path touched a (clipped) band edge.
+/// Walk of the packed traceback from `(n, m, layer)` back to the origin:
+/// the recovered ops, whether the path touched a (clipped) band edge, and
+/// how far from the band's centre line it strays.
 struct Traceback {
     ops_rev: Vec<ColOp>,
     touched_edge: bool,
+    /// The largest `|j − i·m/n|` (the fills' integer centre line) over
+    /// every cell the walk visits, boundary cells included: the path lies
+    /// inside the band of every half-width at least this large.
+    max_dev: usize,
 }
 
 impl Traceback {
-    fn walk(arena: &DpArena, m: usize, start: (usize, usize), mut layer: u8) -> Self {
-        let (mut i, mut j) = start;
+    fn walk(arena: &DpArena, n: usize, m: usize, mut layer: u8) -> Self {
+        let (mut i, mut j) = (n, m);
         let mut ops_rev = Vec::with_capacity(i + j);
         let mut touched = false;
+        let mut max_dev = 0;
         while i > 0 || j > 0 {
+            max_dev = max_dev.max(j.abs_diff((i * m).checked_div(n).unwrap_or(0)));
             if i == 0 {
                 ops_rev.push(ColOp::FromB);
                 j -= 1;
@@ -1062,7 +1076,7 @@ impl Traceback {
             }
         }
         ops_rev.reverse();
-        Traceback { ops_rev, touched_edge: touched }
+        Traceback { ops_rev, touched_edge: touched, max_dev }
     }
 }
 
@@ -1070,12 +1084,21 @@ impl Traceback {
 /// and kernel choice.
 ///
 /// Terminal gaps are charged like internal ones. Under
-/// [`BandPolicy::Auto`] the kernel re-runs with a doubled band until the
-/// traced optimum clears the band edges **and** the score is stable under
-/// the doubling (an interior path can still be band-suboptimal — e.g.
-/// transposed blocks — so clearance alone is not trusted), falling back
-/// to a full fill; [`DpResult::cells`] sums the cells of every attempt
-/// (a geometric series bounded by a small constant times one full fill).
+/// [`BandPolicy::Auto`] the controller walks a ladder of half-widths
+/// `hw0, 2·hw0, …` (ending in a full fill) and returns the fill at rung
+/// `2·hw` once it is *confirmed*: its traced optimum clears the band
+/// edges **and** the narrower rung `hw` scores the same (an interior path
+/// can still be band-suboptimal — e.g. transposed blocks — so clearance
+/// alone is not trusted). It fills the doubled band first and fills the
+/// narrower one only when the doubled fill's own path cannot prove that
+/// score: when the path stays within `hw` of the centre line, every state
+/// on it lies in the narrower band too, and since `max` is exact and a
+/// rounded `a + c` is monotone in `a` (in `f32` and `f64` alike) the
+/// narrower fill reaches that path's value and can exceed it nowhere. Such
+/// a path also clears the doubled band's edges by `hw − 1` cells. So the
+/// result is the ladder's, byte for byte, at a third fewer cells on the
+/// common instance. [`DpResult::cells`] sums every fill the controller
+/// ran (at most the ladder's own geometric series).
 ///
 /// `Scalar` and `Striped` force their fill; `Auto` runs striped exactly
 /// when the scorer guarantees f32-exact decisions
@@ -1095,8 +1118,8 @@ pub fn gotoh_global_with<S: ColumnScorer>(
         DpKernel::Striped => true,
         DpKernel::Auto => s.f32_compatible(),
     };
-    // Auto's confirmation refills revisit the same rows with a doubled
-    // band: cache scored rows when the scorer's row fill is worth saving.
+    // Auto's fallback and wider fills revisit the same rows: cache scored
+    // rows when the scorer's row fill is worth saving.
     let cache = striped && policy == BandPolicy::Auto && s.cache_substitution_rows();
     arena.sub_valid = false;
     let full_cells = (n as u64) * (m as u64);
@@ -1106,7 +1129,7 @@ pub fn gotoh_global_with<S: ColumnScorer>(
     let run = |hw: usize, arena: &mut DpArena| -> (FillOutcome, Traceback, f64) {
         let out = if striped { fill_striped(s, hw, cache, arena) } else { fill(s, hw, arena) };
         let (score, layer) = best3(out.end.0, out.end.1, out.end.2);
-        let tb = Traceback::walk(arena, m, (n, m), layer);
+        let tb = Traceback::walk(arena, n, m, layer);
         (out, tb, score)
     };
     match policy {
@@ -1121,39 +1144,64 @@ pub fn gotoh_global_with<S: ColumnScorer>(
             DpResult { ops: tb.ops_rev, score, cells: out.cells, full_cells, band }
         }
         BandPolicy::Auto => {
-            let mut hw = feasible.max(AUTO_MIN_BAND).min(full_hw.max(1));
-            // Any accepted banded outcome costs at least the band plus
-            // its doubled confirmation pass, ≈ (6·hw + 2)·n cells; when
-            // that can't undercut the m·n full fill, run the
-            // (unconditionally exact) full fill straight away.
-            if 6 * hw + 2 >= full_hw {
-                hw = full_hw;
+            // The next rung of the ladder; a doubled band about as wide as
+            // the matrix costs a full fill anyway — make it the exact full
+            // run.
+            let double = |hw: usize| {
+                let hw = (hw * 2).min(full_hw);
+                if 2 * hw + 1 >= full_hw {
+                    full_hw
+                } else {
+                    hw
+                }
+            };
+            let mut narrow = feasible.max(AUTO_MIN_BAND).min(full_hw.max(1));
+            // The cheapest banded outcome costs one (4·hw + 1)-wide fill,
+            // but instances within (6·hw + 2) of the full width still go
+            // straight to the (unconditionally exact) full fill: moving
+            // this threshold would change which instances run banded, and
+            // so their output bytes.
+            if 6 * narrow + 2 >= full_hw {
+                narrow = full_hw;
             }
+            let mut narrow_score = None;
             let mut total = 0u64;
-            let mut prev_score: Option<f64> = None;
             loop {
+                let hw = if narrow >= full_hw { full_hw } else { double(narrow) };
                 let (out, tb, score) = run(hw, arena);
                 total += out.cells;
-                let clipped = hw < full_hw;
-                // A clipped result is accepted only when the traced
-                // optimum stays clear of the band edges AND doubling the
-                // band left the score unchanged. Edge clearance alone is
-                // not evidence of optimality: an interior near-diagonal
-                // path can score less than an off-band excursion (e.g.
-                // transposed sequence blocks), and only score stability
-                // under widening rules that out.
-                let confirmed = !tb.touched_edge && score > NEG_INF && prev_score == Some(score);
-                if !clipped || confirmed {
-                    let band = if clipped { Some(hw) } else { None };
-                    return DpResult { ops: tb.ops_rev, score, cells: total, full_cells, band };
+                if hw >= full_hw {
+                    return DpResult {
+                        ops: tb.ops_rev,
+                        score,
+                        cells: total,
+                        full_cells,
+                        band: None,
+                    };
                 }
-                prev_score = Some(score);
-                hw = (hw * 2).min(full_hw);
-                // A doubled band about as wide as the matrix costs a full
-                // fill anyway — make it the exact full run.
-                if 2 * hw + 1 >= full_hw {
-                    hw = full_hw;
+                // A path within the narrower band proves the narrower
+                // rung's score (see above); otherwise fill that rung, once,
+                // and compare.
+                let confirmed = score > NEG_INF
+                    && (tb.max_dev <= narrow || {
+                        let prev = narrow_score.unwrap_or_else(|| {
+                            let (out, _, prev) = run(narrow, arena);
+                            total += out.cells;
+                            prev
+                        });
+                        !tb.touched_edge && prev == score
+                    });
+                if confirmed {
+                    return DpResult {
+                        ops: tb.ops_rev,
+                        score,
+                        cells: total,
+                        full_cells,
+                        band: Some(hw),
+                    };
                 }
+                narrow_score = Some(score);
+                narrow = hw;
             }
         }
     }
@@ -1274,6 +1322,172 @@ mod tests {
             let diff = scalar.tb.iter().zip(&striped.tb).position(|(a, b)| a != b);
             assert_eq!(diff, None, "{what}: first differing tb byte at hw {hw}");
         }
+    }
+
+    /// [`BandPolicy::Auto`] as a plain ladder: fill every rung of
+    /// [`fill_widths`] in turn and accept a clipped fill whose path clears
+    /// the band edges and whose score equals the previous rung's. The
+    /// controller must return exactly this from no more cells.
+    fn ladder<S: ColumnScorer>(s: &S, kernel: DpKernel) -> DpResult {
+        let (n, m) = (s.len_a(), s.len_b());
+        let mut arena = DpArena::new();
+        let (mut cells, mut prev) = (0, None);
+        for hw in fill_widths(n, m).split_off(2) {
+            let out = match kernel {
+                DpKernel::Striped => fill_striped(s, hw, s.cache_substitution_rows(), &mut arena),
+                _ => fill(s, hw, &mut arena),
+            };
+            cells += out.cells;
+            let (score, layer) = best3(out.end.0, out.end.1, out.end.2);
+            let tb = Traceback::walk(&arena, n, m, layer);
+            let clipped = hw < m;
+            if !clipped || (!tb.touched_edge && score > NEG_INF && prev == Some(score)) {
+                let band = clipped.then_some(hw);
+                return DpResult {
+                    ops: tb.ops_rev,
+                    score,
+                    cells,
+                    full_cells: (n * m) as u64,
+                    band,
+                };
+            }
+            prev = Some(score);
+        }
+        unreachable!("the ladder ends in a full fill")
+    }
+
+    /// Under both kernels, `Auto` returns the [`ladder`]'s ops, score and
+    /// band from no more cells. Returns the `(Auto, ladder)` cell counts.
+    fn assert_auto_is_the_ladder<S: ColumnScorer>(s: &S, what: &str) -> (u64, u64) {
+        let mut cells = (0, 0);
+        for kernel in [DpKernel::Scalar, DpKernel::Striped] {
+            let want = ladder(s, kernel);
+            let got = gotoh_global_with(s, BandPolicy::Auto, kernel, &mut DpArena::new());
+            assert_eq!(got.ops, want.ops, "{what} {kernel:?}");
+            assert_eq!(got.score.to_bits(), want.score.to_bits(), "{what} {kernel:?}");
+            assert_eq!(got.band, want.band, "{what} {kernel:?}");
+            assert_eq!(got.full_cells, want.full_cells, "{what} {kernel:?}");
+            assert!(got.cells <= want.cells, "{what} {kernel:?}: {} > {}", got.cells, want.cells);
+            cells = (got.cells, want.cells);
+        }
+        cells
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(6))]
+
+        /// Rose pairs, and uniform-weight profiles of two rose
+        /// sub-families, at L ≈ 300 and 700: the controller is the ladder.
+        #[test]
+        fn auto_is_the_ladder_on_rose_families(seed in 0u64..1000, relatedness in 100f64..900.0) {
+            use bioseq::Msa;
+            use rosegen::{Family, FamilyConfig};
+            let matrix = SubstMatrix::blosum62();
+            let gaps = GapPenalties::default();
+            for avg_len in [300, 700] {
+                let cfg = FamilyConfig { n_seqs: 4, avg_len, relatedness, seed, ..Default::default() };
+                let fam = Family::generate(&cfg);
+                let s = scorer(fam.seqs[0].codes(), fam.seqs[1].codes(), &matrix, gaps);
+                assert_auto_is_the_ladder(&s, "pair");
+                let mut work = Work::ZERO;
+                let mut profile = |rows: std::ops::Range<usize>| {
+                    let ids = fam.reference.ids()[rows.clone()].to_vec();
+                    let mut msa = Msa::from_rows(ids, fam.reference.rows()[rows].to_vec());
+                    msa.drop_all_gap_columns();
+                    Profile::from_msa(&msa, &mut work)
+                };
+                let (pa, pb) = (profile(0..2), profile(2..4));
+                let s = PspScorer::new(&pa, &pb, &matrix, gaps, &mut work);
+                proptest::prop_assert!(s.f32_compatible(), "uniform weights keep PSP f32-exact");
+                assert_auto_is_the_ladder(&s, "profile");
+            }
+        }
+
+        /// Unrelated random pairs, where paths stray from the centre line
+        /// and the ladder climbs past its first rungs.
+        #[test]
+        fn auto_is_the_ladder_on_unrelated_pairs(
+            a in proptest::collection::vec(0u8..20, 200..500),
+            b in proptest::collection::vec(0u8..20, 200..500),
+            open in 1i32..12,
+            extend in 1i32..4,
+        ) {
+            let matrix = SubstMatrix::blosum62();
+            assert_auto_is_the_ladder(&scorer(&a, &b, &matrix, GapPenalties { open, extend }), "random");
+        }
+    }
+
+    #[test]
+    fn auto_is_the_ladder_on_a_shifted_pair() {
+        // One side is the other behind a 60-residue prefix: the optimum
+        // runs up to 60 diagonals off the centre line. At 200 residues
+        // Auto fills the full matrix; at 500 it runs banded and the
+        // doubled fill's path proves the narrower rung's score.
+        use rosegen::{Family, FamilyConfig};
+        let matrix = SubstMatrix::blosum62();
+        let gaps = GapPenalties { open: 4, extend: 1 };
+        for avg_len in [200, 500] {
+            let cfg = FamilyConfig {
+                n_seqs: 1,
+                avg_len,
+                relatedness: 900.0,
+                seed: 17,
+                ..Default::default()
+            };
+            let core = Family::generate(&cfg).seqs.remove(0);
+            let mut shifted = vec![bioseq::alphabet::char_to_code('P').unwrap(); 60];
+            shifted.extend_from_slice(core.codes());
+            let s = scorer(core.codes(), &shifted, &matrix, gaps);
+            let (auto, ladder) = assert_auto_is_the_ladder(&s, "shift");
+            if avg_len == 500 {
+                assert!(auto < ladder, "the narrower fill is skipped: {auto} vs {ladder}");
+            }
+        }
+    }
+
+    #[test]
+    fn auto_is_the_ladder_on_transposed_blocks() {
+        // The blocks of `auto_band_refuses_interior_but_suboptimal_paths`,
+        // and a longer pair that Auto runs banded: there the doubled
+        // fill's path leaves the narrower band, so the narrower fill must
+        // still run and the controller fills exactly the ladder's cells.
+        let matrix = SubstMatrix::blosum62();
+        let gaps = GapPenalties::default();
+        for block in [60, 150] {
+            let s1: Vec<u8> = (0..block).map(|i| ((i * 7) % 20) as u8).collect();
+            let s2: Vec<u8> = (0..block).map(|i| ((i * 11 + 3) % 20) as u8).collect();
+            let a = [s1.as_slice(), &s2].concat();
+            let b = [s2.as_slice(), &s1].concat();
+            let (auto, ladder) =
+                assert_auto_is_the_ladder(&scorer(&a, &b, &matrix, gaps), "blocks");
+            assert_eq!(auto, ladder, "block {block}");
+        }
+    }
+
+    #[test]
+    fn max_dev_is_the_walks_widest_step_off_the_centre_line() {
+        // A hand-built full-band store for n = 2, m = 4 (centre line
+        // j = 2i): both rows hold columns 1..=4.
+        let mut arena = DpArena::new();
+        arena.row_off = vec![0, 0, 4];
+        arena.row_jlo = vec![1, 1, 1];
+        arena.row_lo = vec![0, 0, 0];
+        arena.row_hi = vec![4, 4, 4];
+        // Row 1 (columns 1..=4), then row 2: (2,4) and (2,3) extend Y,
+        // (2,2) opens Y from M, (1,3) takes M from M.
+        arena.tb = vec![0, 0, 0, 0, 0, 0, TB_Y_EXT, TB_Y_EXT];
+        // Y from (2,4): (2,3), (2,2), M at (2,1) → (1,0) → origin. The
+        // widest step is the interior cell (2,1), 3 off the line.
+        let tb = Traceback::walk(&arena, 2, 4, 2);
+        use ColOp::*;
+        assert_eq!(tb.ops_rev, [FromA, Both, FromB, FromB, FromB]);
+        assert_eq!(tb.max_dev, 3);
+        // M from (2,4): (1,3) → (0,2) → (0,1) → origin. The widest step
+        // is the boundary cell (0,2).
+        let tb = Traceback::walk(&arena, 2, 4, 0);
+        assert_eq!(tb.ops_rev, [FromB, FromB, Both, Both]);
+        assert_eq!(tb.max_dev, 2);
+        assert!(!tb.touched_edge, "a full band has no clipped edge");
     }
 
     #[test]
@@ -1420,7 +1634,7 @@ mod tests {
         assert_eq!(w.dp_cells_full, 3 * 300 * 300);
         assert!(
             w.dp_cells < w.dp_cells_full,
-            "auto band (incl. its confirmation pass) must save cells at L=300"
+            "auto band (incl. any fallback fill) must save cells at L=300"
         );
     }
 
