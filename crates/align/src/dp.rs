@@ -1144,9 +1144,9 @@ pub fn gotoh_global_with<S: ColumnScorer>(
             DpResult { ops: tb.ops_rev, score, cells: out.cells, full_cells, band }
         }
         BandPolicy::Auto => {
-            // The next rung of the ladder; a doubled band about as wide as
-            // the matrix costs a full fill anyway — make it the exact full
-            // run.
+            // The next rung of the ladder (full stays full); a doubled
+            // band about as wide as the matrix costs a full fill anyway —
+            // make it the exact full run.
             let double = |hw: usize| {
                 let hw = (hw * 2).min(full_hw);
                 if 2 * hw + 1 >= full_hw {
@@ -1167,22 +1167,16 @@ pub fn gotoh_global_with<S: ColumnScorer>(
             let mut narrow_score = None;
             let mut total = 0u64;
             loop {
-                let hw = if narrow >= full_hw { full_hw } else { double(narrow) };
+                let hw = double(narrow);
                 let (out, tb, score) = run(hw, arena);
                 total += out.cells;
-                if hw >= full_hw {
-                    return DpResult {
-                        ops: tb.ops_rev,
-                        score,
-                        cells: total,
-                        full_cells,
-                        band: None,
-                    };
-                }
-                // A path within the narrower band proves the narrower
-                // rung's score (see above); otherwise fill that rung, once,
-                // and compare.
-                let confirmed = score > NEG_INF
+                let clipped = hw < full_hw;
+                // A clipped fill is accepted only when its traced optimum
+                // clears the band edges AND the narrower rung scores the
+                // same. A path within the narrower band proves both (see
+                // above); otherwise fill that rung, once, and compare.
+                let confirmed = clipped
+                    && score > NEG_INF
                     && (tb.max_dev <= narrow || {
                         let prev = narrow_score.unwrap_or_else(|| {
                             let (out, _, prev) = run(narrow, arena);
@@ -1191,14 +1185,9 @@ pub fn gotoh_global_with<S: ColumnScorer>(
                         });
                         !tb.touched_edge && prev == score
                     });
-                if confirmed {
-                    return DpResult {
-                        ops: tb.ops_rev,
-                        score,
-                        cells: total,
-                        full_cells,
-                        band: Some(hw),
-                    };
+                if !clipped || confirmed {
+                    let band = clipped.then_some(hw);
+                    return DpResult { ops: tb.ops_rev, score, cells: total, full_cells, band };
                 }
                 narrow_score = Some(score);
                 narrow = hw;
@@ -1446,25 +1435,6 @@ mod tests {
     }
 
     #[test]
-    fn auto_is_the_ladder_on_transposed_blocks() {
-        // The blocks of `auto_band_refuses_interior_but_suboptimal_paths`,
-        // and a longer pair that Auto runs banded: there the doubled
-        // fill's path leaves the narrower band, so the narrower fill must
-        // still run and the controller fills exactly the ladder's cells.
-        let matrix = SubstMatrix::blosum62();
-        let gaps = GapPenalties::default();
-        for block in [60, 150] {
-            let s1: Vec<u8> = (0..block).map(|i| ((i * 7) % 20) as u8).collect();
-            let s2: Vec<u8> = (0..block).map(|i| ((i * 11 + 3) % 20) as u8).collect();
-            let a = [s1.as_slice(), &s2].concat();
-            let b = [s2.as_slice(), &s1].concat();
-            let (auto, ladder) =
-                assert_auto_is_the_ladder(&scorer(&a, &b, &matrix, gaps), "blocks");
-            assert_eq!(auto, ladder, "block {block}");
-        }
-    }
-
-    #[test]
     fn max_dev_is_the_walks_widest_step_off_the_centre_line() {
         // A hand-built full-band store for n = 2, m = 4 (centre line
         // j = 2i): both rows hold columns 1..=4.
@@ -1643,19 +1613,24 @@ mod tests {
         // Regression: two distinct blocks, transposed. The near-diagonal
         // banded path sits clear of the band edges yet scores far below
         // the off-band optimum, so acceptance must also demand score
-        // stability under doubling.
+        // stability under doubling. Blocks of 60 make a full fill; at 150
+        // Auto runs banded, the doubled fill's path leaves the narrower
+        // band, and the narrower fill must still run: the controller
+        // fills exactly the ladder's cells.
         let matrix = SubstMatrix::blosum62();
         let gaps = GapPenalties::default();
-        let s1: Vec<u8> = (0..60).map(|i| ((i * 7) % 20) as u8).collect();
-        let s2: Vec<u8> = (0..60).map(|i| ((i * 11 + 3) % 20) as u8).collect();
-        let mut a = s1.clone();
-        a.extend_from_slice(&s2);
-        let mut b = s2;
-        b.extend_from_slice(&s1);
-        let s = scorer(&a, &b, &matrix, gaps);
-        let mut arena = DpArena::new();
-        let full = gotoh_global_with(&s, BandPolicy::Full, DpKernel::Auto, &mut arena);
-        let auto = gotoh_global_with(&s, BandPolicy::Auto, DpKernel::Auto, &mut arena);
-        assert_eq!(auto.score, full.score, "transposed blocks must not fool the band");
+        for block in [60, 150] {
+            let s1: Vec<u8> = (0..block).map(|i| ((i * 7) % 20) as u8).collect();
+            let s2: Vec<u8> = (0..block).map(|i| ((i * 11 + 3) % 20) as u8).collect();
+            let a = [s1.as_slice(), &s2].concat();
+            let b = [s2.as_slice(), &s1].concat();
+            let s = scorer(&a, &b, &matrix, gaps);
+            let mut arena = DpArena::new();
+            let full = gotoh_global_with(&s, BandPolicy::Full, DpKernel::Auto, &mut arena);
+            let auto = gotoh_global_with(&s, BandPolicy::Auto, DpKernel::Auto, &mut arena);
+            assert_eq!(auto.score, full.score, "transposed blocks must not fool the band");
+            let (auto, ladder) = assert_auto_is_the_ladder(&s, "blocks");
+            assert_eq!(auto, ladder, "block {block}");
+        }
     }
 }
