@@ -18,7 +18,9 @@
 //! * **Reusable scratch.** All storage lives in a [`DpArena`] that callers
 //!   thread through progressive alignment and refinement, so steady-state
 //!   alignment performs no per-call heap allocation once the arena has
-//!   grown to the workload's high-water mark.
+//!   grown to the workload's high-water mark. It holds rolling rows, the
+//!   traceback bytes and per-row band geometry, and nothing carries from
+//!   one fill to the next.
 //! * **Banded mode with adaptive doubling.** Under [`BandPolicy::Auto`]
 //!   the DP is restricted to a diagonal band sized by the length
 //!   difference, and the band is doubled until the traced optimum clears
@@ -31,16 +33,16 @@
 //!   [`bioseq::Work::dp_cells`] records only the cells actually filled.
 //!
 //! * **Two interchangeable kernels.** The classic scalar `f64` fill and a
-//!   striped `f32` fill (selected by [`DpKernel`]) that scores whole rows
-//!   through the batched [`ColumnScorer`] API, splits the recurrence into
-//!   two vectorizable passes plus one serial suffix scan, and writes the
-//!   same one-byte-per-cell traceback as the scalar fill. The scalar
-//!   kernel is the property-test oracle: when the scorer reports
-//!   [`ColumnScorer::f32_compatible`] (integral scores whose running sums
-//!   stay below 2²⁴) every striped decision is provably identical and
-//!   [`DpKernel::Auto`] selects the striped path; otherwise scores may
-//!   differ by a relative epsilon (~1e-6) and `Auto` stays on the scalar
-//!   oracle so traceback ops never drift.
+//!   striped `f32` fill (selected by [`DpKernel`]) that scores each
+//!   in-band row once per fill through the batched [`ColumnScorer`] API,
+//!   splits the recurrence into two vectorizable passes plus one serial
+//!   suffix scan, and writes the same one-byte-per-cell traceback as the
+//!   scalar fill. The scalar kernel is the property-test oracle: when the
+//!   scorer reports [`ColumnScorer::f32_compatible`] (integral scores
+//!   whose running sums stay below 2²⁴) every striped decision is
+//!   provably identical and [`DpKernel::Auto`] selects the striped path;
+//!   otherwise scores may differ by a relative epsilon (~1e-6) and `Auto`
+//!   stays on the scalar oracle so traceback ops never drift.
 //!
 //! Scalar scores are `f64` throughout. For integer substitution matrices
 //! and gap penalties every intermediate value is an exact small integer,
@@ -223,8 +225,8 @@ impl From<BandPolicy> for DpOptions {
 const F32_EXACT_LIMIT: f64 = 16_777_216.0;
 
 /// Build the [`SubstScorer`] per-residue lane table only for instances of
-/// at least this many cells; below it the batched default fill is cheap
-/// enough and the table would cost more than it saves.
+/// at least this many cells; below it gathering each row from the matrix
+/// is cheap enough and the table would cost more than it saves.
 const LANE_TABLE_MIN_CELLS: usize = 256;
 
 /// The column-level scoring interface the kernel is generic over.
@@ -252,50 +254,19 @@ pub trait ColumnScorer {
     fn gap_extend_b(&self, j: usize) -> f64;
 
     /// Batched scoring: write `substitution(i, j0 + k)` for `k` in
-    /// `0..out.len()` as `f32` lanes. The default loops over the scalar
-    /// method; scorers with a denser layout override it (this is the
-    /// striped kernel's hot path).
-    fn fill_substitution_row(&self, i: usize, j0: usize, out: &mut [f32]) {
-        for (k, slot) in out.iter_mut().enumerate() {
-            *slot = self.substitution(i, j0 + k) as f32;
-        }
-    }
-
+    /// `0..out.len()` as `f32` lanes (the striped kernel's hot path).
+    fn fill_substitution_row(&self, i: usize, j0: usize, out: &mut [f32]);
     /// Batched gap costs: write `gap_open_b(j0 + k)` as `f32` lanes.
-    fn fill_gap_open_b_row(&self, j0: usize, out: &mut [f32]) {
-        for (k, slot) in out.iter_mut().enumerate() {
-            *slot = self.gap_open_b(j0 + k) as f32;
-        }
-    }
-
+    fn fill_gap_open_b_row(&self, j0: usize, out: &mut [f32]);
     /// Batched gap costs: write `gap_extend_b(j0 + k)` as `f32` lanes.
-    fn fill_gap_extend_b_row(&self, j0: usize, out: &mut [f32]) {
-        for (k, slot) in out.iter_mut().enumerate() {
-            *slot = self.gap_extend_b(j0 + k) as f32;
-        }
-    }
-
+    fn fill_gap_extend_b_row(&self, j0: usize, out: &mut [f32]);
     /// Whether every decision the striped `f32` kernel would take on this
     /// instance is exact: all scores and gap costs are integers, and the
     /// worst-case running sum stays below 2²⁴ (f32's exact-integer
     /// range). When true, [`DpKernel::Auto`] selects the striped kernel
-    /// with byte-identical traceback guaranteed. The conservative default
-    /// keeps scorers that have not audited their arithmetic on the scalar
-    /// oracle.
-    fn f32_compatible(&self) -> bool {
-        false
-    }
-
-    /// Whether [`BandPolicy::Auto`]'s repeated fills of one instance (a
-    /// narrower fallback fill, a wider rung) should cache scored
-    /// substitution rows in the arena and reuse the overlap instead of
-    /// rescoring. Worth it when
-    /// [`fill_substitution_row`](Self::fill_substitution_row) does real
-    /// per-cell work (PSP dot products); pointless when it is already a
-    /// table copy.
-    fn cache_substitution_rows(&self) -> bool {
-        true
-    }
+    /// with byte-identical traceback guaranteed; otherwise it stays on the
+    /// scalar oracle.
+    fn f32_compatible(&self) -> bool;
 }
 
 /// Residue-vs-residue scorer: a substitution matrix plus uniform affine
@@ -311,7 +282,7 @@ pub struct SubstScorer<'a> {
     /// Per-residue score lanes: `lanes[c·m + j] = S(c, b[j])` for every
     /// code `c` present in `a`, so a striped row fill is one table copy.
     /// Left empty for tiny instances where building it costs more than
-    /// the fill saves (the batched default path covers those).
+    /// the fill saves (the row fill then gathers from the matrix row).
     lanes: Vec<f32>,
     f32_ok: bool,
 }
@@ -398,11 +369,6 @@ impl ColumnScorer for SubstScorer<'_> {
     }
     fn f32_compatible(&self) -> bool {
         self.f32_ok
-    }
-    /// Row fills are table copies (or one gather for tiny instances) —
-    /// caching them in the arena would only duplicate the copy.
-    fn cache_substitution_rows(&self) -> bool {
-        false
     }
 }
 
@@ -552,47 +518,12 @@ const TB_X_FROM_Y: u8 = 0b0000_1000;
 const TB_Y_EXT: u8 = 0b0001_0000;
 const TB_Y_FROM_X: u8 = 0b0010_0000;
 
-/// Substitution rows cached across [`BandPolicy::Auto`]'s fills of one
-/// instance (striped kernel): per row, the scored column range and values,
-/// so a narrower fallback fill rescores nothing and a doubled band only
-/// the fresh flanks.
-#[derive(Debug, Default)]
-struct SubRows {
-    vals: Vec<f32>,
-    off: Vec<usize>,
-    j0: Vec<usize>,
-    len: Vec<usize>,
-}
-
-impl SubRows {
-    fn reset(&mut self, n: usize) {
-        self.vals.clear();
-        for v in [&mut self.off, &mut self.j0, &mut self.len] {
-            v.clear();
-            v.resize(n + 1, 0);
-        }
-    }
-
-    fn row(&self, i: usize) -> Option<(usize, &[f32])> {
-        let len = *self.len.get(i)?;
-        if len == 0 {
-            return None;
-        }
-        Some((self.j0[i], &self.vals[self.off[i]..self.off[i] + len]))
-    }
-
-    fn push_row(&mut self, i: usize, j0: usize, vals: &[f32]) {
-        self.off[i] = self.vals.len();
-        self.j0[i] = j0;
-        self.len[i] = vals.len();
-        self.vals.extend_from_slice(vals);
-    }
-}
-
 /// Reusable scratch for the kernel: two rolling score rows per layer, the
-/// packed traceback, and per-row band geometry. One arena serves any
-/// number of consecutive alignments; buffers grow to the largest instance
-/// seen and are then reused without further allocation.
+/// packed traceback (one byte per in-band cell), per-row band geometry and
+/// the striped kernel's `O(m)` row scratch. Every fill overwrites what it
+/// reads, so nothing is kept per fill. One arena serves any number of
+/// consecutive alignments; buffers grow to the largest instance seen and
+/// are then reused without further allocation.
 #[derive(Debug, Default)]
 pub struct DpArena {
     // Rolling score rows (previous / current), one pair per layer.
@@ -627,12 +558,6 @@ pub struct DpArena {
     // Per-column B gap costs, scored once per fill.
     gob32: Vec<f32>,
     geb32: Vec<f32>,
-    // Substitution-row cache across Auto's fills of one instance
-    // (double-buffered: last fill's rows are read while the current
-    // fill's are recorded).
-    sub_cur: SubRows,
-    sub_prev: SubRows,
-    sub_valid: bool,
 }
 
 impl DpArena {
@@ -804,16 +729,9 @@ fn fill<S: ColumnScorer>(s: &S, hw: usize, arena: &mut DpArena) -> FillOutcome {
 /// Y's row-carried extension chain — the only serial work left per row —
 /// and ORs in the Y bits.
 ///
-/// With `cache_rows`, scored substitution rows are recorded in the arena
-/// and the next fill of the same instance copies the overlap instead of
-/// rescoring — [`BandPolicy::Auto`]'s narrower fallback fill then scores
-/// nothing, and a wider rung pays only for the fresh band flanks.
-fn fill_striped<S: ColumnScorer>(
-    s: &S,
-    hw: usize,
-    cache_rows: bool,
-    arena: &mut DpArena,
-) -> FillOutcome {
+/// Each in-band row is scored once per fill, straight into `DpArena::srow`
+/// by [`ColumnScorer::fill_substitution_row`]; nothing outlives the fill.
+fn fill_striped<S: ColumnScorer>(s: &S, hw: usize, arena: &mut DpArena) -> FillOutcome {
     let n = s.len_a();
     let m = s.len_b();
     let w = m + 1;
@@ -845,12 +763,6 @@ fn fill_striped<S: ColumnScorer>(
     arena.geb32.resize(m, 0.0);
     s.fill_gap_open_b_row(0, &mut arena.gob32);
     s.fill_gap_extend_b_row(0, &mut arena.geb32);
-
-    let reuse = cache_rows && arena.sub_valid;
-    if cache_rows {
-        std::mem::swap(&mut arena.sub_cur, &mut arena.sub_prev);
-        arena.sub_cur.reset(n);
-    }
 
     // Row 0: M origin and the Y run along the top edge.
     arena.mp32[0] = 0.0;
@@ -891,36 +803,11 @@ fn fill_striped<S: ColumnScorer>(
             arena.xc32[0] = bx;
         }
 
-        // Score the substitution row (columns jstart..=rhi pair A's
-        // column i-1 with B's columns jstart-1..rhi-1), reusing the
-        // previous fill's overlap when it is cached.
-        let sub_j0 = jstart - 1;
+        // Score the substitution row: columns jstart..=rhi pair A's
+        // column i-1 with B's columns jstart-1..rhi-1.
         arena.srow.clear();
         arena.srow.resize(width, 0.0);
-        let mut scored = false;
-        if reuse {
-            if let Some((pj0, pvals)) = arena.sub_prev.row(i) {
-                let o_lo = sub_j0.max(pj0);
-                let o_hi = (sub_j0 + width).min(pj0 + pvals.len());
-                if o_lo < o_hi {
-                    arena.srow[o_lo - sub_j0..o_hi - sub_j0]
-                        .copy_from_slice(&pvals[o_lo - pj0..o_hi - pj0]);
-                    if o_lo > sub_j0 {
-                        s.fill_substitution_row(i - 1, sub_j0, &mut arena.srow[..o_lo - sub_j0]);
-                    }
-                    if o_hi < sub_j0 + width {
-                        s.fill_substitution_row(i - 1, o_hi, &mut arena.srow[o_hi - sub_j0..]);
-                    }
-                    scored = true;
-                }
-            }
-        }
-        if !scored {
-            s.fill_substitution_row(i - 1, sub_j0, &mut arena.srow);
-        }
-        if cache_rows {
-            arena.sub_cur.push_row(i, sub_j0, &arena.srow);
-        }
+        s.fill_substitution_row(i - 1, jstart - 1, &mut arena.srow);
 
         let goa = s.gap_open_a(i - 1) as f32;
         let gea = s.gap_extend_a(i - 1) as f32;
@@ -1006,7 +893,6 @@ fn fill_striped<S: ColumnScorer>(
         std::mem::swap(&mut arena.xp32, &mut arena.xc32);
         std::mem::swap(&mut arena.yp32, &mut arena.yc32);
     }
-    arena.sub_valid = cache_rows;
     // After the final swap the last filled row sits in the "previous"
     // buffers (row 0 included, when n == 0).
     FillOutcome { cells, end: (arena.mp32[m] as f64, arena.xp32[m] as f64, arena.yp32[m] as f64) }
@@ -1118,16 +1004,12 @@ pub fn gotoh_global_with<S: ColumnScorer>(
         DpKernel::Striped => true,
         DpKernel::Auto => s.f32_compatible(),
     };
-    // Auto's fallback and wider fills revisit the same rows: cache scored
-    // rows when the scorer's row fill is worth saving.
-    let cache = striped && policy == BandPolicy::Auto && s.cache_substitution_rows();
-    arena.sub_valid = false;
     let full_cells = (n as u64) * (m as u64);
     // hw ≥ m covers every column of every row: a full fill.
     let full_hw = m;
     let feasible = n.abs_diff(m) + 1;
     let run = |hw: usize, arena: &mut DpArena| -> (FillOutcome, Traceback, f64) {
-        let out = if striped { fill_striped(s, hw, cache, arena) } else { fill(s, hw, arena) };
+        let out = if striped { fill_striped(s, hw, arena) } else { fill(s, hw, arena) };
         let (score, layer) = best3(out.end.0, out.end.1, out.end.2);
         let tb = Traceback::walk(arena, n, m, layer);
         (out, tb, score)
@@ -1138,7 +1020,9 @@ pub fn gotoh_global_with<S: ColumnScorer>(
             DpResult { ops: tb.ops_rev, score, cells: out.cells, full_cells, band: None }
         }
         BandPolicy::Fixed(width) => {
-            let hw = width.max(feasible);
+            // Every hw ≥ m already fills the whole matrix; clamping keeps
+            // the fills' `centre + hw` from overflowing on huge widths.
+            let hw = width.max(feasible).min(full_hw);
             let (out, tb, score) = run(hw, arena);
             let band = if hw >= full_hw { None } else { Some(hw) };
             DpResult { ops: tb.ops_rev, score, cells: out.cells, full_cells, band }
@@ -1300,7 +1184,7 @@ mod tests {
         let (mut scalar, mut striped) = (DpArena::new(), DpArena::new());
         for hw in fill_widths(s.len_a(), s.len_b()) {
             let want = fill(s, hw, &mut scalar);
-            let got = fill_striped(s, hw, s.cache_substitution_rows(), &mut striped);
+            let got = fill_striped(s, hw, &mut striped);
             assert_eq!(want.cells, got.cells, "{what} at hw {hw}");
             assert_eq!(scalar.row_off, striped.row_off, "{what} row_off at hw {hw}");
             assert_eq!(scalar.row_jlo, striped.row_jlo, "{what} row_jlo at hw {hw}");
@@ -1323,7 +1207,7 @@ mod tests {
         let (mut cells, mut prev) = (0, None);
         for hw in fill_widths(n, m).split_off(2) {
             let out = match kernel {
-                DpKernel::Striped => fill_striped(s, hw, s.cache_substitution_rows(), &mut arena),
+                DpKernel::Striped => fill_striped(s, hw, &mut arena),
                 _ => fill(s, hw, &mut arena),
             };
             cells += out.cells;
@@ -1558,6 +1442,24 @@ mod tests {
         assert!(banded.cells < full.cells / 3);
         assert_eq!(banded.score, full.score, "identical inputs stay on the diagonal");
         assert_eq!(banded.band, Some(5));
+    }
+
+    #[test]
+    fn huge_fixed_band_is_the_full_fill() {
+        let matrix = SubstMatrix::blosum62();
+        let gaps = GapPenalties::default();
+        let a: Vec<u8> = (0..90).map(|i| ((i * 7) % 20) as u8).collect();
+        let b: Vec<u8> = (0..70).map(|i| ((i * 3) % 20) as u8).collect();
+        let s = scorer(&a, &b, &matrix, gaps);
+        let mut arena = DpArena::new();
+        for kernel in [DpKernel::Scalar, DpKernel::Striped] {
+            let full = gotoh_global_with(&s, BandPolicy::Full, kernel, &mut arena);
+            let huge = gotoh_global_with(&s, BandPolicy::Fixed(usize::MAX), kernel, &mut arena);
+            assert_eq!(huge.ops, full.ops, "{kernel:?}");
+            assert_eq!(huge.score.to_bits(), full.score.to_bits(), "{kernel:?}");
+            assert_eq!(huge.cells, full.cells, "{kernel:?}");
+            assert_eq!(huge.band, None, "{kernel:?}");
+        }
     }
 
     #[test]

@@ -242,7 +242,8 @@ pub fn bench_path(name: &str) -> PathBuf {
 /// A committed bench baseline, `BENCH_<name>.json` at the workspace root:
 /// one [`Json`] document stamped with the provenance a number needs to be
 /// read on another machine — `bench`, `commit` (`-dirty` for a modified
-/// tree), `host_cores`, `paper_scale` — around the bench's `entries`.
+/// tree), `rustc` (the `rustc -V` line), `host_cores`, `paper_scale` —
+/// around the bench's `entries`.
 pub struct BenchFile {
     name: &'static str,
     entries: Vec<Json>,
@@ -260,6 +261,7 @@ impl BenchFile {
         let doc = Json::obj([
             ("bench", Json::str(self.name)),
             ("commit", Json::str(commit())),
+            ("rustc", Json::str(rustc())),
             ("host_cores", Json::num(cores as u32)),
             ("paper_scale", Json::Bool(paper_scale())),
             ("entries", Json::Arr(self.entries.clone())),
@@ -280,18 +282,27 @@ fn workspace_root() -> &'static Path {
     Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
 }
 
+/// The stdout of `program args…` run in the workspace root, or `None` when
+/// it cannot start or fails.
+fn stdout_of(program: &str, args: &[&str]) -> Option<String> {
+    std::process::Command::new(program)
+        .args(args)
+        .current_dir(workspace_root())
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+}
+
+/// The `rustc -V` line of the toolchain on `PATH`, or `"unknown"`.
+fn rustc() -> String {
+    stdout_of("rustc", &["-V"]).map_or_else(|| "unknown".to_string(), |v| v.trim().to_string())
+}
+
 /// `git rev-parse --short HEAD` of the workspace plus `-dirty` when the
 /// tree differs from it ([`dirty`]), or `"unknown"` outside a checkout.
 fn commit() -> String {
-    let git = |args: &[&str]| {
-        std::process::Command::new("git")
-            .args(args)
-            .current_dir(workspace_root())
-            .output()
-            .ok()
-            .filter(|out| out.status.success())
-            .and_then(|out| String::from_utf8(out.stdout).ok())
-    };
+    let git = |args: &[&str]| stdout_of("git", args);
     let Some(head) = git(&["rev-parse", "--short", "HEAD"]) else {
         return "unknown".to_string();
     };
@@ -321,7 +332,7 @@ mod tests {
             Json::obj([("case", Json::str("global_600")), ("seconds_median", Json::Num(0.5))]);
         let doc = Json::parse(&BenchFile::new("unit", vec![entry.clone()]).encode())
             .expect("BenchFile output is valid JSON");
-        for key in ["bench", "commit", "host_cores", "paper_scale", "entries"] {
+        for key in ["bench", "commit", "rustc", "host_cores", "paper_scale", "entries"] {
             assert!(doc.get(key).is_some(), "missing {key}");
         }
         assert_eq!(doc.get("bench").and_then(Json::as_str), Some("unit"));

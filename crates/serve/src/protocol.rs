@@ -213,13 +213,23 @@ pub mod event {
 /// What [`LineReader::next_line`] observed.
 #[derive(Debug, PartialEq, Eq)]
 pub enum LineEvent {
-    /// A complete line (without its `\n`).
+    /// A complete line, or the unterminated last one at EOF, without its
+    /// `\n` or one trailing `\r`.
     Line(String),
     /// The read timed out with no complete line; caller should check its
     /// stop flags and try again.
     TimedOut,
     /// The peer closed the connection.
     Eof,
+}
+
+impl LineEvent {
+    /// One line's bytes (its `'\n'` already removed) as a [`LineEvent::Line`]:
+    /// one trailing `'\r'` stripped, then decoded as lossy UTF-8.
+    fn line(bytes: &[u8]) -> LineEvent {
+        let bytes = bytes.strip_suffix(b"\r").unwrap_or(bytes);
+        LineEvent::Line(String::from_utf8_lossy(bytes).into_owned())
+    }
 }
 
 /// The longest single line [`LineReader`] accepts. A peer that streams
@@ -260,10 +270,7 @@ impl<R: Read> LineReader<R> {
                 let mut line = std::mem::replace(&mut self.buf, rest);
                 self.scanned = 0;
                 line.pop(); // the '\n'
-                if line.last() == Some(&b'\r') {
-                    line.pop();
-                }
-                return Ok(LineEvent::Line(String::from_utf8_lossy(&line).into_owned()));
+                return Ok(LineEvent::line(&line));
             }
             self.scanned = self.buf.len();
             if self.buf.len() > MAX_LINE_BYTES {
@@ -279,10 +286,10 @@ impl<R: Read> LineReader<R> {
                         return Ok(LineEvent::Eof);
                     }
                     // A final unterminated line: surface it, then EOF.
-                    let line = String::from_utf8_lossy(&self.buf).into_owned();
+                    let line = LineEvent::line(&self.buf);
                     self.buf.clear();
                     self.scanned = 0;
-                    return Ok(LineEvent::Line(line));
+                    return Ok(line);
                 }
                 Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
                 Err(e)

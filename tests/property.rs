@@ -258,6 +258,200 @@ proptest! {
     }
 }
 
+/// Bytes for the serve parsers: each pick is a JSON token, a protocol or
+/// journal word, one whole well-formed line, a newline, or (one pick in
+/// sixteen) a raw byte — so documents, requests, journal entries and damage
+/// to all three turn up together.
+fn serve_bytes(picks: &[usize]) -> Vec<u8> {
+    const TOKENS: &[&[u8]] = &[
+        b"{",
+        b"}",
+        b"[",
+        b"]",
+        b",",
+        b":",
+        b"\"",
+        b"\\",
+        b" ",
+        b"\t",
+        b"\r",
+        b"\n",
+        b"\n",
+        b"null",
+        b"true",
+        b"false",
+        b"0",
+        b"-1",
+        b"2.5",
+        b"-0",
+        b"1e999",
+        b"9007199254740993",
+        b"-",
+        b"1e",
+        b"\"\\u00e9\"",
+        b"\"\\ud800\"",
+        b"\"\\ud83d\\ude00\"",
+        b"\\u",
+        b"\"entry\"",
+        b"\"job\"",
+        b"\"accepted\"",
+        b"\"started\"",
+        b"\"finished\"",
+        b"\"ok\"",
+        b"\"digest\"",
+        b"\"input\"",
+        b"\"fingerprint\"",
+        b"\"fasta\"",
+        b"\"client\"",
+        b"\"priority\"",
+        b"\"cmd\"",
+        b"\"submit\"",
+        b"\"cancel\"",
+        b"\"shutdown\"",
+        b"\"id\"",
+        b"\"j\"",
+        b"CANCEL ",
+        b"cancel ",
+        b"SHUTDOWN",
+        b"\xc3\xa9",
+        b"{\"entry\":\"started\",\"job\":\"j\"}\n",
+        b"{\"entry\":\"finished\",\"job\":\"j\",\"ok\":true,\"digest\":\"d\",\"error\":null}\n",
+        b"{\"entry\":\"accepted\",\"job\":\"j\",\"client\":1,\"priority\":2,\"input\":\"i\",\
+          \"fingerprint\":\"f\",\"fasta\":\">a\\nMK\\n\"}\n",
+        b"{\"cmd\":\"submit\",\"id\":\"j\",\"priority\":3,\"fasta\":\">a\\nMK\\n\"}",
+    ];
+    let mut bytes = Vec::new();
+    for &pick in picks {
+        match pick % 16 {
+            0 => bytes.push((pick / 16) as u8),
+            _ => bytes.extend_from_slice(TOKENS[(pick / 16) % TOKENS.len()]),
+        }
+    }
+    bytes
+}
+
+/// A reader that hands `bytes` out in the given chunk sizes, cycled; a
+/// size of 0 is one `WouldBlock` tick (never two in a row, so it always
+/// progresses).
+struct Chunked {
+    bytes: Vec<u8>,
+    pos: usize,
+    sizes: Vec<usize>,
+    calls: usize,
+    ticked: bool,
+}
+
+impl std::io::Read for Chunked {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let size = self.sizes[self.calls % self.sizes.len()];
+        self.calls += 1;
+        if size == 0 && !self.ticked {
+            self.ticked = true;
+            return Err(std::io::ErrorKind::WouldBlock.into());
+        }
+        self.ticked = false;
+        let n = size.max(1).min(buf.len()).min(self.bytes.len() - self.pos);
+        buf[..n].copy_from_slice(&self.bytes[self.pos..self.pos + n]);
+        self.pos += n;
+        Ok(n)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// The serve daemon's hand-rolled parsers survive arbitrary bytes: no
+    /// panic, and every outcome is a value or a typed error.
+    /// * `Json::parse` — a parsed value's encoding parses back to the
+    ///   same encoding;
+    /// * `JournalEntry::decode` — a decoded entry's encoding decodes;
+    /// * `protocol::parse_request` — a request or an error;
+    /// * `journal::replay` of the bytes as a file — entries in file order,
+    ///   an undecodable final line dropped as a torn tail, any earlier one
+    ///   `CorruptLine` at its line number, non-UTF-8 an I/O error;
+    /// * `LineReader` over arbitrary chunks and timeout ticks — the
+    ///   `'\n'`-split lines, one trailing `'\r'` stripped, as lossy UTF-8.
+    #[test]
+    fn serve_parsers_survive_arbitrary_bytes(
+        picks in prop::collection::vec(0usize..1 << 16, 0..48),
+        sizes in prop::collection::vec(0usize..9, 1..8),
+    ) {
+        use sad_serve::journal::{self, JournalEntry, JournalError};
+        use sad_serve::protocol::{parse_request, LineEvent, LineReader};
+        use sad_serve::Json;
+
+        let bytes = serve_bytes(&picks);
+        let text = String::from_utf8_lossy(&bytes);
+        for piece in std::iter::once(&*text).chain(text.split('\n')) {
+            if let Ok(value) = Json::parse(piece) {
+                let enc = value.encode();
+                let back = Json::parse(&enc).map(|v| v.encode());
+                prop_assert!(back.as_ref() == Ok(&enc), "{enc:?} parsed back as {back:?}");
+            }
+            if let Ok(entry) = JournalEntry::decode(piece) {
+                let back = JournalEntry::decode(&entry.encode());
+                prop_assert!(back.is_ok_and(|b| b.job() == entry.job()), "{entry:?}");
+            }
+            let _ = parse_request(piece);
+        }
+
+        let path = std::env::temp_dir()
+            .join(format!("sad-property-journal-{}.jsonl", std::process::id()));
+        std::fs::write(&path, &bytes).expect("write the journal file");
+        let replayed = journal::replay(&path);
+        std::fs::remove_file(&path).expect("remove the journal file");
+        match std::str::from_utf8(&bytes) {
+            Err(_) => prop_assert!(
+                matches!(&replayed, Err(JournalError::Io(e)) if e.kind() == std::io::ErrorKind::InvalidData),
+                "{replayed:?}"
+            ),
+            Ok(text) => {
+                // The file's lines; a final '\n' ends the last one.
+                let lines: Vec<&str> = text.strip_suffix('\n').unwrap_or(text).split('\n').collect();
+                let (last, interior) = lines.split_last().expect("split yields a line");
+                let corrupt = interior
+                    .iter()
+                    .position(|l| !l.is_empty() && JournalEntry::decode(l).is_err());
+                match (replayed, corrupt) {
+                    (Err(JournalError::CorruptLine { line, .. }), Some(i)) => prop_assert_eq!(line, i + 1),
+                    (Ok(replay), None) => {
+                        let want: Vec<JournalEntry> = lines
+                            .iter()
+                            .filter(|l| !l.is_empty())
+                            .filter_map(|l| JournalEntry::decode(l).ok())
+                            .collect();
+                        prop_assert_eq!(replay.entries, want);
+                        let torn = !last.is_empty() && JournalEntry::decode(last).is_err();
+                        prop_assert_eq!(replay.dropped_torn_tail, torn);
+                    }
+                    (got, want) => prop_assert!(false, "replay {got:?}, first corrupt line {want:?}"),
+                }
+            }
+        }
+
+        let mut pieces: Vec<&[u8]> = bytes.split(|&b| b == b'\n').collect();
+        if pieces.last().is_some_and(|p| p.is_empty()) {
+            pieces.pop();
+        }
+        let want: Vec<String> = pieces
+            .iter()
+            .map(|p| String::from_utf8_lossy(p.strip_suffix(b"\r").unwrap_or(p)).into_owned())
+            .collect();
+        let mut reader =
+            LineReader::new(Chunked { bytes: bytes.clone(), pos: 0, sizes, calls: 0, ticked: false });
+        let mut got = Vec::new();
+        loop {
+            match reader.next_line() {
+                Ok(LineEvent::Line(line)) => got.push(line),
+                Ok(LineEvent::TimedOut) => {}
+                Ok(LineEvent::Eof) => break,
+                Err(e) => prop_assert!(false, "in-memory bytes never fail: {e}"),
+            }
+        }
+        prop_assert_eq!(got, want);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
