@@ -90,6 +90,27 @@ fn align_sequential_table_matches_golden() {
 }
 
 #[test]
+fn align_non_uniform_weight_engines_match_golden() {
+    // The other goldens run `muscle-fast`, whose profiles carry uniform
+    // weights. `muscle` weighs rows by Henikoff (fractional weights, so
+    // the auto kernel stays on the scalar oracle) and `clustalw` by its
+    // guide tree; these pin the weighted profile and PSP arithmetic.
+    let input = golden_dir().join("fixtures/fam_a.fa");
+    for engine in ["muscle", "clustalw"] {
+        let (out, result) = run_cli(&[
+            "align",
+            input.to_str().unwrap(),
+            "--backend",
+            "sequential",
+            "--engine",
+            engine,
+        ]);
+        result.expect("golden align succeeds");
+        assert_matches_golden(&format!("align_{engine}.txt"), &out);
+    }
+}
+
+#[test]
 fn align_vertical_table_matches_golden() {
     // The vertical decomposition path pins the anchor-scan / block-align /
     // glue phase rows and the "decomposition: N blocks ..." census line of
