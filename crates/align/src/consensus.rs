@@ -5,7 +5,7 @@
 //! majority residue, with gap-majority columns dropped. The global ancestor
 //! is obtained the same way from the alignment of local ancestors.
 
-use crate::profile::Profile;
+use crate::profile::{Profile, ProfileColumn};
 use bioseq::{Msa, Sequence, Work};
 
 /// Extract the consensus sequence of an alignment.
@@ -16,7 +16,7 @@ use bioseq::{Msa, Sequence, Work};
 /// gap-dominated, the gap rule is ignored so the result is never empty.
 pub fn consensus_sequence(msa: &Msa, id: impl Into<String>, work: &mut Work) -> Sequence {
     let profile = Profile::from_msa(msa, work);
-    let pick = |col: &crate::profile::ProfileColumn| -> Option<u8> {
+    let pick = |col: ProfileColumn| -> Option<u8> {
         col.residues
             .iter()
             .copied()
@@ -24,7 +24,7 @@ pub fn consensus_sequence(msa: &Msa, id: impl Into<String>, work: &mut Work) -> 
             .map(|(code, _)| code)
     };
     let mut codes: Vec<u8> = Vec::with_capacity(profile.len());
-    for col in &profile.cols {
+    for col in profile.columns() {
         if col.gap_weight > col.residue_weight() {
             continue;
         }
@@ -35,7 +35,7 @@ pub fn consensus_sequence(msa: &Msa, id: impl Into<String>, work: &mut Work) -> 
     if codes.is_empty() {
         // Degenerate: every column gap-dominated. Fall back to per-column
         // majority residues wherever any residue exists.
-        for col in &profile.cols {
+        for col in profile.columns() {
             if let Some(code) = pick(col) {
                 codes.push(code);
             }

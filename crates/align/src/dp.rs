@@ -49,7 +49,7 @@
 //! so both kernels reproduce the historical `i64` pairwise scores
 //! bit-for-bit.
 
-use crate::profile::{Profile, ProfileColumn};
+use crate::profile::Profile;
 use bioseq::alphabet::CODE_COUNT;
 use bioseq::{GapPenalties, SubstMatrix, Work};
 
@@ -379,7 +379,7 @@ impl ColumnScorer for SubstScorer<'_> {
 /// `papro` matrix fill used).
 #[derive(Debug)]
 pub struct PspScorer<'a> {
-    cols_a: &'a [ProfileColumn],
+    pa: &'a Profile,
     /// Dense expected-score vectors for B's columns: `psp(i, j)` becomes a
     /// sparse dot of A's column `i` against `eb[j]`.
     eb: Vec<[f64; CODE_COUNT]>,
@@ -398,7 +398,16 @@ pub struct PspScorer<'a> {
 
 impl<'a> PspScorer<'a> {
     /// Precompute the dense expected-score vectors and per-column gap
-    /// rates. The `O(m·|Σ|)` setup cost is charged to `work.col_ops`.
+    /// costs in one pass over B's columns and one over A's, auditing
+    /// f32-exactness on the way. The `O(m·|Σ|)` setup cost is charged to
+    /// `work.col_ops`.
+    ///
+    /// The audit for the striped kernel: integral weights make every PSP
+    /// term an integer, and the magnitude bound keeps the worst-case
+    /// running sum inside f32's exact-integer range. Both must hold before
+    /// Auto may leave the f64 oracle. Integrality is an `all` and the
+    /// bounds are maxima of absolute values, so the verdict does not
+    /// depend on the order the passes visit the values in.
     pub fn new(
         pa: &'a Profile,
         pb: &Profile,
@@ -406,56 +415,59 @@ impl<'a> PspScorer<'a> {
         gaps: GapPenalties,
         work: &mut Work,
     ) -> Self {
-        let eb: Vec<[f64; CODE_COUNT]> =
-            pb.cols.iter().map(|c| c.expected_scores(matrix)).collect();
-        work.col_ops += (pb.len() * CODE_COUNT) as u64;
         let (open, extend) = (gaps.open as f64, gaps.extend as f64);
-        let (wa_tot, wb_tot) = (pa.total_weight, pb.total_weight);
-        let rate_a: Vec<f64> = pa.cols.iter().map(|c| c.residue_weight() * wb_tot).collect();
-        let rate_b: Vec<f64> = pb.cols.iter().map(|c| c.residue_weight() * wa_tot).collect();
-        let open_a: Vec<f64> = rate_a.iter().map(|r| open * r).collect();
-        let extend_a: Vec<f64> = rate_a.iter().map(|r| extend * r).collect();
-        let open_b: Vec<f64> = rate_b.iter().map(|r| open * r).collect();
-        let extend_b: Vec<f64> = rate_b.iter().map(|r| extend * r).collect();
-        let m = pb.len();
+        let (n, m) = (pa.len(), pb.len());
+        work.col_ops += (m * CODE_COUNT) as u64;
+        let (mut integral, mut gaps_integral) = (true, true);
+        let (mut e_max, mut g_max, mut wa_max) = (0.0f64, 0.0f64, 0.0f64);
+        // Gap costs of a column whose residue weight times the other
+        // profile's total weight is `rate`, folded into the audit.
+        let mut costs = |rate: f64| {
+            let (o, x) = (open * rate, extend * rate);
+            gaps_integral &= o.fract() == 0.0 && x.fract() == 0.0;
+            g_max = g_max.max(o.abs()).max(x.abs());
+            (o, x)
+        };
+
+        let mut eb = Vec::with_capacity(m);
         let mut et = vec![0.0f32; CODE_COUNT * m];
-        for (j, e) in eb.iter().enumerate() {
+        let (mut open_b, mut extend_b) = (Vec::with_capacity(m), Vec::with_capacity(m));
+        let (mut open_b32, mut extend_b32) = (Vec::with_capacity(m), Vec::with_capacity(m));
+        for (j, col) in pb.columns().enumerate() {
+            let e = col.expected_scores(matrix);
             for (c, &v) in e.iter().enumerate() {
                 et[c * m + j] = v as f32;
+                integral &= v.fract() == 0.0;
+                e_max = e_max.max(v.abs());
             }
+            eb.push(e);
+            let (o, x) = costs(col.residue_weight() * pa.total_weight);
+            open_b.push(o);
+            extend_b.push(x);
+            open_b32.push(o as f32);
+            extend_b32.push(x as f32);
         }
-        // Exactness audit for the striped kernel: integral weights make
-        // every PSP term an integer, and the magnitude bound keeps the
-        // worst-case running sum inside f32's exact-integer range. Both
-        // must hold before Auto may leave the f64 oracle.
-        let gap_costs = || open_a.iter().chain(&extend_a).chain(&open_b).chain(&extend_b);
-        let integral = pa.cols.iter().all(ProfileColumn::weights_integral)
-            && eb.iter().flatten().all(|v| v.fract() == 0.0)
-            && gap_costs().all(|v| v.fract() == 0.0);
-        let wa_max = pa.cols.iter().map(ProfileColumn::residue_weight).fold(0.0f64, f64::max);
-        let e_max = eb.iter().flatten().fold(0.0f64, |acc, &v| acc.max(v.abs()));
-        let g_max = gap_costs().fold(0.0f64, |acc, &v| acc.max(v.abs()));
+
+        let (mut open_a, mut extend_a) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        for col in pa.columns() {
+            let weight = col.residue_weight();
+            integral &= col.weights_integral();
+            wa_max = wa_max.max(weight);
+            let (o, x) = costs(weight * pb.total_weight);
+            open_a.push(o);
+            extend_a.push(x);
+        }
+
         let step = (wa_max * e_max).max(g_max);
-        let f32_ok = integral && (pa.len() + m + 2) as f64 * step < F32_EXACT_LIMIT;
-        PspScorer {
-            cols_a: &pa.cols,
-            eb,
-            et,
-            open_a,
-            extend_a,
-            open_b32: open_b.iter().map(|&v| v as f32).collect(),
-            extend_b32: extend_b.iter().map(|&v| v as f32).collect(),
-            open_b,
-            extend_b,
-            f32_ok,
-        }
+        let f32_ok = integral && gaps_integral && (n + m + 2) as f64 * step < F32_EXACT_LIMIT;
+        PspScorer { pa, eb, et, open_a, extend_a, open_b, extend_b, open_b32, extend_b32, f32_ok }
     }
 }
 
 impl ColumnScorer for PspScorer<'_> {
     #[inline]
     fn len_a(&self) -> usize {
-        self.cols_a.len()
+        self.pa.len()
     }
     #[inline]
     fn len_b(&self) -> usize {
@@ -465,7 +477,7 @@ impl ColumnScorer for PspScorer<'_> {
     fn substitution(&self, i: usize, j: usize) -> f64 {
         let e = &self.eb[j];
         let mut psp = 0.0;
-        for &(a, wgt) in &self.cols_a[i].residues {
+        for &(a, wgt) in self.pa.col(i).residues {
             psp += wgt * e[a as usize];
         }
         psp
@@ -489,7 +501,7 @@ impl ColumnScorer for PspScorer<'_> {
     fn fill_substitution_row(&self, i: usize, j0: usize, out: &mut [f32]) {
         out.fill(0.0);
         let m = self.eb.len();
-        for &(a, wgt) in &self.cols_a[i].residues {
+        for &(a, wgt) in self.pa.col(i).residues {
             let w = wgt as f32;
             let lane = &self.et[a as usize * m + j0..][..out.len()];
             for (slot, &e) in out.iter_mut().zip(lane) {
@@ -1376,7 +1388,7 @@ mod tests {
         let mut work = Work::ZERO;
         let pa = Profile::from_msa(&msa_a, &mut work);
         let pb = Profile::from_msa(&msa_b, &mut work);
-        assert!(pa.cols[120].residues.is_empty(), "column 120 is all gaps");
+        assert!(pa.col(120).residues.is_empty(), "column 120 is all gaps");
         let s = PspScorer::new(&pa, &pb, &matrix, gaps, &mut work);
         assert!(s.f32_compatible(), "uniform weights keep PSP f32-exact");
         assert_same_traceback(&s, "profile");

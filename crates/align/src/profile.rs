@@ -7,20 +7,40 @@
 //! sum-of-pairs substitution score
 //! `Σ_a Σ_b w_A(a) · w_B(b) · S(a, b)`, which is what MUSCLE's
 //! profile-alignment DP optimises.
+//!
+//! Every progressive merge, refinement step, consensus, anchor check and
+//! glue window builds profiles, and half of them summarise a single row, so
+//! the build is laid out for speed: one row-major pass over the alignment
+//! accumulates into a dense `columns × (CODE_COUNT + 1)` scratch (the gap
+//! code is the last slot) while marking each column's present codes in a
+//! bitmask, and a second pass emits every column's residues in code order
+//! from its set bits into one flat array. Each `(column, code)` sum still
+//! receives its weights in row order, exactly as a column-by-column scan
+//! would add them, so the weights are bit-identical to that scan's.
 
 use bioseq::alphabet::{CODE_COUNT, GAP_CODE};
 use bioseq::{Msa, SubstMatrix, Work};
 
-/// One profile column: sparse residue weights plus gap weight.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProfileColumn {
+/// Scratch slots per column: every residue code, then the gap code.
+const SLOTS: usize = CODE_COUNT + 1;
+
+/// Bits of a column's present-code mask that name residues (not the gap).
+const RESIDUE_BITS: u32 = (1 << CODE_COUNT) - 1;
+
+// The gap code is the slot after the last residue code.
+const _: () = assert!(GAP_CODE as usize == CODE_COUNT);
+
+/// One profile column, borrowed from its [`Profile`]: sparse residue
+/// weights plus gap weight.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ProfileColumn<'a> {
     /// `(residue code, summed weight)` sorted by code; no gap entries.
-    pub residues: Vec<(u8, f64)>,
+    pub residues: &'a [(u8, f64)],
     /// Summed weight of sequences with a gap in this column.
     pub gap_weight: f64,
 }
 
-impl ProfileColumn {
+impl ProfileColumn<'_> {
     /// Total residue (non-gap) weight.
     #[inline]
     pub fn residue_weight(&self) -> f64 {
@@ -42,7 +62,7 @@ impl ProfileColumn {
     /// `E[a] = Σ_b w(b) · S(a, b)`.
     pub fn expected_scores(&self, matrix: &SubstMatrix) -> [f64; CODE_COUNT] {
         let mut e = [0.0; CODE_COUNT];
-        for &(b, w) in &self.residues {
+        for &(b, w) in self.residues {
             let row = matrix.row(b);
             for (a, slot) in e.iter_mut().enumerate() {
                 *slot += w * row[a] as f64;
@@ -52,11 +72,18 @@ impl ProfileColumn {
     }
 }
 
-/// A weighted profile over an alignment.
+/// A weighted profile over an alignment, stored flat: the residues of
+/// every column in one array (each column's run sorted by code), per-column
+/// offsets into it, and one gap weight per column. [`Profile::col`] hands
+/// out a borrowed [`ProfileColumn`] view.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Profile {
-    /// Columns, one per alignment column.
-    pub cols: Vec<ProfileColumn>,
+    /// `(residue code, summed weight)` of every column, concatenated.
+    residues: Vec<(u8, f64)>,
+    /// Column `i`'s residues are `residues[offsets[i]..offsets[i + 1]]`.
+    offsets: Vec<usize>,
+    /// Summed weight of the sequences with a gap, per column.
+    gap_weights: Vec<f64>,
     /// Sum of all sequence weights.
     pub total_weight: f64,
     /// Number of sequences summarised.
@@ -64,7 +91,9 @@ pub struct Profile {
 }
 
 impl Profile {
-    /// Build a profile with explicit per-sequence weights.
+    /// Build a profile with explicit per-sequence weights, in one
+    /// row-major pass over the alignment (see the module doc for why the
+    /// weights are those of a column-by-column scan, bit for bit).
     ///
     /// # Panics
     /// Panics if `weights.len() != msa.num_rows()` or any weight is
@@ -73,30 +102,38 @@ impl Profile {
         assert_eq!(weights.len(), msa.num_rows(), "one weight per row");
         assert!(weights.iter().all(|&w| w > 0.0), "weights must be positive");
         let ncols = msa.num_cols();
-        let mut cols = Vec::with_capacity(ncols);
-        // Accumulate into a dense scratch per column, then sparsify.
-        let mut dense = [0.0f64; CODE_COUNT];
-        for c in 0..ncols {
-            dense.fill(0.0);
-            let mut gap_weight = 0.0;
-            for (r, row) in msa.rows().iter().enumerate() {
-                let code = row[c];
-                if code == GAP_CODE {
-                    gap_weight += weights[r];
-                } else {
-                    dense[code as usize] += weights[r];
-                }
+        let mut sums = vec![0.0f64; ncols * SLOTS];
+        let mut present = vec![0u32; ncols];
+        for (row, &w) in msa.rows().iter().zip(weights) {
+            for ((cell, mask), &code) in sums.chunks_exact_mut(SLOTS).zip(&mut present).zip(row) {
+                cell[code as usize] += w;
+                *mask |= 1 << code;
             }
-            let residues: Vec<(u8, f64)> = dense
-                .iter()
-                .enumerate()
-                .filter(|&(_, &w)| w > 0.0)
-                .map(|(code, &w)| (code as u8, w))
-                .collect();
-            cols.push(ProfileColumn { residues, gap_weight });
+        }
+        // Weights are positive, so a code is present exactly when its sum
+        // is positive: the set bits are the codes a `w > 0` filter keeps.
+        let mut residues = Vec::new();
+        let mut offsets = Vec::with_capacity(ncols + 1);
+        let mut gap_weights = Vec::with_capacity(ncols);
+        offsets.push(0);
+        for (cell, &mask) in sums.chunks_exact(SLOTS).zip(&present) {
+            let mut bits = mask & RESIDUE_BITS;
+            while bits != 0 {
+                let code = bits.trailing_zeros() as usize;
+                residues.push((code as u8, cell[code]));
+                bits &= bits - 1;
+            }
+            offsets.push(residues.len());
+            gap_weights.push(cell[GAP_CODE as usize]);
         }
         work.col_ops += (ncols * msa.num_rows()) as u64;
-        Profile { cols, total_weight: weights.iter().sum(), n_seqs: msa.num_rows() }
+        Profile {
+            residues,
+            offsets,
+            gap_weights,
+            total_weight: weights.iter().sum(),
+            n_seqs: msa.num_rows(),
+        }
     }
 
     /// Build with uniform unit weights.
@@ -108,23 +145,36 @@ impl Profile {
     /// Number of columns.
     #[inline]
     pub fn len(&self) -> usize {
-        self.cols.len()
+        self.gap_weights.len()
     }
 
     /// Whether the profile has no columns (never true for valid MSAs).
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.cols.is_empty()
+        self.gap_weights.is_empty()
+    }
+
+    /// Column `i`.
+    #[inline]
+    pub fn col(&self, i: usize) -> ProfileColumn<'_> {
+        ProfileColumn {
+            residues: &self.residues[self.offsets[i]..self.offsets[i + 1]],
+            gap_weight: self.gap_weights[i],
+        }
+    }
+
+    /// Every column, in order.
+    pub fn columns(&self) -> impl ExactSizeIterator<Item = ProfileColumn<'_>> + '_ {
+        (0..self.len()).map(|i| self.col(i))
     }
 
     /// PSP score between column `i` of `self` and column `j` of `other`.
     pub fn psp(&self, i: usize, other: &Profile, j: usize, matrix: &SubstMatrix) -> f64 {
-        let ca = &self.cols[i];
-        let cb = &other.cols[j];
+        let cb = other.col(j);
         let mut s = 0.0;
-        for &(a, wa) in &ca.residues {
+        for &(a, wa) in self.col(i).residues {
             let row = matrix.row(a);
-            for &(b, wb) in &cb.residues {
+            for &(b, wb) in cb.residues {
                 s += wa * wb * row[b as usize] as f64;
             }
         }
@@ -135,36 +185,45 @@ impl Profile {
 /// Henikoff & Henikoff (1994) position-based sequence weights, normalised
 /// to mean 1. Columns that are all gaps (impossible for valid [`Msa`]s) or
 /// single-residue contribute like any other.
+///
+/// Two row-major passes: the first counts every `(column, code)`, the
+/// second adds each row's terms `1 / (distinct · count)` over the columns
+/// in order — the order a column-by-column scan adds them in, so the
+/// weights are bit-identical to that scan's. Gap cells add `+0.0`, which
+/// leaves a non-negative sum's bits alone.
 pub fn henikoff_weights(msa: &Msa, work: &mut Work) -> Vec<f64> {
     let n = msa.num_rows();
     if n == 1 {
         return vec![1.0];
     }
-    let mut weights = vec![0.0f64; n];
-    let mut counts = [0usize; CODE_COUNT];
-    for c in 0..msa.num_cols() {
-        counts.fill(0);
-        let mut distinct = 0usize;
-        for row in msa.rows() {
-            let code = row[c];
-            if code != GAP_CODE {
-                if counts[code as usize] == 0 {
-                    distinct += 1;
-                }
-                counts[code as usize] += 1;
-            }
+    let ncols = msa.num_cols();
+    let mut counts = vec![0u32; ncols * SLOTS];
+    for row in msa.rows() {
+        for (cell, &code) in counts.chunks_exact_mut(SLOTS).zip(row) {
+            cell[code as usize] += 1;
         }
-        if distinct == 0 {
-            continue;
-        }
-        for (r, row) in msa.rows().iter().enumerate() {
-            let code = row[c];
-            if code != GAP_CODE {
-                weights[r] += 1.0 / (distinct as f64 * counts[code as usize] as f64);
+    }
+    let mut terms = vec![0.0f64; ncols * SLOTS];
+    for (term, cell) in terms.chunks_exact_mut(SLOTS).zip(counts.chunks_exact(SLOTS)) {
+        let distinct = cell[..CODE_COUNT].iter().filter(|&&k| k > 0).count();
+        for (t, &k) in term[..CODE_COUNT].iter_mut().zip(cell) {
+            if k > 0 {
+                *t = 1.0 / (distinct as f64 * k as f64);
             }
         }
     }
-    work.col_ops += (msa.num_cols() * n) as u64;
+    let mut weights: Vec<f64> = msa
+        .rows()
+        .iter()
+        .map(|row| {
+            let mut w = 0.0f64;
+            for (term, &code) in terms.chunks_exact(SLOTS).zip(row) {
+                w += term[code as usize];
+            }
+            w
+        })
+        .collect();
+    work.col_ops += (ncols * n) as u64;
     // Normalise to mean 1; guard against degenerate all-zero weights.
     let mean = weights.iter().sum::<f64>() / n as f64;
     if mean > 0.0 {
@@ -200,11 +259,11 @@ mod tests {
         assert_eq!(p.n_seqs, 3);
         assert_eq!(p.total_weight, 3.0);
         // Column 0: three Ms.
-        assert_eq!(p.cols[0].residues, vec![(c('M'), 3.0)]);
-        assert_eq!(p.cols[0].gap_weight, 0.0);
+        assert_eq!(p.col(0).residues, [(c('M'), 3.0)]);
+        assert_eq!(p.col(0).gap_weight, 0.0);
         // Column 1: two Ks, one gap.
-        assert_eq!(p.cols[1].residues, vec![(c('K'), 2.0)]);
-        assert_eq!(p.cols[1].gap_weight, 1.0);
+        assert_eq!(p.col(1).residues, [(c('K'), 2.0)]);
+        assert_eq!(p.col(1).gap_weight, 1.0);
         assert!(w.col_ops > 0);
     }
 
@@ -215,14 +274,14 @@ mod tests {
         // Uniform weights are exact integers in every column, including
         // the gapped ones.
         let uniform = Profile::from_msa(&m, &mut w);
-        assert!(uniform.cols.iter().all(ProfileColumn::weights_integral));
+        assert!(uniform.columns().all(|c| c.weights_integral()));
         // Doubling stays integral; any fractional weight breaks the
         // guarantee — residue or gap side alike.
         let doubled = Profile::from_msa_weighted(&m, &[2.0, 2.0, 2.0], &mut w);
-        assert!(doubled.cols.iter().all(ProfileColumn::weights_integral));
+        assert!(doubled.columns().all(|c| c.weights_integral()));
         let skewed = Profile::from_msa_weighted(&m, &[1.5, 1.0, 1.0], &mut w);
-        assert!(!skewed.cols[0].weights_integral(), "fractional residue weight");
-        assert!(!skewed.cols[2].weights_integral(), "fractional gap weight");
+        assert!(!skewed.col(0).weights_integral(), "fractional residue weight");
+        assert!(!skewed.col(2).weights_integral(), "fractional gap weight");
     }
 
     #[test]
@@ -258,9 +317,8 @@ mod tests {
         let pb = Profile::from_msa(&mb, &mut w);
         let matrix = SubstMatrix::blosum62();
         for i in 0..3 {
-            let e = pb.cols[i].expected_scores(&matrix);
-            let via_dense: f64 =
-                pa.cols[i].residues.iter().map(|&(a, wa)| wa * e[a as usize]).sum();
+            let e = pb.col(i).expected_scores(&matrix);
+            let via_dense: f64 = pa.col(i).residues.iter().map(|&(a, wa)| wa * e[a as usize]).sum();
             let direct = pa.psp(i, &pb, i, &matrix);
             assert!((via_dense - direct).abs() < 1e-9, "col {i}");
         }

@@ -23,7 +23,7 @@ use align::papro::align_profiles_with;
 use align::{MsaEngine, MuscleLite, Profile};
 use bioseq::{GapPenalties, Sequence, SubstMatrix, Work};
 use rosegen::{Family, FamilyConfig};
-use sad_bench::{median_seconds, BenchFile};
+use sad_bench::{median_seconds, steal_ticks, BenchFile};
 use sad_serve::Json;
 
 fn pair(avg_len: usize, seed: u64) -> (Sequence, Sequence) {
@@ -71,6 +71,7 @@ const KERNELS: [(&str, DpKernel); 2] =
     [("scalar", DpKernel::Scalar), ("striped", DpKernel::Striped)];
 
 fn main() {
+    let steal_at_start = steal_ticks();
     let matrix = SubstMatrix::blosum62();
     let gaps = GapPenalties::default();
     let (short_a, short_b) = pair(100, 0x51);
@@ -206,6 +207,8 @@ fn main() {
         );
     }
 
-    let path = BenchFile::new("dp_kernel", entries.iter().map(Entry::json).collect()).write();
+    let path =
+        BenchFile::new("dp_kernel", steal_at_start, entries.iter().map(Entry::json).collect())
+            .write();
     println!("wrote {}", path.display());
 }

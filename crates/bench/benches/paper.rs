@@ -19,7 +19,7 @@ use bioseq::stats::{variance_wrt, Histogram, Summary};
 use qbench::{evaluate_engine, evaluate_with, Benchmark, BenchmarkConfig};
 use sad_bench::{
     bench_path, genome_workload, paper_scale, regressions, rose_workload, sad_on_cluster, scaled,
-    BenchFile, Claim, Verdict, PAPER_PROCS,
+    steal_ticks, BenchFile, Claim, Verdict, PAPER_PROCS,
 };
 use sad_core::audit::{phase_exponent, sweep_n};
 use sad_core::sequential::sequential_seconds;
@@ -387,6 +387,7 @@ fn complexity() -> Vec<Claim> {
 }
 
 fn main() {
+    let steal_at_start = steal_ticks();
     let path = bench_path("paper");
     let committed = match std::fs::read_to_string(&path) {
         Ok(text) => Some(Json::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()))),
@@ -417,6 +418,7 @@ fn main() {
         eprintln!("{} left unchanged", path.display());
         std::process::exit(1);
     }
-    let written = BenchFile::new("paper", claims.iter().map(Claim::json).collect()).write();
+    let written =
+        BenchFile::new("paper", steal_at_start, claims.iter().map(Claim::json).collect()).write();
     println!("wrote {}", written.display());
 }

@@ -14,16 +14,19 @@
 //!   never-decrease invariant (whether fragments survive depends on the
 //!   read mix).
 //!
-//! Writes `BENCH_trim.json` at the workspace root through
-//! `sad_bench::BenchFile` — area before/after, rows dropped and median
-//! trim wall time per case — the committed baseline future trim work has
-//! to beat.
+//! Prints each case's median trim wall time, and writes `BENCH_trim.json`
+//! at the workspace root through `sad_bench::BenchFile` with only the
+//! deterministic fields — rows, width, area before/after, rows dropped and
+//! columns gained — the committed baseline future trim work has to beat.
+//! One run's timings on a shared host do not repeat, so they are not
+//! committed; the counts do, so CI diffs the file's entries against the
+//! committed ones.
 
 use align::trim::{alignment_area, trim_msa, TrimConfig};
 use bioseq::alphabet::GAP_CODE;
 use bioseq::Msa;
 use rosegen::{Family, FamilyConfig, ReadSet, ReadSimConfig};
-use sad_bench::{median_seconds, BenchFile};
+use sad_bench::{median_seconds, steal_ticks, BenchFile};
 use sad_core::{Aligner, Backend, SadConfig};
 use sad_serve::Json;
 
@@ -107,7 +110,6 @@ impl Entry {
             ("area_after", Json::Num(self.area_after as f64)),
             ("rows_dropped", Json::Num(self.rows_dropped as f64)),
             ("cols_gained", Json::Num(self.cols_gained as f64)),
-            ("seconds_median", Json::Num(self.seconds_median)),
         ])
     }
 }
@@ -140,6 +142,7 @@ fn measure(case: &str, mode: &'static str, msa: &Msa, cfg: &TrimConfig) -> Entry
 }
 
 fn main() {
+    let steal_at_start = steal_ticks();
     let mut entries: Vec<Entry> = Vec::new();
 
     // Fragment fixtures: the guaranteed-gain shape, greedy and
@@ -198,6 +201,7 @@ fn main() {
         );
     }
 
-    let path = BenchFile::new("trim", entries.iter().map(Entry::json).collect()).write();
+    let path =
+        BenchFile::new("trim", steal_at_start, entries.iter().map(Entry::json).collect()).write();
     println!("wrote {}", path.display());
 }

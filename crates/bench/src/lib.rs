@@ -242,28 +242,37 @@ pub fn bench_path(name: &str) -> PathBuf {
 /// A committed bench baseline, `BENCH_<name>.json` at the workspace root:
 /// one [`Json`] document stamped with the provenance a number needs to be
 /// read on another machine — `bench`, `commit` (`-dirty` for a modified
-/// tree), `rustc` (the `rustc -V` line), `host_cores`, `paper_scale` —
-/// around the bench's `entries`.
+/// tree), `rustc` (the `rustc -V` line), `host_cores`, `paper_scale`,
+/// `steal_ticks` (host steal accrued during the run, `null` where it
+/// cannot be read) — around the bench's `entries`.
 pub struct BenchFile {
     name: &'static str,
+    steal_at_start: Option<u64>,
     entries: Vec<Json>,
 }
 
 impl BenchFile {
-    /// A file named `BENCH_<name>.json` holding `entries`.
-    pub fn new(name: &'static str, entries: Vec<Json>) -> BenchFile {
-        BenchFile { name, entries }
+    /// A file named `BENCH_<name>.json` holding `entries`, from a run that
+    /// began when the host's [`steal_ticks`] read `steal_at_start` (take
+    /// that reading at the top of the bench's `main`).
+    pub fn new(name: &'static str, steal_at_start: Option<u64>, entries: Vec<Json>) -> BenchFile {
+        BenchFile { name, steal_at_start, entries }
     }
 
     /// The stamped document, encoded (one line plus a trailing newline).
     pub fn encode(&self) -> String {
         let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let steal = match (self.steal_at_start, steal_ticks()) {
+            (Some(start), Some(now)) => Json::Num(now.saturating_sub(start) as f64),
+            _ => Json::Null,
+        };
         let doc = Json::obj([
             ("bench", Json::str(self.name)),
             ("commit", Json::str(commit())),
             ("rustc", Json::str(rustc())),
             ("host_cores", Json::num(cores as u32)),
             ("paper_scale", Json::Bool(paper_scale())),
+            ("steal_ticks", steal),
             ("entries", Json::Arr(self.entries.clone())),
         ]);
         doc.encode() + "\n"
@@ -276,6 +285,23 @@ impl BenchFile {
             .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
         path
     }
+}
+
+/// The host's steal ticks so far: time (in `USER_HZ` ticks) the
+/// hypervisor ran someone else while this machine's CPUs wanted to run,
+/// summed over CPUs — the `steal` column of `/proc/stat`'s `cpu` line.
+/// `None` where the file is missing or unreadable. Steal inflates wall
+/// time without any change in the program, so a run stamps how much of
+/// it accrued.
+pub fn steal_ticks() -> Option<u64> {
+    steal_of(&std::fs::read_to_string("/proc/stat").ok()?)
+}
+
+/// The steal column (the eighth count) of the aggregate `cpu` line of a
+/// `/proc/stat` text.
+fn steal_of(stat: &str) -> Option<u64> {
+    let line = stat.lines().find(|l| l.split_whitespace().next() == Some("cpu"))?;
+    line.split_whitespace().nth(8)?.parse().ok()
 }
 
 fn workspace_root() -> &'static Path {
@@ -330,15 +356,35 @@ mod tests {
     fn bench_file_parses_back_with_every_stamp() {
         let entry =
             Json::obj([("case", Json::str("global_600")), ("seconds_median", Json::Num(0.5))]);
-        let doc = Json::parse(&BenchFile::new("unit", vec![entry.clone()]).encode())
+        let doc = Json::parse(&BenchFile::new("unit", steal_ticks(), vec![entry.clone()]).encode())
             .expect("BenchFile output is valid JSON");
-        for key in ["bench", "commit", "rustc", "host_cores", "paper_scale", "entries"] {
+        for key in
+            ["bench", "commit", "rustc", "host_cores", "paper_scale", "steal_ticks", "entries"]
+        {
             assert!(doc.get(key).is_some(), "missing {key}");
         }
+        // Steal is a tick count where the host exposes it, null elsewhere.
+        let steal = doc.get("steal_ticks").unwrap();
+        match steal_ticks() {
+            Some(_) => assert!(steal.as_u64().is_some(), "steal_ticks {steal:?}"),
+            None => assert_eq!(steal, &Json::Null),
+        }
+        let unread = Json::parse(&BenchFile::new("unit", None, Vec::new()).encode()).unwrap();
+        assert_eq!(unread.get("steal_ticks"), Some(&Json::Null), "no start reading, no count");
         assert_eq!(doc.get("bench").and_then(Json::as_str), Some("unit"));
         assert!(doc.get("host_cores").and_then(Json::as_u64).is_some_and(|n| n >= 1));
         assert_eq!(doc.get("paper_scale").and_then(Json::as_bool), Some(paper_scale()));
         assert_eq!(doc.get("entries"), Some(&Json::Arr(vec![entry])));
+    }
+
+    #[test]
+    fn steal_is_the_eighth_count_of_the_cpu_line() {
+        let stat = "cpu  2089204 0 99654 3480535 6386 0 5831 50547 0 0\n\
+                    cpu0 971605 0 53135 1808621 3719 0 2506 27562 0 0\n";
+        assert_eq!(steal_of(stat), Some(50547));
+        assert_eq!(steal_of("cpu0 1 2 3 4 5 6 7 8 9 10\n"), None, "aggregate line only");
+        assert_eq!(steal_of("cpu  1 2 3 4\n"), None, "kernels before steal accounting");
+        assert_eq!(steal_of(""), None);
     }
 
     #[test]
@@ -437,6 +483,15 @@ mod tests {
             ),
             vec!["claim d is committed but no longer computed".to_string()]
         );
+    }
+
+    #[test]
+    fn regressions_accept_a_file_from_before_the_steal_stamp() {
+        // `committed` builds documents without `steal_ticks`, as every
+        // file written before the stamp existed is.
+        let doc = committed(paper_scale(), &[("a", "Reproduced")]);
+        assert_eq!(doc.get("steal_ticks"), None);
+        assert!(regressions(&doc, &[claim("a", Verdict::Reproduced)]).is_empty());
     }
 
     #[test]

@@ -220,8 +220,10 @@ pub fn reads(r: ReadsArgs, out: Out) -> Result<(), String> {
                 r.min_q.map(|_| "no overlapping pairs to score against --min-q".to_string())
             }
         });
+    // `;`-prefixed like `sad align`'s report, so dropping comment lines
+    // leaves no wall-clock reading behind.
     for line in report.phase_table().lines() {
-        writeln!(out, "{line}").ok();
+        writeln!(out, "; {line}").ok();
     }
     if let Some(path) = &r.out {
         std::fs::write(path, fasta::write_alignment(&report.msa))
