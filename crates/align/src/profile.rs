@@ -110,8 +110,8 @@ impl Profile {
                 *mask |= 1 << code;
             }
         }
-        // Weights are positive, so a code is present exactly when its sum
-        // is positive: the set bits are the codes a `w > 0` filter keeps.
+        // Weights are positive, so the set bits are exactly the codes
+        // whose summed weight is positive.
         let mut residues = Vec::new();
         let mut offsets = Vec::with_capacity(ncols + 1);
         let mut gap_weights = Vec::with_capacity(ncols);
