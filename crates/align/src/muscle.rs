@@ -187,17 +187,14 @@ mod tests {
         // Non-default band policies show up in the name.
         assert_eq!(MuscleLite::fast().with_dp(BandPolicy::Full).name(), "muscle-lite-fast+full");
         assert_eq!(
-            MuscleLite::standard().with_dp(BandPolicy::Fixed(16)).name(),
-            "muscle-lite(r1,p2)+band16"
+            MuscleLite::standard().with_dp(BandPolicy::Full).name(),
+            "muscle-lite(r1,p2)+full"
         );
         // Non-default kernels show up too, after the band suffix.
         let scalar = DpOptions { kernel: DpKernel::Scalar, ..DpOptions::default() };
         assert_eq!(MuscleLite::fast().with_dp(scalar).name(), "muscle-lite-fast+scalar");
-        let full_striped = DpOptions { band: BandPolicy::Full, kernel: DpKernel::Striped };
-        assert_eq!(
-            MuscleLite::fast().with_dp(full_striped).name(),
-            "muscle-lite-fast+full+striped"
-        );
+        let full_scalar = DpOptions { band: BandPolicy::Full, kernel: DpKernel::Scalar };
+        assert_eq!(MuscleLite::fast().with_dp(full_scalar).name(), "muscle-lite-fast+full+scalar");
     }
 
     #[test]

@@ -1,18 +1,18 @@
 //! Kernel-level guarantees of `align::dp` on realistic inputs:
 //!
 //! * `BandPolicy::Full` through the kernel reproduces the full-DP rows and
-//!   scores byte-for-byte, whatever arena is used and however wide a fixed
-//!   band is;
+//!   scores byte-for-byte, whatever arena is used;
 //! * adaptive banding (`BandPolicy::Auto`) converges to the full-DP
 //!   optimum on rose-generated homologous families *and* on divergent
 //!   pairs where the optimum needs off-diagonal excursions;
-//! * the striped f32 kernel is a pure implementation swap: identical
-//!   traceback ops (hence identical rows) to the scalar f64 oracle on
-//!   every input family, under every band policy;
+//! * the striped f32 kernel is a pure implementation swap: on f32-exact
+//!   scorers, where `DpKernel::Auto` runs it, identical traceback ops
+//!   (hence identical rows) to the scalar f64 oracle on every input
+//!   family, under every band policy;
 //! * the arena is pure scratch for every `*_with` form: a dirty, reused
 //!   arena gives exactly the fresh-arena result.
 
-use align::dp::{BandPolicy, DpArena, DpKernel, DpOptions};
+use align::dp::{BandPolicy, ColumnScorer, DpArena, DpKernel, DpOptions, PspScorer, SubstScorer};
 use align::pairwise::{global_align_with, PairAlignment};
 use align::papro::{align_profiles_with, ProfileAlignment};
 use align::Profile;
@@ -35,14 +35,21 @@ fn full_profiles(pa: &Profile, pb: &Profile, m: &SubstMatrix, g: GapPenalties) -
     align_profiles_with(pa, pb, m, g, BandPolicy::Full, &mut DpArena::new())
 }
 
-/// Every band shape the kernel supports: unrestricted, adaptive
-/// (band-doubling with refills), and a deliberately narrow fixed band
-/// that clips the optimum on most inputs.
-const ALL_BANDS: [BandPolicy; 3] = [BandPolicy::Full, BandPolicy::Auto, BandPolicy::Fixed(16)];
+/// Every band shape the kernel supports: unrestricted, and adaptive
+/// (band-doubling with refills).
+const ALL_BANDS: [BandPolicy; 2] = [BandPolicy::Full, BandPolicy::Auto];
 
-/// `band` under the scalar oracle and under the striped kernel.
-fn scalar_and_striped(band: BandPolicy) -> (DpOptions, DpOptions) {
-    (DpOptions { band, kernel: DpKernel::Scalar }, DpOptions { band, kernel: DpKernel::Striped })
+/// `band` under the scalar oracle and under the auto kernel, which runs
+/// the striped fill on f32-exact scorers.
+fn scalar_and_auto(band: BandPolicy) -> (DpOptions, DpOptions) {
+    (DpOptions { band, kernel: DpKernel::Scalar }, DpOptions { band, kernel: DpKernel::Auto })
+}
+
+/// Uniform-weight profiles are f32-exact, so the auto kernel runs the
+/// striped fill on them.
+fn assert_psp_f32_exact(pa: &Profile, pb: &Profile, matrix: &SubstMatrix, gaps: GapPenalties) {
+    let s = PspScorer::new(pa, pb, matrix, gaps, &mut Work::default());
+    assert!(s.f32_compatible(), "uniform weights keep PSP f32-exact");
 }
 
 /// Assert the striped kernel reproduces the scalar oracle's traceback
@@ -53,9 +60,11 @@ fn assert_pair_kernel_identity(
     matrix: &SubstMatrix,
     gaps: GapPenalties,
 ) {
+    let s = SubstScorer::new(a.codes(), b.codes(), matrix, gaps);
+    assert!(s.f32_compatible(), "integer scoring is f32-exact: auto runs the striped fill");
     let mut arena = DpArena::new();
     for band in ALL_BANDS {
-        let (scalar, striped) = scalar_and_striped(band);
+        let (scalar, striped) = scalar_and_auto(band);
         let scalar = global_align_with(a, b, matrix, gaps, scalar, &mut arena);
         let striped = global_align_with(a, b, matrix, gaps, striped, &mut arena);
         assert_eq!(scalar.row_a, striped.row_a, "{band:?}");
@@ -68,8 +77,8 @@ fn assert_pair_kernel_identity(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// On random rose families, a giant fixed band and a reused arena both
-    /// reproduce the full-DP rows and scores byte-for-byte.
+    /// On random rose families, a reused arena reproduces the full-DP rows
+    /// byte-for-byte.
     #[test]
     fn full_band_reproduces_full_dp_rows(seed in 0u64..500, relatedness in 200f64..900.0) {
         let matrix = SubstMatrix::blosum62();
@@ -79,10 +88,8 @@ proptest! {
         for pair in seqs.chunks(2) {
             let (a, b) = (&pair[0], &pair[1]);
             let full = full_align(a, b, &matrix, gaps);
-            let huge = global_align_with(a, b, &matrix, gaps, BandPolicy::Fixed(4096), &mut arena);
-            prop_assert_eq!(&huge.row_a, &full.row_a);
-            prop_assert_eq!(&huge.row_b, &full.row_b);
-            prop_assert_eq!(huge.score, full.score);
+            // Leave the reversed pair's fill in the arena first.
+            global_align_with(b, a, &matrix, gaps, BandPolicy::Full, &mut arena);
             let reused = global_align_with(a, b, &matrix, gaps, BandPolicy::Full, &mut arena);
             prop_assert_eq!(&reused.row_a, &full.row_a);
             prop_assert_eq!(&reused.row_b, &full.row_b);
@@ -148,8 +155,8 @@ proptest! {
         );
     }
 
-    /// Striped == scalar traceback identity on rose families, under all
-    /// three band policies.
+    /// Striped == scalar traceback identity on rose families, under both
+    /// band policies.
     #[test]
     fn striped_matches_scalar_on_families(seed in 0u64..400, relatedness in 200f64..900.0) {
         let matrix = SubstMatrix::blosum62();
@@ -191,9 +198,10 @@ proptest! {
         let mut w = Work::ZERO;
         let pa = Profile::from_msa(&msa_a, &mut w);
         let pb = Profile::from_msa(&msa_b, &mut w);
+        assert_psp_f32_exact(&pa, &pb, &matrix, gaps);
         let mut arena = DpArena::new();
         for band in ALL_BANDS {
-            let (scalar, striped) = scalar_and_striped(band);
+            let (scalar, striped) = scalar_and_auto(band);
             let scalar = align_profiles_with(&pa, &pb, &matrix, gaps, scalar, &mut arena);
             let striped = align_profiles_with(&pa, &pb, &matrix, gaps, striped, &mut arena);
             prop_assert_eq!(&scalar.ops, &striped.ops, "{:?}", band);
@@ -222,7 +230,7 @@ fn striped_matches_scalar_on_shifted_pair() {
 /// column (weight-0 everywhere — the scoring lane must still agree).
 #[test]
 fn striped_matches_scalar_on_degenerate_inputs() {
-    use align::dp::{gotoh_global_with, SubstScorer};
+    use align::dp::gotoh_global_with;
     let matrix = SubstMatrix::blosum62();
     let gaps = GapPenalties::default();
     // Empty sides only exist below the `Sequence` type (which rejects
@@ -232,9 +240,10 @@ fn striped_matches_scalar_on_degenerate_inputs() {
     for a in codes {
         for b in codes {
             let s = SubstScorer::new(a, b, &matrix, gaps);
+            assert!(s.f32_compatible(), "{a:?} vs {b:?}");
             for band in ALL_BANDS {
                 let scalar = gotoh_global_with(&s, band, DpKernel::Scalar, &mut arena);
-                let striped = gotoh_global_with(&s, band, DpKernel::Striped, &mut arena);
+                let striped = gotoh_global_with(&s, band, DpKernel::Auto, &mut arena);
                 assert_eq!(scalar.ops, striped.ops, "{band:?} on {a:?} vs {b:?}");
                 assert_eq!(scalar.score, striped.score, "{band:?} on {a:?} vs {b:?}");
             }
@@ -259,7 +268,8 @@ fn striped_matches_scalar_on_degenerate_inputs() {
     let mut arena = DpArena::new();
     for band in ALL_BANDS {
         for (pa, pb) in [(&gappy, &single), (&single, &gappy), (&gappy, &gappy)] {
-            let (scalar, striped) = scalar_and_striped(band);
+            assert_psp_f32_exact(pa, pb, &matrix, gaps);
+            let (scalar, striped) = scalar_and_auto(band);
             let scalar = align_profiles_with(pa, pb, &matrix, gaps, scalar, &mut arena);
             let striped = align_profiles_with(pa, pb, &matrix, gaps, striped, &mut arena);
             assert_eq!(scalar.ops, striped.ops, "{band:?}");
@@ -329,8 +339,8 @@ fn engines_agree_across_band_policies() {
 /// A dirty arena is pure scratch for every `*_with` form: under one arena
 /// reused across every call (and first grown on a larger instance), each
 /// form returns exactly what it returns under a fresh arena — same ops,
-/// score, MSA and `Work` — under the full band, the default options and a
-/// narrow fixed band on the scalar kernel.
+/// score, MSA and `Work` — under the full band, the default options and
+/// the auto band on the scalar kernel.
 #[test]
 fn dirty_arena_is_pure_scratch_for_every_explicit_form() {
     use align::distance::alignment_distance_matrix_with;
@@ -357,7 +367,7 @@ fn dirty_arena_is_pure_scratch_for_every_explicit_form() {
     let options = [
         full,
         DpOptions::default(),
-        DpOptions { band: BandPolicy::Fixed(16), kernel: DpKernel::Scalar },
+        DpOptions { band: BandPolicy::Auto, kernel: DpKernel::Scalar },
     ];
     for dp in options {
         assert_eq!(

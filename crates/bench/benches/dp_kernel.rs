@@ -1,5 +1,8 @@
 //! Micro-benchmarks of the `align::dp` Gotoh kernel: scalar vs striped
-//! fills, banded vs full, on pairwise and profile–profile shapes.
+//! fills, banded vs full, on pairwise and profile–profile shapes. The
+//! striped rows run `DpKernel::Auto`, which takes the striped fill on
+//! every scorer here: BLOSUM pairs and uniform-weight profiles are
+//! f32-exact, and the bench asserts so before it times them.
 //!
 //! Beyond the timings, the bench asserts the kernel contract:
 //!
@@ -17,7 +20,7 @@
 //! 2× between runs, so they are not committed; the counts repeat exactly,
 //! so a diff of the file shows what a banding change saves.
 
-use align::dp::{BandPolicy, DpArena, DpKernel, DpOptions};
+use align::dp::{BandPolicy, ColumnScorer, DpArena, DpKernel, DpOptions, PspScorer, SubstScorer};
 use align::pairwise::global_align_with;
 use align::papro::align_profiles_with;
 use align::{MsaEngine, MuscleLite, Profile};
@@ -67,8 +70,8 @@ impl Entry {
 }
 
 const BANDS: [(&str, BandPolicy); 2] = [("full", BandPolicy::Full), ("auto", BandPolicy::Auto)];
-const KERNELS: [(&str, DpKernel); 2] =
-    [("scalar", DpKernel::Scalar), ("striped", DpKernel::Striped)];
+/// The auto kernel runs the striped fill on the f32-exact scorers below.
+const KERNELS: [(&str, DpKernel); 2] = [("scalar", DpKernel::Scalar), ("striped", DpKernel::Auto)];
 
 fn main() {
     let steal_at_start = steal_ticks();
@@ -78,6 +81,10 @@ fn main() {
     let (long_a, long_b) = pair(600, 0x52);
     let (xl_a, xl_b) = pair(1200, 0x54);
     let mut arena = DpArena::new();
+    for (a, b) in [(&short_a, &short_b), (&long_a, &long_b), (&xl_a, &xl_b)] {
+        let s = SubstScorer::new(a.codes(), b.codes(), &matrix, gaps);
+        assert!(s.f32_compatible(), "BLOSUM pairs run the striped fill under the auto kernel");
+    }
 
     // Cell accounting: the acceptance bar for the banded kernel.
     let ga = |band, kernel, arena: &mut DpArena| {
@@ -101,7 +108,7 @@ fn main() {
     // Kernel identity: the striped fill is an implementation detail.
     for (_, band) in BANDS {
         let s = ga(band, DpKernel::Scalar, &mut arena);
-        let v = ga(band, DpKernel::Striped, &mut arena);
+        let v = ga(band, DpKernel::Auto, &mut arena);
         assert_eq!((s.row_a, s.row_b, s.score), (v.row_a, v.row_b, v.score));
     }
 
@@ -120,6 +127,8 @@ fn main() {
     let mut w = Work::ZERO;
     let pa = Profile::from_msa(&msa_a, &mut w);
     let pb = Profile::from_msa(&msa_b, &mut w);
+    let psp = PspScorer::new(&pa, &pb, &matrix, gaps, &mut w);
+    assert!(psp.f32_compatible(), "uniform-weight profiles run the striped fill under auto");
 
     // Every (case, band, kernel) point: its cells, and the median of a few
     // timed repeats (printed, not committed).

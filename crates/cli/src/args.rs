@@ -72,9 +72,9 @@ pub struct PipelineFlags {
     /// Inputs with sequences shorter than the k-mer length are rejected,
     /// so short-read files need a smaller `k`.
     pub kmer: Option<usize>,
-    /// DP kernel band policy (`--band auto|full|<width>`).
+    /// DP kernel band policy (`--band auto|full`).
     pub band: BandPolicy,
-    /// DP kernel variant (`--kernel scalar|striped|auto`).
+    /// DP kernel variant (`--kernel scalar|auto`).
     pub kernel: DpKernel,
     /// Run the MaxAlign-style area-maximizing trim stage on every
     /// finished alignment (`--trim`).
@@ -132,14 +132,13 @@ impl PipelineFlags {
             "--kmer" => self.kmer = Some(take_num(tok, it)?),
             "--band" => {
                 let v = take_value(tok, it)?;
-                self.band = BandPolicy::parse(v).ok_or_else(|| {
-                    ParseError(format!("--band takes auto, full or a positive width, not {v:?}"))
-                })?;
+                self.band = BandPolicy::parse(v)
+                    .ok_or_else(|| ParseError(format!("--band takes auto or full, not {v:?}")))?;
             }
             "--kernel" => {
                 let v = take_value(tok, it)?;
                 self.kernel = DpKernel::parse(v).ok_or_else(|| {
-                    ParseError(format!("--kernel takes scalar, striped or auto, not {v:?}"))
+                    ParseError(format!("--kernel takes scalar or auto, not {v:?}"))
                 })?;
             }
             "--trim" => self.trim = true,
@@ -383,8 +382,7 @@ pipeline flags (align, batch, reads, serve):
                    [--backend sequential|rayon|distributed] [--p N]
                    [--threads N] [--nodes N] [--no-fine-tune] [--kmer K]
                    [--engine muscle-fast|muscle|clustalw]
-                   [--band auto|full|<width>]
-                   [--kernel scalar|striped|auto] [--trim]
+                   [--band auto|full] [--kernel scalar|auto] [--trim]
 ";
 
 /// The rest of the command line, as the flag parsers consume it.
@@ -763,13 +761,11 @@ mod tests {
         // Accepted: flags, the parse, and — when the row names a backend —
         // that backend and the `parallelism()` it yields.
         type Accepted<'a> = (&'a [&'a str], PipelineFlags, Option<(Backend, usize)>);
-        let accepted: [Accepted; 15] = [
+        let accepted: [Accepted; 13] = [
             (&[], defaults.clone(), None),
             (&["--band", "auto"], with(|f| f.band = BandPolicy::Auto), None),
             (&["--band", "full"], with(|f| f.band = BandPolicy::Full), None),
-            (&["--band", "64"], with(|f| f.band = BandPolicy::Fixed(64)), None),
             (&["--kernel", "scalar"], with(|f| f.kernel = DpKernel::Scalar), None),
-            (&["--kernel", "striped"], with(|f| f.kernel = DpKernel::Striped), None),
             (&["--kernel", "auto"], with(|f| f.kernel = DpKernel::Auto), None),
             (&["--kmer", "2"], with(|f| f.kmer = Some(2)), None),
             (&["--trim"], with(|f| f.trim = true), None),
@@ -801,15 +797,18 @@ mod tests {
         }
 
         // Rejected, with the same message whatever the command.
-        const BAND: &str = "--band takes auto, full or a positive width, not";
+        const BAND: &str = "--band takes auto or full, not";
+        const KERNEL: &str = "--kernel takes scalar or auto, not";
         const ZERO: &str = "--p/--threads/--nodes must be at least 1";
         const THREADS: &str = "--threads only applies to --backend rayon";
         const NODES: &str = "--nodes only applies to --backend distributed";
-        let rejected: [(&[&str], String); 17] = [
+        let rejected: [(&[&str], String); 19] = [
+            (&["--band", "64"], format!("{BAND} \"64\"")),
             (&["--band", "0"], format!("{BAND} \"0\"")),
             (&["--band", "wavefront"], format!("{BAND} \"wavefront\"")),
             (&["--band"], "--band needs a value".into()),
-            (&["--kernel", "avx"], "--kernel takes scalar, striped or auto, not \"avx\"".into()),
+            (&["--kernel", "striped"], format!("{KERNEL} \"striped\"")),
+            (&["--kernel", "avx"], format!("{KERNEL} \"avx\"")),
             (&["--kernel"], "--kernel needs a value".into()),
             (&["--kmer", "0"], "--kmer must be at least 1".into()),
             (&["--p", "0"], ZERO.into()),
@@ -906,7 +905,7 @@ mod tests {
                 "--engine",
                 "clustalw",
                 "--band",
-                "32",
+                "full",
                 "--progress",
             ]
         );
@@ -916,7 +915,7 @@ mod tests {
         assert_eq!(b.backend, Backend::Rayon);
         assert_eq!(b.parallelism(), 2);
         assert_eq!(b.engine, EngineChoice::Clustal);
-        assert_eq!(b.band, BandPolicy::Fixed(32));
+        assert_eq!(b.band, BandPolicy::Full);
         assert!(b.progress);
     }
 
@@ -1075,7 +1074,7 @@ mod tests {
                 "--kmer",
                 "3",
                 "--band",
-                "16",
+                "full",
                 "--out",
                 "aligned.fa",
             ]
@@ -1084,7 +1083,7 @@ mod tests {
         assert_eq!(r.max_bucket, Some(64));
         assert_eq!(r.parallelism(), 8);
         assert_eq!(r.kmer, Some(3));
-        assert_eq!(r.band, BandPolicy::Fixed(16));
+        assert_eq!(r.band, BandPolicy::Full);
         assert_eq!(r.out.as_deref(), Some("aligned.fa"));
     }
 

@@ -41,12 +41,15 @@ pub struct SadConfig {
     /// Band policy for every DP kernel instance in the pipeline: the
     /// per-bucket engines, the ancestor alignment and the fine-tuning.
     /// The default, [`BandPolicy::Auto`], fills only a diagonal band and
-    /// adaptively widens it until the optimum is provably unconstrained.
+    /// widens it until the score is stable under doubling and the optimum
+    /// clears the band edges; [`BandPolicy::Full`] fills the whole matrix.
+    /// Both aim at the full DP's optimum.
     pub band_policy: BandPolicy,
     /// DP kernel variant for every alignment in the pipeline. The
     /// default, [`DpKernel::Auto`], runs the striped f32 kernel whenever
     /// the scorer certifies bit-exact f32 arithmetic and the scalar f64
-    /// kernel otherwise; `Scalar`/`Striped` force one variant.
+    /// kernel otherwise; `Scalar` always runs the scalar kernel. The
+    /// choice never changes an alignment or its work counts.
     pub dp_kernel: DpKernel,
     /// Hierarchical bucketing cap (the Pyro-Align large-N read mode):
     /// when set, every rank recursively re-samples and re-partitions its
@@ -191,9 +194,6 @@ impl SadConfig {
         if self.samples_per_rank == Some(0) {
             return Err(SadError::ZeroSampleCount);
         }
-        if self.band_policy == BandPolicy::Fixed(0) {
-            return Err(SadError::ZeroBandWidth);
-        }
         if self.max_bucket == Some(0) {
             return Err(SadError::ZeroMaxBucket);
         }
@@ -260,8 +260,8 @@ mod tests {
             .with_samples_per_rank(Some(3))
             .with_engine(EngineChoice::Clustal)
             .with_fine_tune(false)
-            .with_band_policy(BandPolicy::Fixed(48))
-            .with_dp_kernel(DpKernel::Striped)
+            .with_band_policy(BandPolicy::Full)
+            .with_dp_kernel(DpKernel::Scalar)
             .with_max_bucket(Some(256))
             .with_vertical(VerticalConfig { seam_window: 8, ..Default::default() })
             .with_trim(TrimConfig { max_dropped: Some(2), branch_bound: true });
@@ -269,8 +269,8 @@ mod tests {
         assert_eq!(cfg.samples_per_rank, Some(3));
         assert_eq!(cfg.engine, EngineChoice::Clustal);
         assert!(!cfg.fine_tune);
-        assert_eq!(cfg.band_policy, BandPolicy::Fixed(48));
-        assert_eq!(cfg.dp_kernel, DpKernel::Striped);
+        assert_eq!(cfg.band_policy, BandPolicy::Full);
+        assert_eq!(cfg.dp_kernel, DpKernel::Scalar);
         assert_eq!(cfg.max_bucket, Some(256));
         assert_eq!(cfg.vertical.as_ref().map(|v| v.seam_window), Some(8));
         assert_eq!(cfg.trim, Some(TrimConfig { max_dropped: Some(2), branch_bound: true }));
@@ -300,17 +300,6 @@ mod tests {
         );
         assert_eq!(SadConfig::default().with_max_bucket(Some(1)).validate(), Ok(()));
         assert_eq!(SadConfig::default().with_max_bucket(None).validate(), Ok(()));
-    }
-
-    #[test]
-    fn validate_rejects_zero_band_width() {
-        assert_eq!(
-            SadConfig::default().with_band_policy(BandPolicy::Fixed(0)).validate(),
-            Err(SadError::ZeroBandWidth)
-        );
-        for ok in [BandPolicy::Full, BandPolicy::Auto, BandPolicy::Fixed(1)] {
-            assert_eq!(SadConfig::default().with_band_policy(ok).validate(), Ok(()));
-        }
     }
 
     #[test]

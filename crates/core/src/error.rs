@@ -38,9 +38,6 @@ pub enum SadError {
     },
     /// The rayon backend was configured with zero threads/buckets.
     ZeroParallelism,
-    /// `SadConfig::band_policy` is `BandPolicy::Fixed(0)` — a zero-width
-    /// band admits no alignment path.
-    ZeroBandWidth,
     /// `SadConfig::max_bucket` is `Some(0)` — a bucket must hold at least
     /// one sequence, so a zero cap can never be satisfied.
     ZeroMaxBucket,
@@ -75,9 +72,6 @@ impl std::fmt::Display for SadError {
                 write!(f, "kmer_k = {k} is not shorter than the shortest sequence ({shortest})")
             }
             SadError::ZeroParallelism => write!(f, "rayon backend needs at least one thread"),
-            SadError::ZeroBandWidth => {
-                write!(f, "band_policy: a fixed band must be at least 1 column wide")
-            }
             SadError::ZeroMaxBucket => {
                 write!(f, "max_bucket must be at least 1 when set explicitly")
             }

@@ -109,9 +109,10 @@ pub struct RunReport {
     /// fit [`crate::SadConfig::max_bucket`] — or when no cap was set.
     pub decomposition_depth: usize,
     /// DP kernel selection the run was configured with
-    /// ([`align::DpKernel::label`]: `"scalar"`, `"striped"`, or
-    /// `"auto"`). The kernel never changes results or work accounting —
-    /// this label records which fill implementation produced them.
+    /// ([`align::DpKernel::label`]: `"scalar"` or `"auto"`). The kernel
+    /// never changes results or work accounting: `"auto"` runs the
+    /// striped fill only where its decisions are provably the scalar
+    /// fill's. This label records the choice, not the fills that ran.
     pub kernel: &'static str,
     /// Vertical (length-wise) decomposition census — anchors found, block
     /// widths, seam windows refined. `None` when the run aligned whole

@@ -98,7 +98,6 @@ mod tests {
             base.clone().with_max_bucket(Some(128)),
             base.clone().with_max_bucket(Some(256)),
             base.clone().with_dp_kernel(DpKernel::Scalar),
-            base.clone().with_dp_kernel(DpKernel::Striped),
             base.clone().with_vertical(VerticalConfig::default()),
             base.clone().with_vertical(VerticalConfig { seam_window: 8, ..Default::default() }),
             base.clone().with_vertical(VerticalConfig { max_block_len: 256, ..Default::default() }),

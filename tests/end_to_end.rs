@@ -117,3 +117,35 @@ fn free_network_ablation_only_speeds_things_up() {
     assert_eq!(real.msa, free.msa, "cost model must not affect results");
     assert!(free.makespan().unwrap() < real.makespan().unwrap());
 }
+
+/// The anchored read-bucket merge (seeding the fine-tune profile DP with
+/// the decomp anchor scan) must not regress read-recovery quality at the
+/// recorded cap-128 operating point. Capped runs always seed the merge
+/// now; when the seeding could still be switched off, this setup measured
+/// a mean pair Q of 0.517440 with it off and 0.517440 with it on, so the
+/// gate keeps the old bound: no more than 0.02 below the unseeded figure.
+#[test]
+fn anchored_merge_does_not_regress_read_quality_at_cap_128() {
+    const Q_UNSEEDED: f64 = 0.517440;
+    let sources = Family::generate(&FamilyConfig {
+        n_seqs: 4,
+        avg_len: 300,
+        relatedness: 800.0,
+        seed: 7,
+        ..Default::default()
+    });
+    let set = ReadSet::from_family(
+        &sources,
+        &ReadSimConfig { total_reads: Some(300), seed: 7, ..Default::default() },
+    );
+    let cfg = SadConfig::default().with_max_bucket(Some(128));
+    let report = Aligner::new(cfg)
+        .backend(Backend::Rayon { threads: 4 })
+        .run(&set.reads)
+        .expect("valid read set");
+    let q = mean_read_pair_q(&set, &report.msa, 200).expect("overlapping read pairs exist");
+    assert!(
+        q >= Q_UNSEEDED - 0.02,
+        "anchored merge regressed mean pair Q: {q:.4} vs {Q_UNSEEDED:.4} unseeded"
+    );
+}
