@@ -18,9 +18,9 @@
 //! * **Reusable scratch.** All storage lives in a [`DpArena`] that callers
 //!   thread through progressive alignment and refinement, so steady-state
 //!   alignment performs no per-call heap allocation once the arena has
-//!   grown to the workload's high-water mark. It holds rolling rows, the
-//!   traceback bytes and per-row band geometry, and nothing carries from
-//!   one fill to the next.
+//!   grown to the workload's high-water mark. It holds rolling rows and
+//!   the traceback bytes with each row's offset (the band geometry is
+//!   computed per row), and nothing carries from one fill to the next.
 //! * **Banded mode with adaptive doubling.** Under [`BandPolicy::Auto`]
 //!   the DP is restricted to a diagonal band sized by the length
 //!   difference, and the band is doubled until the traced optimum clears
@@ -41,7 +41,9 @@
 //!   [`DpKernel::Auto`], and only when the scorer reports
 //!   [`ColumnScorer::f32_compatible`] (integral scores whose running sums
 //!   stay below 2²⁴), where every striped decision is provably the
-//!   scalar one; so no kernel choice changes an alignment.
+//!   scalar one; so no kernel choice changes an alignment. Scorers build
+//!   their `f32` lane tables only when they pass that audit, so a scorer
+//!   that will run scalar costs no striped setup.
 //!
 //! Scalar scores are `f64` throughout. For integer substitution matrices
 //! and gap penalties every intermediate value is an exact small integer,
@@ -221,7 +223,9 @@ const LANE_TABLE_MIN_CELLS: usize = 256;
 /// (`0..len_b()`). Gap costs are *positive* charges: `gap_open_a(i)` is
 /// the cost of the first gap symbol inserted into side B while consuming
 /// column `i` of side A (the X layer), `gap_extend_a(i)` the cost of each
-/// further one; `*_b` mirrors this for gaps in side A (the Y layer).
+/// further one; `*_b` mirrors this for gaps in side A (the Y layer). Each
+/// gap cost exists once, as `f64`; lane tables for the batched row fill
+/// exist only for f32-exact scorers.
 pub trait ColumnScorer {
     /// Number of columns on the first side.
     fn len_a(&self) -> usize;
@@ -241,11 +245,9 @@ pub trait ColumnScorer {
 
     /// Batched scoring: write `substitution(i, j0 + k)` for `k` in
     /// `0..out.len()` as `f32` lanes (the striped kernel's hot path).
+    /// Callable only when [`f32_compatible`](Self::f32_compatible) holds:
+    /// the lane tables it reads are built only for such scorers.
     fn fill_substitution_row(&self, i: usize, j0: usize, out: &mut [f32]);
-    /// Batched gap costs: write `gap_open_b(j0 + k)` as `f32` lanes.
-    fn fill_gap_open_b_row(&self, j0: usize, out: &mut [f32]);
-    /// Batched gap costs: write `gap_extend_b(j0 + k)` as `f32` lanes.
-    fn fill_gap_extend_b_row(&self, j0: usize, out: &mut [f32]);
     /// Whether every decision the striped `f32` kernel would take on this
     /// instance is exact: all scores and gap costs are integers, and the
     /// worst-case running sum stays below 2²⁴ (f32's exact-integer
@@ -267,7 +269,8 @@ pub struct SubstScorer<'a> {
     extend: f64,
     /// Per-residue score lanes: `lanes[c·m + j] = S(c, b[j])` for every
     /// code `c` present in `a`, so a striped row fill is one table copy.
-    /// Left empty for tiny instances where building it costs more than
+    /// Left empty when the instance fails the f32 audit (it never runs
+    /// striped), and for tiny instances where building it costs more than
     /// the fill saves (the row fill then gathers from the matrix row).
     lanes: Vec<f32>,
     f32_ok: bool,
@@ -278,7 +281,13 @@ impl<'a> SubstScorer<'a> {
     pub fn new(a: &'a [u8], b: &'a [u8], matrix: &'a SubstMatrix, gaps: GapPenalties) -> Self {
         let (open, extend) = (gaps.open as f64, gaps.extend as f64);
         let m = b.len();
-        let lanes = if a.len() * m >= LANE_TABLE_MIN_CELLS {
+        // Integer matrix, integer gaps: the striped kernel is exact as
+        // long as no running sum can leave f32's exact-integer range.
+        let max_step = (0..CODE_COUNT)
+            .flat_map(|c| matrix.row(c as u8).iter())
+            .fold(open.abs().max(extend.abs()), |acc, &v| acc.max((v as f64).abs()));
+        let f32_ok = (a.len() + m + 2) as f64 * max_step < F32_EXACT_LIMIT;
+        let lanes = if f32_ok && a.len() * m >= LANE_TABLE_MIN_CELLS {
             let mut present = [false; CODE_COUNT];
             for &c in a {
                 present[c as usize] = true;
@@ -297,12 +306,6 @@ impl<'a> SubstScorer<'a> {
         } else {
             Vec::new()
         };
-        // Integer matrix, integer gaps: the striped kernel is exact as
-        // long as no running sum can leave f32's exact-integer range.
-        let max_step = (0..CODE_COUNT)
-            .flat_map(|c| matrix.row(c as u8).iter())
-            .fold(open.abs().max(extend.abs()), |acc, &v| acc.max((v as f64).abs()));
-        let f32_ok = (a.len() + m + 2) as f64 * max_step < F32_EXACT_LIMIT;
         SubstScorer { a, b, matrix, open, extend, lanes, f32_ok }
     }
 }
@@ -347,12 +350,6 @@ impl ColumnScorer for SubstScorer<'_> {
             out.copy_from_slice(&lane[..out.len()]);
         }
     }
-    fn fill_gap_open_b_row(&self, _j0: usize, out: &mut [f32]) {
-        out.fill(self.open as f32);
-    }
-    fn fill_gap_extend_b_row(&self, _j0: usize, out: &mut [f32]) {
-        out.fill(self.extend as f32);
-    }
     fn f32_compatible(&self) -> bool {
         self.f32_ok
     }
@@ -371,22 +368,22 @@ pub struct PspScorer<'a> {
     eb: Vec<[f64; CODE_COUNT]>,
     /// Lane-major `f32` transpose of `eb` (`et[c·m + j] = eb[j][c]`): the
     /// striped row fill accumulates `w·et` over A's sparse residues with
-    /// unit-stride multiply-adds.
-    et: Vec<f32>,
+    /// unit-stride multiply-adds. `Some` exactly when the scorer passes
+    /// the f32 audit ([`ColumnScorer::f32_compatible`]).
+    et: Option<Vec<f32>>,
     open_a: Vec<f64>,
     extend_a: Vec<f64>,
     open_b: Vec<f64>,
     extend_b: Vec<f64>,
-    open_b32: Vec<f32>,
-    extend_b32: Vec<f32>,
-    f32_ok: bool,
 }
 
 impl<'a> PspScorer<'a> {
-    /// Precompute the dense expected-score vectors and per-column gap
-    /// costs in one pass over B's columns and one over A's, auditing
+    /// Precompute the per-column gap costs and dense expected-score
+    /// vectors in one pass over A's columns and one over B's, auditing
     /// f32-exactness on the way. The `O(m·|Σ|)` setup cost is charged to
-    /// `work.col_ops`.
+    /// `work.col_ops`. The `f32` lane table is written during B's pass only
+    /// when A's weights are integral (otherwise the audit fails whatever B
+    /// holds), and dropped when the final verdict fails.
     ///
     /// The audit for the striped kernel: integral weights make every PSP
     /// term an integer, and the magnitude bound keeps the worst-case
@@ -415,25 +412,6 @@ impl<'a> PspScorer<'a> {
             (o, x)
         };
 
-        let mut eb = Vec::with_capacity(m);
-        let mut et = vec![0.0f32; CODE_COUNT * m];
-        let (mut open_b, mut extend_b) = (Vec::with_capacity(m), Vec::with_capacity(m));
-        let (mut open_b32, mut extend_b32) = (Vec::with_capacity(m), Vec::with_capacity(m));
-        for (j, col) in pb.columns().enumerate() {
-            let e = col.expected_scores(matrix);
-            for (c, &v) in e.iter().enumerate() {
-                et[c * m + j] = v as f32;
-                integral &= v.fract() == 0.0;
-                e_max = e_max.max(v.abs());
-            }
-            eb.push(e);
-            let (o, x) = costs(col.residue_weight() * pa.total_weight);
-            open_b.push(o);
-            extend_b.push(x);
-            open_b32.push(o as f32);
-            extend_b32.push(x as f32);
-        }
-
         let (mut open_a, mut extend_a) = (Vec::with_capacity(n), Vec::with_capacity(n));
         for col in pa.columns() {
             let weight = col.residue_weight();
@@ -444,9 +422,28 @@ impl<'a> PspScorer<'a> {
             extend_a.push(x);
         }
 
+        let mut eb = Vec::with_capacity(m);
+        let mut et = integral.then(|| vec![0.0f32; CODE_COUNT * m]);
+        let (mut open_b, mut extend_b) = (Vec::with_capacity(m), Vec::with_capacity(m));
+        for (j, col) in pb.columns().enumerate() {
+            let e = col.expected_scores(matrix);
+            for (c, &v) in e.iter().enumerate() {
+                if let Some(et) = &mut et {
+                    et[c * m + j] = v as f32;
+                }
+                integral &= v.fract() == 0.0;
+                e_max = e_max.max(v.abs());
+            }
+            eb.push(e);
+            let (o, x) = costs(col.residue_weight() * pa.total_weight);
+            open_b.push(o);
+            extend_b.push(x);
+        }
+
         let step = (wa_max * e_max).max(g_max);
         let f32_ok = integral && gaps_integral && (n + m + 2) as f64 * step < F32_EXACT_LIMIT;
-        PspScorer { pa, eb, et, open_a, extend_a, open_b, extend_b, open_b32, extend_b32, f32_ok }
+        let et = et.filter(|_| f32_ok);
+        PspScorer { pa, eb, et, open_a, extend_a, open_b, extend_b }
     }
 }
 
@@ -485,24 +482,19 @@ impl ColumnScorer for PspScorer<'_> {
         self.extend_b[j]
     }
     fn fill_substitution_row(&self, i: usize, j0: usize, out: &mut [f32]) {
+        let et = self.et.as_deref().expect("the striped row fill needs an f32-exact scorer");
         out.fill(0.0);
         let m = self.eb.len();
         for &(a, wgt) in self.pa.col(i).residues {
             let w = wgt as f32;
-            let lane = &self.et[a as usize * m + j0..][..out.len()];
+            let lane = &et[a as usize * m + j0..][..out.len()];
             for (slot, &e) in out.iter_mut().zip(lane) {
                 *slot += w * e;
             }
         }
     }
-    fn fill_gap_open_b_row(&self, j0: usize, out: &mut [f32]) {
-        out.copy_from_slice(&self.open_b32[j0..j0 + out.len()]);
-    }
-    fn fill_gap_extend_b_row(&self, j0: usize, out: &mut [f32]) {
-        out.copy_from_slice(&self.extend_b32[j0..j0 + out.len()]);
-    }
     fn f32_compatible(&self) -> bool {
-        self.f32_ok
+        self.et.is_some()
     }
 }
 
@@ -517,8 +509,9 @@ const TB_Y_EXT: u8 = 0b0001_0000;
 const TB_Y_FROM_X: u8 = 0b0010_0000;
 
 /// Reusable scratch for the kernel: two rolling score rows per layer, the
-/// packed traceback (one byte per in-band cell), per-row band geometry and
-/// the striped kernel's `O(m)` row scratch. Every fill overwrites what it
+/// packed traceback (one byte per in-band cell) with each row's offset,
+/// and the striped kernel's `O(m)` row scratch. Which columns a row holds
+/// is not stored: a `Band` computes it. Every fill overwrites what it
 /// reads, so nothing is kept per fill. One arena serves any number of
 /// consecutive alignments; buffers grow to the largest instance seen and
 /// are then reused without further allocation.
@@ -534,13 +527,9 @@ pub struct DpArena {
     /// Packed traceback bytes, one per in-band cell, rows concatenated;
     /// written by both kernels.
     tb: Vec<u8>,
-    /// Per-row offset of the row's first stored byte in `tb`.
+    /// Per-row offset in `tb` of the row's first stored byte, column
+    /// `Band::jlo`.
     row_off: Vec<usize>,
-    /// Per-row first interior column stored (`max(1, lo)`).
-    row_jlo: Vec<usize>,
-    /// Per-row band bounds (inclusive) for edge detection.
-    row_lo: Vec<usize>,
-    row_hi: Vec<usize>,
     // Rolling `f32` score rows for the striped kernel.
     mp32: Vec<f32>,
     xp32: Vec<f32>,
@@ -553,7 +542,7 @@ pub struct DpArena {
     srow: Vec<f32>,
     oy: Vec<f32>,
     yfrom: Vec<u8>,
-    // Per-column B gap costs, scored once per fill.
+    // Per-column B gap costs, narrowed to `f32` once per fill.
     gob32: Vec<f32>,
     geb32: Vec<f32>,
 }
@@ -565,8 +554,68 @@ impl DpArena {
     }
 
     #[inline]
-    fn tb_at(&self, i: usize, j: usize) -> u8 {
-        self.tb[self.row_off[i] + j - self.row_jlo[i]]
+    fn tb_at(&self, band: &Band, i: usize, j: usize) -> u8 {
+        self.tb[self.row_off[i] + j - band.jlo(i)]
+    }
+}
+
+/// The band geometry of one fill over an `n × m` matrix: row `i` allows
+/// the columns `lo(i)..=hi(i)` within `hw` of its `centre(i)`, the
+/// rescaled diagonal `j = ⌊i·m/n⌋`, and stores traceback bytes for
+/// `jlo(i)..=hi(i)`, `jlo(i) = max(1, lo(i))` (column 0 is the boundary).
+/// `hw ≥ m` covers every column: a full fill. Both fills, the traceback
+/// walk and [`DpArena::tb_at`] read this one value.
+#[derive(Debug, Clone, Copy)]
+struct Band {
+    n: usize,
+    m: usize,
+    hw: usize,
+}
+
+impl Band {
+    /// A plain division (an empty A has only row 0, whose centre is 0),
+    /// which the compiler shares between the calls one row makes.
+    #[inline]
+    fn centre(&self, i: usize) -> usize {
+        i * self.m / self.n.max(1)
+    }
+    #[inline]
+    fn lo(&self, i: usize) -> usize {
+        self.centre(i).saturating_sub(self.hw)
+    }
+    #[inline]
+    fn hi(&self, i: usize) -> usize {
+        (self.centre(i) + self.hw).min(self.m)
+    }
+    #[inline]
+    fn jlo(&self, i: usize) -> usize {
+        self.lo(i).max(1)
+    }
+
+    /// Row `i`'s prologue, shared by both fills: record where its
+    /// traceback bytes start, grow `tb` to hold them, and reset the
+    /// current score rows to `unreachable` across every cell rows `i` and
+    /// `i + 1` can read, so values from two rows ago never leak through.
+    /// Returns the row's offset in `tb`. Always inlined, so the fill and
+    /// the prologue share one division per row centre.
+    #[inline(always)]
+    fn begin_row<T: Copy>(
+        &self,
+        i: usize,
+        row_off: &mut [usize],
+        tb: &mut Vec<u8>,
+        current: [&mut Vec<T>; 3],
+        unreachable: T,
+    ) -> usize {
+        let (lo, hi) = (self.lo(i), self.hi(i));
+        let off = tb.len();
+        row_off[i] = off;
+        tb.resize(off + hi + 1 - self.jlo(i), 0);
+        let next_hi = if i < self.n { self.hi(i + 1) } else { hi };
+        for row in current {
+            row[lo.saturating_sub(1)..=hi.max(next_hi)].fill(unreachable);
+        }
+        off
     }
 }
 
@@ -601,19 +650,12 @@ struct FillOutcome {
     end: (f64, f64, f64),
 }
 
-/// The scalar global Gotoh fill within half-width `hw` (`hw ≥ len_b`
-/// means full): the exact oracle of [`fill_striped`]. Returns the
-/// per-layer end values; traceback state stays in the arena.
-fn fill<S: ColumnScorer>(s: &S, hw: usize, arena: &mut DpArena) -> FillOutcome {
-    let n = s.len_a();
-    let m = s.len_b();
+/// The scalar global Gotoh fill of `s` (an `n × m` instance) within
+/// `band`: the exact oracle of [`fill_striped`]. Returns the per-layer
+/// end values; traceback state stays in the arena.
+fn fill<S: ColumnScorer>(s: &S, band: Band, arena: &mut DpArena) -> FillOutcome {
+    let (n, m) = (band.n, band.m);
     let w = m + 1;
-
-    // Band geometry: row i is allowed columns [lo(i), hi(i)] around the
-    // rescaled diagonal j ≈ i·m/n.
-    let centre = |i: usize| (i * m).checked_div(n).unwrap_or(0);
-    let lo = |i: usize| centre(i).saturating_sub(hw);
-    let hi = |i: usize| (centre(i) + hw).min(m);
 
     // (Re)initialise the arena for this instance.
     for v in
@@ -624,18 +666,12 @@ fn fill<S: ColumnScorer>(s: &S, hw: usize, arena: &mut DpArena) -> FillOutcome {
     }
     arena.row_off.clear();
     arena.row_off.resize(n + 1, 0);
-    arena.row_jlo.clear();
-    arena.row_jlo.resize(n + 1, 0);
-    arena.row_lo.clear();
-    arena.row_lo.resize(n + 1, 0);
-    arena.row_hi.clear();
-    arena.row_hi.resize(n + 1, 0);
     arena.tb.clear();
 
     // Row 0: M origin and the Y run along the top edge.
     arena.mp[0] = 0.0;
     let mut by = 0.0;
-    for j in 1..=hi(0) {
+    for j in 1..=band.hi(0) {
         by -= if j == 1 { s.gap_open_b(0) } else { s.gap_extend_b(j - 1) };
         arena.yp[j] = by;
     }
@@ -645,36 +681,18 @@ fn fill<S: ColumnScorer>(s: &S, hw: usize, arena: &mut DpArena) -> FillOutcome {
     let mut bx = 0.0;
 
     let mut cells = 0u64;
-    let mut tb_len = 0usize;
     for i in 1..=n {
-        let (rlo, rhi) = (lo(i), hi(i));
-        let jstart = rlo.max(1);
-        arena.row_lo[i] = rlo;
-        arena.row_hi[i] = rhi;
-        arena.row_jlo[i] = jstart;
-        arena.row_off[i] = tb_len;
-        let width = rhi + 1 - jstart;
-        tb_len += width;
-        arena.tb.resize(tb_len, 0);
-
-        // Clear the current row across every cell rows i and i+1 can
-        // read, so values from two rows ago never leak through.
-        let next_hi = if i < n { hi(i + 1) } else { rhi };
-        let clo = rlo.saturating_sub(1);
-        let chi = rhi.max(next_hi);
-        for v in [&mut arena.mc, &mut arena.xc, &mut arena.yc] {
-            for slot in &mut v[clo..=chi] {
-                *slot = NEG_INF;
-            }
-        }
+        let (jstart, rhi) = (band.jlo(i), band.hi(i));
+        let current = [&mut arena.mc, &mut arena.xc, &mut arena.yc];
+        let off = band.begin_row(i, &mut arena.row_off, &mut arena.tb, current, NEG_INF);
 
         // Cell (i, 0): the left-edge boundary.
-        if rlo == 0 {
+        if band.lo(i) == 0 {
             bx -= if i == 1 { s.gap_open_a(0) } else { s.gap_extend_a(i - 1) };
             arena.xc[0] = bx;
         }
 
-        let row_tb = &mut arena.tb[arena.row_off[i]..tb_len];
+        let row_tb = &mut arena.tb[off..];
         for j in jstart..=rhi {
             cells += 1;
             let sub = s.substitution(i - 1, j - 1);
@@ -729,13 +747,10 @@ fn fill<S: ColumnScorer>(s: &S, hw: usize, arena: &mut DpArena) -> FillOutcome {
 ///
 /// Each in-band row is scored once per fill, straight into `DpArena::srow`
 /// by [`ColumnScorer::fill_substitution_row`]; nothing outlives the fill.
-fn fill_striped<S: ColumnScorer>(s: &S, hw: usize, arena: &mut DpArena) -> FillOutcome {
-    let n = s.len_a();
-    let m = s.len_b();
+/// `s` must be [`ColumnScorer::f32_compatible`].
+fn fill_striped<S: ColumnScorer>(s: &S, band: Band, arena: &mut DpArena) -> FillOutcome {
+    let (n, m) = (band.n, band.m);
     let w = m + 1;
-    let centre = |i: usize| (i * m).checked_div(n).unwrap_or(0);
-    let lo = |i: usize| centre(i).saturating_sub(hw);
-    let hi = |i: usize| (centre(i) + hw).min(m);
 
     for v in [
         &mut arena.mp32,
@@ -748,24 +763,20 @@ fn fill_striped<S: ColumnScorer>(s: &S, hw: usize, arena: &mut DpArena) -> FillO
         v.clear();
         v.resize(w, f32::NEG_INFINITY);
     }
-    for v in [&mut arena.row_off, &mut arena.row_jlo, &mut arena.row_lo, &mut arena.row_hi] {
-        v.clear();
-        v.resize(n + 1, 0);
-    }
+    arena.row_off.clear();
+    arena.row_off.resize(n + 1, 0);
     arena.tb.clear();
 
-    // Per-column B gap costs, scored once for the whole fill.
+    // Per-column B gap costs, narrowed once for the whole fill.
     arena.gob32.clear();
-    arena.gob32.resize(m, 0.0);
+    arena.gob32.extend((0..m).map(|j| s.gap_open_b(j) as f32));
     arena.geb32.clear();
-    arena.geb32.resize(m, 0.0);
-    s.fill_gap_open_b_row(0, &mut arena.gob32);
-    s.fill_gap_extend_b_row(0, &mut arena.geb32);
+    arena.geb32.extend((0..m).map(|j| s.gap_extend_b(j) as f32));
 
     // Row 0: M origin and the Y run along the top edge.
     arena.mp32[0] = 0.0;
     let mut by = 0.0f32;
-    for j in 1..=hi(0) {
+    for j in 1..=band.hi(0) {
         by -= if j == 1 { arena.gob32[0] } else { arena.geb32[j - 1] };
         arena.yp32[j] = by;
     }
@@ -773,30 +784,14 @@ fn fill_striped<S: ColumnScorer>(s: &S, hw: usize, arena: &mut DpArena) -> FillO
     let mut bx = 0.0f32;
     let mut cells = 0u64;
     for i in 1..=n {
-        let (rlo, rhi) = (lo(i), hi(i));
-        let jstart = rlo.max(1);
-        arena.row_lo[i] = rlo;
-        arena.row_hi[i] = rhi;
-        arena.row_jlo[i] = jstart;
-        let off = arena.tb.len();
-        arena.row_off[i] = off;
+        let (jstart, rhi) = (band.jlo(i), band.hi(i));
         let width = rhi + 1 - jstart;
         cells += width as u64;
-        arena.tb.resize(off + width, 0);
-
-        // Clear the current row across every cell rows i and i+1 can
-        // read, so values from two rows ago never leak through.
-        let next_hi = if i < n { hi(i + 1) } else { rhi };
-        let clo = rlo.saturating_sub(1);
-        let chi = rhi.max(next_hi);
-        for v in [&mut arena.mc32, &mut arena.xc32, &mut arena.yc32] {
-            for slot in &mut v[clo..=chi] {
-                *slot = f32::NEG_INFINITY;
-            }
-        }
+        let current = [&mut arena.mc32, &mut arena.xc32, &mut arena.yc32];
+        let off = band.begin_row(i, &mut arena.row_off, &mut arena.tb, current, f32::NEG_INFINITY);
 
         // Cell (i, 0): the left-edge boundary.
-        if rlo == 0 {
+        if band.lo(i) == 0 {
             bx -= if i == 1 { s.gap_open_a(0) as f32 } else { s.gap_extend_a(i - 1) as f32 };
             arena.xc32[0] = bx;
         }
@@ -909,13 +904,14 @@ struct Traceback {
 }
 
 impl Traceback {
-    fn walk(arena: &DpArena, n: usize, m: usize, mut layer: u8) -> Self {
-        let (mut i, mut j) = (n, m);
+    fn walk(arena: &DpArena, band: Band, mut layer: u8) -> Self {
+        let m = band.m;
+        let (mut i, mut j) = (band.n, m);
         let mut ops_rev = Vec::with_capacity(i + j);
         let mut touched = false;
         let mut max_dev = 0;
         while i > 0 || j > 0 {
-            max_dev = max_dev.max(j.abs_diff((i * m).checked_div(n).unwrap_or(0)));
+            max_dev = max_dev.max(j.abs_diff(band.centre(i)));
             if i == 0 {
                 ops_rev.push(ColOp::FromB);
                 j -= 1;
@@ -929,11 +925,11 @@ impl Traceback {
             // A path running within one cell of a clipped band edge may be
             // constrained by it; the adaptive controller widens and
             // retries in that case.
-            let (rlo, rhi) = (arena.row_lo[i], arena.row_hi[i]);
+            let (rlo, rhi) = (band.lo(i), band.hi(i));
             if (rlo > 0 && j <= rlo + 1) || (rhi < m && j + 1 >= rhi) {
                 touched = true;
             }
-            let byte = arena.tb_at(i, j);
+            let byte = arena.tb_at(&band, i, j);
             match layer {
                 0 => {
                     ops_rev.push(ColOp::Both);
@@ -1006,9 +1002,10 @@ pub fn gotoh_global_with<S: ColumnScorer>(
     let full_hw = m;
     let feasible = n.abs_diff(m) + 1;
     let run = |hw: usize, arena: &mut DpArena| -> (FillOutcome, Traceback, f64) {
-        let out = if striped { fill_striped(s, hw, arena) } else { fill(s, hw, arena) };
+        let band = Band { n, m, hw };
+        let out = if striped { fill_striped(s, band, arena) } else { fill(s, band, arena) };
         let (score, layer) = best3(out.end.0, out.end.1, out.end.2);
-        let tb = Traceback::walk(arena, n, m, layer);
+        let tb = Traceback::walk(arena, band, layer);
         (out, tb, score)
     };
     match policy {
@@ -1160,18 +1157,16 @@ mod tests {
     }
 
     /// Run both fills at every width of [`fill_widths`] and require the
-    /// same traceback store: band geometry per row and every byte, so a
+    /// same traceback store: every row's offset and every byte, so a
     /// dropped bit fails even where the walked path never reads it.
     fn assert_same_traceback<S: ColumnScorer>(s: &S, what: &str) {
         let (mut scalar, mut striped) = (DpArena::new(), DpArena::new());
-        for hw in fill_widths(s.len_a(), s.len_b()) {
-            let want = fill(s, hw, &mut scalar);
-            let got = fill_striped(s, hw, &mut striped);
+        let (n, m) = (s.len_a(), s.len_b());
+        for hw in fill_widths(n, m) {
+            let want = fill(s, Band { n, m, hw }, &mut scalar);
+            let got = fill_striped(s, Band { n, m, hw }, &mut striped);
             assert_eq!(want.cells, got.cells, "{what} at hw {hw}");
             assert_eq!(scalar.row_off, striped.row_off, "{what} row_off at hw {hw}");
-            assert_eq!(scalar.row_jlo, striped.row_jlo, "{what} row_jlo at hw {hw}");
-            assert_eq!(scalar.row_lo, striped.row_lo, "{what} row_lo at hw {hw}");
-            assert_eq!(scalar.row_hi, striped.row_hi, "{what} row_hi at hw {hw}");
             assert_eq!(scalar.tb.len() as u64, want.cells, "{what} at hw {hw}");
             assert_eq!(striped.tb.len() as u64, got.cells, "{what} at hw {hw}");
             let diff = scalar.tb.iter().zip(&striped.tb).position(|(a, b)| a != b);
@@ -1180,7 +1175,7 @@ mod tests {
     }
 
     /// One of the two fills, [`fill`] or [`fill_striped`].
-    type Fill<S> = fn(&S, usize, &mut DpArena) -> FillOutcome;
+    type Fill<S> = fn(&S, Band, &mut DpArena) -> FillOutcome;
 
     /// [`BandPolicy::Auto`] as a plain ladder of `run_fill`: fill every
     /// rung of [`fill_widths`] in turn and accept a clipped fill whose path
@@ -1191,10 +1186,11 @@ mod tests {
         let mut arena = DpArena::new();
         let (mut cells, mut prev) = (0, None);
         for hw in fill_widths(n, m).split_off(2) {
-            let out = run_fill(s, hw, &mut arena);
+            let band = Band { n, m, hw };
+            let out = run_fill(s, band, &mut arena);
             cells += out.cells;
             let (score, layer) = best3(out.end.0, out.end.1, out.end.2);
-            let tb = Traceback::walk(&arena, n, m, layer);
+            let tb = Traceback::walk(&arena, band, layer);
             let clipped = hw < m;
             if !clipped || (!tb.touched_edge && score > NEG_INF && prev == Some(score)) {
                 let band = clipped.then_some(hw);
@@ -1339,24 +1335,30 @@ mod tests {
     #[test]
     fn max_dev_is_the_walks_widest_step_off_the_centre_line() {
         // A hand-built full-band store for n = 2, m = 4 (centre line
-        // j = 2i): both rows hold columns 1..=4.
+        // j = 2i): the band's prologue lays out both rows over columns
+        // 1..=4.
+        let band = Band { n: 2, m: 4, hw: 4 };
         let mut arena = DpArena::new();
-        arena.row_off = vec![0, 0, 4];
-        arena.row_jlo = vec![1, 1, 1];
-        arena.row_lo = vec![0, 0, 0];
-        arena.row_hi = vec![4, 4, 4];
+        arena.row_off = vec![0; 3];
+        let (mut mc, mut xc, mut yc) = (vec![0.0; 5], vec![0.0; 5], vec![0.0; 5]);
+        for i in 1..=2 {
+            let current = [&mut mc, &mut xc, &mut yc];
+            band.begin_row(i, &mut arena.row_off, &mut arena.tb, current, NEG_INF);
+        }
+        assert_eq!(arena.row_off, [0, 0, 4]);
+        assert_eq!(arena.tb.len(), 8);
         // Row 1 (columns 1..=4), then row 2: (2,4) and (2,3) extend Y,
         // (2,2) opens Y from M, (1,3) takes M from M.
-        arena.tb = vec![0, 0, 0, 0, 0, 0, TB_Y_EXT, TB_Y_EXT];
+        arena.tb[6..].fill(TB_Y_EXT);
         // Y from (2,4): (2,3), (2,2), M at (2,1) → (1,0) → origin. The
         // widest step is the interior cell (2,1), 3 off the line.
-        let tb = Traceback::walk(&arena, 2, 4, 2);
+        let tb = Traceback::walk(&arena, band, 2);
         use ColOp::*;
         assert_eq!(tb.ops_rev, [FromA, Both, FromB, FromB, FromB]);
         assert_eq!(tb.max_dev, 3);
         // M from (2,4): (1,3) → (0,2) → (0,1) → origin. The widest step
         // is the boundary cell (0,2).
-        let tb = Traceback::walk(&arena, 2, 4, 0);
+        let tb = Traceback::walk(&arena, band, 0);
         assert_eq!(tb.ops_rev, [FromB, FromB, Both, Both]);
         assert_eq!(tb.max_dev, 2);
         assert!(!tb.touched_edge, "a full band has no clipped edge");
@@ -1403,6 +1405,31 @@ mod tests {
         let short = [12u8, 9, 17];
         assert_same_traceback(&scorer(&short, &[], &matrix, gaps), "empty B");
         assert_same_traceback(&scorer(&[], &short, &matrix, gaps), "empty A");
+    }
+
+    #[test]
+    fn only_f32_exact_scorers_hold_lane_tables() {
+        use crate::profile::henikoff_weights;
+        use bioseq::{Msa, GAP_CODE};
+        let rows = vec![vec![0, 1, 2, 3, 4], vec![0, 1, GAP_CODE, 3, 5], vec![6, 1, 2, 7, 4]];
+        let msa = Msa::from_rows(vec!["a".into(), "b".into(), "c".into()], rows);
+        let matrix = SubstMatrix::blosum62();
+        let mut work = Work::ZERO;
+        let henikoff = henikoff_weights(&msa, &mut work);
+        for (weights, exact) in [(vec![1.0; 3], true), (henikoff, false)] {
+            let p = Profile::from_msa_weighted(&msa, &weights, &mut work);
+            let s = PspScorer::new(&p, &p, &matrix, GapPenalties::default(), &mut work);
+            assert_eq!(s.f32_compatible(), exact, "{weights:?}");
+            let want = exact.then_some(CODE_COUNT * p.len());
+            assert_eq!(s.et.as_ref().map(Vec::len), want, "{weights:?}");
+        }
+        // A pair large enough for a lane table, whose gap cost leaves
+        // f32's exact range: scalar only, so no table.
+        let a: Vec<u8> = (0..40).map(|i| (i % 20) as u8).collect();
+        let s = scorer(&a, &a, &matrix, GapPenalties { open: 1 << 22, extend: 1 });
+        assert!(!s.f32_compatible());
+        assert!(s.lanes.is_empty());
+        assert_eq!(scorer(&a, &a, &matrix, GapPenalties::default()).lanes.len(), CODE_COUNT * 40);
     }
 
     #[test]

@@ -232,8 +232,10 @@ mod tests {
         // the same alignment and, crucially, the same
         // dp_cells/dp_cells_full accounting — the virtual cluster's cost
         // model charges cells, not wall-clock, so any divergence would
-        // skew every reported speedup.
-        use align::DpKernel;
+        // skew every reported speedup. Every engine: muscle and clustalw
+        // mix scorers that pass the f32 audit with weighted ones that
+        // fail it and so build no lane tables.
+        use align::{DpKernel, EngineChoice};
         let fam = Family::generate(&FamilyConfig {
             n_seqs: 16,
             avg_len: 80,
@@ -241,22 +243,25 @@ mod tests {
             seed: 3,
             ..Default::default()
         });
-        let run = |kernel: DpKernel| {
-            let cluster = VirtualCluster::new(2, CostModel::beowulf_2008());
-            Aligner::new(SadConfig::default().with_dp_kernel(kernel))
-                .backend(Backend::Distributed(cluster))
-                .run(&fam.seqs)
-                .unwrap()
-        };
-        let scalar = run(DpKernel::Scalar);
-        let auto = run(DpKernel::Auto);
-        assert_eq!(scalar.msa, auto.msa);
-        assert_eq!(scalar.work.dp_cells, auto.work.dp_cells);
-        assert_eq!(scalar.work.dp_cells_full, auto.work.dp_cells_full);
-        assert_eq!(scalar.work, auto.work);
-        // Only the report label records the kernel choice.
-        assert_eq!(scalar.kernel, "scalar");
-        assert_eq!(auto.kernel, "auto");
+        for engine in EngineChoice::ALL {
+            let run = |kernel: DpKernel| {
+                let cluster = VirtualCluster::new(2, CostModel::beowulf_2008());
+                Aligner::new(SadConfig::default().with_engine(engine).with_dp_kernel(kernel))
+                    .backend(Backend::Distributed(cluster))
+                    .run(&fam.seqs)
+                    .unwrap()
+            };
+            let scalar = run(DpKernel::Scalar);
+            let auto = run(DpKernel::Auto);
+            let what = engine.label();
+            assert_eq!(scalar.msa, auto.msa, "{what}");
+            assert_eq!(scalar.work.dp_cells, auto.work.dp_cells, "{what}");
+            assert_eq!(scalar.work.dp_cells_full, auto.work.dp_cells_full, "{what}");
+            assert_eq!(scalar.work, auto.work, "{what}");
+            // Only the report label records the kernel choice.
+            assert_eq!(scalar.kernel, "scalar", "{what}");
+            assert_eq!(auto.kernel, "auto", "{what}");
+        }
     }
 
     #[test]

@@ -303,7 +303,7 @@ fn path_safe_id(id: &str) -> bool {
 impl Shared {
     fn output_path(&self, job: &str) -> PathBuf {
         debug_assert!(path_safe_id(job), "unvalidated job id reached output_path: {job:?}");
-        self.cfg.out_dir.join(format!("{job}.aligned.fa"))
+        output_path(&self.cfg.out_dir, job)
     }
 
     fn log(&self, line: &str) {
@@ -693,30 +693,28 @@ fn handle_submit(
     }
     let id = shared.reserve_id(requested);
     let input = digest::payload(fasta);
+    let entry = JournalEntry::Accepted {
+        job: id.clone(),
+        client: Some(client),
+        priority,
+        input: input.clone(),
+        fingerprint: shared.fingerprint.clone(),
+        fasta: fasta.to_string(),
+    };
 
     // Cache hit: answer at accept time — no queue slot, no worker, no DP.
     if let Some(hit) = shared.cache.get(&input, &shared.fingerprint) {
         let journaled = {
             let mut journal = shared.journal.lock().unwrap();
-            journal
-                .append(&JournalEntry::Accepted {
+            journal.append(&entry).and_then(|()| {
+                std::fs::write(shared.output_path(&id), &hit.fasta).map_err(JournalError::Io)?;
+                journal.append(&JournalEntry::Finished {
                     job: id.clone(),
-                    client: Some(client),
-                    priority,
-                    input: input.clone(),
-                    fingerprint: shared.fingerprint.clone(),
-                    fasta: fasta.to_string(),
+                    ok: true,
+                    digest: Some(hit.digest.clone()),
+                    error: None,
                 })
-                .and_then(|()| {
-                    std::fs::write(shared.output_path(&id), &hit.fasta)
-                        .map_err(JournalError::Io)?;
-                    journal.append(&JournalEntry::Finished {
-                        job: id.clone(),
-                        ok: true,
-                        digest: Some(hit.digest.clone()),
-                        error: None,
-                    })
-                })
+            })
         };
         if let Err(e) = journaled {
             sink.send(&event::rejected(label, &format!("journal write failed: {e}")));
@@ -733,14 +731,6 @@ fn handle_submit(
 
     let job = QueuedJob {
         id: id.clone(),
-        client: Some(client),
-        priority,
-        input: input.clone(),
-        fingerprint: shared.fingerprint.clone(),
-        fasta: fasta.to_string(),
-    };
-    let entry = JournalEntry::Accepted {
-        job: id.clone(),
         client: Some(client),
         priority,
         input,
@@ -958,7 +948,8 @@ fn finish_err(shared: &Arc<Shared>, sink: &EventSink, job: &QueuedJob, msg: &str
     shared.log(&format!("job {}: {msg}", job.id));
 }
 
-/// Convenience used by tests and the CLI: where a job's output lands.
+/// Where a job's output lands: the server writes it there, and tests and
+/// the CLI look for it there.
 pub fn output_path(out_dir: &Path, job: &str) -> PathBuf {
     out_dir.join(format!("{job}.aligned.fa"))
 }
