@@ -6,9 +6,9 @@ use crate::dp::{DpArena, DpOptions};
 use crate::pairwise::alignment_distance_with;
 use bioseq::kmer::{KmerProfile, Scatter};
 use bioseq::msa::row_identity;
-use bioseq::{CompressedAlphabet, GapPenalties, Msa, Sequence, SubstMatrix, Work};
+use bioseq::{pool, CompressedAlphabet, GapPenalties, Msa, Sequence, SubstMatrix, Work};
 use phylo::DistMatrix;
-use rayon::prelude::*;
+use std::sync::Mutex;
 
 /// Build k-mer profiles for a set of sequences. Sequences shorter than `k`
 /// yield `None` (their distances default to the maximum, 1.0).
@@ -18,44 +18,39 @@ fn kmer_profiles(
     alphabet: CompressedAlphabet,
     work: &mut Work,
 ) -> Vec<Option<KmerProfile>> {
-    let profiles: Vec<Option<KmerProfile>> =
-        seqs.par_iter().map(|s| KmerProfile::build(s, k, alphabet)).collect();
+    let profiles = pool::map(
+        seqs.len(),
+        pool::cores(),
+        || (),
+        |i, _| KmerProfile::build(&seqs[i], k, alphabet),
+    );
     work.seq_bytes += seqs.iter().map(|s| s.len() as u64).sum::<u64>();
     profiles
 }
 
-/// The strict lower triangle of an `n × n` matrix, row `i` holding
-/// `row(state, i, work)` = `d(i, 0..i)`. Rows `1..n` are dealt round-robin
-/// to one worker per core, each with its own `init()` state: row `i`
-/// costs `i` entries, so contiguous runs of rows would leave the last
-/// worker most of the triangle. Entries do not depend on which worker
-/// computed them, and the workers' `Work` is summed.
+/// The strict lower triangle of an `n × n` matrix, row `i` filled by
+/// `row(state, i, out, work)` with `d(i, 0..i)`, computed on the worker
+/// pool with one `init()` state per worker. Row `i` costs `i` entries, so
+/// rows are handed out longest first (task `t` is row `n − 1 − t`) and
+/// the short tail evens out the workers' finishing times. Each task
+/// writes its row in place; entries do not depend on which worker
+/// computed them, and the rows' `Work` is summed.
 fn lower_triangle<S>(
     n: usize,
     work: &mut Work,
     init: impl Fn() -> S + Sync,
-    row: impl Fn(&mut S, usize, &mut Work) -> Vec<f64> + Sync,
+    row: impl Fn(&mut S, usize, &mut [f64], &mut Work) + Sync,
 ) -> DistMatrix {
-    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    let workers = cores.min(n.saturating_sub(1)).max(1);
-    let rows_of = |worker: usize| (1 + worker..n).step_by(workers);
-    let dealt: Vec<(Vec<Vec<f64>>, Work)> = (0..workers)
-        .into_par_iter()
-        .map(|worker| {
-            let (mut state, mut w) = (init(), Work::ZERO);
-            let rows = rows_of(worker).map(|i| row(&mut state, i, &mut w)).collect();
-            (rows, w)
-        })
-        .collect();
     let mut m = DistMatrix::zeros(n);
-    for (worker, (rows, w)) in dealt.into_iter().enumerate() {
-        for (i, values) in rows_of(worker).zip(rows) {
-            for (j, v) in values.into_iter().enumerate() {
-                m.set(i, j, v);
-            }
-        }
-        *work += w;
-    }
+    let rows: Vec<Mutex<&mut [f64]>> = m.rows_mut().into_iter().map(Mutex::new).collect();
+    let works = pool::map(n.saturating_sub(1), pool::cores(), init, |t, state| {
+        let i = n - 1 - t;
+        let mut w = Work::ZERO;
+        row(state, i, &mut rows[i].lock().expect("row poisoned"), &mut w);
+        w
+    });
+    drop(rows);
+    *work += works.into_iter().sum::<Work>();
     m
 }
 
@@ -70,15 +65,13 @@ pub fn kmer_distance_matrix(
     work: &mut Work,
 ) -> DistMatrix {
     let profiles = kmer_profiles(seqs, k, alphabet, work);
-    lower_triangle(seqs.len(), work, Scatter::new, |scatter, i, w| {
-        let Some(a) = &profiles[i] else { return vec![1.0; i] };
+    lower_triangle(seqs.len(), work, Scatter::new, |scatter, i, out, w| {
+        let Some(a) = &profiles[i] else { return out.fill(1.0) };
         scatter.load(a);
-        let row = profiles[..i]
-            .iter()
-            .map(|b| b.as_ref().map_or(1.0, |b| 1.0 - scatter.similarity_counting(b, w)))
-            .collect();
+        for (d, b) in out.iter_mut().zip(&profiles[..i]) {
+            *d = b.as_ref().map_or(1.0, |b| 1.0 - scatter.similarity_counting(b, w));
+        }
         scatter.unload();
-        row
     })
 }
 
@@ -105,7 +98,11 @@ pub fn kimura_from_msa(msa: &Msa, work: &mut Work) -> DistMatrix {
         n,
         work,
         || (),
-        |_, i, _| (0..i).map(|j| kimura_correction(row_identity(msa.row(i), msa.row(j)))).collect(),
+        |_, i, out, _| {
+            for (j, d) in out.iter_mut().enumerate() {
+                *d = kimura_correction(row_identity(msa.row(i), msa.row(j)));
+            }
+        },
     );
     work.col_ops += (n * n / 2) as u64 * msa.num_cols() as u64;
     m
@@ -124,10 +121,10 @@ pub fn alignment_distance_matrix_with(
     work: &mut Work,
 ) -> DistMatrix {
     let dp = dp.into();
-    lower_triangle(seqs.len(), work, DpArena::new, |arena, i, w| {
-        (0..i)
-            .map(|j| alignment_distance_with(&seqs[i], &seqs[j], matrix, gaps, dp, arena, w))
-            .collect()
+    lower_triangle(seqs.len(), work, DpArena::new, |arena, i, out, w| {
+        for (j, d) in out.iter_mut().enumerate() {
+            *d = alignment_distance_with(&seqs[i], &seqs[j], matrix, gaps, dp, arena, w);
+        }
     })
 }
 
@@ -176,8 +173,7 @@ mod tests {
             letters in 2usize..21,
         ) {
             const AMINO: &[u8] = b"ACDEFGHIKLMNPQRSTVWY";
-            let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-            let texts: Vec<String> = (0..2 * cores + 3)
+            let texts: Vec<String> = (0..2 * pool::cores() + 3)
                 .map(|i| match rows.get(i) {
                     Some(r) => r.iter().map(|&c| AMINO[c % letters] as char).collect(),
                     None => "MKVLAWGKVL".into(),

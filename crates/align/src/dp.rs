@@ -772,6 +772,14 @@ fn fill_striped<S: ColumnScorer>(s: &S, band: Band, arena: &mut DpArena) -> Fill
     arena.gob32.extend((0..m).map(|j| s.gap_open_b(j) as f32));
     arena.geb32.clear();
     arena.geb32.extend((0..m).map(|j| s.gap_extend_b(j) as f32));
+    // Per-row scratch, sized once: a row of `width ≤ m` cells writes
+    // every slot of `[..width]` before it reads one.
+    for v in [&mut arena.srow, &mut arena.oy] {
+        v.clear();
+        v.resize(m, 0.0);
+    }
+    arena.yfrom.clear();
+    arena.yfrom.resize(m, 0);
 
     // Row 0: M origin and the Y run along the top edge.
     arena.mp32[0] = 0.0;
@@ -798,9 +806,7 @@ fn fill_striped<S: ColumnScorer>(s: &S, band: Band, arena: &mut DpArena) -> Fill
 
         // Score the substitution row: columns jstart..=rhi pair A's
         // column i-1 with B's columns jstart-1..rhi-1.
-        arena.srow.clear();
-        arena.srow.resize(width, 0.0);
-        s.fill_substitution_row(i - 1, jstart - 1, &mut arena.srow);
+        s.fill_substitution_row(i - 1, jstart - 1, &mut arena.srow[..width]);
 
         let goa = s.gap_open_a(i - 1) as f32;
         let gea = s.gap_extend_a(i - 1) as f32;
@@ -851,10 +857,6 @@ fn fill_striped<S: ColumnScorer>(s: &S, band: Band, arena: &mut DpArena) -> Fill
             let mc = &arena.mc32[jstart - 1..rhi];
             let xc = &arena.xc32[jstart - 1..rhi];
             let gob = &arena.gob32[jstart - 1..rhi];
-            arena.oy.clear();
-            arena.oy.resize(width, 0.0);
-            arena.yfrom.clear();
-            arena.yfrom.resize(width, 0);
             let oy = &mut arena.oy[..width];
             let yfrom = &mut arena.yfrom[..width];
             for k in 0..width {

@@ -261,7 +261,6 @@ impl BenchFile {
 
     /// The stamped document, encoded (one line plus a trailing newline).
     pub fn encode(&self) -> String {
-        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         let steal = match (self.steal_at_start, steal_ticks()) {
             (Some(start), Some(now)) => Json::Num(now.saturating_sub(start) as f64),
             _ => Json::Null,
@@ -270,7 +269,7 @@ impl BenchFile {
             ("bench", Json::str(self.name)),
             ("commit", Json::str(commit())),
             ("rustc", Json::str(rustc())),
-            ("host_cores", Json::num(cores as u32)),
+            ("host_cores", Json::num(bioseq::pool::cores() as u32)),
             ("paper_scale", Json::Bool(paper_scale())),
             ("steal_ticks", steal),
             ("entries", Json::Arr(self.entries.clone())),

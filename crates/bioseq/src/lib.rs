@@ -15,6 +15,8 @@
 //!   that Sample-Align-D buckets sequences by;
 //! * [`msa`] — gapped alignments, column access, sum-of-pairs scoring;
 //! * [`compare`] — the PREFAB `Q` score and the total-column `TC` score;
+//! * [`pool`] — the one self-scheduling worker pool every parallel loop
+//!   runs on, and the host's core count;
 //! * [`stats`] — tiny statistics helpers used by the evaluation harness;
 //! * [`work`] — abstract work accounting consumed by the virtual cluster's
 //!   deterministic cost model.
@@ -32,6 +34,7 @@ pub mod fasta;
 pub mod kmer;
 pub mod matrix;
 pub mod msa;
+pub mod pool;
 pub mod sequence;
 pub mod stats;
 pub mod work;

@@ -74,12 +74,6 @@ impl Msa {
         self.rows[0].len()
     }
 
-    /// Extract column `c` into the provided buffer (cleared first).
-    pub fn column_into(&self, c: usize, buf: &mut Vec<u8>) {
-        buf.clear();
-        buf.extend(self.rows.iter().map(|r| r[c]));
-    }
-
     /// Recover the ungapped sequence of row `i`.
     pub fn ungapped(&self, i: usize) -> Sequence {
         let codes: Vec<u8> = self.rows[i].iter().copied().filter(|&c| c != GAP_CODE).collect();
@@ -278,9 +272,6 @@ mod tests {
         assert_eq!(m.num_cols(), 5);
         assert_eq!(m.ungapped(0).to_letters(), "MKVL");
         assert_eq!(m.ungapped(1).to_letters(), "MKIL");
-        let mut col = Vec::new();
-        m.column_into(2, &mut col);
-        assert_eq!(col, vec![GAP_CODE, crate::alphabet::char_to_code('I').unwrap()]);
     }
 
     #[test]

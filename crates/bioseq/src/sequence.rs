@@ -104,16 +104,6 @@ impl Sequence {
         self.residues.iter().map(|&c| code_to_char(c)).collect()
     }
 
-    /// Fraction of identical residues against another sequence of the same
-    /// length (no alignment performed — positional identity).
-    pub fn positional_identity(&self, other: &Sequence) -> Option<f64> {
-        if self.len() != other.len() {
-            return None;
-        }
-        let same = self.residues.iter().zip(&other.residues).filter(|(a, b)| a == b).count();
-        Some(same as f64 / self.len() as f64)
-    }
-
     /// Approximate wire size in bytes when shipped between cluster ranks:
     /// one byte per residue plus the identifier.
     pub fn wire_bytes(&self) -> usize {
@@ -166,16 +156,6 @@ mod tests {
     #[test]
     fn empty_rejected() {
         assert!(matches!(Sequence::from_str("s", "  "), Err(SequenceError::Empty)));
-    }
-
-    #[test]
-    fn positional_identity_basics() {
-        let a = Sequence::from_str("a", "MKVL").unwrap();
-        let b = Sequence::from_str("b", "MKIL").unwrap();
-        assert_eq!(a.positional_identity(&b), Some(0.75));
-        assert_eq!(a.positional_identity(&a), Some(1.0));
-        let c = Sequence::from_str("c", "MK").unwrap();
-        assert_eq!(a.positional_identity(&c), None);
     }
 
     #[test]

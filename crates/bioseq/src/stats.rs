@@ -90,28 +90,9 @@ impl Histogram {
         Histogram { lo, hi, counts }
     }
 
-    /// Bin centre of bucket `i`.
-    pub fn center(&self, i: usize) -> f64 {
-        let width = (self.hi - self.lo) / self.counts.len() as f64;
-        self.lo + width * (i as f64 + 0.5)
-    }
-
     /// Total number of observations.
     pub fn total(&self) -> u64 {
         self.counts.iter().sum()
-    }
-
-    /// Render an ASCII bar chart, to show the distribution shape in a
-    /// terminal.
-    pub fn ascii(&self, bar_width: usize) -> String {
-        use std::fmt::Write;
-        let max = self.counts.iter().copied().max().unwrap_or(1).max(1);
-        let mut out = String::new();
-        for (i, &c) in self.counts.iter().enumerate() {
-            let bar = "#".repeat((c as usize * bar_width).div_ceil(max as usize));
-            let _ = writeln!(out, "{:>8.3} | {:<bar_width$} {}", self.center(i), bar, c);
-        }
-        out
     }
 }
 
@@ -155,13 +136,5 @@ mod tests {
         let h = Histogram::build(&[0.1, 0.1, 0.9, -5.0, 5.0], 0.0, 1.0, 2);
         assert_eq!(h.counts, vec![3, 2]); // -5 clamps low, 5 clamps high
         assert_eq!(h.total(), 5);
-        assert!((h.center(0) - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_ascii_renders_rows() {
-        let h = Histogram::build(&[0.2, 0.7, 0.8], 0.0, 1.0, 4);
-        let art = h.ascii(10);
-        assert_eq!(art.lines().count(), 4);
     }
 }

@@ -401,9 +401,7 @@ pub fn serve(s: ServeArgs, out: Out) -> Result<(), String> {
     use sad_serve::{ServeConfig, Server};
     let cfg = s.config();
     cfg.validate().map_err(|e| e.to_string())?;
-    let workers = s.workers.unwrap_or_else(|| {
-        std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
-    });
+    let workers = s.workers.unwrap_or_else(bioseq::pool::cores);
     let serve_cfg = ServeConfig {
         host: s.host.clone(),
         port: s.port,

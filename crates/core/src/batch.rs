@@ -7,8 +7,9 @@
 //! many-jobs-per-process path:
 //!
 //! * an ordered set of named [`BatchJob`]s goes in;
-//! * one self-scheduling worker pool runs them on every backend — workers
-//!   steal the next job the moment they go idle, and a
+//! * the workspace's one self-scheduling worker pool ([`bioseq::pool`])
+//!   runs them on every backend — workers steal the next job the moment
+//!   they go idle, and a
 //!   [`Distributed`](crate::Backend::Distributed) job builds fresh
 //!   virtual-cluster nodes per run, so its virtual clocks stay
 //!   deterministic whichever worker runs it;
@@ -40,9 +41,7 @@ use crate::error::SadError;
 use crate::pipeline::{CancelToken, Event};
 use crate::report::RunReport;
 use align::DpArena;
-use bioseq::{Sequence, Work};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use bioseq::{pool, Sequence, Work};
 use std::time::Instant;
 
 /// One named unit of batch work: a family to align.
@@ -196,50 +195,6 @@ impl BatchReport {
     }
 }
 
-/// The host's available parallelism (1 when it cannot be queried).
-fn default_workers() -> usize {
-    std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
-}
-
-/// Run `n` indexed tasks on a self-scheduling worker pool — the shared
-/// scheduling substrate of [`run_batch`] and of the shared-memory
-/// executor's per-rank steps. Idle workers steal the next unclaimed
-/// index, each worker owns one long-lived [`DpArena`] of DP scratch, and
-/// results come back in index order. `workers == 1` runs inline on the
-/// caller's thread (no pool, deterministic event order).
-pub(crate) fn pool_map<T, F>(n: usize, workers: usize, run: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, &mut DpArena) -> T + Sync,
-{
-    let workers = workers.clamp(1, n.max(1));
-    if workers == 1 {
-        let mut arena = DpArena::new();
-        return (0..n).map(|i| run(i, &mut arena)).collect();
-    }
-    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let (next, slots, run) = (&next, &slots, &run);
-            scope.spawn(move || {
-                let mut arena = DpArena::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::SeqCst);
-                    if i >= n {
-                        break;
-                    }
-                    *slots[i].lock().expect("pool slot poisoned") = Some(run(i, &mut arena));
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("pool slot poisoned").expect("every task was scheduled"))
-        .collect()
-}
-
 /// One worker's execution of one job: emit the `JobStarted`/`JobFinished`
 /// pair around the shared single-run path, fusing the batch-wide token
 /// with the job's own so either can stop it. The aligner's deadline is
@@ -311,15 +266,16 @@ pub(crate) fn run_batch(
 ) -> BatchReport {
     let t0 = Instant::now();
     let deadline_at = aligner.deadline_budget().map(|d| t0 + d);
-    let workers = workers.unwrap_or_else(default_workers).clamp(1, jobs.len().max(1));
+    let workers = workers.unwrap_or_else(pool::cores).clamp(1, jobs.len().max(1));
 
     // One scheduler for every backend: idle workers steal the next
     // unclaimed job, so a long job never strands its worker's queue. A
     // distributed backend is a plain `{p, cost}` value and every run
     // builds fresh nodes, so concurrent jobs can share it and each still
     // sees its own virtual cluster with deterministic clocks.
-    let jobs_out =
-        pool_map(jobs.len(), workers, |i, arena| run_job(aligner, i, &jobs[i], deadline_at, arena));
+    let jobs_out = pool::map(jobs.len(), workers, DpArena::new, |i, arena| {
+        run_job(aligner, i, &jobs[i], deadline_at, arena)
+    });
     // Aggregate with Work::add so banded/full DP counters move in step;
     // the audit invariant catches any future double-counting regression.
     let work: Work = jobs_out.iter().filter_map(|j| j.outcome.as_ref().ok()).map(|r| r.work).sum();
@@ -338,7 +294,7 @@ mod tests {
     use crate::config::SadConfig;
     use crate::pipeline::Phase;
     use rosegen::{Family, FamilyConfig};
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
     use vcluster::{CostModel, VirtualCluster};
 
     fn family(n: usize, seed: u64) -> Vec<Sequence> {

@@ -4,16 +4,16 @@
 //! single coordinating thread — the backend a downstream user on one big
 //! multicore machine would pick. All `p` logical ranks live in one
 //! address space, so collectives are moves, and each step's per-rank
-//! compute runs as `p` tasks on the self-scheduling worker pool
-//! ([`crate::batch::pool_map`]). Bucketing, phases and work are the
-//! cluster's by construction; only scheduling differs.
+//! compute runs on the workspace's self-scheduling worker pool
+//! ([`bioseq::pool`]). Bucketing, phases and work are the cluster's by
+//! construction; only scheduling differs.
 
 use crate::config::SadConfig;
 use crate::error::SadError;
 use crate::pipeline::{Phase, PipelineCtx};
 use crate::report::{BackendExtras, RunReport};
 use crate::spmd::{sample_align_d, Comm};
-use bioseq::{Sequence, Work};
+use bioseq::{pool, Sequence, Work};
 use std::ops::Range;
 use std::sync::Mutex;
 use vcluster::WireSize;
@@ -43,8 +43,7 @@ pub(crate) struct SharedMemory<'a> {
 
 impl<'a> SharedMemory<'a> {
     pub(crate) fn new(p: usize, ctx: &'a PipelineCtx) -> Self {
-        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-        SharedMemory { p, workers: p.min(cores), ctx, work: Work::ZERO }
+        SharedMemory { p, workers: p.min(pool::cores()), ctx, work: Work::ZERO }
     }
 }
 
@@ -80,14 +79,19 @@ impl Comm for SharedMemory<'_> {
             let input = inputs[rank].lock().expect("rank input poisoned").take();
             f(rank, input.expect("every rank task runs once"))
         };
-        // One pool task per contiguous run of ranks, the split the rayon
-        // stand-in's fork-join makes. Handing out single ranks in index
-        // order measured 18 % slower on `8-local-align` with four uneven
-        // buckets over two cores (the benchmark's `long_whole`).
+        // One pool task per contiguous run of `⌈p / workers⌉` ranks, one
+        // run per worker. Handing out single ranks in index order measured
+        // 18 % slower on `8-local-align` with four uneven buckets over two
+        // cores (the benchmark's `long_whole`).
         let run = inputs.len().div_ceil(self.workers);
-        let done = crate::batch::pool_map(inputs.len().div_ceil(run), self.workers, |task, _| {
-            (task * run..inputs.len().min((task + 1) * run)).map(rank_task).collect::<Vec<_>>()
-        });
+        let done = pool::map(
+            inputs.len().div_ceil(run),
+            self.workers,
+            || (),
+            |task, _| {
+                (task * run..inputs.len().min((task + 1) * run)).map(rank_task).collect::<Vec<_>>()
+            },
+        );
         done.into_iter()
             .flatten()
             .map(|(out, work)| {

@@ -72,7 +72,7 @@ impl TrimReport {
 pub enum BackendExtras {
     /// The engine ran directly on the whole set; nothing extra.
     Sequential,
-    /// Shared-memory run on the rayon pool ([`RunReport::ranks`] holds
+    /// Shared-memory run on the worker pool ([`RunReport::ranks`] holds
     /// the bucket count).
     Rayon,
     /// Message-passing run on the virtual cluster.

@@ -72,6 +72,19 @@ impl DistMatrix {
         self.tri[at] = v;
     }
 
+    /// Every row's stored entries as disjoint slices: slice `i` holds
+    /// `d(i, 0..i)` (row 0 is empty), so rows can be filled in parallel.
+    pub fn rows_mut(&mut self) -> Vec<&mut [f64]> {
+        let mut rest = self.tri.as_mut_slice();
+        (0..self.n)
+            .map(|i| {
+                let (row, tail) = std::mem::take(&mut rest).split_at_mut(i);
+                rest = tail;
+                row
+            })
+            .collect()
+    }
+
     /// Mean of all off-diagonal entries.
     pub fn mean(&self) -> f64 {
         if self.tri.is_empty() {
@@ -84,11 +97,6 @@ impl DistMatrix {
     /// Maximum off-diagonal entry (0 for 1×1 matrices).
     pub fn max(&self) -> f64 {
         self.tri.iter().copied().fold(0.0, f64::max)
-    }
-
-    /// Number of stored (off-diagonal) entries.
-    pub fn num_pairs(&self) -> usize {
-        self.tri.len()
     }
 }
 
@@ -111,7 +119,20 @@ mod tests {
         assert_eq!(m.get(1, 0), 10.0);
         assert_eq!(m.get(2, 0), 20.0);
         assert_eq!(m.get(2, 1), 21.0);
-        assert_eq!(m.num_pairs(), 3);
+    }
+
+    #[test]
+    fn rows_mut_are_the_rows_get_reads() {
+        let mut m = DistMatrix::zeros(4);
+        let rows = m.rows_mut();
+        assert_eq!(rows.iter().map(|r| r.len()).collect::<Vec<_>>(), vec![0, 1, 2, 3]);
+        for (i, row) in rows.into_iter().enumerate() {
+            for (j, d) in row.iter_mut().enumerate() {
+                *d = (i * 10 + j) as f64;
+            }
+        }
+        assert_eq!(m, DistMatrix::from_fn(4, |i, j| (i * 10 + j) as f64));
+        assert!(DistMatrix::zeros(1).rows_mut()[0].is_empty());
     }
 
     #[test]
@@ -132,7 +153,6 @@ mod tests {
     fn single_element() {
         let m = DistMatrix::zeros(1);
         assert_eq!(m.len(), 1);
-        assert_eq!(m.num_pairs(), 0);
         assert_eq!(m.mean(), 0.0);
     }
 }

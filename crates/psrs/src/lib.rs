@@ -14,8 +14,9 @@
 //! them:
 //! * step 6 of the pipeline (`sad_core`'s redistribution), which adds only
 //!   the collectives between the stages, on every substrate;
-//! * [`shared::sample_partition_by`] — a rayon shared-memory partitioner,
-//!   which step 7 uses to split one rank's over-cap bucket locally.
+//! * [`shared::sample_partition_by`] — a single-threaded in-memory
+//!   partitioner, which step 7 uses to split one rank's over-cap bucket
+//!   locally (step 7 already runs inside a rank task).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,10 +1,10 @@
-//! Shared-memory SampleSort using rayon: one PSRS round over chunks of a
-//! single in-memory input. Sample-Align-D's rank-local sub-partition step
-//! (step 7) uses it.
+//! Shared-memory SampleSort: one PSRS round over chunks of a single
+//! in-memory input, each chunk and bucket sorted in turn on the calling
+//! thread. Sample-Align-D's rank-local sub-partition step (step 7) uses
+//! it, and step 7 already runs inside a rank task on the worker pool.
 
 use crate::sampling::{pivots_of, sample_keys, sort_work, split_at_pivots};
 use bioseq::Work;
-use rayon::prelude::*;
 
 /// Partition `items` into `parts` buckets by `key` using regular sampling,
 /// with each bucket sorted. Concatenating the buckets yields the globally
@@ -12,8 +12,7 @@ use rayon::prelude::*;
 /// distinct, well-spread keys.
 pub fn sample_partition_by<T, F>(items: Vec<T>, parts: usize, key: F) -> Vec<Vec<T>>
 where
-    T: Send,
-    F: Fn(&T) -> f64 + Sync + Send,
+    F: Fn(&T) -> f64,
 {
     sample_partition_by_with_work(items, parts, key).0
 }
@@ -27,8 +26,7 @@ pub fn sample_partition_by_with_work<T, F>(
     key: F,
 ) -> (Vec<Vec<T>>, Work)
 where
-    T: Send,
-    F: Fn(&T) -> f64 + Sync + Send,
+    F: Fn(&T) -> f64,
 {
     assert!(parts >= 1, "need at least one partition");
     let mut work = Work::ZERO;
@@ -49,8 +47,8 @@ where
         }
         return (out, work);
     }
-    // Emulate p local sorts: chunk the data, sort chunks in parallel,
-    // then run the PSRS stages over the sorted chunks.
+    // Emulate p local sorts: chunk the data, sort each chunk, then run
+    // the PSRS stages over the sorted chunks.
     let n = items.len();
     let chunk_size = n.div_ceil(parts);
     let mut chunks: Vec<Vec<T>> = Vec::with_capacity(parts);
@@ -59,7 +57,9 @@ where
         let chunk: Vec<T> = iter.by_ref().take(chunk_size).collect();
         chunks.push(chunk);
     }
-    chunks.par_iter_mut().for_each(|c| c.sort_by(|a, b| key(a).total_cmp(&key(b))));
+    for c in &mut chunks {
+        c.sort_by(|a, b| key(a).total_cmp(&key(b)));
+    }
     work += chunks.iter().map(|c| sort_work(c.len())).sum::<Work>();
     let samples = chunks.iter().map(|c| sample_keys(c, parts - 1, &key)).collect();
     let (pivots, pivot_work) = pivots_of(samples, parts);
@@ -70,7 +70,9 @@ where
             bucket.extend(run);
         }
     }
-    buckets.par_iter_mut().for_each(|b| b.sort_by(|a, b| key(a).total_cmp(&key(b))));
+    for b in &mut buckets {
+        b.sort_by(|x, y| key(x).total_cmp(&key(y)));
+    }
     work += buckets.iter().map(|b| sort_work(b.len())).sum::<Work>();
     (buckets, work)
 }
@@ -81,11 +83,7 @@ mod tests {
     use proptest::prelude::*;
 
     /// The concatenated buckets: a full sort by sample partitioning.
-    fn sample_sort<T: Send>(
-        items: Vec<T>,
-        parts: usize,
-        key: impl Fn(&T) -> f64 + Sync + Send,
-    ) -> Vec<T> {
+    fn sample_sort<T>(items: Vec<T>, parts: usize, key: impl Fn(&T) -> f64) -> Vec<T> {
         sample_partition_by(items, parts, key).into_iter().flatten().collect()
     }
 

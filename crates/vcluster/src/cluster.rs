@@ -4,7 +4,7 @@
 use crate::cost::CostModel;
 use crate::node::{Envelope, Node};
 use crate::trace::RankTrace;
-use crossbeam::channel::unbounded;
+use std::sync::mpsc::{channel, Receiver, Sender};
 
 /// A virtual cluster of `p` ranks sharing a [`CostModel`].
 #[derive(Debug, Clone)]
@@ -56,13 +56,13 @@ impl VirtualCluster {
     {
         let p = self.p;
         // channel matrix: senders[src][dst] pairs with receivers[dst][src].
-        let mut senders: Vec<Vec<crossbeam::channel::Sender<Envelope>>> =
+        let mut senders: Vec<Vec<Sender<Envelope>>> =
             (0..p).map(|_| Vec::with_capacity(p)).collect();
-        let mut receivers: Vec<Vec<Option<crossbeam::channel::Receiver<Envelope>>>> =
+        let mut receivers: Vec<Vec<Option<Receiver<Envelope>>>> =
             (0..p).map(|_| (0..p).map(|_| None).collect()).collect();
         for (src, sender_row) in senders.iter_mut().enumerate() {
             for (dst, _) in (0..p).enumerate() {
-                let (tx, rx) = unbounded();
+                let (tx, rx) = channel();
                 sender_row.push(tx);
                 receivers[dst][src] = Some(rx);
             }

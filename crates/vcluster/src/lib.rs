@@ -4,8 +4,8 @@
 //! MPI. This crate substitutes that hardware with a *virtual cluster*:
 //!
 //! * every rank runs as a real OS thread executing real code over real
-//!   message passing (crossbeam channels), so algorithms are exercised
-//!   end-to-end exactly as they would be over MPI;
+//!   message passing (`std::sync::mpsc` channels), so algorithms are
+//!   exercised end-to-end exactly as they would be over MPI;
 //! * **time, however, is virtual**: each rank owns a local clock that
 //!   advances deterministically — compute kernels report [`bioseq::Work`]
 //!   units which a calibratable [`CostModel`] converts to seconds, and

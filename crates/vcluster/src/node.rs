@@ -5,9 +5,9 @@ use crate::cost::CostModel;
 use crate::trace::RankTrace;
 use crate::wire::WireSize;
 use bioseq::Work;
-use crossbeam::channel::{Receiver, Sender};
 use std::any::Any;
 use std::cell::Cell;
+use std::sync::mpsc::{Receiver, Sender};
 
 /// A typed message envelope with virtual-time metadata.
 pub(crate) struct Envelope {
