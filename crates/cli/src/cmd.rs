@@ -8,7 +8,8 @@ use bioseq::{fasta, Sequence};
 use qbench::mean_read_pair_q;
 use rosegen::{Family, FamilyConfig, ReadSet, ReadSimConfig};
 use sad_core::{
-    Aligner, Backend as SadBackend, BatchJob, RunReport, SadConfig, TrimConfig, VerticalConfig,
+    Aligner, Backend as SadBackend, BatchJob, RunReport, SadConfig, TrimConfig, TrimReport,
+    VerticalConfig,
 };
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -249,15 +250,7 @@ pub fn trim(t: TrimArgs, out: Out) -> Result<(), String> {
         fasta::parse_alignment(&text).map_err(|e| format!("bad alignment in {}: {e}", t.input))?;
     let cfg = TrimConfig { max_dropped: t.max_dropped, branch_bound: t.branch_bound };
     let outcome = align::trim_msa(&msa, &cfg);
-    writeln!(
-        out,
-        "; trim: dropped {} rows, gained {} gap-free columns, area {} -> {}",
-        outcome.rows_dropped(),
-        outcome.cols_gained(),
-        outcome.area_before,
-        outcome.area_after
-    )
-    .ok();
+    writeln!(out, "; {}", TrimReport::from(&outcome)).ok();
     for d in &outcome.dropped {
         writeln!(out, "; dropped {} (area {:+})", d.id, d.area_gain).ok();
     }

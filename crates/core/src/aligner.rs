@@ -81,6 +81,17 @@ impl Backend {
             Backend::Distributed(_) => "distributed",
         }
     }
+
+    /// Decomposition width: 1 for sequential, the logical rank count for
+    /// rayon (0 is invalid and refused by [`Aligner::run`]), the cluster's
+    /// `p` for distributed.
+    pub fn width(&self) -> usize {
+        match self {
+            Backend::Sequential => 1,
+            Backend::Rayon { threads } => *threads,
+            Backend::Distributed(cluster) => cluster.p(),
+        }
+    }
 }
 
 /// Builder for a Sample-Align-D run: configuration, backend choice, and
@@ -208,16 +219,10 @@ impl Aligner {
     ) -> Result<RunReport, SadError> {
         let backend = &self.backend;
         self.cfg.validate_for(seqs)?;
-        let width = match backend {
-            Backend::Sequential => 1,
-            Backend::Rayon { threads } => {
-                if *threads == 0 {
-                    return Err(SadError::ZeroParallelism);
-                }
-                *threads
-            }
-            Backend::Distributed(cluster) => cluster.p(),
-        };
+        let width = backend.width();
+        if width == 0 {
+            return Err(SadError::ZeroParallelism);
+        }
         let ctx = PipelineCtx::new(backend.name(), width, self.observer.clone(), cancel, budget);
         ctx.run_started(seqs.len());
         let mut result = match backend {
@@ -266,12 +271,7 @@ impl Aligner {
         let (mut stats, extra) = ctx.drain();
         report.phases.append(&mut stats);
         report.work += extra;
-        report.trim = Some(crate::report::TrimReport {
-            rows_dropped: outcome.rows_dropped(),
-            cols_gained: outcome.cols_gained(),
-            area_before: outcome.area_before,
-            area_after: outcome.area_after,
-        });
+        report.trim = Some(crate::report::TrimReport::from(&outcome));
         report.msa = outcome.msa;
         Ok(())
     }
@@ -486,6 +486,14 @@ mod tests {
         assert_eq!(Backend::Rayon { threads: 2 }.name(), "rayon");
         let c = VirtualCluster::new(1, CostModel::beowulf_2008());
         assert_eq!(Backend::Distributed(c).name(), "distributed");
+    }
+
+    #[test]
+    fn backend_width_is_the_decomposition_width() {
+        assert_eq!(Backend::Sequential.width(), 1);
+        assert_eq!(Backend::Rayon { threads: 3 }.width(), 3);
+        let c = VirtualCluster::new(5, CostModel::beowulf_2008());
+        assert_eq!(Backend::Distributed(c).width(), 5);
     }
 
     #[test]

@@ -139,14 +139,8 @@ impl BatchReport {
     /// alignment rows, work units, banded/full DP cells, per-job wall
     /// seconds and status, closed by an aggregate row with throughput.
     pub fn summary_table(&self) -> String {
+        use crate::report::dp_pair;
         use std::fmt::Write;
-        let dp_pair = |w: &Work| {
-            if w.dp_cells_full == 0 {
-                "-".to_string()
-            } else {
-                format!("{}/{}", w.dp_cells, w.dp_cells_full)
-            }
-        };
         let mut out = String::new();
         let _ = writeln!(
             out,

@@ -66,6 +66,39 @@ impl TrimReport {
     }
 }
 
+impl From<&align::TrimOutcome> for TrimReport {
+    fn from(outcome: &align::TrimOutcome) -> TrimReport {
+        TrimReport {
+            rows_dropped: outcome.rows_dropped(),
+            cols_gained: outcome.cols_gained(),
+            area_before: outcome.area_before,
+            area_after: outcome.area_after,
+        }
+    }
+}
+
+/// The census line every surface prints:
+/// `trim: dropped R rows, gained C gap-free columns, area A -> B`.
+impl std::fmt::Display for TrimReport {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "trim: dropped {} rows, gained {} gap-free columns, area {} -> {}",
+            self.rows_dropped, self.cols_gained, self.area_before, self.area_after
+        )
+    }
+}
+
+/// A table cell for DP cells as `filled/full-equivalent`, or `-` when the
+/// work did no DP.
+pub(crate) fn dp_pair(w: &Work) -> String {
+    if w.dp_cells_full == 0 {
+        "-".to_string()
+    } else {
+        format!("{}/{}", w.dp_cells, w.dp_cells_full)
+    }
+}
+
 /// What only one backend can report.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
@@ -179,13 +212,6 @@ impl RunReport {
     /// virtual seconds across ranks.
     pub fn phase_table(&self) -> String {
         use std::fmt::Write;
-        let dp_pair = |w: &Work| {
-            if w.dp_cells_full == 0 {
-                "-".to_string()
-            } else {
-                format!("{}/{}", w.dp_cells, w.dp_cells_full)
-            }
-        };
         let secs =
             |s: Option<f64>| s.map_or_else(|| format!("{:>12}", "-"), |s| format!("{s:>12.4}"));
         let mut out = String::new();
@@ -223,11 +249,7 @@ impl RunReport {
             );
         }
         if let Some(t) = &self.trim {
-            let _ = writeln!(
-                out,
-                "trim: dropped {} rows, gained {} gap-free columns, area {} -> {}",
-                t.rows_dropped, t.cols_gained, t.area_before, t.area_after
-            );
+            let _ = writeln!(out, "{t}");
         }
         out
     }

@@ -1,11 +1,14 @@
-//! The result cache: `(input digest, config fingerprint)` → aligned FASTA.
+//! The result cache: input digest → aligned FASTA.
 //!
 //! The pipeline is deterministic, so two submissions with the same input
 //! bytes under the same configuration are guaranteed the same output
-//! bytes. The cache exploits that: a duplicate submission is answered at
-//! accept time from memory — no queue slot, no worker, no DP cells. The
-//! cache is rebuilt on restart from journal `Finished{digest}` entries
-//! whose output files still verify, so a warm restart keeps its hits.
+//! bytes. One server runs exactly one configuration, so the input digest
+//! alone is the key: a duplicate submission is answered at accept time
+//! from memory — no queue slot, no worker, no DP cells. The cache is
+//! rebuilt on restart from journal `Finished{digest}` entries whose
+//! output files still verify and whose jobs were accepted under the
+//! running server's configuration, so a warm restart keeps its hits and a
+//! restart under another configuration re-runs resubmissions.
 //!
 //! Memory is bounded: every entry is charged its key and FASTA bytes
 //! against a configurable budget ([`ResultCache::with_budget_bytes`],
@@ -41,7 +44,7 @@ impl CachedResult {
 #[derive(Debug)]
 struct Entry {
     result: CachedResult,
-    /// Bytes charged for this entry (key + result).
+    /// Bytes charged for this entry (input key + result).
     cost: usize,
     /// Monotonic access clock: smallest = least recently used.
     last_used: u64,
@@ -49,7 +52,7 @@ struct Entry {
 
 #[derive(Debug)]
 struct Inner {
-    map: HashMap<(String, String), Entry>,
+    map: HashMap<String, Entry>,
     budget: usize,
     used: usize,
     clock: u64,
@@ -87,13 +90,13 @@ impl ResultCache {
         ResultCache { inner: Mutex::new(Inner { map: HashMap::new(), budget, used: 0, clock: 0 }) }
     }
 
-    /// Look up a result by input digest + config fingerprint; a hit
-    /// refreshes the entry's recency.
-    pub fn get(&self, input: &str, fingerprint: &str) -> Option<CachedResult> {
+    /// Look up a result by input digest; a hit refreshes the entry's
+    /// recency.
+    pub fn get(&self, input: &str) -> Option<CachedResult> {
         let mut inner = self.inner.lock().unwrap();
         inner.clock += 1;
         let clock = inner.clock;
-        let entry = inner.map.get_mut(&(input.to_string(), fingerprint.to_string()))?;
+        let entry = inner.map.get_mut(input)?;
         entry.last_used = clock;
         Some(entry.result.clone())
     }
@@ -102,16 +105,17 @@ impl ResultCache {
     /// the budget is exceeded. A result larger than the whole budget is
     /// not cached at all (evicting everything for one giant entry would
     /// only thrash).
-    pub fn insert(&self, input: &str, fingerprint: &str, result: CachedResult) {
-        let key = (input.to_string(), fingerprint.to_string());
-        let cost = key.0.len() + key.1.len() + result.cost() + ENTRY_OVERHEAD;
+    pub fn insert(&self, input: &str, result: CachedResult) {
+        let cost = input.len() + result.cost() + ENTRY_OVERHEAD;
         let mut inner = self.inner.lock().unwrap();
         if cost > inner.budget {
             return;
         }
         inner.clock += 1;
         let clock = inner.clock;
-        if let Some(old) = inner.map.insert(key, Entry { result, cost, last_used: clock }) {
+        if let Some(old) =
+            inner.map.insert(input.to_string(), Entry { result, cost, last_used: clock })
+        {
             inner.used -= old.cost;
         }
         inner.used += cost;
@@ -159,20 +163,19 @@ mod tests {
     }
 
     /// Budget that fits exactly `n` of the test entries below (3-byte
-    /// input key, 3-byte fingerprint, 1-byte digest, `body` FASTA bytes).
+    /// input key, 1-byte digest, `body` FASTA bytes).
     fn budget_for(n: usize, body: usize) -> usize {
-        n * (3 + 3 + 1 + body + ENTRY_OVERHEAD)
+        n * (3 + 1 + body + ENTRY_OVERHEAD)
     }
 
     #[test]
-    fn hit_requires_both_key_halves() {
+    fn hit_requires_the_same_input() {
         let cache = ResultCache::new();
         let result =
             CachedResult { digest: "d".into(), rows: 2, fasta: ">a\nMK-L\n>b\nMKIL\n".into() };
-        cache.insert("in1", "cfg1", result.clone());
-        assert_eq!(cache.get("in1", "cfg1").unwrap().fasta, result.fasta);
-        assert!(cache.get("in1", "cfg2").is_none(), "same input, other config: miss");
-        assert!(cache.get("in2", "cfg1").is_none(), "other input, same config: miss");
+        cache.insert("in1", result.clone());
+        assert_eq!(cache.get("in1").unwrap().fasta, result.fasta);
+        assert!(cache.get("in2").is_none(), "other input: miss");
         assert_eq!(cache.len(), 1);
         assert!(!cache.is_empty());
     }
@@ -180,43 +183,35 @@ mod tests {
     #[test]
     fn newer_insert_wins() {
         let cache = ResultCache::new();
-        cache.insert(
-            "in",
-            "cfg",
-            CachedResult { digest: "old".into(), rows: 1, fasta: "old".into() },
-        );
-        cache.insert(
-            "in",
-            "cfg",
-            CachedResult { digest: "new".into(), rows: 1, fasta: "new".into() },
-        );
-        assert_eq!(cache.get("in", "cfg").unwrap().digest, "new");
+        cache.insert("in", CachedResult { digest: "old".into(), rows: 1, fasta: "old".into() });
+        cache.insert("in", CachedResult { digest: "new".into(), rows: 1, fasta: "new".into() });
+        assert_eq!(cache.get("in").unwrap().digest, "new");
         assert_eq!(cache.len(), 1);
     }
 
     #[test]
     fn eviction_is_least_recently_used_first() {
         let cache = ResultCache::with_budget_bytes(budget_for(2, 100));
-        cache.insert("in1", "cfg", result("a", 100));
-        cache.insert("in2", "cfg", result("b", 100));
+        cache.insert("in1", result("a", 100));
+        cache.insert("in2", result("b", 100));
         // Touch in1 so in2 becomes the LRU entry.
-        assert!(cache.get("in1", "cfg").is_some());
-        cache.insert("in3", "cfg", result("c", 100));
+        assert!(cache.get("in1").is_some());
+        cache.insert("in3", result("c", 100));
         assert_eq!(cache.len(), 2);
-        assert!(cache.get("in1", "cfg").is_some(), "recently used entry survives");
-        assert!(cache.get("in2", "cfg").is_none(), "LRU entry was evicted");
-        assert!(cache.get("in3", "cfg").is_some(), "new entry is present");
+        assert!(cache.get("in1").is_some(), "recently used entry survives");
+        assert!(cache.get("in2").is_none(), "LRU entry was evicted");
+        assert!(cache.get("in3").is_some(), "new entry is present");
     }
 
     #[test]
     fn insert_order_is_recency_when_nothing_is_read() {
         let cache = ResultCache::with_budget_bytes(budget_for(3, 50));
         for (i, tag) in ["a", "b", "c", "d", "e"].iter().enumerate() {
-            cache.insert(&format!("in{i}"), "cfg", result(tag, 50));
+            cache.insert(&format!("in{i}"), result(tag, 50));
         }
         assert_eq!(cache.len(), 3);
         for (i, present) in [false, false, true, true, true].iter().enumerate() {
-            assert_eq!(cache.get(&format!("in{i}"), "cfg").is_some(), *present, "in{i}");
+            assert_eq!(cache.get(&format!("in{i}")).is_some(), *present, "in{i}");
         }
     }
 
@@ -224,7 +219,7 @@ mod tests {
     fn replacing_an_entry_never_double_charges() {
         let cache = ResultCache::with_budget_bytes(budget_for(1, 100));
         for _ in 0..10 {
-            cache.insert("in1", "cfg", result("a", 100));
+            cache.insert("in1", result("a", 100));
         }
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.used_bytes(), budget_for(1, 100));
@@ -233,10 +228,10 @@ mod tests {
     #[test]
     fn oversized_results_are_not_cached() {
         let cache = ResultCache::with_budget_bytes(256);
-        cache.insert("in1", "cfg", result("small", 16));
-        cache.insert("in2", "cfg", result("huge", 10_000));
-        assert!(cache.get("in2", "cfg").is_none(), "over-budget entry skipped");
-        assert!(cache.get("in1", "cfg").is_some(), "existing entries untouched");
+        cache.insert("in1", result("small", 16));
+        cache.insert("in2", result("huge", 10_000));
+        assert!(cache.get("in2").is_none(), "over-budget entry skipped");
+        assert!(cache.get("in1").is_some(), "existing entries untouched");
         assert_eq!(cache.len(), 1);
     }
 
@@ -245,7 +240,7 @@ mod tests {
         let cache = ResultCache::with_budget_bytes(budget_for(2, 64));
         assert_eq!(cache.used_bytes(), 0);
         for i in 0..8 {
-            cache.insert(&format!("in{i}"), "cfg", result("d", 64));
+            cache.insert(&format!("in{i}"), result("d", 64));
             assert!(cache.used_bytes() <= cache.budget_bytes());
         }
         assert_eq!(cache.len(), 2);

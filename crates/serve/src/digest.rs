@@ -2,10 +2,11 @@
 //!
 //! The journal and the result cache both key on digests: the input digest
 //! decides whether a submission is a duplicate, the config fingerprint
-//! decides whether a cached result is still valid for the server's current
-//! settings, and the output digest is the BiG-SCAPE-style
-//! verify-before-trusting check — a journaled `Finished` entry is only
-//! believed if the output file on disk still hashes to the recorded value.
+//! journaled with each accepted job decides on restart whether its result
+//! was made under the server's current settings, and the output digest is
+//! the BiG-SCAPE-style verify-before-trusting check — a journaled
+//! `Finished` entry is only believed if the output file on disk still
+//! hashes to the recorded value.
 //!
 //! FNV-1a (64-bit) is enough here: digests guard against truncation,
 //! corruption and accidental collisions, not adversaries.
@@ -36,14 +37,9 @@ pub fn payload(text: &str) -> String {
 /// [`SadConfig`] plus the backend and its decomposition width. Two jobs
 /// with equal input digests and equal fingerprints are guaranteed the same
 /// output bytes (the pipeline is deterministic), which is what licenses
-/// the result cache and the skip-on-restart path.
+/// warming the result cache from the journal on restart.
 pub fn config_fingerprint(cfg: &SadConfig, backend: &Backend) -> String {
-    let width = match backend {
-        Backend::Sequential => 1,
-        Backend::Rayon { threads } => *threads,
-        Backend::Distributed(cluster) => cluster.p(),
-    };
-    hex(fnv64(format!("{cfg:?}|{}|{width}", backend.name()).as_bytes()))
+    hex(fnv64(format!("{cfg:?}|{}|{}", backend.name(), backend.width()).as_bytes()))
 }
 
 #[cfg(test)]

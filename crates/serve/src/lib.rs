@@ -11,9 +11,11 @@
 //! `do_multiple_align`: every job writes `Accepted` → `Started` →
 //! `Finished{digest}` lines to an append-only JSONL journal, and a
 //! restarted server re-queues whatever is still owed while skipping jobs
-//! whose output file on disk still hashes to the journaled digest. A
-//! result cache keyed by `(input digest, config fingerprint)` answers
-//! duplicate submissions without touching a worker.
+//! whose output file on disk still hashes to the journaled digest. One
+//! server runs one configuration, so a result cache keyed by input digest
+//! answers duplicate submissions without touching a worker; on restart it
+//! is warmed only from jobs journaled under the same config fingerprint,
+//! and a draining server refuses cached submissions like any other.
 //!
 //! Module map:
 //!
@@ -24,7 +26,7 @@
 //! - [`journal`] — the write-ahead journal and its torn-tail-tolerant
 //!   replay.
 //! - [`queue`] — bounded, fair job queue.
-//! - [`cache`] — the result cache.
+//! - [`cache`] — the result cache, keyed by input digest.
 //! - [`server`] — accept loop, connection readers, worker pool, recovery.
 //! - [`client`] — blocking protocol client (`sad submit` and tests).
 //! - [`harness`] — in-process test fixture with fault injection.

@@ -29,8 +29,6 @@ pub struct QueuedJob {
     pub priority: i64,
     /// Digest of `fasta`.
     pub input: String,
-    /// Config fingerprint the job will run under.
-    pub fingerprint: String,
     /// Raw FASTA input.
     pub fasta: String,
 }
@@ -114,6 +112,7 @@ impl JobQueue {
     /// timeout or when the queue is closed and drained.
     pub fn pop(&self, timeout: Duration) -> Option<QueuedJob> {
         let mut inner = self.inner.lock().unwrap();
+        let mut timed_out = false;
         loop {
             if let Some(at) = Self::choose(&inner) {
                 let job = inner.pending.remove(at);
@@ -124,22 +123,12 @@ impl JobQueue {
                 }
                 return Some(job);
             }
-            if inner.closed {
+            if inner.closed || timed_out {
                 return None;
             }
             let (guard, wait) = self.ready.wait_timeout(inner, timeout).unwrap();
             inner = guard;
-            if wait.timed_out() {
-                return Self::choose(&inner).map(|at| {
-                    let job = inner.pending.remove(at);
-                    if let Some(c) = job.client {
-                        let tick = inner.tick;
-                        inner.served.insert(c, tick);
-                        inner.tick += 1;
-                    }
-                    job
-                });
-            }
+            timed_out = wait.timed_out();
         }
     }
 
@@ -190,6 +179,12 @@ impl JobQueue {
         self.ready.notify_all();
     }
 
+    /// Whether [`JobQueue::close`] has run: the server is draining (or
+    /// was killed) and admits no new work.
+    pub fn is_closed(&self) -> bool {
+        self.inner.lock().unwrap().closed
+    }
+
     /// Drop all pending jobs (abrupt kill).
     pub fn clear(&self) -> usize {
         let mut inner = self.inner.lock().unwrap();
@@ -218,7 +213,6 @@ mod tests {
             client: Some(client),
             priority,
             input: String::new(),
-            fingerprint: String::new(),
             fasta: String::new(),
         }
     }
@@ -292,7 +286,9 @@ mod tests {
     fn closed_queue_refuses_and_drains() {
         let q = JobQueue::new(4);
         ok_push(&q, job("a", 1, 0));
+        assert!(!q.is_closed());
         q.close();
+        assert!(q.is_closed());
         assert!(matches!(
             q.push::<()>(job("b", 1, 0), || Ok(())),
             Err(PushResult::Refused(PushError::Closed))

@@ -15,9 +15,16 @@
 //!    which deliberately skips the terminal journal write to simulate a
 //!    crash, leaving the journal owing the job.
 //!
+//! Each fact lives in one place: one live-job table (cancel token and
+//! submitter's sink per queued or running job, removed once when the job
+//! ends), one [`ServerStats`] behind a mutex, the kill token for "killed",
+//! and [`JobQueue::is_closed`] for "draining", which refuses cached
+//! submissions as well as uncached ones.
+//!
 //! On [`Server::start`], the journal is replayed: finished jobs whose
-//! output file still matches the journaled digest are skipped (and warm
-//! the cache); everything else still owed is re-queued.
+//! output file still matches the journaled digest are skipped (and, when
+//! they were accepted under this server's config fingerprint, warm the
+//! cache); everything else still owed is re-queued.
 
 use crate::cache::{CachedResult, ResultCache};
 use crate::digest;
@@ -29,7 +36,7 @@ use std::collections::HashMap;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -171,7 +178,8 @@ pub struct RecoveryReport {
     /// Jobs re-queued because they were accepted but never finished.
     pub requeued: Vec<String>,
     /// Finished jobs whose output file verified against the journaled
-    /// digest — skipped, and their results warm the cache.
+    /// digest — skipped; those accepted under this server's config
+    /// fingerprint warm the cache.
     pub skipped: Vec<String>,
     /// Finished jobs whose output file was missing or failed digest
     /// verification — re-queued to run again.
@@ -241,43 +249,49 @@ impl EventSink {
     }
 }
 
-struct Stats {
-    accepted: AtomicUsize,
-    completed: AtomicUsize,
-    cache_hits: AtomicUsize,
-    cancelled: AtomicUsize,
-    failed: AtomicUsize,
-    dp_cells: AtomicU64,
+/// A queued or running job's control surface.
+#[derive(Clone)]
+struct LiveJob {
+    /// Fired by a `CANCEL`; fused with the server's kill token.
+    cancel: CancelToken,
+    /// The submitting client's stream ([`EventSink::null`] for recovered
+    /// jobs, which have no client).
+    sink: EventSink,
+}
+
+impl LiveJob {
+    fn new(sink: EventSink) -> LiveJob {
+        LiveJob { cancel: CancelToken::new(), sink }
+    }
 }
 
 struct Shared {
     cfg: ServeConfig,
+    /// The one configuration this server runs, as journaled in `Accepted`.
     fingerprint: String,
     queue: JobQueue,
     journal: Mutex<Journal>,
     cache: ResultCache,
-    /// Per-job cancel tokens, registered at admission, removed at the
-    /// job's terminal event. Covers both pending and running jobs.
-    inflight: Mutex<HashMap<String, CancelToken>>,
-    /// Submitting client's sink per job (absent for recovered jobs).
-    sinks: Mutex<HashMap<String, EventSink>>,
+    /// Every queued or running job by id: registered at admission (or
+    /// recovery) before workers can see it, removed once when it ends.
+    live: Mutex<HashMap<String, LiveJob>>,
     /// All job ids ever seen (journal + live), for collision handling.
     ids: Mutex<std::collections::HashSet<String>>,
     next_client: AtomicU64,
     next_job: AtomicU64,
-    /// Abrupt-stop flag: workers stop journaling and exit ASAP.
-    kill: AtomicBool,
-    /// Graceful-stop flag: stop accepting, drain the queue, exit.
-    drain: AtomicBool,
-    /// Fused into every job's cancel token; [`ServerHandle::kill`] fires it.
+    /// Fused into every job's cancel token; [`ServerHandle::kill`] fires
+    /// it, and workers stop journaling and exit once it has fired.
     kill_token: CancelToken,
     /// Worker pause gate (`paused`, release via notify).
     gate: Mutex<bool>,
     gate_cv: Condvar,
     /// Jobs currently executing on a worker.
     active: AtomicUsize,
-    stats: Stats,
+    stats: Mutex<ServerStats>,
 }
+
+/// Why a submission is refused once the queue is closed.
+const SHUTTING_DOWN: &str = "server shutting down";
 
 /// Longest accepted client-proposed job id.
 pub const MAX_JOB_ID_LEN: usize = 100;
@@ -355,25 +369,15 @@ impl Server {
             queue: JobQueue::new(cfg.queue_capacity.max(1)),
             journal: Mutex::new(Journal::open(&cfg.journal)?),
             cache: ResultCache::with_budget_bytes(cfg.cache_budget_bytes),
-            inflight: Mutex::new(HashMap::new()),
-            sinks: Mutex::new(HashMap::new()),
+            live: Mutex::new(HashMap::new()),
             ids: Mutex::new(std::collections::HashSet::new()),
             next_client: AtomicU64::new(0),
             next_job: AtomicU64::new(0),
-            kill: AtomicBool::new(false),
-            drain: AtomicBool::new(false),
             kill_token: CancelToken::new(),
             gate: Mutex::new(paused),
             gate_cv: Condvar::new(),
             active: AtomicUsize::new(0),
-            stats: Stats {
-                accepted: AtomicUsize::new(0),
-                completed: AtomicUsize::new(0),
-                cache_hits: AtomicUsize::new(0),
-                cancelled: AtomicUsize::new(0),
-                failed: AtomicUsize::new(0),
-                dp_cells: AtomicU64::new(0),
-            },
+            stats: Mutex::new(ServerStats::default()),
             fingerprint,
             cfg,
         });
@@ -437,15 +441,7 @@ impl ServerHandle {
 
     /// Current counters.
     pub fn stats(&self) -> ServerStats {
-        let s = &self.shared.stats;
-        ServerStats {
-            accepted: s.accepted.load(Ordering::Relaxed),
-            completed: s.completed.load(Ordering::Relaxed),
-            cache_hits: s.cache_hits.load(Ordering::Relaxed),
-            cancelled: s.cancelled.load(Ordering::Relaxed),
-            failed: s.failed.load(Ordering::Relaxed),
-            dp_cells: s.dp_cells.load(Ordering::Relaxed),
-        }
+        *self.shared.stats.lock().unwrap()
     }
 
     /// Number of journal-replay cache entries plus live results.
@@ -456,7 +452,7 @@ impl ServerHandle {
     /// Whether a graceful shutdown has been requested (by a client
     /// `SHUTDOWN` or by [`ServerHandle::shutdown`]).
     pub fn is_draining(&self) -> bool {
-        self.shared.drain.load(Ordering::SeqCst)
+        self.shared.queue.is_closed()
     }
 
     /// Block until the queue is empty and no job is executing, or the
@@ -492,13 +488,11 @@ impl ServerHandle {
 
     fn stop(&mut self, kill: bool) {
         if kill {
-            self.shared.kill.store(true, Ordering::SeqCst);
             self.shared.kill_token.cancel();
             self.shared.queue.clear();
         }
-        self.shared.drain.store(true, Ordering::SeqCst);
         self.shared.queue.close();
-        // Wake paused workers so they can observe the flags and exit.
+        // Wake paused workers so they can observe the stop and exit.
         self.release_workers();
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
@@ -548,11 +542,13 @@ fn recover(shared: &Arc<Shared>, replay: crate::journal::Replay) -> RecoveryRepo
                 client: None,
                 priority,
                 input: input.clone(),
-                fingerprint: shared.fingerprint.clone(),
                 fasta: fasta.clone(),
             };
+            // Workers start after recovery, so registering after the push
+            // still precedes any pop; a cancel finds the job from now on.
             if shared.queue.push_recovered(job).is_ok() {
-                shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
+                shared.live.lock().unwrap().insert(id.clone(), LiveJob::new(EventSink::null()));
+                shared.stats.lock().unwrap().accepted += 1;
                 report_bucket.push(id.clone());
             }
         };
@@ -562,12 +558,15 @@ fn recover(shared: &Arc<Shared>, replay: crate::journal::Replay) -> RecoveryRepo
                 let path = shared.output_path(&id);
                 match std::fs::read_to_string(&path) {
                     Ok(text) if digest::payload(&text) == *digest => {
-                        let rows = text.lines().filter(|l| l.starts_with('>')).count();
-                        shared.cache.insert(
-                            &input,
-                            &fingerprint,
-                            CachedResult { digest: digest.clone(), rows, fasta: text },
-                        );
+                        // Only this configuration's results can ever be
+                        // hit; another's would just take cache budget.
+                        if fingerprint == shared.fingerprint {
+                            let rows = text.lines().filter(|l| l.starts_with('>')).count();
+                            shared.cache.insert(
+                                &input,
+                                CachedResult { digest: digest.clone(), rows, fasta: text },
+                            );
+                        }
                         report.skipped.push(id.clone());
                     }
                     // Missing or corrupt output: the journaled claim fails
@@ -587,7 +586,7 @@ fn recover(shared: &Arc<Shared>, replay: crate::journal::Replay) -> RecoveryRepo
 
 fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
     loop {
-        if shared.kill.load(Ordering::SeqCst) || shared.drain.load(Ordering::SeqCst) {
+        if shared.queue.is_closed() {
             return;
         }
         match listener.accept() {
@@ -633,16 +632,16 @@ fn connection_loop(shared: &Arc<Shared>, stream: TcpStream, client: u64) {
                     Ok(Request::Cancel { job }) => handle_cancel(shared, &sink, &job),
                     Ok(Request::Shutdown) => {
                         shared.log(&format!("client {client} requested shutdown"));
-                        sink.send(&event::bye());
-                        shared.drain.store(true, Ordering::SeqCst);
+                        // Close first: `bye` confirms the drain has begun.
                         shared.queue.close();
+                        sink.send(&event::bye());
                         return;
                     }
                     Err(reason) => sink.send(&event::error(None, &reason)),
                 }
             }
             Ok(LineEvent::TimedOut) => {
-                if shared.kill.load(Ordering::SeqCst) {
+                if shared.kill_token.is_cancelled() {
                     return;
                 }
             }
@@ -702,8 +701,13 @@ fn handle_submit(
         fasta: fasta.to_string(),
     };
 
-    // Cache hit: answer at accept time — no queue slot, no worker, no DP.
-    if let Some(hit) = shared.cache.get(&input, &shared.fingerprint) {
+    // Cache hit: answer at accept time — no queue slot, no worker, no DP —
+    // unless the server is draining, which refuses it like any other.
+    if let Some(hit) = shared.cache.get(&input) {
+        if shared.queue.is_closed() {
+            sink.send(&event::rejected(label, SHUTTING_DOWN));
+            return;
+        }
         let journaled = {
             let mut journal = shared.journal.lock().unwrap();
             journal.append(&entry).and_then(|()| {
@@ -720,9 +724,12 @@ fn handle_submit(
             sink.send(&event::rejected(label, &format!("journal write failed: {e}")));
             return;
         }
-        shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
-        shared.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-        shared.stats.completed.fetch_add(1, Ordering::Relaxed);
+        {
+            let mut stats = shared.stats.lock().unwrap();
+            stats.accepted += 1;
+            stats.cache_hits += 1;
+            stats.completed += 1;
+        }
         sink.send(&event::accepted(label, &id));
         sink.send(&event::result(&id, true, &hit.digest, hit.rows, 0.0, &hit.fasta));
         shared.log(&format!("job {id}: served from cache"));
@@ -734,13 +741,11 @@ fn handle_submit(
         client: Some(client),
         priority,
         input,
-        fingerprint: shared.fingerprint.clone(),
         fasta: fasta.to_string(),
     };
     // Registered before visibility so a worker that pops the job
     // immediately finds its token and sink.
-    shared.inflight.lock().unwrap().insert(id.clone(), CancelToken::new());
-    shared.sinks.lock().unwrap().insert(id.clone(), sink.clone());
+    shared.live.lock().unwrap().insert(id.clone(), LiveJob::new(sink.clone()));
     let pushed = shared.queue.push(job, || {
         shared.journal_append(&entry)?;
         // Acknowledge inside the admission critical section: the client
@@ -750,15 +755,12 @@ fn handle_submit(
         Ok::<(), JournalError>(())
     });
     match pushed {
-        Ok(()) => {
-            shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
-        }
+        Ok(()) => shared.stats.lock().unwrap().accepted += 1,
         Err(refusal) => {
-            shared.inflight.lock().unwrap().remove(&id);
-            shared.sinks.lock().unwrap().remove(&id);
+            shared.live.lock().unwrap().remove(&id);
             let reason = match refusal {
                 PushResult::Refused(PushError::Full) => "queue full".to_string(),
-                PushResult::Refused(PushError::Closed) => "server shutting down".to_string(),
+                PushResult::Refused(PushError::Closed) => SHUTTING_DOWN.to_string(),
                 PushResult::Action(e) => format!("journal write failed: {e}"),
             };
             sink.send(&event::rejected(label, &reason));
@@ -770,28 +772,28 @@ fn handle_cancel(shared: &Arc<Shared>, sink: &EventSink, job: &str) {
     // Still pending: remove it from the queue — the slot frees
     // immediately, no worker ever sees the job.
     if let Some(_cancelled) = shared.queue.cancel(job) {
-        shared.inflight.lock().unwrap().remove(job);
-        let submitter = shared.sinks.lock().unwrap().remove(job);
+        let submitter = shared.live.lock().unwrap().remove(job);
         let terminal = JournalEntry::Finished {
             job: job.to_string(),
             ok: false,
             digest: None,
             error: Some("cancelled before start".into()),
         };
-        if !shared.kill.load(Ordering::SeqCst) {
+        if !shared.kill_token.is_cancelled() {
             let _ = shared.journal_append(&terminal);
         }
-        shared.stats.cancelled.fetch_add(1, Ordering::Relaxed);
+        shared.stats.lock().unwrap().cancelled += 1;
         let line = event::cancelled(job, "cancelled before start");
         sink.send(&line);
         if let Some(submitter) = submitter {
-            submitter.send(&line);
+            submitter.sink.send(&line);
         }
         return;
     }
     // Running: fire its token; the worker observes it at the next phase
     // boundary and emits the terminal `cancelled` event.
-    if let Some(token) = shared.inflight.lock().unwrap().get(job) {
+    let running = shared.live.lock().unwrap().get(job).map(|live| live.cancel.clone());
+    if let Some(token) = running {
         token.cancel();
         sink.send(&event::cancel_requested(job));
         return;
@@ -805,12 +807,12 @@ fn worker_loop(shared: &Arc<Shared>) {
         {
             let mut paused = shared.gate.lock().unwrap();
             while *paused {
-                if shared.kill.load(Ordering::SeqCst) {
+                if shared.kill_token.is_cancelled() {
                     return;
                 }
                 // A drain request releases the gate: graceful shutdown
                 // still finishes what's queued.
-                if shared.drain.load(Ordering::SeqCst) {
+                if shared.queue.is_closed() {
                     break;
                 }
                 let (guard, _) =
@@ -818,49 +820,56 @@ fn worker_loop(shared: &Arc<Shared>) {
                 paused = guard;
             }
         }
-        if shared.kill.load(Ordering::SeqCst) {
+        if shared.kill_token.is_cancelled() {
             return;
         }
         let Some(job) = shared.queue.pop(Duration::from_millis(50)) else {
-            if shared.kill.load(Ordering::SeqCst)
-                || (shared.drain.load(Ordering::SeqCst) && shared.queue.is_empty())
+            if shared.kill_token.is_cancelled()
+                || (shared.queue.is_closed() && shared.queue.is_empty())
             {
                 return;
             }
             continue;
         };
         shared.active.fetch_add(1, Ordering::SeqCst);
-        run_one(shared, &job);
+        let live = shared.live.lock().unwrap().get(&job.id).cloned();
+        let live = live.expect("a job is in the live table from admission until it ends");
+        let terminal = run_one(shared, &job, &live);
+        // The job's one removal: from here on a cancel answers "unknown
+        // or already finished".
+        shared.live.lock().unwrap().remove(&job.id);
+        if let Some(line) = terminal {
+            live.sink.send(&line);
+        }
         shared.active.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
-fn run_one(shared: &Arc<Shared>, job: &QueuedJob) {
-    let killed = || shared.kill.load(Ordering::SeqCst);
-    if killed() {
-        return;
+/// Run one popped job to its end: journal, write, cache and count it, and
+/// return the terminal event line for its submitter — `None` when a kill
+/// interrupted it (no terminal entry, as a crash would leave) or its
+/// `Started` entry could not be journaled.
+fn run_one(shared: &Arc<Shared>, job: &QueuedJob, live: &LiveJob) -> Option<String> {
+    if shared.kill_token.is_cancelled() {
+        return None;
     }
-    let sink = shared.sinks.lock().unwrap().get(&job.id).cloned().unwrap_or_else(EventSink::null);
-    let token = shared.inflight.lock().unwrap().entry(job.id.clone()).or_default().clone();
-    if !killed() && shared.journal_append(&JournalEntry::Started { job: job.id.clone() }).is_err() {
+    let sink = &live.sink;
+    if shared.journal_append(&JournalEntry::Started { job: job.id.clone() }).is_err() {
         shared.log(&format!("job {}: journal write failed, dropping", job.id));
-        return;
+        return None;
     }
     sink.send(&event::started(&job.id));
     shared.log(&format!("job {}: started", job.id));
     if let Some(hold) = &shared.cfg.hold {
-        hold.wait(killed);
-        if killed() {
-            return;
+        hold.wait(|| shared.kill_token.is_cancelled());
+        if shared.kill_token.is_cancelled() {
+            return None;
         }
     }
 
     let seqs = match bioseq::fasta::parse(&job.fasta) {
         Ok(seqs) => seqs,
-        Err(e) => {
-            finish_err(shared, &sink, job, &format!("invalid FASTA: {e}"), false);
-            return;
-        }
+        Err(e) => return Some(finish_err(shared, job, &format!("invalid FASTA: {e}"), false)),
     };
     let forward_sink = sink.clone();
     let forward_id = job.id.clone();
@@ -872,80 +881,63 @@ fn run_one(shared: &Arc<Shared>, job: &QueuedJob) {
     let started_at = Instant::now();
     let outcome = Aligner::new(shared.cfg.sad.clone())
         .backend(shared.cfg.backend.clone())
-        .cancel_token(CancelToken::fused([&shared.kill_token, &token]))
+        .cancel_token(CancelToken::fused([&shared.kill_token, &live.cancel]))
         .observer(observer)
         .run(&seqs);
-    match outcome {
-        Ok(report) => {
-            let text = bioseq::fasta::write_alignment(&report.msa);
-            let out_digest = digest::payload(&text);
-            if killed() {
-                // Crash simulation: no output, no terminal journal entry.
-                shared.inflight.lock().unwrap().remove(&job.id);
-                return;
-            }
-            if let Err(e) = std::fs::write(shared.output_path(&job.id), &text) {
-                finish_err(shared, &sink, job, &format!("output write failed: {e}"), false);
-                return;
-            }
-            shared.cache.insert(
-                &job.input,
-                &job.fingerprint,
-                CachedResult {
-                    digest: out_digest.clone(),
-                    rows: report.msa.num_rows(),
-                    fasta: text.clone(),
-                },
-            );
-            let _ = shared.journal_append(&JournalEntry::Finished {
-                job: job.id.clone(),
-                ok: true,
-                digest: Some(out_digest.clone()),
-                error: None,
-            });
-            shared.stats.completed.fetch_add(1, Ordering::Relaxed);
-            shared.stats.dp_cells.fetch_add(report.work.dp_cells, Ordering::Relaxed);
-            shared.inflight.lock().unwrap().remove(&job.id);
-            shared.sinks.lock().unwrap().remove(&job.id);
-            let seconds = started_at.elapsed().as_secs_f64();
-            sink.send(&event::result(
-                &job.id,
-                false,
-                &out_digest,
-                report.msa.num_rows(),
-                seconds,
-                &text,
-            ));
-            shared.log(&format!("job {}: finished in {seconds:.3}s", job.id));
-        }
-        Err(e) => {
-            if killed() {
-                shared.inflight.lock().unwrap().remove(&job.id);
-                return;
-            }
-            let cancelled = matches!(e, SadError::Cancelled { .. });
-            finish_err(shared, &sink, job, &e.to_string(), cancelled);
-        }
+    // Crash simulation: a killed job leaves no output and no terminal
+    // journal entry.
+    if shared.kill_token.is_cancelled() {
+        return None;
     }
+    let report = match outcome {
+        Ok(report) => report,
+        Err(e) => {
+            let cancelled = matches!(e, SadError::Cancelled { .. });
+            return Some(finish_err(shared, job, &e.to_string(), cancelled));
+        }
+    };
+    let text = bioseq::fasta::write_alignment(&report.msa);
+    let out_digest = digest::payload(&text);
+    if let Err(e) = std::fs::write(shared.output_path(&job.id), &text) {
+        return Some(finish_err(shared, job, &format!("output write failed: {e}"), false));
+    }
+    let rows = report.msa.num_rows();
+    shared
+        .cache
+        .insert(&job.input, CachedResult { digest: out_digest.clone(), rows, fasta: text.clone() });
+    let _ = shared.journal_append(&JournalEntry::Finished {
+        job: job.id.clone(),
+        ok: true,
+        digest: Some(out_digest.clone()),
+        error: None,
+    });
+    {
+        let mut stats = shared.stats.lock().unwrap();
+        stats.completed += 1;
+        stats.dp_cells += report.work.dp_cells;
+    }
+    let seconds = started_at.elapsed().as_secs_f64();
+    shared.log(&format!("job {}: finished in {seconds:.3}s", job.id));
+    Some(event::result(&job.id, false, &out_digest, rows, seconds, &text))
 }
 
-fn finish_err(shared: &Arc<Shared>, sink: &EventSink, job: &QueuedJob, msg: &str, cancelled: bool) {
+/// Journal and count a job that ended without an alignment; returns its
+/// terminal event line.
+fn finish_err(shared: &Arc<Shared>, job: &QueuedJob, msg: &str, cancelled: bool) -> String {
     let _ = shared.journal_append(&JournalEntry::Finished {
         job: job.id.clone(),
         ok: false,
         digest: None,
         error: Some(msg.to_string()),
     });
-    if cancelled {
-        shared.stats.cancelled.fetch_add(1, Ordering::Relaxed);
-        sink.send(&event::cancelled(&job.id, msg));
-    } else {
-        shared.stats.failed.fetch_add(1, Ordering::Relaxed);
-        sink.send(&event::error(Some(&job.id), msg));
-    }
-    shared.inflight.lock().unwrap().remove(&job.id);
-    shared.sinks.lock().unwrap().remove(&job.id);
     shared.log(&format!("job {}: {msg}", job.id));
+    if cancelled {
+        shared.stats.lock().unwrap().cancelled += 1;
+        event::cancelled(&job.id, msg)
+    } else {
+        shared.stats.lock().unwrap().failed += 1;
+        event::error(Some(&job.id), msg)
+    }
 }
 
 /// Where a job's output lands: the server writes it there, and tests and

@@ -323,6 +323,66 @@ fn cached_resubmission_does_zero_new_dp_work() {
 }
 
 #[test]
+fn draining_server_refuses_cached_submissions() {
+    let mut h = ServeHarness::new("drain-cached").start();
+    let mut a = h.client();
+    let fasta = family_fasta(6, 40, 33);
+    let job = submit_ok(&mut a, "fam", &fasta);
+    a.wait_result(&job, WAIT).expect("cold result");
+    let journaled = h.journal_entries().len();
+
+    // Another client asks the server to drain.
+    let mut b = h.client();
+    b.shutdown().expect("send shutdown");
+    b.wait_event(WAIT, |e| event_kind(e) == "bye").expect("bye");
+
+    // The result is cached, but a draining server takes no new work: the
+    // cached path is refused exactly like an uncached one.
+    match a.submit(Some("again"), 0, &fasta).expect("submit") {
+        Submitted::Rejected { reason } => assert_eq!(reason, "server shutting down"),
+        Submitted::Accepted { job } => panic!("draining server accepted {job}"),
+    }
+    assert_eq!(h.journal_entries().len(), journaled, "a refused submission journals nothing");
+    assert!(!h.output_path("again").exists(), "a refused submission writes no output");
+    let stats = h.shutdown();
+    assert_eq!((stats.accepted, stats.cache_hits), (1, 0));
+}
+
+#[test]
+fn restart_under_another_config_never_serves_the_old_results() {
+    let mut h = ServeHarness::new("other-config").start();
+    let mut client = h.client();
+    let fasta = family_fasta(8, 50, 34);
+    let job = submit_ok(&mut client, "fam", &fasta);
+    client.wait_result(&job, WAIT).expect("result under the default config");
+    h.shutdown();
+
+    // Same journal and output directory, another pipeline configuration.
+    let other = SadConfig::default().with_kmer_k(5);
+    let mut cfg = h.config();
+    cfg.sad = other.clone();
+    let server = Server::start(cfg).expect("restart under another config");
+    assert!(server.recovery.skipped.contains(&job), "{:?}", server.recovery);
+    assert_eq!(server.cache_len(), 0, "the old config's result warms no cache entry");
+
+    let mut client =
+        sad_serve::Client::connect_with_retry(server.addr(), WAIT).expect("connect client");
+    let again = submit_ok(&mut client, "fam", &fasta);
+    let result = client.wait_result(&again, WAIT).expect("result under the new config");
+    assert_eq!(result.get("cached").and_then(Json::as_bool), Some(false));
+    let seqs = bioseq::fasta::parse(&fasta).expect("fixture parses");
+    let direct = Aligner::new(other).run(&seqs).expect("direct run succeeds");
+    assert_eq!(
+        result.get("fasta").and_then(Json::as_str),
+        Some(bioseq::fasta::write_alignment(&direct.msa).as_str()),
+        "served bytes are the new config's"
+    );
+    let stats = server.shutdown();
+    assert!(stats.dp_cells > 0, "the resubmission ran: {stats:?}");
+    assert_eq!(stats.cache_hits, 0);
+}
+
+#[test]
 fn cancelling_a_queued_job_releases_its_slot_immediately() {
     // Queue of 2 with paused workers: the bound is reached, a cancel
     // must free the slot with no worker involvement at all.
