@@ -1,15 +1,15 @@
 //! Conserved-anchor detection by colinear k-mer chaining.
 //!
-//! The vertical (length-wise) decomposition of `sad_core::decomp` needs
-//! columns that are *certainly* homologous across every sequence before any
-//! alignment exists: positions where all rows share an exact k-mer that is
-//! unique within each row. Chaining those occurrences colinearly — strictly
-//! increasing in every row, with a minimum spacing — yields cut points at
-//! which the sequence set can be sliced into independently alignable blocks.
+//! An anchor is a set of positions, one per row, where every row holds the
+//! same exact k-mer and that k-mer is unique within each row: columns that
+//! are *certainly* homologous before any alignment exists. Chaining those
+//! occurrences colinearly — strictly increasing in every row, with a
+//! minimum spacing — yields a chain of such column sets.
 //!
-//! The same scan seeds profile–profile merges: [`anchored_profile_ops`]
-//! pins conserved consensus columns of two alignments as [`ColOp::Both`]
-//! runs and runs the affine-gap DP only on the stretches in between.
+//! The chain seeds profile–profile merges: [`anchored_profile_ops`] pins
+//! conserved consensus columns of two alignments as [`ColOp::Both`] runs
+//! and runs the affine-gap DP only on the stretches in between (the
+//! fine-tune step of capped read runs).
 
 use crate::dp::{ColOp, DpArena, DpOptions};
 use crate::papro::align_profiles_with;

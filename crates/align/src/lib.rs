@@ -22,8 +22,7 @@
 //!   gap masks, greedy sequence exclusion with synergy lookahead and an
 //!   optional bounded branch-and-bound refinement;
 //! * [`anchor`] — conserved-anchor detection by colinear k-mer chaining,
-//!   the substrate of vertical (length-wise) domain decomposition and of
-//!   anchor-seeded profile merges;
+//!   which seeds anchor-pinned profile merges;
 //! * [`engine`] — the [`MsaEngine`] trait plus two full
 //!   systems: [`muscle::MuscleLite`] (k-mer distance → UPGMA → progressive →
 //!   optional re-estimation and refinement; a faithful skeleton of MUSCLE

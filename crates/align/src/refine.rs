@@ -89,59 +89,6 @@ pub fn refine_with(
     RefineOutcome { msa: current, passes, improvements, work }
 }
 
-/// Leave-one-out refinement: every sequence in turn is pulled out of the
-/// alignment and re-aligned against the profile of the rest; the move is
-/// kept iff the sequence's summed pair score against the others improves.
-/// Every realignment runs under explicit [`DpOptions`] and reuses the
-/// caller's [`DpArena`].
-///
-/// This is the "sequential heuristic to improve the quality" the paper's
-/// future-work section sketches; it needs no guide tree, so Sample-Align-D
-/// can run it on the glued global alignment.
-pub fn leave_one_out_with(
-    msa: &Msa,
-    matrix: &SubstMatrix,
-    gaps: GapPenalties,
-    max_passes: usize,
-    dp: DpOptions,
-    arena: &mut DpArena,
-) -> RefineOutcome {
-    let mut work = Work::ZERO;
-    let mut current = msa.clone();
-    let mut passes = 0;
-    let mut improvements = 0;
-    if max_passes == 0 || msa.num_rows() < 2 {
-        return RefineOutcome { msa: current, passes, improvements, work };
-    }
-    let n = msa.num_rows();
-    for _ in 0..max_passes {
-        passes += 1;
-        let mut improved_this_pass = false;
-        for r in 0..n {
-            // Score of row r against all others, before.
-            let others: Vec<usize> = (0..n).filter(|&x| x != r).collect();
-            let before = cross_score(&current, &[r], &others, matrix, gaps, &mut work);
-            let single = extract_rows(&current, &[r], &mut work);
-            let rest = extract_rows(&current, &others, &mut work);
-            let merged = align_and_merge_with(&single, &rest, matrix, gaps, dp, arena, &mut work);
-            let merged_rest: Vec<usize> = (1..merged.num_rows()).collect();
-            let after = cross_score(&merged, &[0], &merged_rest, matrix, gaps, &mut work);
-            if after > before {
-                current = merged;
-                improvements += 1;
-                improved_this_pass = true;
-                // Rows were permuted (r moved to the front); keep scanning
-                // by id-independent index — correctness only needs every
-                // row visited per pass, and the next pass rescans all.
-            }
-        }
-        if !improved_this_pass {
-            break;
-        }
-    }
-    RefineOutcome { msa: current, passes, improvements, work }
-}
-
 /// Sum of pairwise scores across the partition (pairs with one row on each
 /// side).
 fn cross_score(
@@ -209,16 +156,6 @@ mod tests {
         refine_with(msa, tree, ids, matrix, gaps, passes, full, &mut DpArena::new())
     }
 
-    /// Full-DP [`leave_one_out_with`] under a fresh arena.
-    fn leave_one_out(
-        msa: &Msa,
-        matrix: &SubstMatrix,
-        gaps: GapPenalties,
-        passes: usize,
-    ) -> RefineOutcome {
-        leave_one_out_with(msa, matrix, gaps, passes, BandPolicy::Full.into(), &mut DpArena::new())
-    }
-
     fn ids(seqs: &[Sequence]) -> Vec<String> {
         seqs.iter().map(|s| s.id.clone()).collect()
     }
@@ -279,51 +216,6 @@ mod tests {
             refine(&msa, &tree, &ids(&seqs), &SubstMatrix::blosum62(), GapPenalties::default(), 10);
         assert_eq!(out.passes, 1);
         assert_eq!(out.improvements, 0);
-    }
-
-    #[test]
-    fn leave_one_out_never_decreases_sp() {
-        let (_, _, msa) = build(&["MKVLAWGKVLMM", "MKILAWKILM", "MKVLWGKVLM", "MKILAWGKILWW"]);
-        let matrix = SubstMatrix::blosum62();
-        let gaps = GapPenalties::default();
-        let before = msa.sp_score(&matrix, gaps);
-        let out = leave_one_out(&msa, &matrix, gaps, 3);
-        out.msa.validate().unwrap();
-        assert!(out.msa.sp_score(&matrix, gaps) >= before);
-    }
-
-    #[test]
-    fn leave_one_out_repairs_a_bad_row() {
-        // Start from a deliberately broken alignment: the last row shifted
-        // far out of register.
-        let good = bioseq::fasta::parse_alignment(">a\nMKVLAW\n>b\nMKVLAW\n").unwrap();
-        let mut rows: Vec<Vec<u8>> = good.rows().to_vec();
-        let mut bad = vec![bioseq::GAP_CODE; 6];
-        bad.extend_from_slice(&rows[0]);
-        for r in rows.iter_mut() {
-            r.extend(std::iter::repeat_n(bioseq::GAP_CODE, 6));
-        }
-        rows.push(bad);
-        let broken = Msa::from_rows(vec!["a".into(), "b".into(), "c".into()], rows);
-        let matrix = SubstMatrix::blosum62();
-        let gaps = GapPenalties::default();
-        let out = leave_one_out(&broken, &matrix, gaps, 4);
-        assert!(out.improvements > 0, "the shifted row must be repaired");
-        assert!(out.msa.sp_score(&matrix, gaps) > broken.sp_score(&matrix, gaps));
-        // After repair the three identical sequences align perfectly.
-        assert!((out.msa.average_identity() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn leave_one_out_preserves_content() {
-        let (seqs, _, msa) = build(&["MKVLAWGKVL", "MKILAWKIL", "WWPPGGCCWW"]);
-        let out = leave_one_out(&msa, &SubstMatrix::blosum62(), GapPenalties::default(), 2);
-        let mut got: Vec<String> =
-            (0..out.msa.num_rows()).map(|r| out.msa.ungapped(r).to_letters()).collect();
-        got.sort();
-        let mut want: Vec<String> = seqs.iter().map(|s| s.to_letters()).collect();
-        want.sort();
-        assert_eq!(got, want);
     }
 
     #[test]

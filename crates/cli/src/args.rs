@@ -19,8 +19,7 @@ pub struct Args {
 /// One subcommand.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
-    /// `sad align <in.fasta> [pipeline flags] [--progress]
-    /// [--vertical [--max-block N] [--seam-window W]]`
+    /// `sad align <in.fasta> [pipeline flags] [--progress]`
     Align(AlignArgs),
     /// `sad batch <dir-or-manifest> [--out DIR] [--jobs N] [pipeline flags]
     /// [--progress]`
@@ -192,15 +191,11 @@ pub struct AlignArgs {
     /// Stream a live per-phase progress display to stderr (`--progress`),
     /// built on the pipeline observer API.
     pub progress: bool,
-    /// Vertical (length-wise) decomposition (`--vertical`): cut the
-    /// family at conserved anchors, align the blocks in parallel, glue
-    /// and seam-polish. Runs on every backend.
+    /// `--vertical` was given: `sad align` prints a one-line note and
+    /// aligns whole-length as without it. Retired with vertical
+    /// decomposition; kept because `benchmark/src/workloads.rs` names it;
+    /// ROADMAP item 5's companion deletes it.
     pub vertical: bool,
-    /// Vertical block-length cap (`--max-block N`; requires `--vertical`).
-    pub max_block: Option<usize>,
-    /// Seam-polish half-window (`--seam-window W`; requires `--vertical`;
-    /// `0` disables seam refinement).
-    pub seam_window: Option<usize>,
 }
 
 /// Options of `sad batch`.
@@ -365,7 +360,6 @@ impl std::fmt::Display for ParseError {
 pub const USAGE: &str = "\
 usage: sad <command> [options]
   align <in.fasta> [pipeline flags] [--progress]
-                   [--vertical [--max-block N] [--seam-window W]]
   batch <dir|manifest> [--out DIR] [--jobs N] [pipeline flags] [--progress]
   reads [in.fasta] [--reads N] [--coverage C] [--read-len L] [--error-rate E]
                    [--sources N] [--source-len L] [--seed S]
@@ -417,14 +411,10 @@ pub fn parse<'a>(argv: impl IntoIterator<Item = &'a str>) -> Result<Args, ParseE
                 pipeline: PipelineFlags::defaults(Backend::Distributed),
                 progress: false,
                 vertical: false,
-                max_block: None,
-                seam_window: None,
             };
             while let Some(tok) = it.next() {
                 match tok {
                     "--vertical" => a.vertical = true,
-                    "--max-block" => a.max_block = Some(take_num(tok, &mut it)?),
-                    "--seam-window" => a.seam_window = Some(take_num(tok, &mut it)?),
                     "--progress" => a.progress = true,
                     tok if a.pipeline.take(tok, &mut it)? => {}
                     tok if !tok.starts_with("--") && input.is_none() => {
@@ -435,12 +425,6 @@ pub fn parse<'a>(argv: impl IntoIterator<Item = &'a str>) -> Result<Args, ParseE
             }
             a.input = input.ok_or_else(|| ParseError("align needs an input file".into()))?;
             a.pipeline.check()?;
-            if !a.vertical && (a.max_block.is_some() || a.seam_window.is_some()) {
-                return Err(ParseError("--max-block/--seam-window require --vertical".into()));
-            }
-            if a.max_block == Some(0) {
-                return Err(ParseError("--max-block must be at least 1".into()));
-            }
             Ok(Args { command: Command::Align(a) })
         }
         "batch" => {
@@ -839,31 +823,23 @@ mod tests {
 
     #[test]
     fn vertical_flags_parse_and_validate() {
+        // The retired `--vertical` still parses, on every backend, and sets
+        // nothing but its own field; its two knobs are unknown arguments.
         let a = parsed!(Align, ["align", "x.fa"]);
         assert!(!a.vertical, "vertical is opt-in");
-        assert_eq!((a.max_block, a.seam_window), (None, None));
-        let a = parsed!(
-            Align,
-            ["align", "x.fa", "--vertical", "--max-block", "256", "--seam-window", "8"]
-        );
-        assert!(a.vertical);
-        assert_eq!(a.max_block, Some(256));
-        assert_eq!(a.seam_window, Some(8));
-        assert_eq!(a.backend, Backend::Distributed, "vertical keeps align's default backend");
-        for (name, backend) in [
-            ("sequential", Backend::Sequential),
-            ("rayon", Backend::Rayon),
-            ("distributed", Backend::Distributed),
-        ] {
+        for name in ["sequential", "rayon", "distributed"] {
+            let plain = parsed!(Align, ["align", "x.fa", "--backend", name]);
             let a = parsed!(Align, ["align", "x.fa", "--vertical", "--backend", name]);
-            assert_eq!(a.backend, backend, "vertical runs on every backend");
+            assert!(a.vertical);
+            assert_eq!(AlignArgs { vertical: false, ..a }, plain, "{name}");
         }
-        // A zero half-window disables seam refinement but still parses.
-        let a = parsed!(Align, ["align", "x.fa", "--vertical", "--seam-window", "0"]);
-        assert_eq!(a.seam_window, Some(0));
-        assert!(parse(["align", "x.fa", "--max-block", "256"]).is_err(), "needs --vertical");
-        assert!(parse(["align", "x.fa", "--seam-window", "4"]).is_err(), "needs --vertical");
-        assert!(parse(["align", "x.fa", "--vertical", "--max-block", "0"]).is_err());
+        for knob in [["--max-block", "256"], ["--seam-window", "8"]] {
+            for vertical in [&[][..], &["--vertical"][..]] {
+                let argv = ["align", "x.fa"].iter().chain(vertical).chain(&knob).copied();
+                let err = parse(argv).unwrap_err();
+                assert_eq!(err.0, format!("unexpected argument {:?}", knob[0]));
+            }
+        }
     }
 
     #[test]
@@ -872,8 +848,8 @@ mod tests {
         assert!(parse(["align", "x.fa", "--backend", "rayon", "--nodes", "4"]).is_err());
         assert!(parse(["align", "x.fa", "--backend", "rayon", "--threads", "0"]).is_err());
         assert!(parse(["align", "x.fa", "--nodes", "0"]).is_err());
-        // `--vertical` does not move align's default backend, so the rule
-        // judges it exactly as it judges plain `align`.
+        // The retired `--vertical` does not move align's default backend,
+        // so the rule judges it exactly as it judges plain `align`.
         let a = parsed!(Align, ["align", "x.fa", "--vertical", "--nodes", "2"]);
         assert_eq!((a.backend, a.parallelism()), (Backend::Distributed, 2));
         let err = parse(["align", "x.fa", "--vertical", "--threads", "2"]).unwrap_err();

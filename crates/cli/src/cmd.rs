@@ -9,7 +9,6 @@ use qbench::mean_read_pair_q;
 use rosegen::{Family, FamilyConfig, ReadSet, ReadSimConfig};
 use sad_core::{
     Aligner, Backend as SadBackend, BatchJob, RunReport, SadConfig, TrimConfig, TrimReport,
-    VerticalConfig,
 };
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -44,18 +43,10 @@ fn read_fasta(path: impl AsRef<Path>) -> Result<Vec<Sequence>, String> {
 /// `sad align`
 pub fn align(a: AlignArgs, out: Out) -> Result<(), String> {
     let seqs = read_fasta(&a.input)?;
-    let mut cfg = a.config();
     if a.vertical {
-        let mut v = VerticalConfig::default();
-        if let Some(cap) = a.max_block {
-            v.max_block_len = cap;
-        }
-        if let Some(w) = a.seam_window {
-            v.seam_window = w;
-        }
-        cfg = cfg.with_vertical(v);
+        eprintln!("note: --vertical is retired; aligning whole-length");
     }
-    let report = build_aligner(cfg, &a, a.parallelism(), a.progress)
+    let report = build_aligner(a.config(), &a, a.parallelism(), a.progress)
         .run(&seqs)
         .map_err(|e| e.to_string())?;
     write_report_comments(&report, seqs.len(), out);
@@ -65,7 +56,7 @@ pub fn align(a: AlignArgs, out: Out) -> Result<(), String> {
 impl PipelineFlags {
     /// The pipeline configuration these flags select — the one place CLI
     /// flags become a [`SadConfig`]. Commands add only what is theirs
-    /// (`--vertical`, `--max-bucket`).
+    /// (`--max-bucket`).
     pub(crate) fn config(&self) -> SadConfig {
         let mut cfg = SadConfig::default()
             .with_engine(self.engine)
@@ -314,14 +305,8 @@ fn job_ids(files: &[PathBuf]) -> Vec<String> {
     files
         .iter()
         .map(|p| {
-            let stem = p.file_stem().and_then(|s| s.to_str()).unwrap_or("job").to_string();
-            let mut id = stem.clone();
-            let mut n = 1usize;
-            while !used.insert(id.clone()) {
-                n += 1;
-                id = format!("{stem}-{n}");
-            }
-            id
+            let stem = p.file_stem().and_then(|s| s.to_str()).unwrap_or("job");
+            sad_core::batch::unique_id(&mut used, stem)
         })
         .collect()
 }

@@ -42,6 +42,7 @@ use crate::pipeline::{CancelToken, Event};
 use crate::report::RunReport;
 use align::DpArena;
 use bioseq::{pool, Sequence, Work};
+use std::collections::HashSet;
 use std::time::Instant;
 
 /// One named unit of batch work: a family to align.
@@ -69,6 +70,20 @@ impl BatchJob {
         self.cancel = Some(token);
         self
     }
+}
+
+/// Claim a job id not yet in `used`: `base` itself, else the first free
+/// one of `base-2`, `base-3`, … The claimed id is added to `used`. `sad
+/// batch` names its jobs after input file stems this way, and `sad serve`
+/// names submissions the same way.
+pub fn unique_id(used: &mut HashSet<String>, base: &str) -> String {
+    let mut id = base.to_string();
+    let mut n = 1usize;
+    while !used.insert(id.clone()) {
+        n += 1;
+        id = format!("{base}-{n}");
+    }
+    id
 }
 
 /// One job's slice of a [`BatchReport`].
@@ -237,14 +252,10 @@ fn run_job(
 
 /// The phase an aligner's pipeline would check first — what
 /// [`SadError::Cancelled`] reports when a run is cancelled before any
-/// work happens. Vertical mode opens with its anchor scan on every
-/// backend; otherwise the sequential pipeline has no k-mer ranking
-/// stage, so its first boundary is the local alignment itself.
+/// work happens. The sequential pipeline has no k-mer ranking stage, so
+/// its first boundary is the local alignment itself.
 fn first_phase(aligner: &Aligner) -> crate::pipeline::Phase {
     use crate::pipeline::Phase;
-    if aligner.config().vertical.is_some() {
-        return Phase::AnchorScan;
-    }
     match aligner.backend_ref() {
         Backend::Sequential => Phase::LocalAlign,
         Backend::Rayon { .. } | Backend::Distributed(_) => Phase::LocalKmerRank,
@@ -388,13 +399,19 @@ mod tests {
             BatchJob::new("poisoned", family(6, 2)).with_cancel(poison.clone()),
             BatchJob::new("ok", family(6, 1)),
         ];
-        let vertical = SadConfig::default().with_vertical(crate::VerticalConfig::default());
+        // The retired vertical knob is stored and read by nothing, so it
+        // stops at the same first boundary as the default.
+        let retired = SadConfig::default().with_vertical(crate::VerticalConfig::default());
         for backend in [
             Backend::Sequential,
             Backend::Rayon { threads: 2 },
             Backend::Distributed(VirtualCluster::new(2, CostModel::beowulf_2008())),
         ] {
-            for cfg in [SadConfig::default(), vertical.clone()] {
+            let first = match backend {
+                Backend::Sequential => Phase::LocalAlign,
+                _ => Phase::LocalKmerRank,
+            };
+            for cfg in [SadConfig::default(), retired.clone()] {
                 let what = format!("{} vertical={}", backend.name(), cfg.vertical.is_some());
                 events.lock().unwrap().clear();
                 let recorder = Arc::new({
@@ -406,6 +423,7 @@ mod tests {
                 let single = aligner.clone().cancel_token(poison.clone()).run(&all[0].seqs);
                 let batch = aligner.observer(recorder).run_batch_with(&all, 1);
                 assert_eq!(batch.job("poisoned").unwrap().outcome, single, "{what}");
+                assert_eq!(single, Err(SadError::Cancelled { phase: first }), "{what}");
                 assert_eq!(batch.succeeded(), 1, "{what}");
                 let log = events.lock().unwrap();
                 // Workers run jobs in order: the poisoned job's started/

@@ -1,6 +1,5 @@
 //! Sample-Align-D configuration.
 
-use crate::decomp::VerticalConfig;
 use crate::error::SadError;
 use align::{BandPolicy, DpKernel, DpOptions, EngineChoice, TrimConfig};
 use bioseq::{CompressedAlphabet, Sequence};
@@ -8,6 +7,13 @@ use bioseq::{CompressedAlphabet, Sequence};
 /// The largest pooled sample the default per-rank count allows: the
 /// paper's `p = 16` processors with `k = p − 1` samples each pool 240.
 pub const POOLED_SAMPLE_CAP: usize = 240;
+
+/// Retired with vertical decomposition: a knob-less value that
+/// [`SadConfig::with_vertical`] stores and nothing reads. Kept because
+/// `benchmark/src/workloads.rs` names it; ROADMAP item 5's companion
+/// deletes it.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct VerticalConfig {}
 
 /// The settings of the Sample-Align-D pipeline.
 ///
@@ -62,14 +68,10 @@ pub struct SadConfig {
     /// the rayon and distributed backends; the sequential backend has no
     /// buckets and ignores it.
     pub max_bucket: Option<usize>,
-    /// Vertical (length-wise) domain decomposition: when set, the root
-    /// scans for conserved anchors ([`crate::Phase::AnchorScan`]), every
-    /// sequence is sliced at the chained anchors into consistent blocks,
-    /// the blocks are dealt over the ranks and aligned independently
-    /// ([`crate::Phase::BlockAlign`]), and the root glues the block
-    /// alignments with seam-window refinement ([`crate::Phase::Glue`]).
-    /// `None` (the default) aligns whole sequences. Runs on every
-    /// backend, with the same output bytes on each.
+    /// Stored by [`with_vertical`](Self::with_vertical) and read by
+    /// nothing: every run aligns whole sequences. Retired with vertical
+    /// decomposition; kept because `benchmark/src/workloads.rs` names it;
+    /// ROADMAP item 5's companion deletes it.
     pub vertical: Option<VerticalConfig>,
     /// MaxAlign-style alignment-area trim ([`crate::Phase::Trim`]): when
     /// set, the finished root alignment is post-processed by
@@ -144,8 +146,10 @@ impl SadConfig {
         self
     }
 
-    /// Enable vertical (length-wise) domain decomposition with the given
-    /// knobs.
+    /// Store `vertical` in [`vertical`](Self::vertical); the run does not
+    /// change. Retired with vertical decomposition; kept because
+    /// `benchmark/src/workloads.rs` names it; ROADMAP item 5's companion
+    /// deletes it.
     pub fn with_vertical(mut self, vertical: VerticalConfig) -> Self {
         self.vertical = Some(vertical);
         self
@@ -196,9 +200,6 @@ impl SadConfig {
         }
         if self.max_bucket == Some(0) {
             return Err(SadError::ZeroMaxBucket);
-        }
-        if let Some(vertical) = &self.vertical {
-            vertical.validate()?;
         }
         Ok(())
     }
@@ -263,7 +264,6 @@ mod tests {
             .with_band_policy(BandPolicy::Full)
             .with_dp_kernel(DpKernel::Scalar)
             .with_max_bucket(Some(256))
-            .with_vertical(VerticalConfig { seam_window: 8, ..Default::default() })
             .with_trim(TrimConfig { max_dropped: Some(2), branch_bound: true });
         assert_eq!(cfg.kmer_k, 4);
         assert_eq!(cfg.samples_per_rank, Some(3));
@@ -272,24 +272,7 @@ mod tests {
         assert_eq!(cfg.band_policy, BandPolicy::Full);
         assert_eq!(cfg.dp_kernel, DpKernel::Scalar);
         assert_eq!(cfg.max_bucket, Some(256));
-        assert_eq!(cfg.vertical.as_ref().map(|v| v.seam_window), Some(8));
         assert_eq!(cfg.trim, Some(TrimConfig { max_dropped: Some(2), branch_bound: true }));
-    }
-
-    #[test]
-    fn validate_rejects_degenerate_vertical() {
-        let zero_anchor = VerticalConfig { min_anchor_len: 0, ..Default::default() };
-        assert_eq!(
-            SadConfig::default().with_vertical(zero_anchor).validate(),
-            Err(SadError::InvalidVertical { what: "min_anchor_len" })
-        );
-        let zero_block = VerticalConfig { max_block_len: 0, ..Default::default() };
-        assert_eq!(
-            SadConfig::default().with_vertical(zero_block).validate(),
-            Err(SadError::InvalidVertical { what: "max_block_len" })
-        );
-        let ok = VerticalConfig::default();
-        assert_eq!(SadConfig::default().with_vertical(ok).validate(), Ok(()));
     }
 
     #[test]

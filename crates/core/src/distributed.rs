@@ -47,7 +47,6 @@ pub(crate) fn distributed_pipeline(
                 whole.msa = whole.msa.or(rank.msa);
                 whole.bucket_sizes.extend(rank.bucket_sizes);
                 whole.depth = whole.depth.max(rank.depth);
-                whole.vertical = whole.vertical.or(rank.vertical);
             }
             Err(cancelled) => {
                 // Every rank stopped at the same boundary, so no phase is
@@ -256,9 +255,9 @@ mod tests {
             ]
         );
         let table = report.phase_table();
-        // SubPartition (max_bucket), the vertical phases (AnchorScan,
-        // BlockAlign) and Trim are opt-in; every other phase must show up
-        // in a default run's table.
+        // SubPartition (max_bucket) and Trim are opt-in, and AnchorScan
+        // and BlockAlign are never recorded; every other phase must show
+        // up in a default run's table.
         for phase in Phase::ALL.into_iter().filter(|&p| {
             !matches!(p, Phase::SubPartition | Phase::AnchorScan | Phase::BlockAlign | Phase::Trim)
         }) {

@@ -41,13 +41,6 @@ pub enum SadError {
     /// `SadConfig::max_bucket` is `Some(0)` — a bucket must hold at least
     /// one sequence, so a zero cap can never be satisfied.
     ZeroMaxBucket,
-    /// A [`crate::VerticalConfig`] field is out of range — e.g. a zero
-    /// `min_anchor_len` (a 0-mer anchor is undefined) or a zero
-    /// `max_block_len` (a block must hold at least one column).
-    InvalidVertical {
-        /// The offending field, by name.
-        what: &'static str,
-    },
     /// The run was stopped at a phase boundary — the
     /// [`crate::CancelToken`] supplied via [`crate::Aligner::cancel_token`]
     /// was cancelled, or the [`crate::Aligner::deadline`] budget ran out.
@@ -75,9 +68,6 @@ impl std::fmt::Display for SadError {
             SadError::ZeroMaxBucket => {
                 write!(f, "max_bucket must be at least 1 when set explicitly")
             }
-            SadError::InvalidVertical { what } => {
-                write!(f, "vertical: {what} must be at least 1")
-            }
             SadError::Cancelled { phase } => {
                 write!(f, "run cancelled before phase {phase}")
             }
@@ -100,7 +90,6 @@ mod tests {
             (SadError::KmerExceedsShortest { k: 6, shortest: 4 }, "shortest"),
             (SadError::ZeroParallelism, "thread"),
             (SadError::ZeroMaxBucket, "max_bucket"),
-            (SadError::InvalidVertical { what: "min_anchor_len" }, "min_anchor_len"),
             (
                 SadError::Cancelled { phase: crate::pipeline::Phase::LocalAlign },
                 "cancelled before phase 8-local-align",

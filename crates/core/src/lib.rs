@@ -18,6 +18,10 @@
 //!    constrained fine-tuning of Fig. 2) and **glue** the anchored buckets
 //!    into one global alignment at the root.
 //!
+//! The decomposition is the paper's: it splits the *sequence set* into
+//! buckets, never a sequence lengthwise, and every run of every backend
+//! aligns whole sequences.
+//!
 //! One body, two substrates. Those steps are written exactly once, as a
 //! program over the four collectives the paper's listing uses (all-gather
 //! of samples, all-to-all redistribution, gather of local ancestors,
@@ -61,7 +65,6 @@ pub mod ancestor;
 pub mod audit;
 pub mod batch;
 pub mod config;
-pub mod decomp;
 mod distributed;
 pub mod error;
 pub mod messages;
@@ -75,9 +78,8 @@ mod spmd;
 pub use align::{BandPolicy, TrimConfig};
 pub use aligner::{Aligner, Backend};
 pub use batch::{BatchJob, BatchReport, JobReport};
-pub use config::SadConfig;
-pub use decomp::{VerticalConfig, VerticalPlan, VerticalReport};
+pub use config::{SadConfig, VerticalConfig};
 pub use error::SadError;
 pub use pipeline::{CancelToken, Event, Observer, Phase};
 pub use rank::{rank_experiment, RankExperiment};
-pub use report::{BackendExtras, PhaseStat, RunReport, TrimReport};
+pub use report::{BackendExtras, PhaseStat, RunReport, TrimReport, VerticalReport};

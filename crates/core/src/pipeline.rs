@@ -40,13 +40,13 @@ use std::time::{Duration, Instant};
 /// slot hosts the hierarchical sub-partition pass of the large-N read
 /// mode), so [`Phase::step`] and [`Phase::name`] line up with the cost
 /// analysis of Section 3. The discriminant order is pipeline order.
+/// [`Phase::AnchorScan`] and [`Phase::BlockAlign`] are never recorded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[non_exhaustive]
 pub enum Phase {
-    /// Step 0: vertical decomposition's conserved-anchor scan at the
-    /// root — colinear k-mer chaining across all sequences, before any
-    /// rank/sort work. Only recorded when [`crate::SadConfig::vertical`]
-    /// is configured.
+    /// Never recorded. Retired with vertical decomposition; kept in
+    /// [`Phase::ALL`] because `benchmark/src/metrics.rs` names it; ROADMAP
+    /// item 5's companion deletes it.
     AnchorScan,
     /// Step 1: each rank computes local k-mer ranks for its block.
     LocalKmerRank,
@@ -63,10 +63,9 @@ pub enum Phase {
     /// re-partitioned until every leaf bucket fits the cap. Only recorded
     /// when a cap is configured (the Pyro-Align large-N read mode).
     SubPartition,
-    /// Step 8 (vertical mode): the anchor-delimited blocks, dealt over
-    /// the ranks, each aligned independently by the engine. Replaces
-    /// steps 1–11 when vertical decomposition produced more than one
-    /// block.
+    /// Never recorded. Retired with vertical decomposition; kept in
+    /// [`Phase::ALL`] because `benchmark/src/metrics.rs` names it; ROADMAP
+    /// item 5's companion deletes it.
     BlockAlign,
     /// Step 8: the sequential MSA engine on each bucket.
     LocalAlign,
@@ -144,12 +143,6 @@ impl Phase {
             Phase::Trim => 13,
         }
     }
-
-    /// Parse a stable label back into its typed id (the inverse of
-    /// [`Phase::name`]).
-    pub fn from_name(name: &str) -> Option<Phase> {
-        Phase::ALL.into_iter().find(|p| p.name() == name)
-    }
 }
 
 impl std::fmt::Display for Phase {
@@ -204,30 +197,6 @@ pub enum Event {
         size: usize,
         /// Sub-buckets the split produced.
         parts: usize,
-    },
-    /// One conserved anchor survived chaining (inside
-    /// [`Phase::AnchorScan`], vertical mode only). Anchors arrive in
-    /// increasing position order.
-    AnchorFound {
-        /// Index of the anchor along the chain (0-based).
-        index: usize,
-        /// Start position of the anchor's k-mer in the first sequence.
-        ref_pos: usize,
-        /// Positional-agreement confidence in `[0, 1]`.
-        confidence: f64,
-    },
-    /// One vertical block finished its alignment (inside
-    /// [`Phase::BlockAlign`]). Ranks align their blocks concurrently, so
-    /// arrival order between blocks is not deterministic.
-    BlockAligned {
-        /// Block index along the sequence length (0-based).
-        block: usize,
-        /// Rows in the block's alignment (= number of input sequences).
-        rows: usize,
-        /// Columns in the block's alignment.
-        cols: usize,
-        /// Real wall-clock seconds the block's engine run took.
-        seconds: f64,
     },
     /// One bucket finished its local alignment (inside
     /// [`Phase::LocalAlign`]). Decomposed backends emit these from worker
@@ -549,17 +518,6 @@ impl PipelineCtx {
         self.emit(Event::BucketSplit { bucket, depth, size, parts });
     }
 
-    /// Emit [`Event::AnchorFound`] (inside [`Phase::AnchorScan`]).
-    pub(crate) fn anchor_found(&self, index: usize, ref_pos: usize, confidence: f64) {
-        self.emit(Event::AnchorFound { index, ref_pos, confidence });
-    }
-
-    /// Emit [`Event::BlockAligned`]. Safe to call from worker threads
-    /// inside [`Phase::BlockAlign`].
-    pub(crate) fn block_aligned(&self, block: usize, rows: usize, cols: usize, seconds: f64) {
-        self.emit(Event::BlockAligned { block, rows, cols, seconds });
-    }
-
     /// Emit [`Event::SequenceExcluded`] (inside [`Phase::Trim`]).
     pub(crate) fn sequence_excluded(&self, id: String, area_gain: i64) {
         self.emit(Event::SequenceExcluded { id, area_gain });
@@ -598,11 +556,9 @@ mod tests {
     #[test]
     fn phase_names_and_steps_roundtrip() {
         for phase in Phase::ALL {
-            assert_eq!(Phase::from_name(phase.name()), Some(phase));
             assert!(phase.name().starts_with(&phase.step().to_string()));
             assert_eq!(format!("{phase}"), phase.name());
         }
-        assert_eq!(Phase::from_name("7-mystery"), None);
         // ALL is in pipeline order.
         let mut sorted = Phase::ALL;
         sorted.sort();

@@ -7,7 +7,6 @@
 //! backend-specific extras (virtual makespan, per-rank traces) behind
 //! [`BackendExtras`].
 
-use crate::decomp::VerticalReport;
 use crate::pipeline::Phase;
 use bioseq::{Msa, Work};
 use vcluster::RankTrace;
@@ -89,6 +88,23 @@ impl std::fmt::Display for TrimReport {
     }
 }
 
+/// Never built: [`RunReport::vertical`] is always `None`. Retired with
+/// vertical decomposition; kept because `benchmark/src/layers.rs` names
+/// it; ROADMAP item 5's companion deletes it.
+#[derive(Debug, Clone, PartialEq)]
+#[non_exhaustive]
+pub struct VerticalReport {
+    /// Seam windows refined: a whole-length run has none.
+    pub seam_windows: usize,
+}
+
+impl VerticalReport {
+    /// Blocks aligned: a whole-length run is one.
+    pub fn blocks(&self) -> usize {
+        1
+    }
+}
+
 /// A table cell for DP cells as `filled/full-equivalent`, or `-` when the
 /// work did no DP.
 pub(crate) fn dp_pair(w: &Work) -> String {
@@ -147,9 +163,9 @@ pub struct RunReport {
     /// striped fill only where its decisions are provably the scalar
     /// fill's. This label records the choice, not the fills that ran.
     pub kernel: &'static str,
-    /// Vertical (length-wise) decomposition census — anchors found, block
-    /// widths, seam windows refined. `None` when the run aligned whole
-    /// sequences ([`crate::SadConfig::vertical`] unset).
+    /// Always `None`: every run aligns whole sequences. Retired with
+    /// vertical decomposition; kept because `benchmark/src/layers.rs`
+    /// names it; ROADMAP item 5's companion deletes it.
     pub vertical: Option<VerticalReport>,
     /// Alignment-area trim census — rows dropped, columns gained, area
     /// before/after. `None` when the run did not trim
@@ -239,15 +255,6 @@ impl RunReport {
             dp_pair(&self.work)
         );
         let _ = writeln!(out, "dp kernel: {}", self.kernel);
-        if let Some(v) = &self.vertical {
-            let _ = writeln!(
-                out,
-                "decomposition: {} blocks x mean len {:.1}, {} seam windows refined",
-                v.blocks(),
-                v.mean_block_cols(),
-                v.seam_windows
-            );
-        }
         if let Some(t) = &self.trim {
             let _ = writeln!(out, "{t}");
         }
@@ -303,7 +310,6 @@ mod tests {
         assert!(table.contains("wall (s)"));
         assert!(table.contains("10/10"), "Work::dp sets both counters:\n{table}");
         assert!(table.contains("dp kernel: auto"), "kernel label renders:\n{table}");
-        assert!(!table.contains("decomposition:"), "no vertical line without a vertical run");
         assert!(!table.contains("trim:"), "no trim line without a trim run");
     }
 
@@ -318,16 +324,6 @@ mod tests {
             "{table}"
         );
         assert_eq!(r.trim.unwrap().area_gain(), 84);
-    }
-
-    #[test]
-    fn phase_table_prints_decomposition_census() {
-        let mut r = report();
-        r.vertical =
-            Some(VerticalReport { anchors: 3, block_cols: vec![100, 150, 110], seam_windows: 2 });
-        let table = r.phase_table();
-        assert!(table.contains("decomposition: 3 blocks x mean len 120.0"), "{table}");
-        assert!(table.contains("2 seam windows refined"), "{table}");
     }
 
     #[test]

@@ -2,10 +2,8 @@
 //! (what "MUSCLE on a single cluster node" is to the paper's Fig. 6).
 
 use crate::config::SadConfig;
-use crate::decomp::vertical;
 use crate::error::SadError;
 use crate::pipeline::{Phase, PipelineCtx};
-use crate::rayon_impl::SharedMemory;
 use crate::report::{BackendExtras, RunReport};
 use crate::spmd::Outcome;
 use align::DpArena;
@@ -14,8 +12,6 @@ use std::time::Instant;
 
 /// The whole-set engine run: a one-phase pipeline through the shared
 /// recorder. Input validation happens in [`crate::Aligner::run`].
-/// Vertical mode runs its steps over one shared-memory rank first and
-/// falls through to the engine run when it finds no cut.
 ///
 /// `arena` is the engine's DP scratch: single runs pass a fresh one, the
 /// batch runner threads each worker's long-lived arena through so
@@ -27,17 +23,14 @@ pub(crate) fn sequential_pipeline(
     arena: &mut DpArena,
 ) -> Result<RunReport, SadError> {
     debug_assert!(!seqs.is_empty(), "Aligner::run rejects empty input");
-    let report = |outcome: Outcome| outcome.into_report(1, cfg, ctx, BackendExtras::Sequential);
-    if let Some(outcome) = vertical(&mut SharedMemory::new(1, ctx), ctx, seqs, cfg)? {
-        return Ok(report(outcome));
-    }
     let msa = ctx.phase(Phase::LocalAlign, || {
         let t0 = Instant::now();
         let (msa, work) = cfg.engine.build_with(cfg.dp()).align_with_work_in(seqs, arena);
         ctx.bucket_aligned(0, msa.num_rows(), t0.elapsed().as_secs_f64());
         (msa, work)
     })?;
-    Ok(report(Outcome { msa: Some(msa), bucket_sizes: vec![seqs.len()], ..Outcome::default() }))
+    let outcome = Outcome { msa: Some(msa), bucket_sizes: vec![seqs.len()], depth: 0 };
+    Ok(outcome.into_report(1, cfg, ctx, BackendExtras::Sequential))
 }
 
 /// Virtual seconds the sequential baseline would take on the given cost

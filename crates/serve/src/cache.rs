@@ -147,11 +147,6 @@ impl ResultCache {
     pub fn used_bytes(&self) -> usize {
         self.inner.lock().unwrap().used
     }
-
-    /// The configured budget in bytes.
-    pub fn budget_bytes(&self) -> usize {
-        self.inner.lock().unwrap().budget
-    }
 }
 
 #[cfg(test)]
@@ -237,11 +232,12 @@ mod tests {
 
     #[test]
     fn used_bytes_tracks_contents_and_stays_within_budget() {
-        let cache = ResultCache::with_budget_bytes(budget_for(2, 64));
+        let budget = budget_for(2, 64);
+        let cache = ResultCache::with_budget_bytes(budget);
         assert_eq!(cache.used_bytes(), 0);
         for i in 0..8 {
             cache.insert(&format!("in{i}"), result("d", 64));
-            assert!(cache.used_bytes() <= cache.budget_bytes());
+            assert!(cache.used_bytes() <= budget);
         }
         assert_eq!(cache.len(), 2);
     }

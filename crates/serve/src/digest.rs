@@ -81,23 +81,22 @@ mod tests {
     #[test]
     fn fingerprint_covers_every_post_pr6_knob() {
         // The cache key must change whenever any knob added since the
-        // serve daemon landed changes: `max_bucket`, `dp_kernel`, the
-        // vertical mode and each of its fields, and the trim stage and
-        // each of its fields. Configs
+        // serve daemon landed changes: `max_bucket`, `dp_kernel`, and the
+        // trim stage and each of its fields. Configs
         // differing only in one of these must never share a cache key
         // (stale hits would silently serve wrong alignments).
         use align::DpKernel;
-        use sad_core::{TrimConfig, VerticalConfig};
+        use sad_core::TrimConfig;
         let base = SadConfig::default();
+        // Pinned: a journal written before a config field changed shape
+        // (`VerticalConfig` lost its knobs) must still warm the cache of a
+        // default server.
+        assert_eq!(config_fingerprint(&base, &Backend::Sequential), "4f83c08a50b7faad");
         let variants: Vec<SadConfig> = vec![
             base.clone(),
             base.clone().with_max_bucket(Some(128)),
             base.clone().with_max_bucket(Some(256)),
             base.clone().with_dp_kernel(DpKernel::Scalar),
-            base.clone().with_vertical(VerticalConfig::default()),
-            base.clone().with_vertical(VerticalConfig { seam_window: 8, ..Default::default() }),
-            base.clone().with_vertical(VerticalConfig { max_block_len: 256, ..Default::default() }),
-            base.clone().with_vertical(VerticalConfig { min_anchor_len: 12, ..Default::default() }),
             base.clone().with_trim(TrimConfig::default()),
             base.clone().with_trim(TrimConfig { max_dropped: Some(4), ..Default::default() }),
             base.clone().with_trim(TrimConfig { branch_bound: true, ..Default::default() }),

@@ -331,24 +331,14 @@ impl Shared {
     }
 
     /// Reserve a server-unique job id, unique-ifying collisions with a
-    /// `-2`, `-3`… suffix (the batch runner's convention).
+    /// `-2`, `-3`… suffix ([`sad_core::batch::unique_id`]).
     fn reserve_id(&self, requested: Option<&str>) -> String {
         let base = match requested {
             Some(id) if !id.trim().is_empty() => id.trim().to_string(),
             _ => format!("job-{}", self.next_job.fetch_add(1, Ordering::Relaxed) + 1),
         };
-        let mut ids = self.ids.lock().unwrap();
-        if ids.insert(base.clone()) {
-            return base;
-        }
-        let mut n = 2usize;
-        loop {
-            let candidate = format!("{base}-{n}");
-            if ids.insert(candidate.clone()) {
-                return candidate;
-            }
-            n += 1;
-        }
+        let mut ids = self.ids.lock().expect("a thread panicked while holding the id set");
+        sad_core::batch::unique_id(&mut ids, &base)
     }
 }
 

@@ -74,7 +74,6 @@ pub mod prelude {
     pub use sad_core::{
         Aligner, Backend, BackendExtras, BatchJob, BatchReport, CancelToken, Event, JobReport,
         Observer, Phase, PhaseStat, RunReport, SadConfig, SadError, TrimConfig, TrimReport,
-        VerticalConfig, VerticalPlan, VerticalReport,
     };
     pub use vcluster::{CostModel, VirtualCluster};
 }

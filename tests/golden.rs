@@ -111,26 +111,6 @@ fn align_non_uniform_weight_engines_match_golden() {
 }
 
 #[test]
-fn align_vertical_table_matches_golden() {
-    // The vertical decomposition path pins the anchor-scan / block-align /
-    // glue phase rows and the "decomposition: N blocks ..." census line of
-    // the run summary. `fam_long` is a length-700 closely related family,
-    // so the 128-column cap forces a genuine multi-block split.
-    let input = golden_dir().join("fixtures/fam_long.fa");
-    let (out, result) = run_cli(&[
-        "align",
-        input.to_str().unwrap(),
-        "--vertical",
-        "--max-block",
-        "128",
-        "--backend",
-        "sequential",
-    ]);
-    result.expect("golden vertical align succeeds");
-    assert_matches_golden("align_vertical.txt", &out);
-}
-
-#[test]
 fn batch_summary_table_matches_golden() {
     // The committed manifest mixes two healthy families with a
     // one-sequence file, pinning both the success rows and the per-job

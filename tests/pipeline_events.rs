@@ -3,6 +3,7 @@
 //! phase boundary when cancelled — by token, by observer, or by deadline.
 
 use sample_align_d::prelude::*;
+use sample_align_d::sad_core::VerticalConfig;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -223,15 +224,15 @@ fn capped_read_run_at_paper_scale() {
 #[test]
 fn pre_cancelled_token_stops_every_backend_at_the_first_boundary() {
     let seqs = family(12, 3);
-    let vertical = SadConfig::default().with_vertical(VerticalConfig::default());
+    // The retired vertical knob changes nothing, its first boundary included.
+    let retired = SadConfig::default().with_vertical(VerticalConfig::default());
     for backend in backends(3) {
         let name = backend.name();
         let first = match backend {
             Backend::Sequential => Phase::LocalAlign,
             _ => Phase::LocalKmerRank,
         };
-        // Vertical mode opens with the anchor scan on every backend.
-        for (cfg, first) in [(SadConfig::default(), first), (vertical.clone(), Phase::AnchorScan)] {
+        for cfg in [SadConfig::default(), retired.clone()] {
             let token = CancelToken::new();
             token.cancel();
             let err = Aligner::new(cfg)
@@ -241,6 +242,31 @@ fn pre_cancelled_token_stops_every_backend_at_the_first_boundary() {
                 .unwrap_err();
             assert_eq!(err, SadError::Cancelled { phase: first }, "{name}");
         }
+    }
+}
+
+#[test]
+fn retired_vertical_config_runs_the_default_pipeline() {
+    // A long, closely related family: the one shape on which the retired
+    // vertical mode used to cut anchor-delimited blocks.
+    let seqs = Family::generate(&FamilyConfig {
+        n_seqs: 8,
+        avg_len: 1500,
+        relatedness: 120.0,
+        seed: 5,
+        ..Default::default()
+    })
+    .seqs;
+    let retired = SadConfig::default().with_vertical(VerticalConfig::default());
+    for backend in backends(4) {
+        let name = backend.name();
+        let run = |cfg: &SadConfig| Aligner::new(cfg.clone()).backend(backend.clone()).run(&seqs);
+        let plain = run(&SadConfig::default()).unwrap();
+        let shim = run(&retired).unwrap();
+        assert_eq!(shim.msa, plain.msa, "{name}");
+        assert_eq!(shim.work, plain.work, "{name}");
+        assert_eq!(shim.phase_sequence(), plain.phase_sequence(), "{name}");
+        assert_eq!(shim.vertical, None, "{name}");
     }
 }
 
